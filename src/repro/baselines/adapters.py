@@ -17,16 +17,11 @@ Every method is a registered ``method`` component in :mod:`repro.registry`;
 specs accept user-defined methods as ``"module:attr"`` references (the
 attribute is called with the parameter mapping's entries as keyword
 arguments and must return a ``MethodFn``).
-
-.. deprecated::
-    The module-level ``_BUILDERS`` dict predates the registry; reading it
-    still works but emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import replace
 from typing import Callable, Mapping
 
@@ -40,7 +35,7 @@ from repro.baselines.resampling import ResamplingDetector
 from repro.baselines.semi_supervised import SemiSupervisedDetector
 from repro.baselines.supervised import SupervisedDetector
 from repro.core.detector import DetectorConfig, HoloDetect
-from repro.registry import REGISTRY, ComponentError, deprecated_name_map
+from repro.registry import REGISTRY, ComponentError
 
 #: A method under evaluation (same shape as ``repro.evaluation.runner.MethodFn``).
 MethodFn = Callable[..., set]
@@ -215,28 +210,3 @@ def build_method(name: str, params: Mapping[str, object] | None = None) -> Metho
             "callable MethodFn(bundle, split, rng) -> set[Cell]"
         )
     return method
-
-
-def _register_legacy_builder(key: str, builder) -> None:
-    """Write-through for the deprecated ``_BUILDERS`` map: an assigned
-    builder registers like a built-in, so ``build_method`` keeps finding it."""
-    REGISTRY.add(
-        "method", key, builder,
-        description="legacy _BUILDERS registration", replace=True,
-    )
-
-
-def __getattr__(name: str):
-    if name == "_BUILDERS":
-        warnings.warn(
-            "repro.baselines.adapters._BUILDERS is deprecated; resolve methods "
-            "through repro.registry (kind 'method') or build_method()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return deprecated_name_map(
-            "method",
-            lambda key: REGISTRY.entry("method", key).factory,
-            writer=_register_legacy_builder,
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

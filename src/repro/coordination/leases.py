@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.faults.inject import checked_write, trip
+from repro.faults.inject import checked_write, parse_jsonl_line, trip
 from repro.faults.retry import RetryPolicy, resolve_policy
 
 #: Lease payload schema identifier.
@@ -196,7 +196,8 @@ def append_jsonl(
 
 
 def read_audit(directory: str | Path) -> list[dict]:
-    """Decode the audit log (complete lines only; partial tails skipped)."""
+    """Decode the audit log (complete lines only; partial tails skipped,
+    and an event sharing a line with a torn fragment recovered)."""
     path = Path(directory) / "audit.jsonl"
     events: list[dict] = []
     try:
@@ -206,11 +207,8 @@ def read_audit(directory: str | Path) -> list[dict]:
     for line in raw.split(b"\n"):
         if not line.strip():
             continue
-        try:
-            event = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if isinstance(event, dict):
+        event, _ = parse_jsonl_line(line)
+        if event is not None:
             events.append(event)
     return events
 

@@ -6,15 +6,10 @@ through the same mechanism as methods, profiles, and featurizers — and a
 ``"module:attr"`` reference loads a user-defined bundle generator (called
 as ``attr(num_rows=..., seed=...)`` and returning a
 :class:`~repro.data.bundle.DatasetBundle`) with zero repo edits.
-
-.. deprecated::
-    The module-level ``_GENERATORS`` dict predates the registry; reading it
-    still works but emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import PurePath
 
@@ -25,7 +20,7 @@ from repro.data.food import generate_food
 from repro.data.hospital import generate_hospital
 from repro.data.soccer import generate_soccer
 from repro.dataset.ground_truth import GroundTruth
-from repro.registry import REGISTRY, ComponentError, deprecated_name_map
+from repro.registry import REGISTRY, ComponentError
 
 
 @dataclass(frozen=True)
@@ -152,46 +147,3 @@ def load_dataset(name: str, num_rows: int | None = None, seed: int = 0) -> Datas
             f"dataset {name!r} built {type(bundle).__name__}, expected DatasetBundle"
         )
     return bundle
-
-
-def _legacy_generator_factory(name: str, generate):
-    """Like :func:`_generator_factory`, but tolerates names without a
-    ``DEFAULT_ROWS`` entry: ``num_rows=None`` falls back to the generator's
-    own default instead of a registry-side one."""
-
-    def factory(cfg: DatasetParams) -> DatasetBundle:
-        rows = cfg.num_rows if cfg.num_rows is not None else DEFAULT_ROWS.get(name)
-        if rows is None:
-            return generate(seed=cfg.seed)
-        return generate(num_rows=rows, seed=cfg.seed)
-
-    return factory
-
-
-def _register_legacy_generator(key: str, generate) -> None:
-    """Write-through for the deprecated ``_GENERATORS`` map: an assigned
-    generator registers like a built-in, so ``load_dataset`` keeps finding
-    it."""
-    _BENCHMARKS[key] = (generate, "legacy _GENERATORS registration")
-    REGISTRY.add(
-        "dataset", key, _legacy_generator_factory(key, generate),
-        config=DatasetParams,
-        description="legacy _GENERATORS registration", replace=True,
-    )
-
-
-def __getattr__(name: str):
-    if name == "_GENERATORS":
-        warnings.warn(
-            "repro.data.registry._GENERATORS is deprecated; resolve datasets "
-            "through repro.registry (kind 'dataset') or load_dataset()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return deprecated_name_map(
-            "dataset",
-            lambda key: _BENCHMARKS[key][0],
-            _BENCHMARKS,
-            writer=_register_legacy_generator,
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,15 +21,6 @@ from repro.errors.profiles import (
     resolve_profile,
 )
 
-
-def __getattr__(name: str):
-    if name == "PROFILES":
-        # Deprecated alias; the warning is emitted by repro.errors.profiles.
-        from repro.errors import profiles
-
-        return profiles.PROFILES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "inject_x",
     "substitute_char",
@@ -39,7 +30,6 @@ __all__ = [
     "random_typo",
     "ErrorProfile",
     "inject_errors",
-    "PROFILES",
     "apply_profile",
     "profile_names",
     "resolve_profile",

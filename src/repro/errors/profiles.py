@@ -18,17 +18,10 @@ Profiles resolve through :mod:`repro.registry`: besides the presets here, a
 called with the override parameters and must return an
 :class:`~repro.errors.bart.ErrorProfile`), and an unknown plain name with at
 least ``error_rate`` defines an ad-hoc profile inline.
-
-.. deprecated::
-    The module-level ``PROFILES`` dict predates the registry; reading it
-    still works but emits a :class:`DeprecationWarning`.  Use
-    :func:`profile_names` / :func:`resolve_profile` (or the registry
-    directly) instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Mapping
 
@@ -36,7 +29,7 @@ import numpy as np
 
 from repro.data.bundle import DatasetBundle
 from repro.errors.bart import ErrorProfile, inject_errors
-from repro.registry import REGISTRY, ComponentError, deprecated_name_map
+from repro.registry import REGISTRY, ComponentError
 
 #: Identity profile: keep the bundle's generator-injected errors.
 NATIVE = "native"
@@ -147,30 +140,3 @@ def apply_profile(
         truth=truth,
         constraints=bundle.constraints,
     )
-
-
-def _register_legacy_profile(key: str, profile: ErrorProfile | None) -> None:
-    """Write-through for the deprecated ``PROFILES`` map: an assigned preset
-    registers like a built-in, so ``resolve_profile`` keeps finding it."""
-    _PRESETS[key] = (profile, "legacy PROFILES registration")
-    REGISTRY.add(
-        "error_profile", key, _preset_factory(key, profile),
-        description="legacy PROFILES registration", replace=True,
-    )
-
-
-def __getattr__(name: str):
-    if name == "PROFILES":
-        warnings.warn(
-            "repro.errors.profiles.PROFILES is deprecated; resolve profiles "
-            "through repro.registry (kind 'error_profile') or resolve_profile()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return deprecated_name_map(
-            "error_profile",
-            lambda key: _PRESETS[key][0],
-            _PRESETS,
-            writer=_register_legacy_profile,
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

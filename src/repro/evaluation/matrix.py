@@ -12,7 +12,9 @@ module makes that grid a first-class object:
   spec alone — independent of execution order, worker count, or executor;
 - :func:`run_scenario` executes one spec end-to-end (generate bundle →
   apply error profile → build method adapter → seeded trials);
-- :func:`run_matrix` fans specs out over a process/thread pool and streams
+- :func:`run_matrix` drains the specs through one claim loop over a
+  serial, thread or process pool — claiming from a private queue, or from
+  lease files shared with other workers (``coordinate=``) — and streams
   finished records into a resumable
   :class:`~repro.evaluation.store.ResultStore`.
 
@@ -28,8 +30,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -410,22 +413,6 @@ def _run_with_artifact_stats(runner: Callable[["ScenarioSpec"], dict], spec) -> 
     }
 
 
-def _ambient_store(artifact_dir: str | None):
-    """Context installing the in-process ambient artifact store, if any."""
-    if artifact_dir is None:
-        return nullcontext(None)
-    return use_store(ArtifactStore(directory=artifact_dir))
-
-
-def _ambient_backend(backend: str | None):
-    """Context installing the in-process ambient compute backend, if any."""
-    if backend is None:
-        return nullcontext(None)
-    from repro.nn.backend import use_backend
-
-    return use_backend(backend)
-
-
 #: Absolute ceiling on pool size — beyond this, worker startup cost
 #: dominates any timesharing benefit.
 MAX_WORKERS = 64
@@ -513,18 +500,271 @@ class SweepReport:
         return payload
 
 
-def _make_pool(
-    executor: str, workers: int, artifact_dir: str | None, backend: str | None
-) -> Executor:
-    if executor == "process":
-        if artifact_dir is not None or backend is not None:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(artifact_dir, backend),
-            )
-        return ProcessPoolExecutor(max_workers=workers)
-    return ThreadPoolExecutor(max_workers=workers)
+@dataclass(frozen=True)
+class CoordinateOptions:
+    """Knobs for the cooperative claim source of :func:`run_matrix`
+    (``repro sweep --coordinate``).
+
+    Lease files and the audit log live in ``<store path>.coord/``, so every
+    worker and ``repro report`` agree on them with no extra configuration.
+    ``ttl`` is the stale-lease reclaim threshold: a worker silent for longer
+    than this forfeits its in-flight scenarios to the survivors.  Size it to
+    a small multiple of the longest expected scenario *claim-to-heartbeat*
+    gap — i.e. filesystem latency, not scenario runtime (heartbeats renew
+    held leases every ``ttl / 4`` during execution) — 60 s is comfortable
+    on NFS.  ``poll_interval`` is the idle re-scan period while other
+    workers hold the remaining scenarios.
+    """
+
+    worker_id: str | None = None
+    ttl: float = 60.0
+    poll_interval: float | None = None
+
+
+class _InlineExecutor(Executor):
+    """The serial pool: ``submit`` runs the task in the caller's thread.
+
+    A scenario's ``Exception`` lands in the returned future, as it would
+    from a pool worker; an interrupt propagates at once, out of the loop.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _Sweep:
+    """One :func:`run_matrix` call's results: a record per fingerprint,
+    each reported to ``on_result`` as it arrives, plus the artifact-store
+    counters process workers send back in their stats envelope."""
+
+    def __init__(
+        self,
+        specs: list[ScenarioSpec],
+        store: ResultStore | None,
+        on_result: Callable[[dict], None] | None,
+    ):
+        self.specs = {spec.fingerprint(): spec for spec in specs}
+        self.store = store
+        self.on_result = on_result
+        self.records: dict[str, dict] = {}
+        #: True when results arrive wrapped by :func:`_run_with_artifact_stats`.
+        self.envelope = False
+        self.artifact_totals: dict[str, int] = {}
+
+    def serve(self, fingerprint: str, remote: bool = False) -> None:
+        """Report a stored record this invocation did not execute —
+        finished by an earlier run, or (``remote``) by a peer worker."""
+        record = dict(self.store.get(fingerprint) or {})
+        record["cached"] = True
+        self.records[fingerprint] = record
+        if self.on_result is not None:
+            self.on_result({**record, "remote": True} if remote else record)
+
+    def finish(self, record: dict) -> None:
+        """Append a freshly executed record to the store and report it."""
+        record["cached"] = False
+        if self.store is not None:
+            self.store.put(record)
+        self.records[record["fingerprint"]] = record
+        if self.on_result is not None:
+            self.on_result(record)
+
+    def unwrap(self, result: dict) -> dict:
+        """Strip a process worker's stats envelope, totalling its counters."""
+        if not self.envelope:
+            return result
+        for counter, value in (result["artifact_stats"] or {}).items():
+            self.artifact_totals[counter] = self.artifact_totals.get(counter, 0) + value
+        return result["record"]
+
+
+def _drain(
+    sweep: _Sweep, source: _LocalClaims | _LeaseClaims, pool: Executor, task: Callable, workers: int
+) -> None:
+    """The claim loop every sweep runs: keep up to ``workers`` claimed
+    scenarios in flight on ``pool`` until ``source`` reports the matrix
+    drained.
+
+    The claim source decides what runs and what finishing means:
+    ``claim(busy)`` returns the next fingerprint (``None`` when nothing is
+    claimable now), ``complete(fp, record)`` lands a result,
+    ``release(fp, event)`` gives a claim back, ``idle()`` runs when nothing
+    is claimable or in flight and returns True once the matrix has
+    drained, and ``abort()`` frees every claim still held.
+
+    A failed scenario gives its claim back, lets in-flight siblings finish
+    and lands their records — a ``--resume`` rerun repeats only the
+    failure, never finished work — then raises naming the grid point.  An
+    interrupt or a store failure abandons the sweep at once.
+    """
+    in_flight: dict[Future, str] = {}
+    try:
+        while True:
+            while len(in_flight) < workers:
+                fp = source.claim(set(in_flight.values()))
+                if fp is None:
+                    break
+                in_flight[pool.submit(task, sweep.specs[fp])] = fp
+            if not in_flight:
+                if source.idle():
+                    return
+                continue
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            # The done set is unordered: land every completed sibling
+            # before raising, so a failure never discards finished work.
+            failed: tuple[str, BaseException] | None = None
+            for future in done:
+                fp = in_flight.pop(future)
+                if future.exception() is None:
+                    source.complete(fp, sweep.unwrap(future.result()))
+                else:
+                    source.release(fp, "failed")
+                    failed = failed or (fp, future.exception())
+            if failed is None:
+                continue
+            # Drop unstarted scenarios, but let running ones finish and land.
+            pool.shutdown(wait=False, cancel_futures=True)
+            for future, fp in in_flight.items():
+                # wait() must not be used here: futures cancelled by the
+                # shutdown queue-drain never reach CANCELLED_AND_NOTIFIED,
+                # so wait() would block forever.  exception() blocks only
+                # on genuinely in-flight work.
+                if future.cancelled():
+                    source.release(fp, "release")
+                elif future.exception() is not None:
+                    source.release(fp, "failed")
+                else:
+                    source.complete(fp, sweep.unwrap(future.result()))
+            in_flight.clear()
+            fp, exc = failed
+            spec = sweep.specs[fp]
+            raise RuntimeError(
+                f"scenario {spec.dataset}/{spec.error_profile}/{spec.label_budget:g}"
+                f"/{spec.method} (fingerprint {fp[:12]}) failed: {exc}"
+            ) from exc
+    except BaseException:
+        # Interrupts and store failures: don't burn CPU finishing a doomed
+        # sweep, and free every claim still held so peers pick the
+        # scenarios up without waiting out the TTL (whoever re-runs them
+        # lands the same bits anyway).
+        pool.shutdown(wait=False, cancel_futures=True)
+        source.abort()
+        raise
+
+
+class _LocalClaims:
+    """Claim source of a plain sweep: a private queue of the scenarios
+    still to run.  Every claim wins and nobody else contributes, so there
+    is nothing to give back or poll — an empty queue means done."""
+
+    def __init__(self, sweep: _Sweep, pending: list[str]):
+        self.sweep = sweep
+        self.pending = deque(pending)
+
+    def claim(self, busy: set[str]) -> str | None:
+        return self.pending.popleft() if self.pending else None
+
+    def complete(self, fingerprint: str, record: dict) -> None:
+        self.sweep.finish(record)
+
+    def release(self, fingerprint: str, event: str) -> None:
+        pass
+
+    def idle(self) -> bool:
+        return True
+
+    def abort(self) -> None:
+        pass
+
+
+class _LeaseClaims:
+    """Claim source of a cooperative sweep (``coordinate=``): the scenarios
+    missing from the shared store, claimed through lease files
+    (:mod:`repro.coordination`) so N workers — possibly on other hosts
+    sharing the store's filesystem — drain one matrix together.
+
+    The store is the completion ledger: a record is appended *before* its
+    lease is released, and only fingerprints missing from the store are
+    candidates, so finished work is never re-claimed, even across restarts.
+    Nothing claimable does not mean done — peers may hold the rest — so
+    :meth:`idle` polls: other workers' completions arrive via
+    :meth:`ResultStore.refresh`, and leases whose heartbeat exceeded the
+    TTL are reclaimed so a killed worker's scenarios re-enter the pool.
+    """
+
+    def __init__(self, sweep: _Sweep, coordinate: CoordinateOptions):
+        from repro.coordination import HeartbeatThread, WorkQueue, coordination_dir
+
+        self.sweep = sweep
+        self.store = sweep.store
+        self.queue = WorkQueue(
+            coordination_dir(self.store.path), worker_id=coordinate.worker_id, ttl=coordinate.ttl
+        )
+        self.heartbeat = HeartbeatThread(self.queue)
+        self.poll = (
+            coordinate.poll_interval
+            if coordinate.poll_interval is not None
+            else min(1.0, self.queue.ttl / 4.0)
+        )
+
+    def claim(self, busy: set[str]) -> str | None:
+        """Claim the next runnable scenario; None when nothing claimable.
+
+        After winning a claim the store is re-scanned: the lease may have
+        been absent because another worker *finished* the scenario between
+        our completion scan and the claim — then the claim is released
+        unused (``skip``) instead of re-executing done work.
+        """
+        for fp in self.store.missing(self.sweep.specs):
+            if fp in busy or not self.queue.claim(fp):
+                continue
+            self.store.refresh()
+            if fp in self.store:
+                self.queue.release(fp, event="skip")
+                continue
+            self.queue.audit("execute", fp)
+            return fp
+        return None
+
+    def complete(self, fingerprint: str, record: dict) -> None:
+        # Check the lease *before* the put: a worker that slept past its
+        # TTL was reclaimed, and the scenario now belongs to whoever
+        # re-claimed it.  Writing our record anyway would double-write the
+        # store (latest-wins keeps it correct, but the audit would show a
+        # completion from a worker that no longer held the lease).  The
+        # "lost" audit event was already appended at detection time by
+        # renew(); here we abandon the record and let idle() report the
+        # new owner's result.
+        if fingerprint in self.heartbeat.lost or fingerprint not in self.queue.held():
+            self.queue.audit("abandoned", fingerprint)
+            return
+        self.sweep.finish(record)
+        self.queue.release(fingerprint, event="complete")
+
+    def release(self, fingerprint: str, event: str) -> None:
+        self.queue.release(fingerprint, event=event)
+
+    def idle(self) -> bool:
+        """One poll iteration; True when the matrix has fully drained."""
+        self.store.refresh()
+        for fp in self.sweep.specs:
+            if fp not in self.sweep.records and fp in self.store:
+                self.sweep.serve(fp, remote=True)
+        missing = self.store.missing(self.sweep.specs)
+        if not missing:
+            return True
+        if not self.queue.reclaim_stale(missing):
+            time.sleep(self.poll)
+        return False
+
+    def abort(self) -> None:
+        for fp in self.queue.held():
+            self.queue.release(fp, event="abort")
 
 
 def run_matrix(
@@ -537,7 +777,7 @@ def run_matrix(
     scenario_runner: Callable[[ScenarioSpec], dict] = run_scenario,
     artifact_dir: str | Path | None = None,
     backend: str | None = None,
-    coordinate: "CoordinateOptions | None" = None,
+    coordinate: CoordinateOptions | None = None,
 ) -> SweepReport:
     """Run every scenario in ``matrix``, fanning out over a worker pool.
 
@@ -568,421 +808,76 @@ def run_matrix(
     in any scenario fingerprint — metrics at float64 are bit-identical
     across backends, so cached records stay valid.
 
-    ``coordinate`` switches to the cooperative claim-loop executor mode:
-    instead of partitioning the matrix up front, this invocation becomes
-    one of N independent workers (possibly on other hosts sharing the
-    store's filesystem) that *claim* scenarios one at a time through lease
-    files (:mod:`repro.coordination`) and drain the matrix together.
-    Requires a ``store`` (the shared completion ledger) and implies
-    ``resume`` — work already in the store is never re-claimed.
+    ``coordinate`` makes this invocation one of N independent cooperating
+    workers (possibly on other hosts sharing the store's filesystem):
+    instead of running a private queue of scenarios, it *claims* them one
+    at a time through lease files (:mod:`repro.coordination`) and returns
+    once the whole matrix is in the store, with records for every scenario
+    — locally executed or not.  Requires a ``store`` (the shared completion
+    ledger) and implies ``resume``.
     """
     if executor not in _EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
-    artifact_dir = str(artifact_dir) if artifact_dir is not None else None
-    if coordinate is not None:
-        return _run_coordinated(
-            matrix,
-            store,
-            workers=workers,
-            executor=executor,
-            on_result=on_result,
-            scenario_runner=scenario_runner,
-            artifact_dir=artifact_dir,
-            backend=backend,
-            coordinate=coordinate,
-        )
-    specs = matrix.expand()
-    fingerprints = [spec.fingerprint() for spec in specs]
-    records: dict[str, dict] = {}
-    pending: list[ScenarioSpec] = []
-    for spec, fingerprint in zip(specs, fingerprints):
-        stored = store.get(fingerprint) if (resume and store is not None) else None
-        if stored is not None:
-            record = dict(stored)
-            record["cached"] = True
-            records[fingerprint] = record
-            if on_result is not None:
-                on_result(record)
-        else:
-            pending.append(spec)
-
-    artifact_totals: dict[str, int] = {}
-    # The per-scenario stats envelope is only needed where the coordinator
-    # cannot see the store itself: the process executor.  In-process
-    # executors (serial/thread) read the single shared store's counters
-    # directly, which is also exact under thread interleaving.
-    wrap_stats = artifact_dir is not None and executor == "process"
-
-    def unwrap(result: dict) -> dict:
-        """Strip the artifact-stats envelope (present iff wrap_stats)."""
-        if not wrap_stats:
-            return result
-        delta = result.get("artifact_stats")
-        if delta:
-            for counter, value in delta.items():
-                artifact_totals[counter] = artifact_totals.get(counter, 0) + value
-        return result["record"]
-
-    def finish(record: dict) -> None:
-        record["cached"] = False
-        if store is not None:
-            store.put(record)
-        records[record["fingerprint"]] = record
-        if on_result is not None:
-            on_result(record)
-
-    def scenario_error(spec: ScenarioSpec, exc: Exception) -> RuntimeError:
-        return RuntimeError(
-            f"scenario {spec.dataset}/{spec.error_profile}/{spec.label_budget:g}"
-            f"/{spec.method} (fingerprint {spec.fingerprint()[:12]}) failed: {exc}"
-        )
-
-    task: Callable[[ScenarioSpec], dict] = scenario_runner
-    if wrap_stats:
-        task = partial(_run_with_artifact_stats, scenario_runner)
-
-    effective = clamp_workers(workers, len(pending))
-    if pending:
-        if effective == 1 or executor == "serial":
-            effective = 1
-            with _ambient_store(artifact_dir) as shared, _ambient_backend(backend):
-                for spec in pending:
-                    try:
-                        result = task(spec)
-                    except Exception as exc:
-                        raise scenario_error(spec, exc) from exc
-                    finish(unwrap(result))
-                if shared is not None:
-                    # Exact totals straight from the single shared store.
-                    artifact_totals = shared.stats.as_dict()
-        else:
-            coordinator_store = (
-                _ambient_store(artifact_dir) if executor == "thread" else nullcontext(None)
-            )
-            with coordinator_store as shared, _make_pool(
-                executor, effective, artifact_dir, backend
-            ) as pool:
-                futures = {pool.submit(task, spec): spec for spec in pending}
-                not_done = set(futures)
-                try:
-                    while not_done:
-                        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                        # The done set is unordered: flush every completed
-                        # sibling first so a failure never discards finished
-                        # work (the resume contract), then raise.
-                        failed = None
-                        for future in done:
-                            if future.exception() is not None:
-                                failed = failed or future
-                            else:
-                                finish(unwrap(future.result()))
-                        if failed is not None:
-                            # Drop queued-but-unstarted scenarios, but let
-                            # in-flight ones run to completion and flush
-                            # their records — a --resume rerun then repeats
-                            # only the failed scenario, not finished work.
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            for future in not_done:
-                                # wait() must not be used here: futures
-                                # cancelled by the shutdown queue-drain never
-                                # reach CANCELLED_AND_NOTIFIED, so wait()
-                                # would block forever.  exception() blocks
-                                # only on genuinely in-flight work.
-                                if not future.cancelled() and future.exception() is None:
-                                    finish(unwrap(future.result()))
-                            exc = failed.exception()
-                            raise scenario_error(futures[failed], exc) from exc
-                except BaseException:
-                    # Interrupts and store failures: don't burn CPU
-                    # finishing a doomed sweep.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-                if shared is not None:
-                    artifact_totals = shared.stats.as_dict()
-    return SweepReport(
-        matrix=matrix,
-        records=[records[fingerprint] for fingerprint in fingerprints],
-        executed=len(pending),
-        cached=len(specs) - len(pending),
-        workers=effective,
-        artifacts=(
-            None
-            if artifact_dir is None
-            else {"dir": artifact_dir, "stats": artifact_totals}
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class CoordinateOptions:
-    """Knobs for the cooperative claim-loop executor mode of
-    :func:`run_matrix` (``repro sweep --coordinate``).
-
-    ``directory`` is the shared coordination directory (lease files +
-    audit log); it defaults to ``<store path>.coord/`` so every worker and
-    ``repro report`` agree on it with no extra configuration.  ``ttl`` is
-    the stale-lease reclaim threshold: a worker silent for longer than
-    this forfeits its in-flight scenarios to the survivors.  Size it to a
-    small multiple of the longest expected scenario *claim-to-heartbeat*
-    gap — i.e. filesystem latency, not scenario runtime (heartbeats renew
-    during execution) — 60 s is comfortable on NFS.  ``heartbeat_interval``
-    defaults to ``ttl / 4``; ``poll_interval`` is the idle re-scan period
-    while other workers hold the remaining scenarios.
-    """
-
-    directory: str | Path | None = None
-    worker_id: str | None = None
-    ttl: float = 60.0
-    heartbeat_interval: float | None = None
-    poll_interval: float | None = None
-
-
-def _coordinated_error(spec: ScenarioSpec, exc: BaseException) -> RuntimeError:
-    return RuntimeError(
-        f"scenario {spec.dataset}/{spec.error_profile}/{spec.label_budget:g}"
-        f"/{spec.method} (fingerprint {spec.fingerprint()[:12]}) failed: {exc}"
-    )
-
-
-def _run_coordinated(
-    matrix: ScenarioMatrix,
-    store: ResultStore | None,
-    workers: int,
-    executor: str,
-    on_result: Callable[[dict], None] | None,
-    scenario_runner: Callable[[ScenarioSpec], dict],
-    artifact_dir: str | None,
-    backend: str | None,
-    coordinate: CoordinateOptions,
-) -> SweepReport:
-    """The claim-loop executor: drain the matrix as one cooperating worker.
-
-    Control flow per slot: *completion scan* (only fingerprints missing
-    from the store are candidates — finished work is never re-claimed,
-    even across restarts) → *claim* (atomic lease create; losing the race
-    just moves on) → *execute* → *append to the store* → *release*.  When
-    nothing is claimable but the matrix is not drained, the worker polls:
-    other workers' completions arrive via :meth:`ResultStore.refresh`, and
-    leases whose heartbeat exceeded the TTL are reclaimed so a killed
-    worker's scenarios re-enter the pool.  The invocation returns only
-    when the *whole* matrix is complete, with records for every scenario —
-    locally executed or not.
-    """
-    from repro.coordination import HeartbeatThread, WorkQueue, coordination_dir
-
-    if store is None:
+    if coordinate is not None and store is None:
         raise ValueError(
             "coordinated sweeps need a store: it is the shared completion ledger"
         )
-    specs = matrix.expand()
-    fingerprints = [spec.fingerprint() for spec in specs]
-    by_fp = dict(zip(fingerprints, specs))
-    directory = (
-        Path(coordinate.directory)
-        if coordinate.directory is not None
-        else coordination_dir(store.path)
-    )
-    queue = WorkQueue(directory, worker_id=coordinate.worker_id, ttl=coordinate.ttl)
-    poll = (
-        coordinate.poll_interval
-        if coordinate.poll_interval is not None
-        else min(1.0, queue.ttl / 4.0)
-    )
-
-    store.refresh()
-    initially_cached = sum(1 for fp in fingerprints if fp in store)
-    executed_local: set[str] = set()
-    reported: set[str] = set()
-
-    def report(fingerprint: str, record: dict) -> None:
-        reported.add(fingerprint)
-        if on_result is not None:
-            on_result(record)
-
-    def stored_record(fingerprint: str, remote: bool) -> dict:
-        record = dict(store.get(fingerprint) or {})
-        record["cached"] = True
-        if remote:
-            record["remote"] = True
-        return record
-
-    for fp in fingerprints:
-        if fp in store:
-            report(fp, stored_record(fp, remote=False))
-
-    wrap_stats = artifact_dir is not None and executor == "process"
-    artifact_totals: dict[str, int] = {}
-
-    def unwrap(result: dict) -> dict:
-        if not wrap_stats:
-            return result
-        delta = result.get("artifact_stats")
-        if delta:
-            for counter, value in delta.items():
-                artifact_totals[counter] = artifact_totals.get(counter, 0) + value
-        return result["record"]
-
-    task: Callable[[ScenarioSpec], dict] = scenario_runner
-    if wrap_stats:
-        task = partial(_run_with_artifact_stats, scenario_runner)
-
-    def claim_next(busy: set[str]) -> str | None:
-        """Claim the next runnable scenario; None when nothing claimable.
-
-        After winning a claim the store is re-scanned: the lease may have
-        been absent because another worker *finished* the scenario between
-        our completion scan and the claim — then the claim is released
-        unused (``skip``) instead of re-executing done work.
-        """
-        for fp in store.missing(fingerprints):
-            if fp in busy:
-                continue
-            if not queue.claim(fp):
-                continue
-            store.refresh()
+    artifact_dir = str(artifact_dir) if artifact_dir is not None else None
+    sweep = _Sweep(matrix.expand(), store, on_result)
+    if store is not None and (resume or coordinate is not None):
+        store.refresh()  # a cooperating peer may have appended since it was opened
+        for fp in sweep.specs:
             if fp in store:
-                queue.release(fp, event="skip")
-                continue
-            queue.audit("execute", fp)
-            return fp
-        return None
+                sweep.serve(fp)
+    initially_cached = len(sweep.records)
+    pending = [fp for fp in sweep.specs if fp not in sweep.records]
+    effective = 1 if executor == "serial" else clamp_workers(workers, len(pending))
+    in_process = effective == 1 or executor == "thread"
+    # In-process scenarios share one ambient artifact store whose counters
+    # are exact even under thread interleaving; process workers' counters
+    # are out of sight, so each sends its delta back with the record.  With
+    # nothing pending no store is opened and the stats stay empty.
+    sweep.envelope = not in_process
+    shared = None
+    with ExitStack() as stack:
+        if coordinate is None:
+            source = _LocalClaims(sweep, pending)
+        else:
+            source = _LeaseClaims(sweep, coordinate)
+            stack.enter_context(source.heartbeat)
+        if in_process:
+            if artifact_dir is not None and pending:
+                shared = stack.enter_context(use_store(ArtifactStore(artifact_dir)))
+            if backend is not None:
+                from repro.nn.backend import use_backend
 
-    def finish_local(fingerprint: str, result: dict) -> None:
-        # Check the lease *before* the put: a worker that slept past its
-        # TTL was reclaimed, and the scenario now belongs to whoever
-        # re-claimed it.  Writing our record anyway would double-write the
-        # store (latest-wins keeps it correct, but the audit would show a
-        # completion from a worker that no longer held the lease).  The
-        # "lost" audit event was already appended at detection time by
-        # renew(); here we abandon the record and let note_remote() report
-        # the new owner's result.
-        if fingerprint in heartbeat.lost or fingerprint not in queue.held():
-            queue.audit("abandoned", fingerprint)
-            return
-        record = unwrap(result)
-        record["cached"] = False
-        store.put(record)
-        executed_local.add(fingerprint)
-        queue.release(fingerprint, event="complete")
-        report(fingerprint, dict(record))
+                stack.enter_context(use_backend(backend))
+            pool = ThreadPoolExecutor(max_workers=effective) if effective > 1 else _InlineExecutor()
+            task = scenario_runner
+        else:
+            pool = ProcessPoolExecutor(
+                max_workers=effective,
+                initializer=_init_worker,
+                initargs=(artifact_dir, backend),
+            )
+            task = partial(_run_with_artifact_stats, scenario_runner)
+        _drain(sweep, source, stack.enter_context(pool), task, effective)
 
-    def note_remote() -> None:
-        """Report scenarios other workers completed since the last scan."""
-        for fp in fingerprints:
-            if fp not in reported and fp in store:
-                report(fp, stored_record(fp, remote=True))
-
-    def idle_step() -> bool:
-        """One poll iteration; True when the matrix has fully drained."""
-        store.refresh()
-        note_remote()
-        missing = store.missing(fingerprints)
-        if not missing:
-            return True
-        if not queue.reclaim_stale(missing):
-            time.sleep(poll)
-        return False
-
-    effective = clamp_workers(workers, max(len(store.missing(fingerprints)), 1))
-    heartbeat = HeartbeatThread(queue, coordinate.heartbeat_interval)
-
-    if effective == 1 or executor == "serial":
-        effective = 1
-        with _ambient_store(artifact_dir) as shared, _ambient_backend(backend), heartbeat:
-            while True:
-                fp = claim_next(set())
-                if fp is None:
-                    if idle_step():
-                        break
-                    continue
-                try:
-                    result = task(by_fp[fp])
-                except BaseException as exc:
-                    queue.release(fp, event="failed")
-                    if isinstance(exc, Exception):
-                        raise _coordinated_error(by_fp[fp], exc) from exc
-                    raise
-                finish_local(fp, result)
-            if shared is not None:
-                artifact_totals = shared.stats.as_dict()
-    else:
-        coordinator_store = (
-            _ambient_store(artifact_dir) if executor == "thread" else nullcontext(None)
-        )
-        with coordinator_store as shared, heartbeat, _make_pool(
-            executor, effective, artifact_dir, backend
-        ) as pool:
-            in_flight: dict[Future, str] = {}
-            try:
-                while True:
-                    while len(in_flight) < effective:
-                        fp = claim_next(set(in_flight.values()))
-                        if fp is None:
-                            break
-                        in_flight[pool.submit(task, by_fp[fp])] = fp
-                    if not in_flight:
-                        if idle_step():
-                            break
-                        continue
-                    done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                    failed: tuple[str, Future] | None = None
-                    for future in done:
-                        fp = in_flight.pop(future)
-                        if future.exception() is not None:
-                            # Free the lease: another worker may retry.
-                            queue.release(fp, event="failed")
-                            failed = failed or (fp, future)
-                        else:
-                            finish_local(fp, future.result())
-                    if failed is not None:
-                        # Flush finished siblings, free unstarted claims,
-                        # then raise — mirrors run_matrix's contract that a
-                        # failure never discards completed work.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        for future in list(in_flight):
-                            fp = in_flight.pop(future)
-                            if future.cancelled():
-                                queue.release(fp)
-                            elif future.exception() is not None:
-                                queue.release(fp, event="failed")
-                            else:
-                                finish_local(fp, future.result())
-                        exc = failed[1].exception()
-                        raise _coordinated_error(by_fp[failed[0]], exc) from exc
-            except BaseException:
-                # Interrupted: free every lease still held so surviving
-                # workers pick the scenarios up without waiting for the
-                # TTL (our discarded in-flight results don't count —
-                # whoever re-runs them lands the same bits anyway).
-                pool.shutdown(wait=False, cancel_futures=True)
-                for fp in queue.held():
-                    queue.release(fp, event="abort")
-                raise
-            if shared is not None:
-                artifact_totals = shared.stats.as_dict()
-
-    records = []
-    for fp in fingerprints:
-        record = dict(store.get(fp) or {})
-        record["cached"] = fp not in executed_local
-        records.append(record)
+    executed = sum(not record["cached"] for record in sweep.records.values())
+    totals = shared.stats.as_dict() if shared is not None else sweep.artifact_totals
     return SweepReport(
         matrix=matrix,
-        records=records,
-        executed=len(executed_local),
-        cached=len(specs) - len(executed_local),
+        records=[sweep.records[fp] for fp in sweep.specs],
+        executed=executed,
+        cached=len(sweep.specs) - executed,
         workers=effective,
-        artifacts=(
-            None
-            if artifact_dir is None
-            else {"dir": artifact_dir, "stats": artifact_totals}
-        ),
-        coordination={
-            "dir": str(queue.directory),
-            "worker": queue.worker_id,
-            "ttl": queue.ttl,
-            "executed": len(executed_local),
-            "remote": len(specs) - len(executed_local) - initially_cached,
+        artifacts=None if artifact_dir is None else {"dir": artifact_dir, "stats": totals},
+        coordination=None if coordinate is None else {
+            "dir": str(source.queue.directory),
+            "worker": source.queue.worker_id,
+            "ttl": source.queue.ttl,
+            "executed": executed,
+            "remote": len(sweep.specs) - executed - initially_cached,
             "initially_cached": initially_cached,
         },
     )

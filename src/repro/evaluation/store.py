@@ -32,7 +32,10 @@ Robustness rules:
   points.  A *torn* append (a signal landing mid-``write(2)``) is healed
   before the retry: the partial fragment is newline-terminated so the
   reissued full line starts fresh instead of merging into garbage, and the
-  fragment is later skipped as one unparseable line;
+  fragment is later skipped as one unparseable line.  A concurrent
+  appender's record that lands between the fragment and its terminator
+  shares the fragment's line; readers recover it from the line's end
+  (:func:`~repro.faults.inject.parse_jsonl_line`);
 - stale ``*.compact-<pid>`` temp siblings (a compactor killed between the
   temp write and the ``os.replace``) are removed at load time.
 """
@@ -45,7 +48,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.faults.inject import checked_write, trip
+from repro.faults.inject import checked_write, parse_jsonl_line, trip
 from repro.faults.retry import RetryPolicy, resolve_policy
 
 
@@ -98,15 +101,12 @@ class ResultStore:
         text = line.strip()
         if not text:
             return
-        try:
-            record = json.loads(text.decode("utf-8"))
-            fingerprint = record["fingerprint"]
-            if not isinstance(fingerprint, str):
-                raise TypeError("fingerprint must be a string")
-        except (json.JSONDecodeError, UnicodeDecodeError, TypeError, KeyError):
+        record, whole = parse_jsonl_line(text)
+        fingerprint = (record or {}).get("fingerprint")
+        if not whole or not isinstance(fingerprint, str):
             self.skipped_lines += 1
-            return
-        self._records[fingerprint] = record
+        if isinstance(fingerprint, str):
+            self._records[fingerprint] = record
 
     def _load(self) -> None:
         """Initial scan: consume every complete line, then heal the tail.

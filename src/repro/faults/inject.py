@@ -23,13 +23,15 @@ Torn/short writes need the call site's cooperation (only it holds the fd
 and the payload), which is what :func:`checked_write` provides: a single
 ``os.write`` in the clean path, and under a ``torn`` schedule a *partial*
 write followed by a transient ``OSError`` — the injected version of a
-signal landing mid-``write(2)``.
+signal landing mid-``write(2)``.  :func:`parse_jsonl_line` is the readers'
+half: it recovers the whole record a torn fragment got merged into.
 """
 
 from __future__ import annotations
 
 import errno as _errno
 import hashlib
+import json
 import os
 import threading
 from contextlib import contextmanager
@@ -326,3 +328,27 @@ def checked_write(point: str, fd: int, data: bytes) -> int:
     if injector is None:
         return os.write(fd, data)
     return injector.write(point, fd, data)
+
+
+def parse_jsonl_line(line: bytes) -> tuple[dict | None, bool]:
+    """Decode one JSONL line to an object: ``(obj, whole)``.
+
+    A torn append leaves a fragment that the writer newline-terminates
+    before retrying, but another worker's ``O_APPEND`` line can land
+    between the fragment and that ``\\n``, so the line reads as fragment +
+    complete record.  When the line does not parse as one object, the
+    object that *ends* it is recovered: the first ``{`` after position 0
+    from which the rest of the line parses as one object.  ``whole`` is
+    False when a fragment was dropped or nothing could be recovered, so
+    readers still count the line as skipped.
+    """
+    start = 0
+    while start != -1:
+        try:
+            obj = json.loads(line[start:])
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            obj = None
+        if isinstance(obj, dict):
+            return obj, start == 0
+        start = line.find(b"{", start + 1)
+    return None, False

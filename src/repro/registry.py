@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 #: Modules that register built-in components on import.  Imported lazily on
 #: first resolution so the registry itself has no repro dependencies (which
@@ -168,16 +168,10 @@ class Registry:
         *,
         config: type | None = None,
         description: str = "",
-        replace: bool = False,
     ) -> ComponentEntry:
-        """Imperative registration (the decorator's workhorse).
-
-        ``replace=True`` overwrites an existing entry — reserved for the
-        deprecated write-through name maps, whose legacy contract allowed
-        monkeypatching presets in place.
-        """
+        """Imperative registration (the decorator's workhorse)."""
         slot = (kind, key)
-        if slot in self._entries and not replace:
+        if slot in self._entries:
             raise ComponentError(f"duplicate registration for {kind} {key!r}")
         entry = ComponentEntry(
             kind=kind,
@@ -332,49 +326,3 @@ def names(kind: str) -> tuple[str, ...]:
 def describe(kind: str | None = None) -> list[dict[str, str]]:
     """Component listing of the process-wide :data:`REGISTRY`."""
     return REGISTRY.describe(kind)
-
-
-class DeprecatedNameMap(dict):
-    """A legacy name→component dict with write-through registration.
-
-    Reads reflect the registry contents at access time; writes — the old
-    extension pattern ``PROFILES["mine"] = ...`` — are forwarded to a
-    ``writer`` callback that registers the component, so legacy additions
-    resolve through every registry-backed consumer instead of being
-    silently dropped.
-    """
-
-    def __init__(self, data: dict[str, Any], writer: Callable[[str, Any], None]):
-        super().__init__(data)
-        self._writer = writer
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._writer(key, value)
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key: str) -> None:
-        raise ComponentError(
-            "deleting from a deprecated name map is unsupported; registry "
-            "entries cannot be unregistered"
-        )
-
-
-def deprecated_name_map(
-    kind: str,
-    resolver: Callable[[str], Any],
-    keys: Iterable[str] | None = None,
-    writer: Callable[[str, Any], None] | None = None,
-) -> dict[str, Any]:
-    """Materialise a legacy name→component dict from the registry.
-
-    Backs the deprecated module attributes (``PROFILES``, ``_BUILDERS``,
-    ``_GENERATORS``) that predate the registry.  Each read materialises the
-    current registry contents; with ``writer``, assignments into the
-    returned map register the component (write-through), so the
-    pre-registry extension pattern keeps working.
-    """
-    selected = tuple(keys) if keys is not None else REGISTRY.names(kind)
-    data = {key: resolver(key) for key in selected}
-    if writer is None:
-        return data
-    return DeprecatedNameMap(data, writer)

@@ -26,8 +26,9 @@ from repro.artifacts import (
 from repro.artifacts.keys import seed_material
 from repro.core.detector import DetectionSession, DetectorConfig, HoloDetect
 from repro.data import load_dataset
-from repro.evaluation.matrix import ScenarioMatrix, run_matrix
+from repro.evaluation.matrix import CoordinateOptions, ScenarioMatrix, run_matrix
 from repro.evaluation.splits import make_split
+from repro.evaluation.store import ResultStore
 
 #: Tiny but complete detector settings shared by the fit-path tests.
 TINY = dict(epochs=2, embedding_dim=4, min_training_steps=20, seed=3)
@@ -476,6 +477,21 @@ class TestSweepArtifacts:
         assert parallel.artifacts is not None
         # Worker-side counters made it back to the coordinator.
         assert parallel.artifacts["stats"]["puts"] > 0
+
+    def test_coordinated_process_pool_shared_dir_identical(
+        self, matrix, cold, tmp_path
+    ):
+        coordinated = run_matrix(
+            matrix,
+            store=ResultStore(tmp_path / "store.jsonl"),
+            workers=2,
+            executor="process",
+            artifact_dir=tmp_path / "c",
+            coordinate=CoordinateOptions(worker_id="pool", ttl=30.0, poll_interval=0.05),
+        )
+        assert coordinated.workers == 2 and coordinated.executed == 2
+        assert accuracy_view(coordinated.records) == accuracy_view(cold.records)
+        assert coordinated.artifacts["stats"]["puts"] > 0
 
     # No thread-executor variant here: detector-based methods train nn
     # models whose layers toggle process-global train/eval state, so two

@@ -341,7 +341,7 @@ class TestResultStoreConcurrency:
 
 
 # ---------------------------------------------------------------------------
-# Coordinated run_matrix: the claim-loop executor mode
+# Coordinated run_matrix: the claim loop with the lease claim source
 # ---------------------------------------------------------------------------
 
 MATRIX_SPEC = {
@@ -511,6 +511,31 @@ class TestCoordinatedRunMatrix:
         assert report.executed == 4
         assert report.workers == 2
         assert accuracy_view(report.records) == accuracy_view(sequential)
+
+    def test_interrupt_releases_leases_as_abort(self, matrix, tmp_path):
+        """A Ctrl-C mid-scenario frees the lease for peers at once, audited
+        as ``abort`` (not ``failed``: the scenario itself did not fail)."""
+        store = ResultStore(tmp_path / "store.jsonl")
+        victim = matrix.expand()[1].fingerprint()
+
+        def interrupted_runner(s):
+            if s.fingerprint() == victim:
+                raise KeyboardInterrupt
+            return {"fingerprint": s.fingerprint(), "spec": s.to_dict()}
+
+        with pytest.raises(KeyboardInterrupt):
+            run_matrix(
+                matrix,
+                store=store,
+                executor="serial",
+                scenario_runner=interrupted_runner,
+                coordinate=CoordinateOptions(worker_id="w1", ttl=30.0),
+            )
+        coord = coordination_dir(store.path)
+        assert list(iter_leases(coord)) == []
+        events = [e["event"] for e in read_audit(coord) if e["fingerprint"] == victim]
+        assert events == ["claim", "execute", "abort"]
+        assert len(store) == 1  # the scenario before the interrupt landed
 
     def test_on_result_distinguishes_cached_from_run(
         self, matrix, sequential, tmp_path

@@ -135,6 +135,10 @@ def record(fp: str, **extra) -> dict:
     return {"fingerprint": fp, "metrics": {"f1": 0.5}, **extra}
 
 
+def json_line(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
 class TestResultStoreFaults:
     def test_transient_append_fault_is_retried(self, tmp_path, fast_policy):
         store = ResultStore(tmp_path / "s.jsonl")
@@ -155,6 +159,19 @@ class TestResultStoreFaults:
         assert reloaded.get("aa") == record("aa")
         assert reloaded.get("bb") == record("bb")
         assert reloaded.skipped_lines == 1
+
+    def test_peer_record_after_a_torn_fragment_is_recovered(self, tmp_path):
+        """Regression: a peer's O_APPEND line landing between a torn
+        fragment and its healing newline shares the fragment's line; every
+        reader used to drop the peer's complete record with it."""
+        x = json_line(record("x" * 64, metrics={"f1": 0.25, "note": "é{"}))
+        y = json_line(record("y" * 64))
+        path = tmp_path / "s.jsonl"
+        # The fragment keeps nested and in-string braces: decoy starts.
+        path.write_bytes(x[: len(x) - 4] + y + b"\n" + x)
+        reloaded = ResultStore(path)
+        assert reloaded.fingerprints == {"x" * 64, "y" * 64}
+        assert reloaded.skipped_lines == 1  # the fragment still counts
 
     def test_exhausted_append_raises_and_leaves_store_parseable(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")
@@ -317,6 +334,13 @@ class TestLeaseFaults:
         queue.audit("release", FP)
         events = [e["event"] for e in read_audit(tmp_path)]
         assert events == ["claim", "release"]
+
+    def test_peer_event_after_a_torn_fragment_is_recovered(self, tmp_path):
+        x = json_line({"event": "execute", "fingerprint": "x" * 64, "worker": "w1"})
+        y = json_line({"event": "execute", "fingerprint": "y" * 64, "worker": "w2"})
+        (tmp_path / "audit.jsonl").write_bytes(x[: len(x) // 2] + y + b"\n" + x)
+        events = [(e["event"], e["fingerprint"]) for e in read_audit(tmp_path)]
+        assert events == [("execute", "y" * 64), ("execute", "x" * 64)]
 
     def test_persistent_audit_fault_never_wedges_the_protocol(self, tmp_path):
         queue = WorkQueue(tmp_path, worker_id="w1", clock=lambda: 10.0)

@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
+from repro.coordination import coordination_dir, iter_leases, read_audit
 from repro.evaluation.matrix import (
+    CoordinateOptions,
     MatrixSpecError,
     ScenarioMatrix,
     ScenarioSpec,
@@ -16,6 +18,7 @@ from repro.evaluation.matrix import (
     run_scenario,
 )
 from repro.evaluation.store import ResultStore
+from repro.nn.backend import default_backend_name
 
 SMALL_MATRIX = {
     "datasets": [{"name": "hospital", "rows": 80}, {"name": "food", "rows": 80}],
@@ -25,6 +28,18 @@ SMALL_MATRIX = {
     "trials": 2,
     "seed": 3,
 }
+
+
+_COORDINATE = CoordinateOptions(worker_id="w1", ttl=30.0, poll_interval=0.05)
+
+#: {plain, coordinated} x {serial, thread}: both claim sources under the
+#: inline executor and under a real pool.
+SOURCES_X_EXECUTORS = [
+    dict(),
+    dict(workers=4, executor="thread"),
+    dict(coordinate=_COORDINATE),
+    dict(workers=4, executor="thread", coordinate=_COORDINATE),
+]
 
 
 def spec(**overrides) -> ScenarioSpec:
@@ -340,7 +355,7 @@ class TestRunMatrix:
         with pytest.raises(ValueError, match="unknown executor"):
             run_matrix(matrix, executor="carrier-pigeon")
 
-    @pytest.mark.parametrize("kwargs", [dict(), dict(workers=4, executor="thread")])
+    @pytest.mark.parametrize("kwargs", SOURCES_X_EXECUTORS)
     def test_failing_scenario_names_the_grid_point(self, tmp_path, kwargs):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
         boom = matrix.expand()[2].fingerprint()
@@ -363,6 +378,32 @@ class TestRunMatrix:
         # --resume rerun (with the bug fixed) picks up from the store.
         assert 0 < len(store) < 8
         assert boom not in store.fingerprints
+        if "coordinate" in kwargs:
+            # The failed claim went back to the pool; no lease is stranded.
+            coord = coordination_dir(store.path)
+            failed = [e["fingerprint"] for e in read_audit(coord) if e["event"] == "failed"]
+            assert failed == [boom]
+            assert list(iter_leases(coord)) == []
+
+    @pytest.mark.parametrize(
+        "kwargs", SOURCES_X_EXECUTORS,
+        ids=["plain-serial", "plain-thread", "coordinated-serial", "coordinated-thread"],
+    )
+    def test_backend_reaches_every_scenario(self, tmp_path, kwargs):
+        """Regression: thread pools never installed ``backend=``."""
+        matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
+        seen: list[str] = []
+
+        def recording_runner(s):
+            seen.append(default_backend_name())
+            return fake_runner(s)
+
+        run_matrix(
+            matrix, store=ResultStore(tmp_path / "store.jsonl"), backend="reference",
+            scenario_runner=recording_runner, **kwargs,
+        )
+        assert seen == ["reference"] * 8
+        assert default_backend_name() == "numpy"  # restored afterwards
 
     def test_report_table_and_json(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.baselines import adapters
 from repro.baselines.adapters import build_method, method_names
-from repro.data import registry as data_registry
 from repro.data.registry import DATASET_NAMES, load_dataset
-from repro.errors import profiles
 from repro.errors.bart import ErrorProfile
 from repro.errors.profiles import profile_names, resolve_profile
 from repro.features.pipeline import (
@@ -47,6 +45,13 @@ class TestRegistryCore:
         registry.add("kind", "key", lambda params: None)
         with pytest.raises(ComponentError, match="duplicate registration"):
             registry.add("kind", "key", lambda params: None)
+
+    def test_star_import_of_errors_is_warning_free(self):
+        # Regression: a deprecated name in repro.errors.__all__ made every
+        # star import emit a DeprecationWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec("from repro.errors import *", {})
 
     def test_registered_keys_may_not_contain_colon(self):
         registry = Registry()
@@ -230,53 +235,6 @@ class TestPolicyAndCalibratorResolution:
             REGISTRY.create("calibrator", "platt", {"lr": -1})
 
 
-class TestDeprecatedNameMaps:
-    """The pre-registry private name maps keep working behind a single
-    DeprecationWarning, and stay equivalent to the registry contents."""
-
-    def test_profiles_map(self):
-        with pytest.warns(DeprecationWarning, match="PROFILES is deprecated"):
-            legacy = profiles.PROFILES
-        assert set(legacy) == set(profile_names())
-        for name, profile in legacy.items():
-            assert profile == resolve_profile(name)
-
-    def test_profiles_map_via_package(self):
-        import repro.errors
-
-        with pytest.warns(DeprecationWarning, match="PROFILES is deprecated"):
-            legacy = repro.errors.PROFILES
-        assert set(legacy) == set(profile_names())
-
-    def test_builders_map(self):
-        with pytest.warns(DeprecationWarning, match="_BUILDERS is deprecated"):
-            legacy = adapters._BUILDERS
-        assert set(legacy) == set(method_names())
-        # Old-style use still produces working MethodFn builders.
-        assert callable(legacy["lr"]({}))
-
-    def test_generators_map(self):
-        with pytest.warns(DeprecationWarning, match="_GENERATORS is deprecated"):
-            legacy = data_registry._GENERATORS
-        assert set(legacy) == set(DATASET_NAMES)
-        bundle = legacy["hospital"](num_rows=20, seed=1)
-        assert bundle.dirty.num_rows == 20
-        # Old→new equivalence: the legacy generator and the registry path
-        # produce identical relations.
-        assert (
-            bundle.dirty.fingerprint()
-            == load_dataset("hospital", num_rows=20, seed=1).dirty.fingerprint()
-        )
-
-    def test_unknown_module_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            profiles.NO_SUCH_THING
-        with pytest.raises(AttributeError):
-            adapters.NO_SUCH_THING
-        with pytest.raises(AttributeError):
-            data_registry.NO_SUCH_THING
-
-
 class TestMatrixThroughRegistry:
     """Sweep specs resolve their axes through the registry, including
     module:attr references."""
@@ -326,43 +284,3 @@ class TestMatrixThroughRegistry:
         )
         # The do-nothing method has recall 0 by construction.
         assert record["metrics"]["recall"] == 0.0
-
-
-class TestLegacyWriteThrough:
-    """Writes into the deprecated name maps register through to the
-    registry — the pre-registry extension pattern keeps working."""
-
-    def test_profiles_write_through(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = profiles.PROFILES
-        legacy["legacy-profile"] = ErrorProfile(error_rate=0.07)
-        assert "legacy-profile" in profile_names()
-        assert resolve_profile("legacy-profile").error_rate == 0.07
-        with pytest.warns(DeprecationWarning):
-            assert "legacy-profile" in profiles.PROFILES
-
-    def test_builders_write_through(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = adapters._BUILDERS
-
-        def builder(params):
-            return lambda bundle, split, rng: set()
-
-        legacy["legacy-method"] = builder
-        assert "legacy-method" in method_names()
-        assert build_method("legacy-method")(None, None, None) == set()
-
-    def test_generators_write_through(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = data_registry._GENERATORS
-        from repro.data.hospital import generate_hospital
-
-        legacy["legacy-hospital"] = generate_hospital
-        bundle = load_dataset("legacy-hospital", num_rows=20, seed=1)
-        assert bundle.dirty.num_rows == 20
-
-    def test_deletion_is_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = profiles.PROFILES
-        with pytest.raises(ComponentError, match="unsupported"):
-            del legacy["typos"]
