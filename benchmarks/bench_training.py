@@ -1,24 +1,20 @@
-"""Training-core performance: fused numpy backend vs the autodiff graph.
+"""Training-core performance: fused numpy kernels vs the autodiff graph.
 
-ISSUE 7's tentpole gate.  The ``reference`` backend is the hand-rolled
-autodiff stack (:mod:`repro.nn.tensor`) — per-op Python dispatch, one
-graph node per elementary numpy call.  The ``numpy`` backend replays the
-*same* elementary operations as fused minibatch kernels with preallocated
-buffers (:mod:`repro.nn.backends.numpy_backend`), so at float64 the two
-are bit-for-bit interchangeable and the speedup is pure dispatch/allocation
-overhead removed.
+The reference trainer (:class:`repro.core.training.GraphTrainer`) runs the
+hand-rolled autodiff stack (:mod:`repro.nn.tensor`) — per-op Python
+dispatch, one graph node per elementary numpy call.  The fused trainer
+replays the *same* elementary operations as minibatch kernels with
+preallocated buffers (:mod:`repro.nn.backends.numpy_backend`), so at
+float64 the two are bit-for-bit interchangeable and the speedup is pure
+dispatch/allocation overhead removed.
 
 Gates:
 
 - ``test_fused_training_speedup`` — a cold ``train_model`` run on the
-  ``numpy`` backend is **≥5× faster** than the ``reference`` backend at
-  bench scale, with **bit-identical** final parameters and loss history;
+  fused kernels is **≥5× faster** than on the reference trainer at bench
+  scale, with **bit-identical** final parameters and loss history;
 - ``test_fused_predict_bit_identical`` — the fused prediction path matches
-  the graph forward bit-for-bit (the path the golden metrics pin);
-- ``test_float32_training`` — the float32 compute mode trains to within a
-  small documented distance of the float64 run;
-- ``test_torch_backend_tolerance`` — the optional torch backend matches
-  within documented tolerance (skipped when torch is absent).
+  the graph forward bit-for-bit (the path the golden metrics pin).
 
 The bench scale mirrors the paper's few-shot regime: a few hundred
 examples, branch widths at the benchmark harness's ``embedding_dim=8``,
@@ -42,14 +38,16 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 
 from repro.core.model import JointModel
-from repro.core.training import TrainerConfig, train_model
+from repro.core.training import GraphTrainer, TrainerConfig, train_model
 from repro.features.pipeline import CellFeatures
-from repro.nn.backend import resolve_backend
+from repro.nn.backends.numpy_backend import KERNELS
+
+#: The two trainers, by the names the results table and JSON use.
+_TRAINERS = {"reference": GraphTrainer, "numpy": KERNELS.joint_trainer}
 
 _RESULTS_PATH = Path(os.environ.get("REPRO_TRAINING_JSON", "bench_training.json"))
 
@@ -96,12 +94,14 @@ def _build(seed: int = 1) -> tuple[JointModel, CellFeatures, np.ndarray]:
     return model, features, labels
 
 
-def _timed_train(backend: str, **overrides) -> tuple[JointModel, list, float, float]:
+def _timed_train(trainer: str) -> tuple[JointModel, list, float, float]:
     """Train a fresh model; returns ``(model, history, wall_s, cpu_s)``."""
-    config = TrainerConfig(**{**_TRAIN, **overrides}, backend=backend)
     model, features, labels = _build()
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    history = train_model(model, features, labels, config)
+    history = train_model(
+        model, features, labels, TrainerConfig(**_TRAIN),
+        trainer_factory=_TRAINERS[trainer],
+    )
     return (
         model,
         history,
@@ -112,12 +112,12 @@ def _timed_train(backend: str, **overrides) -> tuple[JointModel, list, float, fl
 
 def _warm_up() -> None:
     """Initialise BLAS threading / allocator state outside the timed region."""
-    for backend in ("reference", "numpy"):
+    for factory in _TRAINERS.values():
         model, features, labels = _build()
         train_model(
             model, features, labels,
-            TrainerConfig(epochs=2, batch_size=32, min_steps=8, seed=3,
-                          backend=backend),
+            TrainerConfig(epochs=2, batch_size=32, min_steps=8, seed=3),
+            trainer_factory=factory,
         )
 
 
@@ -139,8 +139,8 @@ def test_fused_training_speedup():
         for a, b in zip(graph_model.state_arrays(), fused_model.state_arrays())
     )
     print_table(
-        "Cold training: autodiff graph vs fused numpy backend",
-        ["backend", "wall (s)", "cpu (s)", "speedup (cpu)", "bit-identical"],
+        "Cold training: autodiff graph vs fused numpy kernels",
+        ["trainer", "wall (s)", "cpu (s)", "speedup (cpu)", "bit-identical"],
         [
             ["reference", f"{graph_wall:.3f}", f"{graph_cpu:.3f}", "1.00x", "—"],
             [
@@ -168,7 +168,7 @@ def test_fused_training_speedup():
     assert identical, "fused float64 training must be bit-identical to the graph"
     assert graph_history == fused_history, "loss history diverged"
     assert cpu_speedup >= _MIN_SPEEDUP, (
-        f"fused backend only {cpu_speedup:.2f}x faster (gate: {_MIN_SPEEDUP}x)"
+        f"fused kernels only {cpu_speedup:.2f}x faster (gate: {_MIN_SPEEDUP}x)"
     )
 
 
@@ -178,33 +178,6 @@ def test_fused_predict_bit_identical():
         model, features, labels,
         TrainerConfig(epochs=2, batch_size=32, min_steps=8, seed=3),
     )
-    graph_logits = resolve_backend("reference").predict_logits(model, features)
-    fused_logits = resolve_backend("numpy").predict_logits(model, features)
+    graph_logits = model.forward(features).numpy()
+    fused_logits = KERNELS.predict_logits(model, features)
     assert np.array_equal(graph_logits, fused_logits)
-
-
-def test_float32_training():
-    ref_model, _, _, _ = _timed_train("numpy")
-    f32_model, history, _, _ = _timed_train("numpy", dtype="float32")
-    diff = max(
-        float(np.abs(a - b).max())
-        for a, b in zip(ref_model.state_arrays(), f32_model.state_arrays())
-    )
-    _write_results(
-        "float32", {"max_param_diff_vs_float64": diff, "steps": _STEPS}
-    )
-    assert all(np.isfinite(loss) for loss in history)
-    # Documented float32 proximity (loss is still accumulated in float64).
-    assert diff < 1e-3, f"float32 drifted {diff:.2e} from float64"
-
-
-def test_torch_backend_tolerance():
-    pytest.importorskip("torch")
-    f64_model, f64_history, _, _ = _timed_train("numpy")
-    torch_model, torch_history, _, _ = _timed_train("torch")
-    diff = max(
-        float(np.abs(a - b).max())
-        for a, b in zip(f64_model.state_arrays(), torch_model.state_arrays())
-    )
-    _write_results("torch", {"max_param_diff_vs_numpy": diff, "steps": _STEPS})
-    assert diff < 1e-6, f"torch drifted {diff:.2e} from the numpy backend"

@@ -163,7 +163,6 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
             prediction_workers=args.prediction_workers,
             feature_cache=not args.no_feature_cache,
             artifact_dir=getattr(args, "artifacts", None),
-            backend=getattr(args, "backend", None),
         )
     except ValueError as exc:
         raise SystemExit(f"invalid detector configuration: {exc}") from exc
@@ -184,10 +183,6 @@ def _build_detector(args: argparse.Namespace) -> HoloDetect:
         if getattr(args, "artifacts", None):
             # The flag wins over the spec's own [artifacts] table.
             detector.use_artifacts(args.artifacts)
-        if getattr(args, "backend", None):
-            # The flag wins over the spec's own [compute] table; neither
-            # affects the fingerprint, so this is always safe.
-            detector.config.backend = args.backend
         return detector
     return HoloDetect(_detector_config(args))
 
@@ -339,6 +334,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.coordination import CoordinationError
     from repro.evaluation.matrix import (
         CoordinateOptions,
         MatrixSpecError,
@@ -411,17 +407,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     started = time.perf_counter()
-    report = run_matrix(
-        matrix,
-        store=store,
-        workers=args.workers,
-        resume=args.resume,
-        executor=args.executor,
-        on_result=progress,
-        artifact_dir=args.artifacts,
-        backend=args.backend,
-        coordinate=coordinate,
-    )
+    try:
+        report = run_matrix(
+            matrix,
+            store=store,
+            workers=args.workers,
+            resume=args.resume,
+            executor=args.executor,
+            on_result=progress,
+            artifact_dir=args.artifacts,
+            coordinate=coordinate,
+        )
+    except CoordinationError as exc:
+        raise SystemExit(f"sweep coordination error: {exc}") from exc
     elapsed = time.perf_counter() - started
     print(report.table())
     print(
@@ -544,14 +542,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             read_timeout=args.read_timeout,
             batch_window=args.batch_window,
             max_batch_cells=args.max_batch_cells,
-            backend=args.backend,
             max_inflight=args.max_inflight,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
         )
+        # The registry and the batcher check capacity and batching bounds.
+        server = DetectionServer(config)
     except ValueError as exc:
         raise SystemExit(f"invalid server configuration: {exc}") from exc
-    server = DetectionServer(config)
     fingerprints = server.registry.fingerprints
     if not fingerprints:
         print(
@@ -721,12 +719,15 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from repro.dataset.sharded import ShardedDataset
 
     if args.shard_command == "convert":
-        sharded = ShardedDataset.from_csv(
-            args.input,
-            args.out,
-            shard_rows=args.rows_per_shard,
-            force=args.force,
-        )
+        try:
+            sharded = ShardedDataset.from_csv(
+                args.input,
+                args.out,
+                shard_rows=args.rows_per_shard,
+                force=args.force,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"shard convert: {exc}") from exc
         print(
             f"wrote {sharded.num_rows} rows x {len(sharded.attributes)} "
             f"attributes into {sharded.num_shards} shards at {args.out}"
@@ -798,13 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="fitted-artifact store directory: reuse trained embeddings "
             "and fitted featurizer states across runs (see docs/architecture.md)",
-        )
-        p.add_argument(
-            "--backend",
-            metavar="NAME",
-            help="compute backend for training/scoring: numpy (fused "
-            "kernels, default), reference (autodiff graph), torch, or a "
-            "module:attr reference (see docs/architecture.md)",
         )
 
     detect = sub.add_parser("detect", help="detect errors in a CSV")
@@ -882,12 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="shared fitted-artifact store directory: workers reuse one "
         "embedding/featurizer fit per (data, config) instead of one per scenario",
-    )
-    sweep.add_argument(
-        "--backend",
-        metavar="NAME",
-        help="compute backend every worker trains on (numpy, reference, "
-        "torch, or module:attr)",
     )
     sweep.add_argument(
         "--resume",
@@ -991,12 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on one coalesced scoring pass, in cells",
     )
     serve.add_argument(
-        "--backend",
-        metavar="NAME",
-        help="compute backend every served detector scores on (numpy, "
-        "reference, torch, or module:attr)",
-    )
-    serve.add_argument(
         "--max-inflight", type=int, default=64,
         help="shed connections with a 503 beyond this many in flight",
     )
@@ -1048,7 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     policy.add_argument("--labels", required=True, help="labels CSV")
     policy.add_argument("--value", required=True, help="probe value for the conditional")
     policy.add_argument("--top", type=int, default=10, help="entries to print")
-    add_model_args(policy)
     policy.set_defaults(func=cmd_policy)
 
     shard = sub.add_parser(

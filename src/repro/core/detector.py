@@ -97,15 +97,6 @@ class DetectorConfig:
     artifact_store: ArtifactStore | None = field(
         default=None, repr=False, compare=False
     )
-    #: Compute backend for model training and scoring (registry kind
-    #: ``"backend"``: ``"numpy"``, ``"reference"``, ``"torch"``, or a
-    #: ``module:attr`` reference).  ``None`` = the ambient default
-    #: (normally the fused-numpy kernels).  Like the artifact store, this
-    #: is an execution detail: at float64 every backend's default path is
-    #: bit-identical, so the knob never enters spec fingerprints.
-    backend: str | None = None
-    #: Training compute precision — ``"float64"`` (exact) or ``"float32"``.
-    compute_dtype: str = "float64"
     seed: int = 0
     #: Override the learned policy (augmentation-strategy ablations, Table 4).
     policy_override: Policy | None = field(default=None, repr=False)
@@ -199,18 +190,6 @@ class DetectorConfig:
             raise ValueError(
                 f"artifact_store must be an ArtifactStore or None, "
                 f"got {type(self.artifact_store).__name__}"
-            )
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError(
-                f"backend must be a registry key string or None, "
-                f"got {self.backend!r}"
-            )
-        from repro.nn.backend import SUPPORTED_DTYPES
-
-        if self.compute_dtype not in SUPPORTED_DTYPES:
-            raise ValueError(
-                f"compute_dtype must be one of {list(SUPPORTED_DTYPES)}, "
-                f"got {self.compute_dtype!r}"
             )
 
 
@@ -329,13 +308,6 @@ class HoloDetect:
             # store directory (validate() rejects it under [detector], so
             # it can never enter the fingerprint).
             config_kwargs["artifact_dir"] = artifacts["dir"]
-        compute = dict(spec.compute)
-        if compute.get("backend") is not None:
-            # Same pattern for the compute backend: an execution detail,
-            # spec-able only through the unfingerprinted [compute] table.
-            config_kwargs["backend"] = compute["backend"]
-        if compute.get("dtype") is not None:
-            config_kwargs["compute_dtype"] = compute["dtype"]
         return cls(DetectorConfig(**config_kwargs), spec=spec)
 
     @property
@@ -457,8 +429,6 @@ class HoloDetect:
                 weight_decay=cfg.weight_decay,
                 min_steps=cfg.min_training_steps,
                 seed=int(rng.integers(0, 2**31)),
-                backend=cfg.backend,
-                dtype=cfg.compute_dtype,
             ),
         )
         self.timings["train"] = perf_counter() - t0
@@ -468,29 +438,13 @@ class HoloDetect:
             hold_features = self.pipeline.transform(
                 [e.cell for e in holdout], dataset, values=[e.observed for e in holdout]
             )
-            with self._backend_scope():
-                hold_scores = self.model.error_scores(hold_features)
+            hold_scores = self.model.error_scores(hold_features)
             hold_targets = np.array([1.0 if e.is_error else 0.0 for e in holdout])
             self.scaler.fit(hold_scores, hold_targets)
         else:
             self.scaler.fit(np.zeros(0), np.zeros(0))
         self.timings["fit"] = perf_counter() - t_fit
         return self
-
-    def _backend_scope(self):
-        """Scoped backend override for forward passes.
-
-        When the config names a backend, model scoring runs on it;
-        otherwise the ambient default (sweep workers, serving layer)
-        applies untouched.
-        """
-        import contextlib
-
-        from repro.nn.backend import use_backend
-
-        if self.config.backend is None:
-            return contextlib.nullcontext()
-        return use_backend(self.config.backend)
 
     def _build_pipeline(self, constraints) -> FeaturePipeline:
         """The representation model Q: spec-declared or the Table 7 default.
@@ -626,9 +580,8 @@ class HoloDetect:
 
     def _score_chunk(self, chunk: list[Cell]) -> list[tuple[Cell, float]]:
         """Featurise and score one prediction chunk (used by iter_predict)."""
-        with self._backend_scope():
-            features = self.pipeline.transform_batch(CellBatch(chunk, self._dataset))
-            probabilities = self._score_features(features)
+        features = self.pipeline.transform_batch(CellBatch(chunk, self._dataset))
+        probabilities = self._score_features(features)
         return list(zip(chunk, (float(p) for p in probabilities)))
 
     def _score_features(self, features: CellFeatures) -> np.ndarray:
@@ -682,23 +635,22 @@ class HoloDetect:
             probabilities[start : start + n] = self._score_features(features)
             start += n
 
-        with self._backend_scope():
-            if workers > 1 and len(chunks) > 1:
-                # Featurise a bounded window of chunks in parallel, then
-                # score it before moving on: peak memory stays
-                # O(window x batch), not O(all cells), no matter how large
-                # the relation is.
-                window = 4 * workers
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for lo in range(0, len(chunks), window):
-                        for features in pool.map(
-                            self.pipeline.transform_batch, chunks[lo : lo + window]
-                        ):
-                            score(features)
-            else:
-                # Sequential path streams chunk-by-chunk.
-                for chunk in chunks:
-                    score(self.pipeline.transform_batch(chunk))
+        if workers > 1 and len(chunks) > 1:
+            # Featurise a bounded window of chunks in parallel, then
+            # score it before moving on: peak memory stays
+            # O(window x batch), not O(all cells), no matter how large
+            # the relation is.
+            window = 4 * workers
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for lo in range(0, len(chunks), window):
+                    for features in pool.map(
+                        self.pipeline.transform_batch, chunks[lo : lo + window]
+                    ):
+                        score(features)
+        else:
+            # Sequential path streams chunk-by-chunk.
+            for chunk in chunks:
+                score(self.pipeline.transform_batch(chunk))
         self.timings["predict"] = perf_counter() - t_predict
         return probabilities
 

@@ -27,7 +27,9 @@ from repro.nn import (
     Sequential,
     Tensor,
     concat,
+    no_grad,
 )
+from repro.nn.backends.numpy_backend import KERNELS
 from repro.utils.rng import as_generator
 
 #: Class indices of the two-logit output.
@@ -90,19 +92,14 @@ class JointModel(Module):
         """Uncalibrated error-class score ``z = logit_error - logit_correct``.
 
         This is the scalar score Platt scaling calibrates.  The forward
-        pass runs on the ambient compute backend (fused numpy kernels by
-        default); every backend's prediction path is bit-identical to the
-        autodiff graph at float64, so scores do not depend on the backend.
+        pass runs on the fused numpy kernels, which are bit-identical to
+        the autodiff graph (:meth:`forward`) at float64.
         """
-        from repro.nn.backend import resolve_backend
-        from repro.nn.tensor import no_grad
-
-        backend = resolve_backend()
         was_training = self.training
         self.eval()
         try:
             with no_grad():
-                logits = backend.predict_logits(self, features)
+                logits = KERNELS.predict_logits(self, features)
         finally:
             if was_training:
                 self.train()

@@ -4,15 +4,14 @@ The paper trains for 500 epochs with batch size 5 using ADAM (§6.1); our
 defaults are scaled down for CPU-only runtime but fully configurable — the
 loss surface is identical, only the budget differs.
 
-The loop is split along the compute-backend seam (:mod:`repro.nn.backend`):
-this driver owns everything that defines a run — label validation, the
-epoch/permutation/minibatch schedule, the step-count floor, loss history —
-while the per-step math (forward, backward, optimiser update) comes from a
-:class:`~repro.nn.backend.JointTrainer` built by the selected backend.
-Because the driver draws the batch permutations from one generator, every
-backend sees the *same* batch sequence; the default numpy backend is then
-bit-identical to the historical autodiff loop, and foreign backends differ
-only by kernel arithmetic.
+The loop is split in two: this module owns everything that defines a run —
+label validation, the epoch/permutation/minibatch schedule, the step-count
+floor, loss history — while the per-step math (forward, backward, optimiser
+update) comes from a *trainer*.  By default that is the fused numpy trainer
+(:class:`repro.nn.backends.NumpyBackend`); :class:`GraphTrainer` is the
+autodiff-graph reference it is bit-identical to at float64.  Because the
+loop draws the batch permutations from one generator, both trainers see
+the *same* batch sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +22,9 @@ import numpy as np
 
 from repro.core.model import JointModel
 from repro.features.pipeline import CellFeatures
-from repro.nn.backend import SUPPORTED_DTYPES, resolve_backend
+from repro.nn.backends.numpy_backend import KERNELS
+from repro.nn.loss import softmax_cross_entropy
+from repro.nn.optim import Adam
 from repro.utils.rng import as_generator
 
 
@@ -35,13 +36,6 @@ class TrainerConfig:
     few-shot training sets are small, so a fixed epoch count can mean very
     few updates and high seed-to-seed variance.  When the configured epochs
     yield fewer steps than the floor, the epoch count is raised.
-
-    ``backend`` selects the compute backend (registry kind ``"backend"``:
-    a built-in key or ``module:attr`` reference; ``None`` = the ambient
-    default, normally ``"numpy"``).  ``dtype`` is the compute precision —
-    ``"float64"`` (exact, the default) or ``"float32"`` (faster matmuls;
-    losses still accumulate in float64).  Neither knob changes what is
-    learned at float64, so neither enters spec fingerprints.
     """
 
     epochs: int = 40
@@ -50,15 +44,6 @@ class TrainerConfig:
     weight_decay: float = 1e-5
     min_steps: int = 0
     seed: int = 0
-    backend: str | None = None
-    dtype: str = "float64"
-
-    def __post_init__(self) -> None:
-        if self.dtype not in SUPPORTED_DTYPES:
-            raise ValueError(
-                f"dtype must be one of {list(SUPPORTED_DTYPES)}, "
-                f"got {self.dtype!r}"
-            )
 
 
 def _slice_features(features: CellFeatures, idx: np.ndarray) -> CellFeatures:
@@ -68,15 +53,47 @@ def _slice_features(features: CellFeatures, idx: np.ndarray) -> CellFeatures:
     )
 
 
+class GraphTrainer:
+    """The reference trainer: one step = zero_grad → autodiff-graph forward
+    → loss → backward → per-parameter :class:`~repro.nn.optim.Adam`.
+
+    Intentionally slow; the fused trainer is asserted bit-identical to it
+    (``tests/test_nn_backends.py``, ``benchmarks/bench_training.py``).
+    """
+
+    def __init__(self, model, features, labels, config):
+        self._model = model
+        self._features = features
+        self._labels = np.asarray(labels, dtype=np.int64)
+        self._optimizer = Adam(
+            model.parameters(), lr=config.lr, weight_decay=config.weight_decay
+        )
+
+    def step(self, idx: np.ndarray) -> float:
+        self._optimizer.zero_grad()
+        logits = self._model(_slice_features(self._features, idx))
+        loss = softmax_cross_entropy(logits, self._labels[idx])
+        loss.backward()
+        self._optimizer.step()
+        return loss.item()
+
+    def finalize(self) -> None:
+        """Nothing to write back: the graph trains the model in place."""
+
+
 def train_model(
     model: JointModel,
     features: CellFeatures,
     labels: np.ndarray,
     config: TrainerConfig | None = None,
+    trainer_factory=KERNELS.joint_trainer,
 ) -> list[float]:
     """Train ``model`` on a fixed feature batch; returns per-epoch mean loss.
 
     ``labels`` are class indices (0 = correct, 1 = error).
+    ``trainer_factory(model, features, labels, config)`` builds the
+    per-step trainer: the fused kernels by default, or
+    :class:`GraphTrainer` to run the autodiff reference.
     """
     config = config or TrainerConfig()
     labels = np.asarray(labels, dtype=np.int64)
@@ -85,10 +102,9 @@ def train_model(
         raise ValueError("labels length must match feature batch size")
     if n == 0:
         raise ValueError("cannot train on an empty batch")
-    backend = resolve_backend(config.backend)
     gen = as_generator(config.seed)
     model.train()
-    trainer = backend.joint_trainer(model, features, labels, config)
+    trainer = trainer_factory(model, features, labels, config)
     history: list[float] = []
     steps_per_epoch = max(1, -(-n // config.batch_size))  # ceil division
     epochs = max(config.epochs, -(-config.min_steps // steps_per_epoch))

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.nn.backends.numpy_backend import KERNELS
 from repro.utils.rng import as_generator
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -63,7 +64,6 @@ class FastTextEmbedding:
         epochs: int = 3,
         lr: float = 0.05,
         max_pairs_per_epoch: int = 200_000,
-        backend: str | None = None,
         rng=None,
     ):
         if dim < 1:
@@ -77,14 +77,6 @@ class FastTextEmbedding:
         self.epochs = epochs
         self.lr = lr
         self.max_pairs_per_epoch = max_pairs_per_epoch
-        #: Compute backend executing the SGNS batch updates (``None`` = the
-        #: default numpy kernel, which is the reference math — the default
-        #: path trains bit-identically to the historical inline loop).
-        #: Deliberately *not* inherited from the ambient backend: the
-        #: backend is part of :meth:`config_dict` and hence the artifact
-        #: key, and an ambient setting changing trained weights under an
-        #: unchanged key would serve stale artifacts.
-        self.backend = backend
         self._rng = as_generator(rng)
         self._vocab: dict[str, int] = {}
         self._index_to_word: list[str] = []
@@ -210,20 +202,13 @@ class FastTextEmbedding:
     def _train_epoch(
         self, centers: np.ndarray, contexts: np.ndarray, noise: np.ndarray
     ) -> None:
-        """One SGNS pass; the batch update runs on the compute backend.
+        """One SGNS pass; the batch update runs on the training core.
 
         Positive and negative targets share the same update form (grad on
         score = sigmoid(score) - label); the per-batch math lives in
-        :meth:`repro.nn.backend.ComputeBackend.sgns_step`, whose numpy
-        kernel is the reference implementation.  Negative sampling stays
-        here so every backend consumes the embedding's RNG stream
-        identically.
+        :meth:`repro.nn.backends.NumpyBackend.sgns_step`.  Negative
+        sampling stays here, on the embedding's own RNG stream.
         """
-        from repro.nn.backend import DEFAULT_BACKEND, resolve_backend
-
-        # Never the *ambient* backend: the key config pins self.backend, so
-        # only an explicitly pinned backend may change the trained tables.
-        backend = resolve_backend(self.backend or DEFAULT_BACKEND)
         batch = 512
         vocab_size = noise.size
         for start in range(0, centers.size, batch):
@@ -231,7 +216,7 @@ class FastTextEmbedding:
             o = contexts[start : start + batch]
             n = c.size
             negs = self._rng.choice(vocab_size, size=(n, self.negatives), p=noise)
-            backend.sgns_step(
+            KERNELS.sgns_step(
                 self._in, self._out, self._sub_ids[c], self._sub_mask[c],
                 o, negs, self.lr,
             )
@@ -332,7 +317,7 @@ class FastTextEmbedding:
         enumeration is what guarantees that changing *any* training default
         changes the key instead of silently serving stale weights.
         """
-        config = {
+        return {
             "dim": self.dim,
             "window": self.window,
             "negatives": self.negatives,
@@ -343,15 +328,6 @@ class FastTextEmbedding:
             "lr": self.lr,
             "max_pairs_per_epoch": self.max_pairs_per_epoch,
         }
-        if self.backend is not None:
-            # A pinned non-default backend (e.g. torch) may differ in low
-            # bits from the numpy reference kernel, so it must key — and
-            # seed, since training seeds derive from the key — its
-            # artifacts separately.  ``None`` stays *out* of the config:
-            # artifact keys are also the training-seed material, so adding
-            # the field would reseed (and change) every default-path fit.
-            config["backend"] = self.backend
-        return config
 
     @classmethod
     def from_state(cls, state: dict) -> "FastTextEmbedding":

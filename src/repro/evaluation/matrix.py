@@ -386,15 +386,11 @@ def run_scenario(spec: ScenarioSpec) -> dict:
     return scenario_record(spec, result, timer.elapsed)
 
 
-def _init_worker(directory: str | None, backend: str | None) -> None:
-    """Process-pool initializer: install the ambient artifact store and/or
-    compute backend for every detector the worker builds."""
+def _init_worker(directory: str | None) -> None:
+    """Process-pool initializer: install the ambient artifact store for
+    every detector the worker builds."""
     if directory is not None:
         set_default_store(ArtifactStore(directory=directory))
-    if backend is not None:
-        from repro.nn.backend import set_default_backend
-
-        set_default_backend(backend)
 
 
 def _run_with_artifact_stats(runner: Callable[["ScenarioSpec"], dict], spec) -> dict:
@@ -776,7 +772,6 @@ def run_matrix(
     on_result: Callable[[dict], None] | None = None,
     scenario_runner: Callable[[ScenarioSpec], dict] = run_scenario,
     artifact_dir: str | Path | None = None,
-    backend: str | None = None,
     coordinate: CoordinateOptions | None = None,
 ) -> SweepReport:
     """Run every scenario in ``matrix``, fanning out over a worker pool.
@@ -801,12 +796,6 @@ def run_matrix(
     × trials over one dirty relation) share one fit instead of retraining.
     Fits are content-seeded, so metrics are bit-identical with or without
     the store, at any worker count.
-
-    ``backend`` installs a process/thread-ambient compute backend
-    (:func:`repro.nn.backend.set_default_backend`) in every worker, so each
-    scenario's detector trains and scores on it without the name appearing
-    in any scenario fingerprint — metrics at float64 are bit-identical
-    across backends, so cached records stay valid.
 
     ``coordinate`` makes this invocation one of N independent cooperating
     workers (possibly on other hosts sharing the store's filesystem):
@@ -848,17 +837,13 @@ def run_matrix(
         if in_process:
             if artifact_dir is not None and pending:
                 shared = stack.enter_context(use_store(ArtifactStore(artifact_dir)))
-            if backend is not None:
-                from repro.nn.backend import use_backend
-
-                stack.enter_context(use_backend(backend))
             pool = ThreadPoolExecutor(max_workers=effective) if effective > 1 else _InlineExecutor()
             task = scenario_runner
         else:
             pool = ProcessPoolExecutor(
                 max_workers=effective,
                 initializer=_init_worker,
-                initargs=(artifact_dir, backend),
+                initargs=(artifact_dir,),
             )
             task = partial(_run_with_artifact_stats, scenario_runner)
         _drain(sweep, source, stack.enter_context(pool), task, effective)

@@ -11,24 +11,13 @@ implements the same mathematical stack from scratch:
   uses (Linear, ReLU, Sigmoid, Dropout, Highway, Sequential),
 - :mod:`repro.nn.loss` — softmax cross-entropy and logistic losses,
 - :mod:`repro.nn.optim` — ADAM [36] and SGD,
-- :mod:`repro.nn.backend` / :mod:`repro.nn.backends` — pluggable compute
-  backends (registry kind ``"backend"``): the fused-numpy default that
-  runs training as minibatch BLAS kernels, the autodiff ``reference``
-  ground truth, and an optional ``torch`` backend.
+- :mod:`repro.nn.backends` — the training core: fused minibatch BLAS
+  kernels that every fit and prediction runs on, bit-identical at float64
+  to the autodiff graph above, which stays as their reference.
 
-Gradients are verified against finite differences by property-based tests,
-uniformly across backends.
+Gradients are verified against finite differences by property-based tests.
 """
 
-from repro.nn.backend import (
-    BackendUnavailable,
-    ComputeBackend,
-    JointTrainer,
-    default_backend_name,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.nn.tensor import Tensor, concat, no_grad
 from repro.nn.layers import (
     Dropout,
@@ -60,11 +49,4 @@ __all__ = [
     "Optimizer",
     "Adam",
     "SGD",
-    "BackendUnavailable",
-    "ComputeBackend",
-    "JointTrainer",
-    "default_backend_name",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]

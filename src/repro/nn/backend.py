@@ -1,248 +1,18 @@
-"""Pluggable compute backends for the ``repro.nn`` training core.
+"""The name of the training core, for callers that record which kernels ran.
 
-The hand-rolled autodiff stack (:mod:`repro.nn.tensor`) is the reference
-semantics of the joint model's training loop — every elementary numpy op in
-a fixed order.  A :class:`ComputeBackend` reimplements that loop as fused
-minibatch kernels: one fused affine→nonlinearity→Highway-gate
-forward/backward per layer per batch, a flat-parameter optimiser step, and
-preallocated buffers reused across steps.  Backends are registry components
-(kind ``"backend"``), so a :class:`~repro.spec.DetectorSpec` can select one
-by name or as a ``module:attr`` reference with zero repo edits.
-
-Contract (see "Compute backends" in ``docs/architecture.md``):
-
-- the default ``numpy`` backend is **bit-identical** at float64 to the
-  autodiff stack — same elementary operations in the same accumulation
-  order, consuming the same RNG streams;
-- the ``reference`` backend *is* the autodiff stack (the pre-fusion loop),
-  kept as the ground truth the fast paths are benchmarked and asserted
-  against;
-- optional backends (``torch``) match within a documented tolerance and
-  are skipped everywhere their dependency is absent.
-
-Backend choice is an execution detail, like the artifact-store directory:
-it never enters spec fingerprints or artifact keys (except when a
-non-default backend is pinned on an embedding, which *must* key its
-artifacts separately — see :class:`repro.embeddings.FastTextEmbedding`).
+Training and scoring run on one kernel set: the fused numpy kernels of
+:class:`repro.nn.backends.numpy_backend.NumpyBackend`, which are
+bit-identical at float64 to the autodiff graph (:mod:`repro.nn.tensor`).
+There is nothing to select; see "Training core" in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Any, Mapping
-
-import numpy as np
-
-from repro.registry import REGISTRY, ComponentError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.model import JointModel
-    from repro.core.training import TrainerConfig
-    from repro.features.pipeline import CellFeatures
-
-#: The backend used when neither the config nor the ambient default names one.
+#: Name of the one kernel set training and scoring run on.
 DEFAULT_BACKEND = "numpy"
-
-#: Compute dtypes a backend may be asked to train in.  float32 halves memory
-#: traffic; the loss is still accumulated in float64 (see JointTrainer).
-SUPPORTED_DTYPES = ("float64", "float32")
-
-
-class BackendUnavailable(ComponentError):
-    """A backend's optional dependency is missing (e.g. torch)."""
-
-
-class JointTrainer:
-    """One training run of a :class:`~repro.core.model.JointModel`.
-
-    Created by :meth:`ComputeBackend.joint_trainer`; driven by
-    :func:`repro.core.training.train_model`, which owns the epoch /
-    permutation / minibatch schedule so every backend sees identical batch
-    index sequences.
-    """
-
-    def step(self, idx: np.ndarray) -> float:  # pragma: no cover - abstract
-        """One optimiser step over the rows ``idx``; returns the batch loss."""
-        raise NotImplementedError
-
-    def finalize(self) -> None:
-        """Write trained parameters back into the model (if held externally)."""
-
-
-class ComputeBackend:
-    """Array ops + fused layer forward/backward + optimiser step.
-
-    Subclasses implement the kernel-level API (numpy arrays in, numpy
-    arrays out — foreign backends convert internally) plus
-    :meth:`joint_trainer`.  The kernel API exists so the gradient-check
-    suite can exercise each fused kernel against central finite differences
-    on every backend uniformly.
-    """
-
-    #: Registry key / display name.
-    name: str = "abstract"
-
-    # -- training ------------------------------------------------------- #
-
-    def joint_trainer(
-        self,
-        model: "JointModel",
-        features: "CellFeatures",
-        labels: np.ndarray,
-        config: "TrainerConfig",
-    ) -> JointTrainer:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def predict_logits(self, model: "JointModel", features: "CellFeatures") -> np.ndarray:
-        """Eval-mode logits ``[n, classes]`` for a feature batch.
-
-        The base implementation runs the model's own autodiff-graph forward
-        (the caller manages eval mode / ``no_grad``); fast backends fuse it.
-        Overrides must stay bit-identical to the graph at float64 — this is
-        the prediction path the golden metrics pin.
-        """
-        return model.forward(features).numpy()
-
-    def sgns_step(
-        self,
-        in_table: np.ndarray,
-        out_table: np.ndarray,
-        sub_ids: np.ndarray,
-        sub_mask: np.ndarray,
-        contexts: np.ndarray,
-        negatives: np.ndarray,
-        lr: float,
-    ) -> None:  # pragma: no cover - abstract
-        """One skip-gram-negative-sampling batch update, in place.
-
-        ``sub_ids``/``sub_mask`` are the padded per-center subword id table
-        rows; ``contexts`` the positive target ids; ``negatives [n, k]``
-        the sampled negative ids.  Used by
-        :meth:`repro.embeddings.FastTextEmbedding._train_epoch`.
-        """
-        raise NotImplementedError
-
-    # -- fused kernels (uniform numpy-in / numpy-out test surface) ------- #
-
-    def affine(self, x, W, b):  # pragma: no cover - abstract
-        """``y = x @ W + b``."""
-        raise NotImplementedError
-
-    def affine_grad(self, x, W, dy):  # pragma: no cover - abstract
-        """``(dx, dW, db)`` of the affine forward."""
-        raise NotImplementedError
-
-    def relu(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def relu_grad(self, x, dy):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def sigmoid(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def sigmoid_grad(self, s, dy):  # pragma: no cover - abstract
-        """``dx`` given the forward output ``s = sigmoid(x)``."""
-        raise NotImplementedError
-
-    def highway(self, x, Wt, bt, Wg, bg):  # pragma: no cover - abstract
-        """Fused highway forward; returns ``(y, cache)``."""
-        raise NotImplementedError
-
-    def highway_grad(self, cache, dy, need_dx=True):  # pragma: no cover - abstract
-        """Fused highway backward from :meth:`highway`'s cache.
-
-        Returns a dict with ``dWt, dbt, dWg, dbg`` and — when ``need_dx`` —
-        ``dx``.
-        """
-        raise NotImplementedError
-
-    def softmax_xent(self, logits, targets):  # pragma: no cover - abstract
-        """``(loss, dlogits)`` of mean softmax cross-entropy."""
-        raise NotImplementedError
-
-    def adam_step(
-        self, p, g, m, v, t, *, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-        weight_decay=0.0,
-    ):  # pragma: no cover - abstract
-        """In-place ADAM update of ``p`` (with first/second moments m, v)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-# --------------------------------------------------------------------- #
-# Ambient default backend (mirrors repro.artifacts' ambient store:
-# process-wide, so pool threads spawned by a sweep coordinator or the
-# serving layer inherit it)
-# --------------------------------------------------------------------- #
-
-_ambient: str | None = None
 
 
 def default_backend_name() -> str:
-    """The process-ambient backend name (``"numpy"`` unless set)."""
-    return _ambient or DEFAULT_BACKEND
-
-
-def set_default_backend(name: str | None) -> str | None:
-    """Install ``name`` as the ambient default backend (``None`` clears it);
-    returns the previous value.
-
-    Sweep worker initialisers and the serving layer use this so every
-    detector built in the process trains on the selected backend without
-    threading the name through each config.
-    """
-    global _ambient
-    previous = _ambient
-    _ambient = name
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(name: str | None):
-    """Scoped :func:`set_default_backend` (restores the previous value)."""
-    previous = set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
-
-
-_instances: dict[str, ComputeBackend] = {}
-
-
-def resolve_backend(
-    name: "str | ComputeBackend | None" = None,
-    params: Mapping[str, Any] | None = None,
-) -> ComputeBackend:
-    """Resolve a backend reference to a live instance.
-
-    ``None`` resolves the ambient default (normally ``"numpy"``); a string
-    resolves through the registry (built-in key or ``module:attr``);
-    instances pass through.  Parameterless resolutions are cached per key —
-    backends are stateless between training runs (all run state lives on
-    the :class:`JointTrainer`).
-    """
-    if isinstance(name, ComputeBackend):
-        return name
-    key = name or default_backend_name()
-    if params:
-        backend = REGISTRY.create("backend", key, params)
-    else:
-        backend = _instances.get(key)
-        if backend is None:
-            backend = REGISTRY.create("backend", key)
-            _instances[key] = backend
-    if not isinstance(backend, ComputeBackend):
-        raise ComponentError(
-            f"backend {key!r} built {type(backend).__name__}; expected a "
-            "ComputeBackend"
-        )
-    return backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered built-in backend keys."""
-    return REGISTRY.names("backend")
+    """The name of the kernel set in effect (always :data:`DEFAULT_BACKEND`)."""
+    return DEFAULT_BACKEND

@@ -1,77 +1,14 @@
-"""Built-in compute backends, registered under registry kind ``"backend"``.
+"""The training core's kernel set.
 
-========== ==========================================================
-key         backend
-========== ==========================================================
-numpy       fused minibatch BLAS kernels (default; bit-identical to
-            the autodiff stack at float64)
-reference   the original autodiff-graph loop (ground truth for the
-            benchmark and equivalence gates; slow by design)
-torch       optional torch implementation (raises
-            :class:`~repro.nn.backend.BackendUnavailable` without torch)
-========== ==========================================================
-
-Third-party backends need zero repo edits: any ``module:attr`` reference
-resolving to a :class:`~repro.nn.backend.ComputeBackend` subclass or
-factory works everywhere a key does (``--backend mypkg.fast:Backend``).
+:class:`~repro.nn.backends.numpy_backend.NumpyBackend` holds the fused
+minibatch kernels every fit and prediction runs on: the joint-model
+trainer, the eval-mode forward pass, and the FastText SGNS update.  The
+autodiff graph (:class:`repro.core.training.GraphTrainer`,
+:meth:`repro.core.model.JointModel.forward`) is their reference semantics.
 """
 
 from __future__ import annotations
 
-from repro.nn.backend import (
-    BackendUnavailable,
-    ComputeBackend,
-    JointTrainer,
-    backend_names,
-    default_backend_name,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.nn.backends.graph_backend import GraphBackend
-from repro.nn.backends.numpy_backend import NumpyBackend
-from repro.nn.backends.torch_backend import TorchBackend
-from repro.registry import register
+from repro.nn.backends.numpy_backend import KERNELS, NumpyBackend
 
-__all__ = [
-    "BackendUnavailable",
-    "ComputeBackend",
-    "GraphBackend",
-    "JointTrainer",
-    "NumpyBackend",
-    "TorchBackend",
-    "backend_names",
-    "default_backend_name",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
-]
-
-
-@register(
-    "backend",
-    "numpy",
-    description="Fused minibatch BLAS kernels; bit-identical to the "
-    "autodiff stack at float64 (default)",
-)
-def _build_numpy_backend(params):
-    return NumpyBackend(**params)
-
-
-@register(
-    "backend",
-    "reference",
-    description="Original autodiff-graph training loop; the ground truth "
-    "fast backends are gated against",
-)
-def _build_reference_backend(params):
-    return GraphBackend(**params)
-
-
-@register(
-    "backend",
-    "torch",
-    description="Optional torch backend (tolerance-matched; requires torch)",
-)
-def _build_torch_backend(params):
-    return TorchBackend(**params)
+__all__ = ["KERNELS", "NumpyBackend"]

@@ -1,4 +1,4 @@
-"""Fused pure-numpy backend — the default compute backend.
+"""Fused pure-numpy kernels — the training core.
 
 Replaces the per-op autodiff graph of the training loop with straight-line
 minibatch BLAS kernels: one fused affine→nonlinearity→Highway-gate
@@ -7,7 +7,7 @@ concatenated vector, and a per-batch-size workspace of preallocated
 activation/gradient buffers reused across steps (every ufunc and matmul
 writes through ``out=``; a steady-state step allocates nothing).
 
-Bit-identity contract: at float64 this backend reproduces the autodiff
+Bit-identity contract: at float64 these kernels reproduce the autodiff
 stack *exactly* — same elementary operations in the same accumulation
 order, consuming the same RNG streams (batch permutations from the trainer
 seed, dropout masks from the model's own dropout generator).  Every
@@ -20,23 +20,12 @@ rewrite below relies on an exact IEEE identity, not an algebraic one:
 - ``Generator.random(out=buf)`` consumes the stream of ``random(shape)``;
 - ``np.take(a, idx, out=buf)`` ≡ the fancy-index copy ``a[idx]``;
 - the cached forward carry ``s = 1 - t`` equals the backward recompute.
-
-float32 compute halves memory traffic for the matmuls; the loss (and its
-softmax backward) is still computed in float64 from the cast logits and
-the epoch loss accumulated in float64, so reported histories stay stable.
-float32 results are *not* bit-pinned — that mode trades exactness for
-speed, like any foreign backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import (
-    SUPPORTED_DTYPES,
-    ComputeBackend,
-    JointTrainer,
-)
 from repro.nn.layers import Dropout, Highway, Linear, ReLU, Sequential
 
 
@@ -152,6 +141,36 @@ def _hw_bwd(dy, x, tg, z2, h, s, Wt, Wg, gWt, gbt, gWg, gbg,
     _mm(x.T, dz1, out=gWg)
 
 
+def _adam_step(P, G, M, V, T1, T2, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """Fused ADAM step ``t`` over the flat parameter vector ``P``, in place.
+
+    Op for op the per-parameter update of :class:`repro.nn.optim.Adam`;
+    ``G`` is the gradient, ``M``/``V`` the moments, ``T1``/``T2`` work buffers.
+    """
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    if wd:
+        _mul(P, wd, out=T1)
+        _add(G, T1, out=T1)
+        grad = T1
+    else:
+        grad = G
+    _mul(M, b1, out=M)
+    _mul(grad, 1.0 - b1, out=T2)
+    _add(M, T2, out=M)
+    _mul(V, b2, out=V)
+    _mul(grad, grad, out=T2)
+    _mul(T2, 1.0 - b2, out=T2)
+    _add(V, T2, out=V)
+    _div(M, bias1, out=T1)
+    _div(V, bias2, out=T2)
+    np.sqrt(T2, out=T2)
+    _add(T2, eps, out=T2)
+    _mul(T1, lr, out=T1)
+    _div(T1, T2, out=T1)
+    _sub(P, T1, out=P)
+
+
 class _BranchSpace:
     """Per-branch activation/gradient buffers for one batch size."""
 
@@ -161,65 +180,53 @@ class _BranchSpace:
         "dz3",
     )
 
-    def __init__(self, nb: int, d: int, dtype):
+    def __init__(self, nb: int, d: int):
         for slot in self.__slots__:
             if slot == "boolb":
                 setattr(self, slot, np.empty((nb, d), dtype=bool))
             elif slot == "dz3":
-                setattr(self, slot, np.empty((nb, 1), dtype=dtype))
+                setattr(self, slot, np.empty((nb, 1)))
             else:
-                setattr(self, slot, np.empty((nb, d), dtype=dtype))
+                setattr(self, slot, np.empty((nb, d)))
 
 
 class _Workspace:
     """All buffers of one batch size (only two sizes occur: full and tail)."""
 
-    def __init__(self, nb, dims, numeric_dim, joint_dim, hidden, classes,
-                 dtype, loss64):
-        self.branches = [_BranchSpace(nb, d, dtype) for d in dims]
-        self.joint = np.empty((nb, joint_dim), dtype=dtype)
-        self.numbuf = np.empty((nb, numeric_dim), dtype=dtype)
-        self.mask64 = np.empty((nb, joint_dim), dtype=np.float64)
+    def __init__(self, nb, dims, numeric_dim, joint_dim, hidden, classes):
+        self.branches = [_BranchSpace(nb, d) for d in dims]
+        self.joint = np.empty((nb, joint_dim))
+        self.numbuf = np.empty((nb, numeric_dim))
+        self.mask64 = np.empty((nb, joint_dim))
         self.boolj = np.empty((nb, joint_dim), dtype=bool)
-        self.maskc = np.empty((nb, joint_dim), dtype=dtype)
-        self.xd = np.empty((nb, joint_dim), dtype=dtype)
-        self.z4 = np.empty((nb, hidden), dtype=dtype)
-        self.r4 = np.empty((nb, hidden), dtype=dtype)
+        self.maskc = np.empty((nb, joint_dim))
+        self.xd = np.empty((nb, joint_dim))
+        self.z4 = np.empty((nb, hidden))
+        self.r4 = np.empty((nb, hidden))
         self.boolh = np.empty((nb, hidden), dtype=bool)
-        self.dr4 = np.empty((nb, hidden), dtype=dtype)
-        self.dxd = np.empty((nb, joint_dim), dtype=dtype)
-        self.logits = np.empty((nb, classes), dtype=dtype)
-        # Loss buffers stay float64: accumulation precision is part of the
-        # backend contract even in float32 compute mode.
-        self.l64 = self.logits if not loss64 else np.empty(
-            (nb, classes), dtype=np.float64
-        )
-        self.col = np.empty((nb, 1), dtype=np.float64)
-        self.col2 = np.empty((nb, 1), dtype=np.float64)
-        self.shifted = np.empty((nb, classes), dtype=np.float64)
-        self.expb = np.empty((nb, classes), dtype=np.float64)
-        self.probs = np.empty((nb, classes), dtype=np.float64)
-        self.dlc = self.probs if not loss64 else np.empty(
-            (nb, classes), dtype=dtype
-        )
+        self.dr4 = np.empty((nb, hidden))
+        self.dxd = np.empty((nb, joint_dim))
+        self.logits = np.empty((nb, classes))
+        self.col = np.empty((nb, 1))
+        self.col2 = np.empty((nb, 1))
+        self.shifted = np.empty((nb, classes))
+        self.expb = np.empty((nb, classes))
+        self.probs = np.empty((nb, classes))
         self.yb = np.empty(nb, dtype=np.int64)
         self.ar = np.arange(nb)
 
 
-class _FusedJointTrainer(JointTrainer):
-    """Flat-parameter fused trainer over a JointModel's layer structure."""
+class _FusedJointTrainer:
+    """Flat-parameter fused trainer over a JointModel's layer structure.
+
+    Driven by :func:`repro.core.training.train_model`, which owns the
+    epoch / permutation / minibatch schedule: :meth:`step` runs one
+    optimiser step over the rows ``idx`` and returns the batch loss;
+    :meth:`finalize` writes the trained parameters back into the model.
+    """
 
     def __init__(self, model, features, labels, config, structure):
         branches, drop, lin1, lin2 = structure
-        dtype = np.dtype(config.dtype)
-        if str(dtype) not in SUPPORTED_DTYPES:
-            raise ValueError(
-                f"unsupported compute dtype {config.dtype!r}; "
-                f"choose from {list(SUPPORTED_DTYPES)}"
-            )
-        self._model = model
-        self._dtype = dtype
-        self._f64 = dtype == np.float64
 
         params = []
         for h1, h2, lin in branches:
@@ -235,12 +242,12 @@ class _FusedJointTrainer(JointTrainer):
         sizes = [p.data.size for p in params]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         total = int(offsets[-1])
-        self._P = np.empty(total, dtype=dtype)
-        self._G = np.empty(total, dtype=dtype)
-        self._M = np.zeros(total, dtype=dtype)
-        self._V = np.zeros(total, dtype=dtype)
-        self._T1 = np.empty(total, dtype=dtype)
-        self._T2 = np.empty(total, dtype=dtype)
+        self._P = np.empty(total)
+        self._G = np.empty(total)
+        self._M = np.zeros(total)
+        self._V = np.zeros(total)
+        self._T1 = np.empty(total)
+        self._T2 = np.empty(total)
         views_p, views_g = [], []
         for p, lo, hi in zip(params, offsets[:-1], offsets[1:]):
             self._P[lo:hi] = p.data.ravel()
@@ -260,11 +267,11 @@ class _FusedJointTrainer(JointTrainer):
 
         names = model.branch_names
         self._xs = [
-            np.ascontiguousarray(np.asarray(features.branches[n], dtype=dtype))
+            np.ascontiguousarray(np.asarray(features.branches[n], dtype=np.float64))
             for n in names
         ]
         self._numeric = np.ascontiguousarray(
-            np.asarray(features.numeric, dtype=dtype)
+            np.asarray(features.numeric, dtype=np.float64)
         )
         self._labels = np.ascontiguousarray(np.asarray(labels, dtype=np.int64))
         self._dims = [x.shape[1] for x in self._xs]
@@ -278,8 +285,6 @@ class _FusedJointTrainer(JointTrainer):
 
         self._lr = config.lr
         self._wd = config.weight_decay
-        self._b1, self._b2 = 0.9, 0.999
-        self._eps = 1e-8
         self._t = 0
         self._spaces: dict[int, _Workspace] = {}
 
@@ -288,7 +293,7 @@ class _FusedJointTrainer(JointTrainer):
         if ws is None:
             ws = _Workspace(
                 nb, self._dims, self._numeric.shape[1], self._joint_dim,
-                self._hidden, self._classes, self._dtype, not self._f64,
+                self._hidden, self._classes,
             )
             self._spaces[nb] = ws
         return ws
@@ -333,11 +338,9 @@ class _FusedJointTrainer(JointTrainer):
         _mm(ws.r4, self._cW2, out=ws.logits)
         _add(ws.logits, self._cb2, out=ws.logits)
 
-        l64 = ws.l64
-        if not self._f64:
-            l64[...] = ws.logits
-        l64.max(axis=1, out=ws.col, keepdims=True)
-        _sub(l64, ws.col, out=ws.shifted)
+        logits = ws.logits
+        logits.max(axis=1, out=ws.col, keepdims=True)
+        _sub(logits, ws.col, out=ws.shifted)
         _exp(ws.shifted, out=ws.expb)
         _reduce_add(ws.expb, axis=1, out=ws.col2, keepdims=True)
         np.log(ws.col2, out=ws.col2)
@@ -349,9 +352,7 @@ class _FusedJointTrainer(JointTrainer):
         _exp(ws.shifted, out=ws.probs)
         ws.probs[ar, yb] -= 1.0
         _div(ws.probs, nb, out=ws.probs)
-        dl = ws.dlc
-        if not self._f64:
-            dl[...] = ws.probs
+        dl = ws.probs
         _reduce_add(dl, axis=0, out=self._gcb2, keepdims=True)
         _mm(dl, self._cW2.T, out=ws.dr4)
         _mm(ws.r4.T, dl, out=self._gcW2)
@@ -387,54 +388,12 @@ class _FusedJointTrainer(JointTrainer):
 
     def _adam(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self._b1 ** self._t
-        bias2 = 1.0 - self._b2 ** self._t
-        P, G, M, V = self._P, self._G, self._M, self._V
-        T1, T2 = self._T1, self._T2
-        if self._wd:
-            _mul(P, self._wd, out=T1)
-            _add(G, T1, out=T1)
-            grad = T1
-        else:
-            grad = G
-        _mul(M, self._b1, out=M)
-        _mul(grad, 1.0 - self._b1, out=T2)
-        _add(M, T2, out=M)
-        _mul(V, self._b2, out=V)
-        _mul(grad, grad, out=T2)
-        _mul(T2, 1.0 - self._b2, out=T2)
-        _add(V, T2, out=V)
-        _div(M, bias1, out=T1)
-        _div(V, bias2, out=T2)
-        np.sqrt(T2, out=T2)
-        _add(T2, self._eps, out=T2)
-        _mul(T1, self._lr, out=T1)
-        _div(T1, T2, out=T1)
-        _sub(P, T1, out=P)
+        _adam_step(self._P, self._G, self._M, self._V, self._T1, self._T2,
+                   self._t, self._lr, self._wd)
 
     def finalize(self) -> None:
         for p, view in zip(self._params, self._views_p):
-            p.data = view.copy() if self._f64 else view.astype(np.float64)
-
-
-def sgns_step_numpy(in_table, out_table, sub_ids, sub_mask, contexts,
-                    negatives, lr):
-    """The skip-gram negative-sampling batch update (reference numpy math)."""
-    counts = sub_mask.sum(axis=1, keepdims=True)
-    in_vecs = (in_table[sub_ids] * sub_mask[:, :, None]).sum(axis=1) / counts
-    n = contexts.shape[0]
-    dim = in_table.shape[1]
-    targets = np.concatenate([contexts[:, None], negatives], axis=1)
-    labels = np.zeros((n, 1 + negatives.shape[1]))
-    labels[:, 0] = 1.0
-    out_vecs = out_table[targets]
-    scores = np.einsum("nd,nkd->nk", in_vecs, out_vecs)
-    g = (1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30))) - labels) * lr
-    grad_out = g[:, :, None] * in_vecs[:, None, :]
-    np.add.at(out_table, targets.ravel(), -grad_out.reshape(-1, dim))
-    grad_in = np.einsum("nk,nkd->nd", g, out_vecs) / counts
-    weighted = grad_in[:, None, :] * sub_mask[:, :, None]
-    np.add.at(in_table, sub_ids.ravel(), -weighted.reshape(-1, dim))
+            p.data = view.copy()
 
 
 def _eval_highway(x, highway: Highway) -> np.ndarray:
@@ -445,20 +404,34 @@ def _eval_highway(x, highway: Highway) -> np.ndarray:
     return t * h + (1.0 - t) * x
 
 
-class NumpyBackend(ComputeBackend):
-    """Default backend: fused numpy kernels, bit-identical at float64."""
+class NumpyBackend:
+    """The fused numpy kernels, bit-identical to the autodiff graph at float64.
 
-    name = "numpy"
+    Stateless between runs: all run state lives on the trainer, so one
+    instance (:data:`KERNELS`) serves the whole process.
+    """
 
-    def joint_trainer(self, model, features, labels, config) -> JointTrainer:
+    def joint_trainer(self, model, features, labels, config):
+        """A fused training run of ``model`` (the default trainer factory of
+        :func:`repro.core.training.train_model`).
+
+        Models not shaped like :class:`~repro.core.model.JointModel` train
+        on the autodiff graph instead.
+        """
         structure = extract_structure(model)
         if structure is None:
-            from repro.nn.backends.graph_backend import GraphBackend
+            from repro.core.training import GraphTrainer
 
-            return GraphBackend().joint_trainer(model, features, labels, config)
+            return GraphTrainer(model, features, labels, config)
         return _FusedJointTrainer(model, features, labels, config, structure)
 
     def predict_logits(self, model, features) -> np.ndarray:
+        """Eval-mode logits ``[n, classes]`` for a feature batch.
+
+        Bit-identical to ``model.forward(features)`` at float64 — the
+        prediction path the golden metrics pin.  The caller manages eval
+        mode and ``no_grad``.
+        """
         structure = extract_structure(model)
         if (
             structure is None
@@ -470,7 +443,7 @@ class NumpyBackend(ComputeBackend):
         ):
             # The graph forward raises the canonical errors for malformed
             # batches; shape-mismatched inputs take that path.
-            return super().predict_logits(model, features)
+            return model.forward(features).numpy()
         branches, _, lin1, lin2 = structure
         names = model.branch_names
         first = (
@@ -493,78 +466,32 @@ class NumpyBackend(ComputeBackend):
         r4 = np.maximum(z4, 0.0)
         return r4 @ lin2.weight.data + lin2.bias.data
 
-    # -- kernel API (uniform test surface, plain allocating versions) ---- #
-
-    def affine(self, x, W, b):
-        return x @ W + b
-
-    def affine_grad(self, x, W, dy):
-        return dy @ W.T, x.T @ dy, dy.sum(axis=0, keepdims=True)
-
-    def relu(self, x):
-        return np.maximum(x, 0.0)
-
-    def relu_grad(self, x, dy):
-        return dy * (x > 0.0)
-
-    def sigmoid(self, x):
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-    def sigmoid_grad(self, s, dy):
-        return dy * s * (1.0 - s)
-
-    def highway(self, x, Wt, bt, Wg, bg):
-        tg = self.sigmoid(x @ Wg + bg)
-        z2 = x @ Wt + bt
-        h = np.maximum(z2, 0.0)
-        y = tg * h + (1.0 - tg) * x
-        return y, (x, tg, z2, h, Wt, Wg)
-
-    def highway_grad(self, cache, dy, need_dx=True):
-        x, tg, z2, h, Wt, Wg = cache
-        dt = dy * h
-        dz2 = (dy * tg) * (z2 > 0)
-        grads = {"dbt": dz2.sum(axis=0, keepdims=True)}
-        dx = dz2 @ Wt.T if need_dx else None
-        grads["dWt"] = x.T @ dz2
-        ds = dy * x
-        if need_dx:
-            dx = dx + dy * (1.0 - tg)
-        dt = dt - ds
-        dz1 = dt * tg * (1.0 - tg)
-        grads["dbg"] = dz1.sum(axis=0, keepdims=True)
-        if need_dx:
-            dx = dx + dz1 @ Wg.T
-            grads["dx"] = dx
-        grads["dWg"] = x.T @ dz1
-        return grads
-
-    def softmax_xent(self, logits, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_probs = shifted - log_z
-        n = logits.shape[0]
-        loss = -log_probs[np.arange(n), targets].mean()
-        dlogits = np.exp(log_probs)
-        dlogits[np.arange(n), targets] -= 1.0
-        dlogits /= n
-        return float(loss), dlogits
-
-    def adam_step(self, p, g, m, v, t, *, lr, beta1=0.9, beta2=0.999,
-                  eps=1e-8, weight_decay=0.0):
-        if weight_decay:
-            g = g + weight_decay * p
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g**2
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
     def sgns_step(self, in_table, out_table, sub_ids, sub_mask, contexts,
                   negatives, lr):
-        sgns_step_numpy(
-            in_table, out_table, sub_ids, sub_mask, contexts, negatives, lr
-        )
+        """One skip-gram-negative-sampling batch update, in place.
+
+        ``sub_ids``/``sub_mask`` are the padded per-center subword id table
+        rows; ``contexts`` the positive target ids; ``negatives [n, k]``
+        the sampled negative ids.  Called by
+        :meth:`repro.embeddings.FastTextEmbedding._train_epoch` for every
+        batch.
+        """
+        counts = sub_mask.sum(axis=1, keepdims=True)
+        in_vecs = (in_table[sub_ids] * sub_mask[:, :, None]).sum(axis=1) / counts
+        n = contexts.shape[0]
+        dim = in_table.shape[1]
+        targets = np.concatenate([contexts[:, None], negatives], axis=1)
+        labels = np.zeros((n, 1 + negatives.shape[1]))
+        labels[:, 0] = 1.0
+        out_vecs = out_table[targets]
+        scores = np.einsum("nd,nkd->nk", in_vecs, out_vecs)
+        g = (1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30))) - labels) * lr
+        grad_out = g[:, :, None] * in_vecs[:, None, :]
+        np.add.at(out_table, targets.ravel(), -grad_out.reshape(-1, dim))
+        grad_in = np.einsum("nk,nkd->nd", g, out_vecs) / counts
+        weighted = grad_in[:, None, :] * sub_mask[:, :, None]
+        np.add.at(in_table, sub_ids.ravel(), -weighted.reshape(-1, dim))
+
+
+#: The process-wide kernel set.
+KERNELS = NumpyBackend()

@@ -34,7 +34,9 @@ On-disk layout
 unknown versions rather than guessing.  Configs saved by older versions of
 the code load with defaults for any fields added since (``DetectorConfig``
 fills them in), so the format is forward-extensible without a version bump
-for config-only additions.
+for config-only additions.  Saves from before the training core lost its
+backend selection carry ``backend``/``compute_dtype`` config keys and may
+embed a spec with a ``compute`` table; loading drops both.
 
 A detector built from a :class:`~repro.spec.DetectorSpec` saves the spec's
 canonical form both inside ``state.json`` and as a human-readable
@@ -368,6 +370,9 @@ def _decode_pipeline(state: dict, store: ArrayStore) -> FeaturePipeline:
 #: Config fields that are live objects, not serialisable settings.
 _UNSAVED_CONFIG_FIELDS = ("policy_override", "artifact_store")
 
+#: Config fields of retired options that older saves still carry.
+_RETIRED_CONFIG_FIELDS = ("backend", "compute_dtype")
+
 
 def _encode_config(config: DetectorConfig) -> dict:
     state = {
@@ -383,9 +388,17 @@ def _encode_config(config: DetectorConfig) -> dict:
 
 
 def _decode_config(state: dict) -> DetectorConfig:
-    state = dict(state)
+    state = {k: v for k, v in state.items() if k not in _RETIRED_CONFIG_FIELDS}
     state["exclude_models"] = tuple(state["exclude_models"])
     return DetectorConfig(**state)
+
+
+def _decode_spec(state: dict):
+    """The saved :class:`~repro.spec.DetectorSpec`, minus the retired
+    ``compute`` table (never part of the fingerprint)."""
+    from repro.spec import DetectorSpec
+
+    return DetectorSpec.from_dict({k: v for k, v in state.items() if k != "compute"})
 
 
 def save_detector(detector: HoloDetect, path: str | Path) -> None:
@@ -464,10 +477,10 @@ def detector_fingerprint(path: str | Path) -> str | None:
     spec_state = state.get("spec")
     if spec_state is None:
         return None
-    from repro.spec import DetectorSpec, SpecError
+    from repro.spec import SpecError
 
     try:
-        return DetectorSpec.from_dict(spec_state).fingerprint()
+        return _decode_spec(spec_state).fingerprint()
     except SpecError:
         return None
 
@@ -521,9 +534,7 @@ def load_detector(path: str | Path, dataset: Dataset) -> HoloDetect:
 
     detector = HoloDetect(_decode_config(state["config"]))
     if state.get("spec") is not None:
-        from repro.spec import DetectorSpec
-
-        detector.spec = DetectorSpec.from_dict(state["spec"])
+        detector.spec = _decode_spec(state["spec"])
     detector.pipeline = _decode_pipeline(state["pipeline"], store)
     # Re-attach the block cache the config asked for (caches are never
     # persisted — they rebuild from hits on the first prediction pass).

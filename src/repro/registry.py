@@ -17,7 +17,6 @@ error_profile  named noise channels (``repro.errors.profiles``)
 dataset     benchmark bundle generators (``repro.data``)
 policy      augmentation-policy overrides (noisy-channel ablations)
 calibrator  probability calibrators (``repro.core.calibration``)
-backend     compute backends for the training core (``repro.nn.backends``)
 ========== ==========================================================
 
 Built-ins register themselves at import time with the :meth:`Registry.register`
@@ -57,7 +56,6 @@ _BUILTIN_MODULES = (
     "repro.core.calibration",
     "repro.augmentation.policy",
     "repro.baselines.augmentation_variants",
-    "repro.nn.backends",
 )
 
 

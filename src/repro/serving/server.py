@@ -123,9 +123,6 @@ class ServeConfig:
     #: Bound on one merged scoring pass, in cells.
     max_batch_cells: int = 4096
     default_threshold: float = 0.5
-    #: Compute backend every served detector scores on (ambient for the
-    #: whole server process; ``None`` = the fused-numpy default).
-    backend: str | None = None
     #: Admission control: connections handled concurrently beyond this are
     #: shed with a structured 503 instead of queueing unboundedly.
     max_inflight: int = 64
@@ -141,10 +138,6 @@ class ServeConfig:
             raise ValueError(f"max_body must be positive, got {self.max_body}")
         if self.read_timeout <= 0:
             raise ValueError(f"read_timeout must be positive, got {self.read_timeout}")
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError(
-                f"backend must be a registry key string or None, got {self.backend!r}"
-            )
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be positive, got {self.max_inflight}"
@@ -232,14 +225,6 @@ class DetectionServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> "DetectionServer":
-        if self.config.backend is not None:
-            # Every served detector scores on the configured backend; the
-            # choice is bit-neutral at float64, so responses are identical
-            # across backends (only latency differs).
-            from repro.nn.backend import resolve_backend, set_default_backend
-
-            resolve_backend(self.config.backend)  # fail fast on bad names
-            set_default_backend(self.config.backend)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )

@@ -30,10 +30,6 @@ Spec layout (TOML; JSON mirrors it)::
     [artifacts]                 # optional fitted-artifact store (repro.artifacts)
     dir = "artifacts/"          # excluded from the fingerprint (execution detail)
 
-    [compute]                   # optional compute backend (repro.nn.backend)
-    backend = "numpy"           # or "reference", "torch", module:attr
-    dtype = "float64"           # or "float32"; excluded from the fingerprint
-
 Omitting ``featurizers`` selects the exact default pipeline the imperative
 constructor builds, so ``HoloDetect.from_spec(DetectorSpec.default())`` is
 bit-identical to ``HoloDetect(DetectorConfig())``.
@@ -60,14 +56,10 @@ SPEC_SCHEMA = "repro.spec/v1"
 
 _TOP_LEVEL_KEYS = {
     "schema", "detector", "featurizers", "policy", "calibrator", "artifacts",
-    "compute",
 }
 
 #: Valid keys of the optional ``[artifacts]`` table.
 _ARTIFACT_KEYS = {"dir"}
-
-#: Valid keys of the optional ``[compute]`` table.
-_COMPUTE_KEYS = {"backend", "dtype"}
 
 
 class SpecError(ValueError):
@@ -146,18 +138,11 @@ class DetectorSpec:
     #: mathematical composition — two specs differing only here describe
     #: bit-identical detectors.
     artifacts: Mapping[str, object] | tuple = field(default_factory=dict)
-    #: The optional ``[compute]`` table (``backend`` = registry kind
-    #: ``"backend"`` reference, ``dtype`` = training precision).  Excluded
-    #: from the fingerprint for the same reason as ``[artifacts]``: at
-    #: float64 every backend is bit-identical, so the knob selects *how*
-    #: the maths runs, never *what* is computed.
-    compute: Mapping[str, object] | tuple = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         freeze = object.__setattr__
         freeze(self, "detector", _freeze_params(self.detector))
         freeze(self, "artifacts", _freeze_params(self.artifacts))
-        freeze(self, "compute", _freeze_params(self.compute))
         if self.featurizers is not None:
             freeze(
                 self,
@@ -214,14 +199,6 @@ class DetectorSpec:
                     "(the store location is an execution detail and must "
                     "never enter the spec fingerprint)"
                 )
-        for key in ("backend", "compute_dtype"):
-            if key in detector:
-                raise SpecError(
-                    f"{key} is not spec-able under [detector]; use the "
-                    "[compute] table instead (the compute backend is an "
-                    "execution detail and must never enter the spec "
-                    "fingerprint)"
-                )
 
         raw_featurizers = payload.get("featurizers")
         featurizers: tuple[tuple[str, Mapping[str, object]], ...] | None = None
@@ -246,17 +223,12 @@ class DetectorSpec:
         if not isinstance(artifacts, Mapping):
             raise SpecError("[artifacts] must be a table")
 
-        compute = payload.get("compute", {})
-        if not isinstance(compute, Mapping):
-            raise SpecError("[compute] must be a table")
-
         spec = cls(
             detector=detector,
             featurizers=featurizers,
             policy=policy,
             calibrator=calibrator,
             artifacts=dict(artifacts),
-            compute=dict(compute),
         )
         spec.validate()
         return spec
@@ -306,21 +278,12 @@ class DetectorSpec:
                     f"{key} is not spec-able under [detector]; use the "
                     "[artifacts] table's 'dir' key instead"
                 )
-        for key in ("backend", "compute_dtype"):
-            if key in detector:
-                raise SpecError(
-                    f"{key} is not spec-able under [detector]; use the "
-                    "[compute] table instead"
-                )
         try:
             config = DetectorConfig(**detector)
         except TypeError as exc:
             valid = sorted(
                 f.name for f in dataclasses.fields(DetectorConfig)
-                if f.name not in (
-                    "policy_override", "artifact_store", "artifact_dir",
-                    "backend", "compute_dtype",
-                )
+                if f.name not in ("policy_override", "artifact_store", "artifact_dir")
             )
             raise SpecError(f"[detector]: {exc}; valid keys: {valid}") from exc
         except ValueError as exc:
@@ -355,35 +318,6 @@ class DetectorSpec:
         directory = artifacts.get("dir")
         if directory is not None and not isinstance(directory, str):
             raise SpecError(f"[artifacts]: dir must be a string, got {directory!r}")
-
-        compute = dict(self.compute)
-        unknown = set(compute) - _COMPUTE_KEYS
-        if unknown:
-            raise SpecError(
-                f"[compute]: unknown keys {sorted(unknown)}; "
-                f"valid: {sorted(_COMPUTE_KEYS)}"
-            )
-        backend = compute.get("backend")
-        if backend is not None:
-            if not isinstance(backend, str):
-                raise SpecError(
-                    f"[compute]: backend must be a string, got {backend!r}"
-                )
-            from repro.nn.backend import resolve_backend
-
-            try:
-                resolve_backend(backend)
-            except ComponentError as exc:
-                raise SpecError(f"[compute]: {exc}") from exc
-        dtype = compute.get("dtype")
-        if dtype is not None:
-            from repro.nn.backend import SUPPORTED_DTYPES
-
-            if dtype not in SUPPORTED_DTYPES:
-                raise SpecError(
-                    f"[compute]: dtype must be one of {list(SUPPORTED_DTYPES)}, "
-                    f"got {dtype!r}"
-                )
         return self
 
     # -- canonical form + fingerprint ------------------------------------ #
@@ -407,19 +341,15 @@ class DetectorSpec:
         }
         if dict(self.artifacts):
             payload["artifacts"] = dict(self.artifacts)
-        if dict(self.compute):
-            payload["compute"] = dict(self.compute)
         return payload
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical spec: stable across key ordering,
         whitespace, shorthand/table component forms, and sessions — and
-        across the ``[artifacts]`` and ``[compute]`` tables, which describe
-        *where* fitted artifacts live and *how* the maths runs, never
-        *what* the detector computes."""
+        across the ``[artifacts]`` table, which describes *where* fitted
+        artifacts live, never *what* the detector computes."""
         payload = self.to_dict()
         payload.pop("artifacts", None)
-        payload.pop("compute", None)
         canonical = f"{SPEC_SCHEMA}:{_canonical(payload)}"
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -451,10 +381,7 @@ class DetectorSpec:
         ]
         defaults = DetectorConfig()
         for f in dataclasses.fields(DetectorConfig):
-            if f.name in (
-                "policy_override", "artifact_store", "artifact_dir",
-                "backend", "compute_dtype",
-            ):
+            if f.name in ("policy_override", "artifact_store", "artifact_dir"):
                 continue
             value = getattr(config, f.name)
             marker = "" if value == getattr(defaults, f.name) else "   (override)"
@@ -476,9 +403,6 @@ class DetectorSpec:
         artifacts = dict(self.artifacts)
         if artifacts:
             lines.append(f"{'artifacts:':<12} {artifacts}  (not fingerprinted)")
-        compute = dict(self.compute)
-        if compute:
-            lines.append(f"{'compute:':<12} {compute}  (not fingerprinted)")
         return "\n".join(lines)
 
 

@@ -344,23 +344,7 @@ class TestWarmFit:
         config = CharEmbeddingFeaturizer(dim=4, epochs=1)._embedding_config()
         knobs = set(inspect.signature(FastTextEmbedding.__init__).parameters)
         knobs -= {"self", "rng"}  # rng is replaced by the derived seed
-        # The compute backend enters the key only when *pinned* (asserted
-        # below): artifact keys are also the training-seed material, so an
-        # always-present None field would reseed every default-path fit,
-        # and the unpinned path always runs the reference numpy kernel.
-        knobs -= {"backend"}
         assert knobs <= set(config), f"missing knobs: {knobs - set(config)}"
-
-    def test_pinned_embedding_backend_enters_key_config(self):
-        """A pinned backend trains different tables (e.g. torch), so it
-        must key its artifacts separately; the default path's key stays
-        byte-stable."""
-        from repro.embeddings.fasttext import FastTextEmbedding
-
-        default = FastTextEmbedding(dim=4).config_dict()
-        assert "backend" not in default
-        pinned = FastTextEmbedding(dim=4, backend="torch").config_dict()
-        assert pinned["backend"] == "torch"
 
     def test_whole_state_refresh_consults_store(self, small_bundle):
         """Base-class refresh (cooccurrence) goes through the store: a

@@ -143,6 +143,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "transformations learned" in out
 
+    def test_policy_rejects_model_flags(self):
+        """``policy`` trains no model, so it takes no model flags."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["policy", "--input", "d.csv", "--labels", "l.csv",
+                 "--value", "Chicago", "--epochs", "5"]
+            )
+        assert excinfo.value.code == 2  # argparse usage error
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -286,3 +295,31 @@ class TestDetectWithSpec:
                     "--epochs", "-2",
                 ]
             )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["serve", "--models", "{tmp}", "--capacity", "0"], "capacity"),
+        (["serve", "--models", "{tmp}", "--max-batch-cells", "0"], "max_cells"),
+        (["serve", "--models", "{tmp}", "--batch-window", "-1"], "window"),
+        (["shard", "convert", "--input", "{tmp}/data.csv", "--out", "{tmp}/shards",
+          "--rows-per-shard", "0"], "shard_rows"),
+        (["sweep", "--spec", "{tmp}/sweep.toml", "--coordinate",
+          "--store", "{tmp}/s.jsonl", "--lease-ttl", "-5"], "TTL"),
+    ],
+    ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl"],
+)
+def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
+    """Out-of-range values end in a one-line message, not a traceback."""
+    (tmp_path / "data.csv").write_text("zip,city\n60612,Chicago\n")
+    (tmp_path / "sweep.toml").write_text(
+        'datasets = [{ name = "hospital", rows = 60 }]\n'
+        "label_budgets = [0.2]\n"
+        'methods = ["cv"]\n'
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert expected in message

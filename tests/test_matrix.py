@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.artifacts import get_default_store
 from repro.coordination import coordination_dir, iter_leases, read_audit
 from repro.evaluation.matrix import (
     CoordinateOptions,
@@ -18,7 +19,6 @@ from repro.evaluation.matrix import (
     run_scenario,
 )
 from repro.evaluation.store import ResultStore
-from repro.nn.backend import default_backend_name
 
 SMALL_MATRIX = {
     "datasets": [{"name": "hospital", "rows": 80}, {"name": "food", "rows": 80}],
@@ -389,21 +389,22 @@ class TestRunMatrix:
         "kwargs", SOURCES_X_EXECUTORS,
         ids=["plain-serial", "plain-thread", "coordinated-serial", "coordinated-thread"],
     )
-    def test_backend_reaches_every_scenario(self, tmp_path, kwargs):
-        """Regression: thread pools never installed ``backend=``."""
+    def test_artifact_store_reaches_every_scenario(self, tmp_path, kwargs):
+        """Regression: thread pools once skipped the sweep's ambient setup."""
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
-        seen: list[str] = []
+        seen: list = []
 
         def recording_runner(s):
-            seen.append(default_backend_name())
+            seen.append(get_default_store().directory)
             return fake_runner(s)
 
         run_matrix(
-            matrix, store=ResultStore(tmp_path / "store.jsonl"), backend="reference",
+            matrix, store=ResultStore(tmp_path / "store.jsonl"),
+            artifact_dir=tmp_path / "artifacts",
             scenario_runner=recording_runner, **kwargs,
         )
-        assert seen == ["reference"] * 8
-        assert default_backend_name() == "numpy"  # restored afterwards
+        assert seen == [tmp_path / "artifacts"] * 8
+        assert get_default_store() is None  # restored afterwards
 
     def test_report_table_and_json(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)

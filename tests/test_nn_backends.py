@@ -1,63 +1,41 @@
-"""Compute-backend tests: kernel gradient checks + equivalence + wiring.
+"""Training-core tests: the fused numpy kernels against the autodiff graph.
 
-Every backend implements the same kernel-level API (see
-:class:`repro.nn.backend.ComputeBackend`), so one suite gradient-checks
-every fused kernel on every available backend against central finite
-differences — the same ground truth ``test_nn_tensor.py`` holds the
-autodiff ops to.  On top of the kernel checks:
+The fused kernels (:mod:`repro.nn.backends.numpy_backend`) are the one
+training core; the autodiff graph (:class:`repro.core.training.GraphTrainer`,
+:meth:`repro.core.model.JointModel.forward`) is their reference.
 
-- the ``numpy`` backend trains **bit-identically** to the ``reference``
-  (autodiff graph) backend at float64 — parameters, loss history, and the
-  fused prediction path;
-- the optional ``torch`` backend matches within documented tolerance and
-  every torch test skips when torch is absent;
-- backend selection wiring: registry keys and ``module:attr`` references,
-  the process-ambient default, ``DetectorConfig`` validation, and the
-  non-fingerprinted ``[compute]`` spec table.
+- the fused trainer trains **bit-identically** to the graph trainer at
+  float64 — parameters and loss history — and the fused prediction path
+  matches the graph forward bit for bit;
+- the fused highway kernels are gradient-checked against central finite
+  differences, next to the graph's ``Highway`` layer, and the fused flat
+  ADAM step is held to the textbook update, next to
+  :class:`repro.nn.optim.Adam`;
+- the kernel name the benchmark harness reads, and the rejection of the
+  retired ``backend`` detector key and ``[compute]`` spec table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.detector import DetectorConfig
 from repro.core.model import JointModel
-from repro.core.training import TrainerConfig, train_model
+from repro.core.training import GraphTrainer, TrainerConfig, train_model
 from repro.features.pipeline import CellFeatures
-from repro.nn.backend import (
-    DEFAULT_BACKEND,
-    SUPPORTED_DTYPES,
-    BackendUnavailable,
-    backend_names,
-    default_backend_name,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.registry import ComponentError
+from repro.nn import Highway, Tensor
+from repro.nn.backend import DEFAULT_BACKEND, default_backend_name
+from repro.nn.backends.numpy_backend import KERNELS, _adam_step, _hw_bwd, _hw_fwd
+from repro.nn.optim import Adam
 from repro.spec import SPEC_SCHEMA, DetectorSpec, SpecError
 
-
-def _torch_available() -> bool:
-    try:
-        import torch  # noqa: F401
-    except ImportError:
-        return False
-    return True
+#: The fused kernels ("numpy") and the autodiff graph they reproduce.
+IMPLEMENTATIONS = ["reference", "numpy"]
 
 
-BACKENDS = ["reference", "numpy"] + (["torch"] if _torch_available() else [])
-
-#: Kernel-level agreement with finite differences / the reference backend.
-#: torch float64 kernels reorder reductions, hence the looser bound.
-KERNEL_ATOL = {"reference": 1e-6, "numpy": 1e-6, "torch": 1e-5}
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return resolve_backend(request.param)
+@pytest.fixture(params=IMPLEMENTATIONS)
+def implementation(request):
+    return request.param
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -76,193 +54,110 @@ def finite_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def _fused_highway(x, Wt, bt, Wg, bg, dy, need_dx=True):
+    """``(y, grads)`` of the fused highway forward/backward kernels."""
+    n, d = x.shape
+    tg, z2, h, s, y, tmp, dt, dh, ds, dz1, dx = (np.empty((n, d)) for _ in range(11))
+    _hw_fwd(x, Wt, bt, Wg, bg, tg, z2, h, s, y, tmp)
+    grads = {
+        "dWt": np.empty_like(Wt), "dbt": np.empty_like(bt),
+        "dWg": np.empty_like(Wg), "dbg": np.empty_like(bg),
+    }
+    _hw_bwd(dy, x, tg, z2, h, s, Wt, Wg,
+            grads["dWt"], grads["dbt"], grads["dWg"], grads["dbg"],
+            dt, dh, ds, dz1, np.empty((n, d), dtype=bool), tmp,
+            dx if need_dx else None, need_dx)
+    if need_dx:
+        grads["dx"] = dx
+    return y, grads
+
+
+def _graph_highway(x, Wt, bt, Wg, bg, dy):
+    """``(y, grads)`` of the autodiff graph's ``Highway`` layer."""
+    layer = Highway(x.shape[1], rng=0)
+    layer.transform.weight.data, layer.transform.bias.data = Wt.copy(), bt.copy()
+    layer.gate.weight.data, layer.gate.bias.data = Wg.copy(), bg.copy()
+    tx = Tensor(x, requires_grad=True)
+    y = layer(tx)
+    y.backward(dy)
+    return y.data, {
+        "dx": tx.grad,
+        "dWt": layer.transform.weight.grad, "dbt": layer.transform.bias.grad,
+        "dWg": layer.gate.weight.grad, "dbg": layer.gate.bias.grad,
+    }
+
+
+def _textbook_adam(p, g, m, v, t, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba's bias-corrected update, with L2 weight decay."""
+    g = g + weight_decay * p if weight_decay else g
+    m = m * b1 + (1.0 - b1) * g
+    v = v * b2 + (1.0 - b2) * g**2
+    m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 # --------------------------------------------------------------------- #
-# Kernel gradient checks (every backend vs central finite differences)
+# Kernel checks (fused kernels and graph, side by side)
 # --------------------------------------------------------------------- #
 
 
 class TestKernelGradients:
-    def test_affine_grad(self, backend):
-        rng = np.random.default_rng(0)
-        x, W, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-        R = rng.normal(size=(5, 3))  # contraction weights: L = sum(y * R)
-        dx, dW, db = backend.affine_grad(x, W, R)
-        atol = KERNEL_ATOL[backend.name]
-        np.testing.assert_allclose(
-            dx, finite_difference(lambda a: (backend.affine(a, W, b) * R).sum(), x.copy()),
-            atol=atol,
-        )
-        np.testing.assert_allclose(
-            dW, finite_difference(lambda a: (backend.affine(x, a, b) * R).sum(), W.copy()),
-            atol=atol,
-        )
-        # bias grads come back in the layer's storage shape (1, d)
-        np.testing.assert_allclose(
-            np.ravel(db),
-            finite_difference(lambda a: (backend.affine(x, W, a) * R).sum(), b.copy()),
-            atol=atol,
-        )
-
-    def test_relu_grad(self, backend):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 6))
-        x[np.abs(x) < 0.1] = 0.5  # keep away from the kink
-        R = rng.normal(size=(4, 6))
-        np.testing.assert_allclose(
-            backend.relu_grad(x, R),
-            finite_difference(lambda a: (backend.relu(a) * R).sum(), x.copy()),
-            atol=KERNEL_ATOL[backend.name],
-        )
-
-    def test_sigmoid_grad(self, backend):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 5))
-        R = rng.normal(size=(3, 5))
-        s = backend.sigmoid(x)
-        np.testing.assert_allclose(
-            backend.sigmoid_grad(s, R),
-            finite_difference(lambda a: (backend.sigmoid(a) * R).sum(), x.copy()),
-            atol=KERNEL_ATOL[backend.name],
-        )
-
-    def test_highway_grad(self, backend):
+    def test_highway_grad(self, implementation):
         rng = np.random.default_rng(3)
         d = 4
         x = rng.normal(size=(6, d))
         Wt, Wg = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-        bt, bg = rng.normal(size=d), rng.normal(size=d)
+        bt, bg = rng.normal(size=(1, d)), rng.normal(size=(1, d))
         R = rng.normal(size=(6, d))
-        atol = KERNEL_ATOL[backend.name]
+        run = _fused_highway if implementation == "numpy" else _graph_highway
 
         def loss(xx=x, wt=Wt, btb=bt, wg=Wg, bgb=bg):
-            y, _ = backend.highway(xx, wt, btb, wg, bgb)
+            y, _ = run(xx, wt, btb, wg, bgb, R)
             return (y * R).sum()
 
-        _, cache = backend.highway(x, Wt, bt, Wg, bg)
-        grads = backend.highway_grad(cache, R, need_dx=True)
-        np.testing.assert_allclose(
-            grads["dx"], finite_difference(lambda a: loss(xx=a), x.copy()), atol=atol
-        )
-        np.testing.assert_allclose(
-            grads["dWt"], finite_difference(lambda a: loss(wt=a), Wt.copy()), atol=atol
-        )
-        np.testing.assert_allclose(
-            np.ravel(grads["dbt"]),
-            finite_difference(lambda a: loss(btb=a), bt.copy()),
-            atol=atol,
-        )
-        np.testing.assert_allclose(
-            grads["dWg"], finite_difference(lambda a: loss(wg=a), Wg.copy()), atol=atol
-        )
-        np.testing.assert_allclose(
-            np.ravel(grads["dbg"]),
-            finite_difference(lambda a: loss(bgb=a), bg.copy()),
-            atol=atol,
-        )
-        # need_dx=False must still deliver the weight gradients
-        _, cache = backend.highway(x, Wt, bt, Wg, bg)
-        slim = backend.highway_grad(cache, R, need_dx=False)
-        assert "dx" not in slim
-        np.testing.assert_allclose(slim["dWt"], grads["dWt"], atol=atol)
-
-    def test_softmax_xent(self, backend):
-        rng = np.random.default_rng(4)
-        logits = rng.normal(size=(6, 3))
-        targets = rng.integers(0, 3, size=6)
-        loss, dlogits = backend.softmax_xent(logits, targets)
-        # loss value: mean negative log-softmax of the target class
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        expected = -logp[np.arange(6), targets].mean()
-        assert loss == pytest.approx(expected, abs=1e-9)
-        np.testing.assert_allclose(
-            dlogits,
-            finite_difference(
-                lambda a: backend.softmax_xent(a, targets)[0], logits.copy()
-            ),
-            atol=KERNEL_ATOL[backend.name],
-        )
+        _, grads = run(x, Wt, bt, Wg, bg, R)
+        for name, arg, value in (
+            ("dx", "xx", x), ("dWt", "wt", Wt), ("dbt", "btb", bt),
+            ("dWg", "wg", Wg), ("dbg", "bgb", bg),
+        ):
+            np.testing.assert_allclose(
+                grads[name],
+                finite_difference(lambda a, arg=arg: loss(**{arg: a}), value.copy()),
+                atol=1e-6,
+                err_msg=name,
+            )
+        if implementation == "numpy":
+            # The first highway layer of a branch skips dx; the weight
+            # gradients must not depend on it.
+            _, slim = _fused_highway(x, Wt, bt, Wg, bg, R, need_dx=False)
+            assert "dx" not in slim
+            for name in ("dWt", "dbt", "dWg", "dbg"):
+                assert np.array_equal(slim[name], grads[name])
 
     @pytest.mark.parametrize("t", [1, 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_adam_step_matches_reference(self, backend, t, weight_decay):
-        reference = resolve_backend("reference")
+    def test_adam_step_matches_reference(self, implementation, t, weight_decay):
         rng = np.random.default_rng(5)
         p = rng.normal(size=(4, 3))
         g = rng.normal(size=(4, 3))
         m = rng.normal(size=(4, 3)) * 0.1
         v = np.abs(rng.normal(size=(4, 3))) * 0.1
-        expect_p, expect_m, expect_v = p.copy(), m.copy(), v.copy()
-        reference.adam_step(
-            expect_p, g, expect_m, expect_v, t, lr=1e-2, weight_decay=weight_decay
-        )
-        got_p, got_m, got_v = p.copy(), m.copy(), v.copy()
-        backend.adam_step(
-            got_p, g, got_m, got_v, t, lr=1e-2, weight_decay=weight_decay
-        )
-        atol = KERNEL_ATOL[backend.name]
-        np.testing.assert_allclose(got_p, expect_p, atol=atol)
-        np.testing.assert_allclose(got_m, expect_m, atol=atol)
-        np.testing.assert_allclose(got_v, expect_v, atol=atol)
-
-
-class TestKernelGradientProperties:
-    """Hypothesis sweep: affine gradients hold across shapes and data."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        rows=st.integers(1, 5),
-        inner=st.integers(1, 4),
-        cols=st.integers(1, 4),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_affine_grad_any_shape(self, rows, inner, cols, seed):
-        rng = np.random.default_rng(seed)
-        x, W = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
-        b, R = rng.normal(size=cols), rng.normal(size=(rows, cols))
-        for name in BACKENDS:
-            backend = resolve_backend(name)
-            dx, dW, db = backend.affine_grad(x, W, R)
-            np.testing.assert_allclose(
-                dx,
-                finite_difference(
-                    lambda a: (backend.affine(a, W, b) * R).sum(), x.copy()
-                ),
-                atol=1e-5,
-            )
-            np.testing.assert_allclose(
-                dW,
-                finite_difference(
-                    lambda a: (backend.affine(x, a, b) * R).sum(), W.copy()
-                ),
-                atol=1e-5,
-            )
-            np.testing.assert_allclose(np.ravel(db), R.sum(axis=0), atol=1e-10)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        rows=st.integers(1, 6),
-        classes=st.integers(2, 4),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_softmax_xent_grad_any_shape(self, rows, classes, seed):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(size=(rows, classes))
-        targets = rng.integers(0, classes, size=rows)
-        for name in BACKENDS:
-            backend = resolve_backend(name)
-            _, dlogits = backend.softmax_xent(logits, targets)
-            np.testing.assert_allclose(
-                dlogits,
-                finite_difference(
-                    lambda a: backend.softmax_xent(a, targets)[0], logits.copy()
-                ),
-                atol=1e-5,
-            )
-            # softmax gradient rows sum to zero
-            np.testing.assert_allclose(
-                dlogits.sum(axis=1), np.zeros(rows), atol=1e-12
-            )
+        expect_p, expect_m, expect_v = _textbook_adam(p, g, m, v, t, 1e-2, weight_decay)
+        if implementation == "numpy":
+            got_p, got_m, got_v = p.ravel(), m.ravel(), v.ravel()
+            _adam_step(got_p, g.ravel(), got_m, got_v,
+                       np.empty(p.size), np.empty(p.size), t, 1e-2, weight_decay)
+        else:
+            param = Tensor(p.copy(), requires_grad=True)
+            param.grad = g
+            optimizer = Adam([param], lr=1e-2, weight_decay=weight_decay)
+            optimizer._t = t - 1
+            optimizer._m[0][...], optimizer._v[0][...] = m, v
+            optimizer.step()
+            got_p, got_m, got_v = param.data, optimizer._m[0], optimizer._v[0]
+        np.testing.assert_array_equal(got_p.reshape(p.shape), expect_p)
+        np.testing.assert_array_equal(got_m.reshape(p.shape), expect_m)
+        np.testing.assert_array_equal(got_v.reshape(p.shape), expect_v)
 
 
 # --------------------------------------------------------------------- #
@@ -292,12 +187,12 @@ class TestTrainingEquivalence:
     def test_numpy_bit_identical_to_reference(self):
         graph_model, features, labels = _problem()
         graph_history = train_model(
-            graph_model, features, labels,
-            TrainerConfig(**_SMALL, backend="reference"),
+            graph_model, features, labels, TrainerConfig(**_SMALL),
+            trainer_factory=GraphTrainer,
         )
         fused_model, _, _ = _problem()
         fused_history = train_model(
-            fused_model, features, labels, TrainerConfig(**_SMALL, backend="numpy")
+            fused_model, features, labels, TrainerConfig(**_SMALL)
         )
         assert graph_history == fused_history
         for a, b in zip(graph_model.state_arrays(), fused_model.state_arrays()):
@@ -306,136 +201,37 @@ class TestTrainingEquivalence:
     def test_predict_logits_bit_identical(self):
         model, features, labels = _problem()
         train_model(model, features, labels, TrainerConfig(**_SMALL))
-        graph = resolve_backend("reference").predict_logits(model, features)
-        fused = resolve_backend("numpy").predict_logits(model, features)
+        graph = model.forward(features).numpy()
+        fused = KERNELS.predict_logits(model, features)
         assert np.array_equal(graph, fused)
-
-    def test_float32_trains_close_to_float64(self):
-        f64_model, features, labels = _problem()
-        train_model(
-            f64_model, features, labels, TrainerConfig(**_SMALL, dtype="float64")
-        )
-        f32_model, _, _ = _problem()
-        history = train_model(
-            f32_model, features, labels, TrainerConfig(**_SMALL, dtype="float32")
-        )
-        assert all(np.isfinite(loss) for loss in history)
-        for a, b in zip(f64_model.state_arrays(), f32_model.state_arrays()):
-            assert a.dtype == np.float64  # finalize restores model dtype
-            np.testing.assert_allclose(a, b, atol=1e-3)
-
-    @pytest.mark.skipif(not _torch_available(), reason="torch not installed")
-    def test_torch_trains_within_tolerance(self):
-        f64_model, features, labels = _problem()
-        train_model(
-            f64_model, features, labels, TrainerConfig(**_SMALL, backend="numpy")
-        )
-        torch_model, _, _ = _problem()
-        train_model(
-            torch_model, features, labels, TrainerConfig(**_SMALL, backend="torch")
-        )
-        for a, b in zip(f64_model.state_arrays(), torch_model.state_arrays()):
-            np.testing.assert_allclose(a, b, atol=1e-6)
-
-    def test_dtype_validation(self):
-        with pytest.raises(ValueError, match="dtype"):
-            TrainerConfig(**_SMALL, dtype="float16")
 
 
 # --------------------------------------------------------------------- #
-# Selection wiring: registry, ambient default, config, spec
+# What remains of backend selection
 # --------------------------------------------------------------------- #
 
 
 class TestBackendSelection:
-    def test_builtin_names_registered(self):
-        names = backend_names()
-        for key in ("numpy", "reference", "torch"):
-            assert key in names
-
     def test_default_is_numpy(self):
+        """The benchmark harness refuses to run unless these agree."""
         assert DEFAULT_BACKEND == "numpy"
-        assert resolve_backend().name == "numpy"
-
-    def test_module_attr_reference_resolves(self):
-        backend = resolve_backend("repro.nn.backends.graph_backend:GraphBackend")
-        assert backend.name == "reference"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ComponentError):
-            resolve_backend("no-such-backend")
-
-    @pytest.mark.skipif(_torch_available(), reason="torch installed")
-    def test_torch_unavailable_raises_backend_unavailable(self):
-        with pytest.raises(BackendUnavailable, match="torch"):
-            resolve_backend("torch")
-
-    def test_ambient_default_scoping(self):
-        assert default_backend_name() == "numpy"
-        with use_backend("reference"):
-            assert default_backend_name() == "reference"
-            assert resolve_backend().name == "reference"
-        assert default_backend_name() == "numpy"
-        previous = set_default_backend("reference")
-        try:
-            assert previous is None
-            assert default_backend_name() == "reference"
-        finally:
-            set_default_backend(previous)
-
-    def test_detector_config_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            DetectorConfig(backend=123)
-        with pytest.raises(ValueError, match="compute_dtype"):
-            DetectorConfig(compute_dtype="float16")
-        config = DetectorConfig(backend="reference", compute_dtype="float32")
-        assert config.backend == "reference"
-        assert config.compute_dtype in SUPPORTED_DTYPES
+        assert default_backend_name() == DEFAULT_BACKEND
 
 
 class TestComputeSpecTable:
-    def _spec(self, compute=None):
-        payload = {"schema": SPEC_SCHEMA, "detector": {"epochs": 3}}
-        if compute is not None:
-            payload["compute"] = compute
-        return DetectorSpec.from_dict(payload)
-
-    def test_compute_table_parses_and_maps_to_config(self):
-        from repro.core import HoloDetect
-
-        spec = self._spec({"backend": "reference", "dtype": "float32"})
-        config = HoloDetect.from_spec(spec).config
-        assert config.backend == "reference"
-        assert config.compute_dtype == "float32"
-
-    def test_compute_is_not_fingerprinted(self):
-        bare = self._spec()
-        pinned = self._spec({"backend": "reference", "dtype": "float32"})
-        assert bare.fingerprint() == pinned.fingerprint()
+    """The ``[compute]`` table and its ``backend`` key are retired; both
+    fail through the ordinary unknown-key errors."""
 
     def test_backend_rejected_under_detector_table(self):
-        with pytest.raises(SpecError, match=r"\[compute\]"):
+        with pytest.raises(SpecError, match="backend"):
             DetectorSpec.from_dict(
                 {"schema": SPEC_SCHEMA, "detector": {"backend": "numpy"}}
             )
 
     def test_validate_rejects_unknown_compute_key(self):
-        with pytest.raises(SpecError, match="compute"):
-            self._spec({"device": "gpu"})
-
-    def test_validate_rejects_unknown_compute_backend(self):
-        with pytest.raises(SpecError, match="backend"):
-            self._spec({"backend": "no-such-backend"})
-
-    def test_validate_rejects_bad_compute_dtype(self):
-        with pytest.raises(SpecError, match="dtype"):
-            self._spec({"dtype": "float16"})
-
-    def test_describe_mentions_compute(self):
-        spec = self._spec({"backend": "reference"})
-        assert "not fingerprinted" in spec.describe()
-
-    def test_to_dict_round_trips_compute(self):
-        spec = self._spec({"backend": "reference"})
-        again = DetectorSpec.from_dict(spec.to_dict())
-        assert dict(again.compute)["backend"] == "reference"
+        with pytest.raises(SpecError, match=r"unknown spec keys \['compute'\]"):
+            DetectorSpec.from_dict({
+                "schema": SPEC_SCHEMA,
+                "detector": {"epochs": 3},
+                "compute": {"backend": "numpy", "dtype": "float64"},
+            })

@@ -123,3 +123,34 @@ class TestDetectorRoundtrip:
         state_path.write_text(json.dumps(state))
         with pytest.raises(ValueError, match="version"):
             load_detector(tmp_path / "model", bundle.dirty)
+
+    def test_save_with_retired_backend_options_loads(self, fitted, tmp_path):
+        """Saves made while the training core had selectable backends carry
+        ``backend``/``compute_dtype`` config keys and may embed a spec with
+        a ``[compute]`` table; they load and predict bit-identically."""
+        import json
+
+        from repro.persistence import detector_fingerprint
+        from repro.spec import DetectorSpec
+
+        bundle, split, detector = fitted
+        save_detector(detector, tmp_path / "fresh")
+        save_detector(detector, tmp_path / "legacy")
+        state_path = tmp_path / "legacy" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["config"].update(backend=None, compute_dtype="float64")
+        spec = DetectorSpec.default(epochs=8, embedding_dim=6, seed=0)
+        state["spec"] = {
+            **spec.to_dict(), "compute": {"backend": "numpy", "dtype": "float64"}
+        }
+        state_path.write_text(json.dumps(state))
+
+        legacy = load_detector(tmp_path / "legacy", bundle.dirty)
+        fresh = load_detector(tmp_path / "fresh", bundle.dirty)
+        cells = split.test_cells[:200]
+        assert np.array_equal(
+            legacy.predict(cells).probabilities, fresh.predict(cells).probabilities
+        )
+        assert legacy.spec.fingerprint() == spec.fingerprint()
+        # Without a spec.json sidecar the serving index recomputes it.
+        assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()
