@@ -16,9 +16,11 @@ Modules:
   kind + scoped data fingerprint + component config) and the content-derived
   training seeds that make fitted artifacts reusable across detector seeds;
 - :mod:`repro.artifacts.store` — :class:`ArtifactStore` (bounded LRU +
-  append/latest-wins disk objects, corrupt-tolerant) and its statistics;
+  append/latest-wins disk objects, corrupt-tolerant), its statistics, and
+  ``flatten_arrays``/``restore_arrays``, the one array layer of artifact
+  objects and saved detectors;
 - :mod:`repro.artifacts.codec` — payload encode/decode for embeddings and
-  whole featurizer states;
+  whole featurizer states, both the components' own ``to_state`` output;
 - :mod:`repro.artifacts.runtime` — the ambient default store that sweep
   workers attach so every detector built in the process shares one store.
 """

@@ -3,15 +3,16 @@
 - **Embedding artifacts** — one trained
   :class:`~repro.embeddings.fasttext.FastTextEmbedding` (the per-column
   char/word models, the tuple and tuple-value models).  The payload is the
-  embedding's own serialisable state; arrays ride along as values and the
-  store handles their placement.
-- **Featurizer-state artifacts** — a whole fitted featurizer, reusing the
-  persistence layer's per-type encode/decode handlers (lazily imported to
-  avoid an import cycle: persistence imports the feature modules, which
-  import :mod:`repro.artifacts`).
+  embedding's own :meth:`~repro.embeddings.fasttext.FastTextEmbedding.to_state`.
+- **Featurizer-state artifacts** — a whole fitted featurizer: its class
+  name plus its own :meth:`~repro.features.base.Featurizer.to_state`, the
+  same entry a saved detector's pipeline holds (:mod:`repro.persistence`).
 
-Decode always copies arrays out of the (shared, read-only) payload so a
-later in-place refit of the rebuilt model can never corrupt the store.
+Arrays stay inline in both payloads; the store places them through
+:func:`~repro.artifacts.store.flatten_arrays`, the array layer saved
+detectors use too.  Decoding copies arrays out of the (shared, read-only)
+payload, so a later in-place refit of the rebuilt model can never corrupt
+the store.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ import numpy as np
 
 from repro.artifacts.keys import artifact_key, training_seed
 from repro.embeddings.fasttext import FastTextEmbedding
-
-
-def embedding_payload(model: FastTextEmbedding) -> dict:
-    """Serialisable payload of a trained embedding."""
-    return model.to_state()
 
 
 def fit_embedding_artifact(
@@ -50,60 +46,46 @@ def fit_embedding_artifact(
         payload = store.get(key)
         if payload is not None:
             try:
-                return key, embedding_from_payload(payload)
+                return key, FastTextEmbedding.from_state(
+                    {
+                        **payload,
+                        "in_table": np.array(payload["in_table"], dtype=np.float64),
+                        "out_table": np.array(payload["out_table"], dtype=np.float64),
+                    }
+                )
             except Exception:
                 pass  # malformed payload: retrain (and overwrite) below
     model = train(training_seed(key))
     if store is not None:
-        store.put(key, embedding_payload(model), kind=kind, meta=meta)
+        store.put(key, model.to_state(), kind=kind, meta=meta)
     return key, model
 
 
-def embedding_from_payload(payload: dict) -> FastTextEmbedding:
-    """Rebuild a trained embedding from :func:`embedding_payload` output."""
-    state = dict(payload)
-    state["in_table"] = np.array(payload["in_table"], dtype=np.float64)
-    state["out_table"] = np.array(payload["out_table"], dtype=np.float64)
-    return FastTextEmbedding.from_state(state)
-
-
-def _inline_array_store():
-    """An ArrayStore stand-in that keeps arrays *inline* in the state.
-
-    The persistence handlers route every array through a store and embed
-    the store's reference marker in the state dict.  For artifact payloads
-    the arrays stay in place instead (``put`` returns the array itself, and
-    ``get`` copies it back out), leaving exactly one array-placement layer
-    — the artifact store's own flatten/restore — so the two marker
-    namespaces can never collide.
-    """
-    from repro.persistence.detector_io import ArrayStore
-
-    class InlineArrayStore(ArrayStore):
-        def put(self, array):
-            return np.asarray(array)
-
-        def get(self, ref):
-            # Copy: payloads are shared with the store's LRU (read-only).
-            return np.array(ref)
-
-    return InlineArrayStore()
+def featurizer_state(featurizer) -> dict:
+    """A fitted featurizer's saved form: ``{"type": <class name>, **to_state()}``."""
+    return {"type": type(featurizer).__name__, **featurizer.to_state()}
 
 
 def featurizer_payload(featurizer) -> dict | None:
-    """Serialisable payload of a fitted featurizer, or ``None`` when the
-    type has no persistence handler (custom components simply refit)."""
-    from repro.persistence.detector_io import _encode_featurizer
-
+    """Whole-state payload of a fitted featurizer, or ``None`` when it has
+    no saved state (custom components simply refit)."""
     try:
-        state = _encode_featurizer(featurizer, _inline_array_store())
-    except TypeError:
+        return {"state": featurizer_state(featurizer)}
+    except NotImplementedError:
         return None
-    return {"state": state}
 
 
-def featurizer_from_payload(payload: dict):
-    """Rebuild a fitted featurizer from :func:`featurizer_payload` output."""
-    from repro.persistence.detector_io import _decode_featurizer
+def load_featurizer_payload(featurizer, payload: Mapping[str, object]) -> bool:
+    """Load a :func:`featurizer_payload` into ``featurizer`` in place.
 
-    return _decode_featurizer(payload["state"], _inline_array_store())
+    False — a miss, and the caller refits — when the payload names another
+    type or fails to decode.
+    """
+    try:
+        state = payload["state"]
+        if state["type"] != type(featurizer).__name__:
+            return False
+        featurizer.load_state(state)
+    except Exception:
+        return False
+    return True

@@ -55,7 +55,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.faults.inject import trip
+from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
 from repro.faults.retry import RetryPolicy, resolve_policy
 from repro.faults.taxonomy import is_fatal
 
@@ -113,28 +113,38 @@ class ArtifactStats:
         return text
 
 
-def _flatten(payload: object, arrays: dict[str, np.ndarray]) -> object:
-    """Replace ndarray leaves with ``{"__array__": ref}`` markers."""
-    if isinstance(payload, np.ndarray):
+def flatten_arrays(
+    payload: object, arrays: dict[str, np.ndarray], **json_options: object
+) -> str:
+    """JSON text of ``payload`` with each ndarray replaced by an
+    ``{"__array__": ref}`` marker.
+
+    Each array is added to ``arrays`` under its ref (``a0``, ``a1``, ... in
+    encoding order); ``json_options`` go to :func:`json.dumps`.  This pair
+    is the one array layer of the repo: artifact objects and saved
+    detectors (:mod:`repro.persistence`) both place their arrays through it.
+    """
+
+    def place(obj: object) -> dict:
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
         ref = f"a{len(arrays)}"
-        arrays[ref] = payload
+        arrays[ref] = obj
         return {"__array__": ref}
-    if isinstance(payload, Mapping):
-        return {str(k): _flatten(v, arrays) for k, v in payload.items()}
-    if isinstance(payload, (list, tuple)):
-        return [_flatten(v, arrays) for v in payload]
-    return payload
+
+    return json.dumps(payload, default=place, **json_options)
 
 
-def _restore(payload: object, arrays: Mapping[str, np.ndarray]) -> object:
-    """Inverse of :func:`_flatten`."""
-    if isinstance(payload, Mapping):
-        if set(payload) == {"__array__"}:
-            return arrays[payload["__array__"]]
-        return {k: _restore(v, arrays) for k, v in payload.items()}
-    if isinstance(payload, list):
-        return [_restore(v, arrays) for v in payload]
-    return payload
+def restore_arrays(text: str, arrays: Mapping[str, np.ndarray]) -> object:
+    """Inverse of :func:`flatten_arrays`: decode ``text``, putting each
+    array back in place of its marker."""
+
+    def restore(obj: dict) -> object:
+        if len(obj) == 1 and "__array__" in obj:
+            return arrays[obj["__array__"]]
+        return obj
+
+    return json.loads(text, object_hook=restore)
 
 
 class ArtifactStore:
@@ -293,9 +303,8 @@ class ArtifactStore:
         def load() -> dict:
             trip("artifacts.object_read")
             with np.load(path, allow_pickle=False) as npz:
-                state = json.loads(str(npz[_STATE_KEY]))
                 arrays = {k: npz[k] for k in npz.files if k != _STATE_KEY}
-            return _restore(state, arrays)
+                return restore_arrays(str(npz[_STATE_KEY]), arrays)
 
         try:
             return self.retry_policy.call(
@@ -329,8 +338,8 @@ class ArtifactStore:
         path = self.object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         arrays: dict[str, np.ndarray] = {}
-        state = _flatten(payload, arrays)
-        arrays[_STATE_KEY] = np.array(json.dumps(state, sort_keys=True))
+        state = flatten_arrays(payload, arrays, sort_keys=True)
+        arrays[_STATE_KEY] = np.array(state)
         # Atomic publish: a reader either sees the complete object or none.
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -354,18 +363,11 @@ class ArtifactStore:
         }
         if meta:
             record["meta"] = dict(meta)
-
-        def append() -> None:
-            trip("artifacts.index_append")
-            with self.index_path.open("a", encoding="utf-8") as f:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
-                f.flush()
-
         # The manifest is informational — a persistently failing append
         # must not fail the put (the object itself already landed).
         try:
-            self.retry_policy.call(
-                append, point="artifacts.index_append", op="write"
+            append_jsonl(
+                self.index_path, record, "artifacts.index_append", self.retry_policy
             )
         except OSError:
             pass
@@ -376,14 +378,10 @@ class ArtifactStore:
         if path is None or not path.exists():
             return iter(())
         records: dict[str, dict] = {}
-        with path.open("r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    records[record["key"]] = record
-                except (json.JSONDecodeError, TypeError, KeyError):
-                    continue
+        for line in path.read_bytes().split(b"\n"):
+            if not line.strip():
+                continue
+            record, _ = parse_jsonl_line(line)
+            if record is not None and isinstance(record.get("key"), str):
+                records[record["key"]] = record
         return iter(records.values())

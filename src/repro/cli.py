@@ -160,7 +160,6 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
             seed=args.seed,
             augment=not args.no_augment,
             prediction_batch=args.prediction_batch,
-            prediction_workers=args.prediction_workers,
             feature_cache=not args.no_feature_cache,
             artifact_dir=getattr(args, "artifacts", None),
         )
@@ -782,12 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=512,
             help="cells featurised per prediction chunk",
-        )
-        p.add_argument(
-            "--prediction-workers",
-            type=int,
-            default=1,
-            help="threads featurising prediction chunks concurrently",
         )
         p.add_argument(
             "--no-feature-cache",

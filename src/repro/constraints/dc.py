@@ -114,6 +114,31 @@ class DenialConstraint:
         return label + " & ".join(str(p) for p in self.predicates)
 
 
+def encode_constraint(dc: DenialConstraint) -> dict:
+    """JSON-able form of ``dc`` (the saved-detector format)."""
+    return {
+        "name": dc.name,
+        "predicates": [
+            {
+                "left": p.left_attr,
+                "op": p.op,
+                "right": p.right_attr,
+                "const": p.constant,
+            }
+            for p in dc.predicates
+        ],
+    }
+
+
+def decode_constraint(state: Mapping[str, object]) -> DenialConstraint:
+    """Inverse of :func:`encode_constraint`."""
+    predicates = tuple(
+        Predicate(p["left"], p["op"], right_attr=p["right"], constant=p["const"])
+        for p in state["predicates"]
+    )
+    return DenialConstraint(predicates, name=state["name"])
+
+
 def functional_dependency(lhs: str | Sequence[str], rhs: str, name: str = "") -> DenialConstraint:
     """Build the DC encoding of the FD ``lhs → rhs``.
 

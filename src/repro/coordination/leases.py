@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.faults.inject import checked_write, parse_jsonl_line, trip
+from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
 from repro.faults.retry import RetryPolicy, resolve_policy
 
 #: Lease payload schema identifier.
@@ -155,44 +155,6 @@ def iter_leases(
         info = _decode_lease(path)
         if info is not None:
             yield info
-
-
-def append_jsonl(
-    path: Path,
-    payload: dict,
-    point: str = "lease.audit",
-    policy: RetryPolicy | None = None,
-) -> None:
-    """Append one record as a single ``O_APPEND`` ``write()``.
-
-    ``O_APPEND`` makes the kernel pick the offset atomically per write, so
-    concurrent appenders from different processes/hosts interleave whole
-    lines, never sheared ones.  Transient faults — including a torn write,
-    whose partial fragment is newline-terminated before the line is
-    reissued — retry through ``policy`` at fault point ``point``.
-    """
-    line = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-
-    def append() -> None:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            checked_write(point, fd, line)
-        finally:
-            os.close(fd)
-
-    def heal(_exc: BaseException, _attempt: int) -> None:
-        # Terminate a possible torn fragment so the reissued line starts
-        # fresh; readers skip the resulting blank/partial line.
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        except OSError:
-            return
-        try:
-            os.write(fd, b"\n")
-        finally:
-            os.close(fd)
-
-    resolve_policy(policy).call(append, point=point, op="write", on_retry=heal)
 
 
 def read_audit(directory: str | Path) -> list[dict]:

@@ -17,9 +17,9 @@ re-running a full ``predict()``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import PurePath
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -85,9 +85,6 @@ class DetectorConfig:
     #: work ever re-reads, so a byte bound keeps the cache from holding the
     #: relation's entire feature matrix.
     cache_max_bytes: int | None = None
-    #: Threads featurising prediction chunks concurrently (1 = sequential).
-    #: Scoring stays on the calling thread; only featurization fans out.
-    prediction_workers: int = 1
     #: Directory of an on-disk fitted-artifact store (:mod:`repro.artifacts`)
     #: shared across fits and processes; ``None`` = no disk tier.
     artifact_dir: str | None = None
@@ -128,7 +125,6 @@ class DetectorConfig:
         for name in (
             "embedding_dim", "embedding_epochs", "hidden_dim", "epochs",
             "batch_size", "prediction_batch", "cache_max_entries",
-            "prediction_workers",
         ):
             positive_int(name)
         if self.cache_max_bytes is not None and (
@@ -533,9 +529,7 @@ class HoloDetect:
         Prediction is chunked into ``config.prediction_batch``-cell batches;
         with the feature cache enabled, a repeated prediction over the same
         cells (or a second pass after e.g. threshold tuning) reuses every
-        transformed block.  ``config.prediction_workers > 1`` featurises
-        chunks on a thread pool; the model forward pass stays sequential on
-        the calling thread because the nn layer toggles global state.
+        transformed block.
         """
         if self.model is None or self.pipeline is None or self._dataset is None:
             raise RuntimeError("detector used before fit()")
@@ -568,21 +562,19 @@ class HoloDetect:
             cells = (
                 c for c in self._dataset.cells() if c not in self._train_cells
             )
-        batch = max(1, self.config.prediction_batch)
-        buffer: list[Cell] = []
-        for cell in cells:
-            buffer.append(cell)
-            if len(buffer) == batch:
-                yield from self._score_chunk(buffer)
-                buffer = []
-        if buffer:
-            yield from self._score_chunk(buffer)
+        for chunk, probabilities in self._scored_chunks(cells):
+            yield from zip(chunk, (float(p) for p in probabilities))
 
-    def _score_chunk(self, chunk: list[Cell]) -> list[tuple[Cell, float]]:
-        """Featurise and score one prediction chunk (used by iter_predict)."""
-        features = self.pipeline.transform_batch(CellBatch(chunk, self._dataset))
-        probabilities = self._score_features(features)
-        return list(zip(chunk, (float(p) for p in probabilities)))
+    def _scored_chunks(
+        self, cells: Iterable[Cell]
+    ) -> Iterator[tuple[list[Cell], np.ndarray]]:
+        """The one prediction loop: ``cells`` featurised and scored in
+        consecutive ``config.prediction_batch``-cell chunks."""
+        batch = max(1, self.config.prediction_batch)
+        cells = iter(cells)
+        while chunk := list(islice(cells, batch)):
+            features = self.pipeline.transform_batch(CellBatch(chunk, self._dataset))
+            yield chunk, self._score_features(features)
 
     def _score_features(self, features: CellFeatures) -> np.ndarray:
         """Calibrated probabilities for one chunk's transformed features.
@@ -618,41 +610,9 @@ class HoloDetect:
         from time import perf_counter
 
         t_predict = perf_counter()
-        batch = max(1, self.config.prediction_batch)
-        chunks = [
-            CellBatch(cells[start : start + batch], self._dataset)
-            for start in range(0, len(cells), batch)
-        ]
-        workers = max(1, self.config.prediction_workers)
-        probabilities = np.zeros(len(cells))
-        start = 0
-
-        def score(features) -> None:
-            # Fixed-shape forwarding lives in _score_features (shared with
-            # the streaming iter_predict path, which must agree bit-for-bit).
-            nonlocal start
-            n = features.batch_size
-            probabilities[start : start + n] = self._score_features(features)
-            start += n
-
-        if workers > 1 and len(chunks) > 1:
-            # Featurise a bounded window of chunks in parallel, then
-            # score it before moving on: peak memory stays
-            # O(window x batch), not O(all cells), no matter how large
-            # the relation is.
-            window = 4 * workers
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for lo in range(0, len(chunks), window):
-                    for features in pool.map(
-                        self.pipeline.transform_batch, chunks[lo : lo + window]
-                    ):
-                        score(features)
-        else:
-            # Sequential path streams chunk-by-chunk.
-            for chunk in chunks:
-                score(self.pipeline.transform_batch(chunk))
+        scored = [probabilities for _, probabilities in self._scored_chunks(cells)]
         self.timings["predict"] = perf_counter() - t_predict
-        return probabilities
+        return np.concatenate(scored) if scored else np.zeros(0)
 
     def predict_error_cells(self, cells: Sequence[Cell] | None = None) -> set[Cell]:
         """Convenience wrapper returning just the flagged cells."""

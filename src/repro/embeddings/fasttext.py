@@ -295,9 +295,10 @@ class FastTextEmbedding:
     def to_state(self) -> dict:
         """Serialisable state: config + vocabulary + weight tables.
 
-        Arrays are returned as-is; the persistence layer decides how to
-        store them.  The subword table is rebuilt from the vocabulary on
-        load (it is a pure function of vocab + hashing config).
+        Arrays stay inline; saved detectors and artifact objects place them
+        through :func:`repro.artifacts.store.flatten_arrays`.  The subword
+        table is rebuilt from the vocabulary on load (it is a pure function
+        of vocab + hashing config).
         """
         if self._in is None or self._out is None:
             raise RuntimeError("cannot serialise an unfitted embedding")

@@ -29,26 +29,22 @@ Robustness rules:
 - transient disk faults (``EAGAIN``, ``ESTALE``, ...) on append, scan and
   compact are retried through a :class:`~repro.faults.retry.RetryPolicy`
   at the ``store.append`` / ``store.read`` / ``store.compact`` fault
-  points.  A *torn* append (a signal landing mid-``write(2)``) is healed
-  before the retry: the partial fragment is newline-terminated so the
-  reissued full line starts fresh instead of merging into garbage, and the
-  fragment is later skipped as one unparseable line.  A concurrent
-  appender's record that lands between the fragment and its terminator
-  shares the fragment's line; readers recover it from the line's end
-  (:func:`~repro.faults.inject.parse_jsonl_line`);
+  points.  Appends go through :func:`~repro.faults.inject.append_jsonl`,
+  which heals a *torn* or short append before the retry; readers skip the
+  fragment, or recover a concurrent appender's record that landed on its
+  line (:func:`~repro.faults.inject.parse_jsonl_line`);
 - stale ``*.compact-<pid>`` temp siblings (a compactor killed between the
   temp write and the ``os.replace``) are removed at load time.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.faults.inject import checked_write, parse_jsonl_line, trip
+from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
 from repro.faults.retry import RetryPolicy, resolve_policy
 
 
@@ -215,39 +211,10 @@ class ResultStore:
         fingerprint = record.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
             raise ValueError("record needs a non-empty string 'fingerprint'")
+        record = dict(record)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-
-        def append() -> None:
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-            try:
-                written = checked_write("store.append", fd, line)
-            finally:
-                os.close(fd)
-            if written != len(line):
-                raise OSError(
-                    errno.EAGAIN,
-                    f"short write to {self.path}: {written}/{len(line)} bytes",
-                )
-
-        def heal(_exc: BaseException, _attempt: int) -> None:
-            # A failed attempt may have landed a partial fragment (torn
-            # write).  Terminate it so the reissued full line starts on a
-            # fresh line; an unnecessary lone "\n" is just a blank line,
-            # which every reader skips.
-            try:
-                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-            except OSError:
-                return
-            try:
-                os.write(fd, b"\n")
-            finally:
-                os.close(fd)
-
-        self.retry_policy.call(
-            append, point="store.append", op="write", on_retry=heal
-        )
-        self._records[fingerprint] = dict(record)
+        append_jsonl(self.path, record, "store.append", self._retry_policy)
+        self._records[fingerprint] = record
 
     def compact(self) -> tuple[int, int]:
         """Rewrite the log keeping only latest-wins records.

@@ -23,8 +23,10 @@ Torn/short writes need the call site's cooperation (only it holds the fd
 and the payload), which is what :func:`checked_write` provides: a single
 ``os.write`` in the clean path, and under a ``torn`` schedule a *partial*
 write followed by a transient ``OSError`` — the injected version of a
-signal landing mid-``write(2)``.  :func:`parse_jsonl_line` is the readers'
-half: it recovers the whole record a torn fragment got merged into.
+signal landing mid-``write(2)``.  :func:`append_jsonl` is the one JSONL
+appender built on it (result store, lease audit log, artifact manifest),
+and :func:`parse_jsonl_line` is the readers' half: it recovers the whole
+record a torn fragment got merged into.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Mapping
+
+from repro.faults.retry import RetryPolicy, resolve_policy
 
 #: The named fault points threaded through the I/O plane.  The tuple is
 #: documentation + validation, not a closed set — subsystems may add
@@ -328,6 +333,48 @@ def checked_write(point: str, fd: int, data: bytes) -> int:
     if injector is None:
         return os.write(fd, data)
     return injector.write(point, fd, data)
+
+
+def append_jsonl(
+    path: Path, payload: dict, point: str, policy: RetryPolicy | None = None
+) -> None:
+    """Append ``payload`` to ``path`` as one JSON line in a single
+    ``O_APPEND`` ``write()``.
+
+    ``O_APPEND`` makes the kernel pick the offset atomically per write, so
+    concurrent appenders (processes, or hosts sharing a filesystem)
+    interleave whole lines, never sheared ones.  Transient faults at
+    ``point`` retry through ``policy`` (the ambient default when ``None``);
+    a short write counts as a transient ``EAGAIN``.  Before each retry the
+    possibly torn fragment is newline-terminated so the reissued line
+    starts fresh; readers skip the fragment, or recover a peer's record
+    that landed on its line (:func:`parse_jsonl_line`).
+    """
+    line = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+    def append() -> None:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            written = checked_write(point, fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(
+                _errno.EAGAIN, f"short write to {path}: {written}/{len(line)} bytes"
+            )
+
+    def heal(_exc: BaseException, _attempt: int) -> None:
+        # An unnecessary lone "\n" is just a blank line, which readers skip.
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        except OSError:
+            return
+        try:
+            os.write(fd, b"\n")
+        finally:
+            os.close(fd)
+
+    resolve_policy(policy).call(append, point=point, op="write", on_retry=heal)
 
 
 def parse_jsonl_line(line: bytes) -> tuple[dict | None, bool]:

@@ -95,13 +95,6 @@ class _ColumnEmbeddingFeaturizer(ColumnScopedFeaturizer):
         self._record_artifact(f"{self.name}/{attr}", key)
         self._models[attr] = model
 
-    def fit(self, dataset: Dataset) -> "_ColumnEmbeddingFeaturizer":
-        self._models = {}
-        self._artifact_keys = {}
-        for attr in dataset.attributes:
-            self._fit_column(dataset, attr)
-        return self
-
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_models")
         out = np.zeros((len(batch), self._dim))
@@ -115,6 +108,28 @@ class _ColumnEmbeddingFeaturizer(ColumnScopedFeaturizer):
     @property
     def dim(self) -> int:
         return self._dim
+
+    def to_state(self) -> dict:
+        return {
+            "dim": self._dim,
+            "epochs": self._epochs,
+            "seed_material": self._seed_material,
+            "models": {a: m.to_state() for a, m in self._models.items()},
+        }
+
+    @classmethod
+    def _init_args(cls, state) -> dict:
+        # Saves from before seed material was recorded had none.
+        return {
+            "dim": state["dim"],
+            "epochs": state["epochs"],
+            "rng": state.get("seed_material"),
+        }
+
+    def load_state(self, state) -> None:
+        self._models = {
+            a: FastTextEmbedding.from_state(m) for a, m in state["models"].items()
+        }
 
 
 class CharEmbeddingFeaturizer(_ColumnEmbeddingFeaturizer):
@@ -150,7 +165,60 @@ class WordEmbeddingFeaturizer(_ColumnEmbeddingFeaturizer):
     _tokens = staticmethod(word_tokens)
 
 
-class FormatNGramFeaturizer(ColumnScopedFeaturizer):
+class _NGramFeaturizer(ColumnScopedFeaturizer):
+    """Shared machinery of the n-gram format models: one
+    :attr:`_model_class` model per attribute; the cell feature is the log
+    probability of the value's ``least_k`` least probable grams."""
+
+    context = FeatureContext.ATTRIBUTE
+    scope = FeatureContext.ATTRIBUTE
+    branch = None
+    _model_class: type[NGramModel]
+
+    def __init__(self, n: int = 3, least_k: int = 1):
+        self._n = n
+        self._least_k = least_k
+        self._models: dict[str, NGramModel] | None = None
+
+    def _fit_column(self, dataset: Dataset, attr: str) -> None:
+        self._models[attr] = self._model_class(n=self._n).fit(dataset.column(attr))
+
+    def transform_batch(self, batch: CellBatch) -> np.ndarray:
+        self._require_fitted("_models")
+        out = np.zeros((len(batch), self._least_k))
+        for attr, by_value in batch.value_groups.items():
+            model = self._models[attr]
+            for value, idx in by_value.items():
+                out[idx] = np.log(model.least_probable_grams(value, self._least_k))
+        return out
+
+    @property
+    def dim(self) -> int:
+        return self._least_k
+
+    def to_state(self) -> dict:
+        return {
+            "n": self._n,
+            "least_k": self._least_k,
+            "models": {a: m.to_state() for a, m in self._models.items()},
+        }
+
+    @classmethod
+    def _init_args(cls, state) -> dict:
+        n = state.get("n")
+        if n is None:
+            # Saves from before ``n`` was recorded: every column's model
+            # records its own.
+            n = next((m["n"] for m in state["models"].values()), 3)
+        return {"n": n, "least_k": state["least_k"]}
+
+    def load_state(self, state) -> None:
+        self._models = {
+            a: self._model_class.from_state(m) for a, m in state["models"].items()
+        }
+
+
+class FormatNGramFeaturizer(_NGramFeaturizer):
     """Character 3-gram format model: frequency of the least frequent gram.
 
     A clean "60614" contains only common digit grams; "606x4" contains a gram
@@ -159,39 +227,10 @@ class FormatNGramFeaturizer(ColumnScopedFeaturizer):
     """
 
     name = "format_3gram"
-    context = FeatureContext.ATTRIBUTE
-    scope = FeatureContext.ATTRIBUTE
-    branch = None
-
-    def __init__(self, n: int = 3, least_k: int = 1):
-        self._n = n
-        self._least_k = least_k
-        self._models: dict[str, NGramModel] | None = None
-
-    def _fit_column(self, dataset: Dataset, attr: str) -> None:
-        self._models[attr] = NGramModel(n=self._n).fit(dataset.column(attr))
-
-    def fit(self, dataset: Dataset) -> "FormatNGramFeaturizer":
-        self._models = {}
-        for attr in dataset.attributes:
-            self._fit_column(dataset, attr)
-        return self
-
-    def transform_batch(self, batch: CellBatch) -> np.ndarray:
-        self._require_fitted("_models")
-        out = np.zeros((len(batch), self._least_k))
-        for attr, by_value in batch.value_groups.items():
-            model = self._models[attr]
-            for value, idx in by_value.items():
-                out[idx] = np.log(model.least_probable_grams(value, self._least_k))
-        return out
-
-    @property
-    def dim(self) -> int:
-        return self._least_k
+    _model_class = NGramModel
 
 
-class SymbolicNGramFeaturizer(ColumnScopedFeaturizer):
+class SymbolicNGramFeaturizer(_NGramFeaturizer):
     """Symbolic 3-gram format model over the {C, N, S} signature.
 
     Captures shape violations (a letter inside a numeric column) even when
@@ -199,39 +238,38 @@ class SymbolicNGramFeaturizer(ColumnScopedFeaturizer):
     """
 
     name = "symbolic_3gram"
-    context = FeatureContext.ATTRIBUTE
-    scope = FeatureContext.ATTRIBUTE
-    branch = None
-
-    def __init__(self, n: int = 3, least_k: int = 1):
-        self._n = n
-        self._least_k = least_k
-        self._models: dict[str, SymbolicNGramModel] | None = None
-
-    def _fit_column(self, dataset: Dataset, attr: str) -> None:
-        self._models[attr] = SymbolicNGramModel(n=self._n).fit(dataset.column(attr))
-
-    def fit(self, dataset: Dataset) -> "SymbolicNGramFeaturizer":
-        self._models = {}
-        for attr in dataset.attributes:
-            self._fit_column(dataset, attr)
-        return self
-
-    def transform_batch(self, batch: CellBatch) -> np.ndarray:
-        self._require_fitted("_models")
-        out = np.zeros((len(batch), self._least_k))
-        for attr, by_value in batch.value_groups.items():
-            model = self._models[attr]
-            for value, idx in by_value.items():
-                out[idx] = np.log(model.least_probable_grams(value, self._least_k))
-        return out
-
-    @property
-    def dim(self) -> int:
-        return self._least_k
+    _model_class = SymbolicNGramModel
 
 
-class EmpiricalDistributionFeaturizer(ColumnScopedFeaturizer):
+class _ColumnCountsFeaturizer(ColumnScopedFeaturizer):
+    """Base of the per-column frequency models: ``_counts[attr]`` maps a
+    value (or token) to its count in the column, ``_totals[attr]`` is the
+    column's total."""
+
+    state_attribute = "_counts"
+
+    def __init__(self) -> None:
+        self._counts: dict[str, dict[str, int]] | None = None
+        self._totals: dict[str, int] = {}
+
+    def fit(self, dataset: Dataset) -> "_ColumnCountsFeaturizer":
+        self._totals = {}
+        return super().fit(dataset)
+
+    def to_state(self) -> dict:
+        return {
+            "counts": {a: list(c.items()) for a, c in self._counts.items()},
+            "totals": dict(self._totals),
+        }
+
+    def load_state(self, state) -> None:
+        self._counts = {
+            a: {k: int(v) for k, v in pairs} for a, pairs in state["counts"].items()
+        }
+        self._totals = {a: int(t) for a, t in state["totals"].items()}
+
+
+class EmpiricalDistributionFeaturizer(_ColumnCountsFeaturizer):
     """Empirical probability of the cell value within its column.
 
     Errors are usually rare values; a swap of a frequent value into the wrong
@@ -242,25 +280,13 @@ class EmpiricalDistributionFeaturizer(ColumnScopedFeaturizer):
     name = "empirical_dist"
     context = FeatureContext.ATTRIBUTE
     scope = FeatureContext.ATTRIBUTE
-    state_attribute = "_counts"
     branch = None
-
-    def __init__(self) -> None:
-        self._counts: dict[str, dict[str, int]] | None = None
-        self._totals: dict[str, int] = {}
 
     def _fit_column(self, dataset: Dataset, attr: str) -> None:
         # Appends change num_rows for every column, but they also list every
         # column in the delta, so per-column totals stay consistent.
         self._counts[attr] = dataset.value_counts(attr)
         self._totals[attr] = dataset.num_rows
-
-    def fit(self, dataset: Dataset) -> "EmpiricalDistributionFeaturizer":
-        self._counts = {}
-        self._totals = {}
-        for attr in dataset.attributes:
-            self._fit_column(dataset, attr)
-        return self
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_counts")
@@ -308,3 +334,9 @@ class ColumnIdFeaturizer(Featurizer):
         if self._index is None:
             raise RuntimeError("ColumnIdFeaturizer used before fit()")
         return len(self._index)
+
+    def to_state(self) -> dict:
+        return {"index": dict(self._index)}
+
+    def load_state(self, state) -> None:
+        self._index = {a: int(i) for a, i in state["index"].items()}

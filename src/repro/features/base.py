@@ -14,10 +14,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.artifacts.codec import featurizer_payload, load_featurizer_payload
+from repro.artifacts.keys import artifact_key
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 
 #: Monotonic counter backing :attr:`Featurizer.cache_token` — every reset
@@ -276,21 +278,21 @@ class Featurizer:
         :meth:`refresh`, so an interactive-loop refit consults the store
         exactly like an initial fit.  The artifact key is recorded store or
         not — it is a pure content/config derivation, and persisted
-        detectors carry it as provenance.
+        detectors carry it as provenance.  A stored state is loaded into
+        this featurizer in place; one that fails to decode, or that names
+        another type, is a miss and the featurizer refits (a bad artifact
+        must never break a fit).
         """
         if self.artifact_kind is None:
             self.fit(dataset)
             return
-        from repro.artifacts.codec import featurizer_from_payload, featurizer_payload
-        from repro.artifacts.keys import artifact_key
-
         key = artifact_key(
             self.artifact_kind, self.artifact_scope(dataset), self.artifact_config()
         )
         store = self.artifact_store
         if store is not None:
             payload = store.get(key)
-            if payload is not None and self._adopt_state(payload, featurizer_from_payload):
+            if payload is not None and load_featurizer_payload(self, payload):
                 self._artifact_keys = {self.name: key}
                 return
         self.fit(dataset)
@@ -302,23 +304,31 @@ class Featurizer:
             if payload is not None:
                 store.put(key, payload, kind=self.artifact_kind)
 
-    def _adopt_state(self, payload: dict, decode) -> bool:
-        """Take a stored fitted state in place; False on any decode trouble
-        (the caller then refits — a bad artifact must never break a fit)."""
-        try:
-            loaded = decode(payload)
-        except Exception:
-            return False
-        if type(loaded) is not type(self):
-            return False
-        keep = {
-            k: self.__dict__[k]
-            for k in ("artifact_store", "_artifact_keys")
-            if k in self.__dict__
-        }
-        self.__dict__.update(loaded.__dict__)
-        self.__dict__.update(keep)
-        return True
+    # -- fitted state (saved detectors, whole-state artifacts) ---------- #
+
+    def to_state(self) -> dict:
+        """The constructor arguments and fitted tables: JSON-able data with
+        numpy arrays inline, the one encoding saved detectors and
+        whole-state artifacts share.  Custom featurizers need not implement
+        it; they refit instead of being stored."""
+        raise NotImplementedError(f"{type(self).__name__} has no saved state")
+
+    def load_state(self, state: Mapping[str, object]) -> None:
+        """Take the fitted tables of a :meth:`to_state` dict in place (the
+        constructor arguments are this featurizer's own)."""
+        raise NotImplementedError(f"{type(self).__name__} has no saved state")
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, object]) -> "Featurizer":
+        """A fitted featurizer rebuilt from :meth:`to_state` output."""
+        featurizer = cls(**cls._init_args(state))
+        featurizer.load_state(state)
+        return featurizer
+
+    @classmethod
+    def _init_args(cls, state: Mapping[str, object]) -> dict:
+        """The constructor arguments recorded in a :meth:`to_state` dict."""
+        return {}
 
     # -- fitted-artifact participation (see repro.artifacts) ------------ #
 
@@ -431,8 +441,8 @@ class ColumnScopedFeaturizer(Featurizer):
     Subclasses implement :meth:`_fit_column` (refit one column's state) and
     set :attr:`state_attribute` to the instance attribute holding the
     per-column mapping (``None`` before :meth:`fit`).  In exchange they get
-    a column-scoped :meth:`refresh` — after a batch edit only the touched
-    columns are refitted.
+    :meth:`fit` (every column) and a column-scoped :meth:`refresh` — after
+    a batch edit only the touched columns are refitted.
 
     Note the cache-token granularity: a refresh still issues one fresh
     token for the whole featurizer, so cached blocks of *untouched* columns
@@ -449,6 +459,13 @@ class ColumnScopedFeaturizer(Featurizer):
     def _fit_column(self, dataset: Dataset, attr: str) -> None:
         """(Re)fit the state of one column in place."""
         raise NotImplementedError
+
+    def fit(self, dataset: Dataset) -> "ColumnScopedFeaturizer":
+        setattr(self, self.state_attribute, {})
+        self._artifact_keys = {}
+        for attr in dataset.attributes:
+            self._fit_column(dataset, attr)
+        return self
 
     def refresh(self, dataset: Dataset, delta: DatasetDelta) -> bool:
         if delta.is_empty:

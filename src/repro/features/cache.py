@@ -24,8 +24,8 @@ so identical work is done once:
   separately.
 
 Entries are bounded LRU; eviction and hit/miss counts are tracked in
-:class:`CacheStats` (``cache.stats``).  Lookups are thread-safe, which the
-detector's ``prediction_workers`` featurization pool relies on.
+:class:`CacheStats` (``cache.stats``).  Lookups are thread-safe, so one
+pipeline and its cache may serve threads that featurise concurrently.
 
 Cached arrays are returned by reference — treat them as read-only.  The
 pipeline obeys this: standardisation and clipping allocate new arrays.

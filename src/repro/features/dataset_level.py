@@ -12,9 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.artifacts.codec import fit_embedding_artifact
-from repro.artifacts.keys import seed_material, shard_partial_key
-from repro.constraints.dc import DenialConstraint
+from repro.artifacts.keys import shard_partial_key
+from repro.constraints.dc import DenialConstraint, decode_constraint, encode_constraint
 from repro.constraints.violations import ViolationEngine
 from repro.dataset.relation import ShardSpan
 from repro.dataset.table import Cell, Dataset
@@ -27,6 +26,18 @@ from repro.features.partials import (
     fd_group_partial,
     merge_fd_group_partials,
 )
+from repro.features.tuple_level import _RelationEmbeddingFeaturizer
+
+
+def _constraint_config(constraint: DenialConstraint) -> dict:
+    """The artifact-key form of one constraint."""
+    return {
+        "name": constraint.name,
+        "predicates": [
+            [p.left_attr, p.op, p.right_attr, p.constant]
+            for p in constraint.predicates
+        ],
+    }
 
 
 class ConstraintViolationFeaturizer(Featurizer):
@@ -54,18 +65,7 @@ class ConstraintViolationFeaturizer(Featurizer):
     artifact_kind = "featurizer/constraint_violations"
 
     def artifact_config(self) -> dict:
-        return {
-            "constraints": [
-                {
-                    "name": c.name,
-                    "predicates": [
-                        [p.left_attr, p.op, p.right_attr, p.constant]
-                        for p in c.predicates
-                    ],
-                }
-                for c in self._constraints
-            ]
-        }
+        return {"constraints": [_constraint_config(c) for c in self._constraints]}
 
     def __init__(self, constraints: Sequence[DenialConstraint]):
         self._constraints = list(constraints)
@@ -74,7 +74,6 @@ class ConstraintViolationFeaturizer(Featurizer):
         # Per FD-shaped constraint: join attrs, residual attr, and the
         # group index {join_key -> {residual_value -> count}}.
         self._fd_indexes: list[dict | None] = []
-        self._fit_dataset: Dataset | None = None
 
     def fit(self, dataset: Dataset) -> "ConstraintViolationFeaturizer":
         """Count per-tuple violations; shard-streamed when Σ is FD-shaped.
@@ -89,7 +88,6 @@ class ConstraintViolationFeaturizer(Featurizer):
         join counts.  Any non-FD constraint (or a single-shard relation)
         falls back to the whole-relation engine pass.
         """
-        self._fit_dataset = dataset
         self._artifact_keys = {}
         spans = dataset.shard_spans()
         shapes = [self._fd_shape(c) for c in self._constraints]
@@ -142,15 +140,7 @@ class ConstraintViolationFeaturizer(Featurizer):
         store = self.artifact_store
         if store is None:
             return fd_group_partial(dataset, span, join_attrs, residual_attr)
-        config = {
-            "constraint": {
-                "name": constraint.name,
-                "predicates": [
-                    [p.left_attr, p.op, p.right_attr, p.constant]
-                    for p in constraint.predicates
-                ],
-            }
-        }
+        config = {"constraint": _constraint_config(constraint)}
         key = shard_partial_key(
             self.artifact_kind, dataset.shard_fingerprint(span.index), config
         )
@@ -256,8 +246,47 @@ class ConstraintViolationFeaturizer(Featurizer):
     def dim(self) -> int:
         return len(self._constraints)
 
+    def to_state(self) -> dict:
+        return {
+            "constraints": [encode_constraint(c) for c in self._constraints],
+            "tuple_counts": self._tuple_counts,
+            "fd_indexes": [
+                None
+                if index is None
+                else {
+                    "join_attrs": index["join_attrs"],
+                    "residual_attr": index["residual_attr"],
+                    "groups": [
+                        [list(k), list(v.items())] for k, v in index["groups"].items()
+                    ],
+                }
+                for index in self._fd_indexes
+            ],
+        }
 
-class NeighborhoodFeaturizer(Featurizer):
+    @classmethod
+    def _init_args(cls, state) -> dict:
+        return {"constraints": [decode_constraint(c) for c in state["constraints"]]}
+
+    def load_state(self, state) -> None:
+        fd_indexes = [
+            None
+            if index is None
+            else {
+                "join_attrs": list(index["join_attrs"]),
+                "residual_attr": index["residual_attr"],
+                "groups": {
+                    tuple(k): {vk: int(vv) for vk, vv in pairs}
+                    for k, pairs in index["groups"]
+                },
+            }
+            for index in state["fd_indexes"]
+        ]
+        self._tuple_counts = np.array(state["tuple_counts"])
+        self._fd_indexes = fd_indexes
+
+
+class NeighborhoodFeaturizer(_RelationEmbeddingFeaturizer):
     """Distance to the closest other value in a tuple-value embedding.
 
     A word-embedding model is trained on tuples whose tokens are the raw
@@ -274,37 +303,13 @@ class NeighborhoodFeaturizer(Featurizer):
     #: resolved value (covered by the batch digest) — attribute-scoped.
     scope = FeatureContext.ATTRIBUTE
     branch = None
+    _kind = "embedding/tuple-value"
+    _corpus = staticmethod(tuple_value_corpus)
 
-    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
-        self._dim = dim
-        self._epochs = epochs
-        self._seed_material = seed_material(rng)
-        self._model: FastTextEmbedding | None = None
-        self._cache: dict[str, float] = {}
-
-    def _embedding_config(self) -> dict:
-        # Full training config so any default change rekeys the artifact.
-        config = FastTextEmbedding(
-            dim=self._dim, epochs=self._epochs, window=8
-        ).config_dict()
-        if self._seed_material is not None:
-            config["rng"] = self._seed_material
-        return config
-
-    def fit(self, dataset: Dataset) -> "NeighborhoodFeaturizer":
-        key, model = fit_embedding_artifact(
-            self.artifact_store,
-            "embedding/tuple-value",
-            dataset.fingerprint(),
-            self._embedding_config(),
-            lambda seed: FastTextEmbedding(
-                dim=self._dim, epochs=self._epochs, window=8, rng=seed
-            ).fit(tuple_value_corpus(dataset)),
-        )
-        self._artifact_keys = {self.name: key}
+    def _set_model(self, model: FastTextEmbedding) -> None:
         self._model = model
-        self._cache = {}
-        return self
+        # Per-model memo of token distances.
+        self._cache: dict[str, float] = {}
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_model")

@@ -39,7 +39,8 @@ Usage::
 
 Both are registered ``featurizer`` components (keys ``value_length`` and
 ``token_frequency``), so a :class:`~repro.spec.DetectorSpec` can add them
-by name, and :mod:`repro.persistence` knows how to encode them.
+by name, and both carry their fitted state (``to_state``/``from_state``),
+so detectors using them save and load like the Table 7 models.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataset.table import Dataset
+from repro.features.attribute import _ColumnCountsFeaturizer
 from repro.features.base import CellBatch, ColumnScopedFeaturizer, FeatureContext
 from repro.registry import ComponentError, register
 from repro.text.tokenize import word_tokens
@@ -84,12 +86,6 @@ class ValueLengthFeaturizer(ColumnScopedFeaturizer):
         std = float(lengths.std()) if lengths.size else 0.0
         self._stats[attr] = (mean, std if std > 1e-9 else 1.0)
 
-    def fit(self, dataset: Dataset) -> "ValueLengthFeaturizer":
-        self._stats = {}
-        for attr in dataset.attributes:
-            self._fit_column(dataset, attr)
-        return self
-
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_stats")
         out = np.zeros((len(batch), 1))
@@ -105,8 +101,14 @@ class ValueLengthFeaturizer(ColumnScopedFeaturizer):
     def dim(self) -> int:
         return 1
 
+    def to_state(self) -> dict:
+        return {"stats": {a: list(s) for a, s in self._stats.items()}}
 
-class TokenFrequencyFeaturizer(ColumnScopedFeaturizer):
+    def load_state(self, state) -> None:
+        self._stats = {a: (float(m), float(s)) for a, (m, s) in state["stats"].items()}
+
+
+class TokenFrequencyFeaturizer(_ColumnCountsFeaturizer):
     """Frequency of the rarest word token of the cell within its attribute.
 
     Log-scaled relative frequency with Laplace smoothing; values with no
@@ -117,7 +119,6 @@ class TokenFrequencyFeaturizer(ColumnScopedFeaturizer):
     name = "token_frequency"
     context = FeatureContext.ATTRIBUTE
     scope = FeatureContext.ATTRIBUTE
-    state_attribute = "_counts"
     branch = None
 
     _EMPTY = "<no-token>"
@@ -125,9 +126,8 @@ class TokenFrequencyFeaturizer(ColumnScopedFeaturizer):
     def __init__(self, alpha: float = 0.5):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
+        super().__init__()
         self.alpha = alpha
-        self._counts: dict[str, dict[str, int]] | None = None
-        self._totals: dict[str, int] = {}
 
     def _fit_column(self, dataset: Dataset, attr: str) -> None:
         counts: dict[str, int] = {}
@@ -139,13 +139,6 @@ class TokenFrequencyFeaturizer(ColumnScopedFeaturizer):
                 total += 1
         self._counts[attr] = counts
         self._totals[attr] = total
-
-    def fit(self, dataset: Dataset) -> "TokenFrequencyFeaturizer":
-        self._counts = {}
-        self._totals = {}
-        for attr in dataset.attributes:
-            self._fit_column(dataset, attr)
-        return self
 
     def _min_token_logfreq(self, attr: str, value: str) -> float:
         counts = self._counts[attr]
@@ -168,6 +161,13 @@ class TokenFrequencyFeaturizer(ColumnScopedFeaturizer):
     @property
     def dim(self) -> int:
         return 1
+
+    def to_state(self) -> dict:
+        return {"alpha": self.alpha, **super().to_state()}
+
+    @classmethod
+    def _init_args(cls, state) -> dict:
+        return {"alpha": state["alpha"]}
 
 
 # --------------------------------------------------------------------- #

@@ -129,8 +129,96 @@ class CooccurrenceFeaturizer(Featurizer):
     def dim(self) -> int:
         return len(self._attributes) - 1
 
+    def to_state(self) -> dict:
+        return {
+            "attributes": list(self._attributes),
+            "value_counts": [[list(k), v] for k, v in self._value_counts.items()],
+            "joint": [
+                [list(key), {attr: list(c.items()) for attr, c in buckets.items()}]
+                for key, buckets in self._joint.items()
+            ],
+        }
 
-class TupleEmbeddingFeaturizer(Featurizer):
+    def load_state(self, state) -> None:
+        value_counts = {tuple(k): int(v) for k, v in state["value_counts"]}
+        joint = {
+            tuple(key): {
+                attr: {k: int(v) for k, v in pairs} for attr, pairs in buckets.items()
+            }
+            for key, buckets in state["joint"]
+        }
+        self._attributes = tuple(state["attributes"])
+        self._value_counts = value_counts
+        self._joint = joint
+
+
+class _RelationEmbeddingFeaturizer(Featurizer):
+    """Shared machinery of the relation-wide FastText featurizers: one
+    embedding of a ``_corpus`` pooling every attribute, so its artifact is
+    scoped to the whole relation (and seeded from its key — see
+    :mod:`repro.artifacts.keys`)."""
+
+    #: Artifact kind of the embedding (``embedding/<corpus>``).
+    _kind: str = ""
+
+    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
+        self._dim = dim
+        self._epochs = epochs
+        self._seed_material = seed_material(rng)
+        self._model: FastTextEmbedding | None = None
+
+    @staticmethod
+    def _corpus(dataset: Dataset) -> list[list[str]]:
+        raise NotImplementedError
+
+    def _embedding_config(self) -> dict:
+        # Full training config so any default change rekeys the artifact.
+        config = FastTextEmbedding(
+            dim=self._dim, epochs=self._epochs, window=8
+        ).config_dict()
+        if self._seed_material is not None:
+            config["rng"] = self._seed_material
+        return config
+
+    def _set_model(self, model: FastTextEmbedding) -> None:
+        self._model = model
+
+    def fit(self, dataset: Dataset) -> "_RelationEmbeddingFeaturizer":
+        key, model = fit_embedding_artifact(
+            self.artifact_store,
+            self._kind,
+            dataset.fingerprint(),
+            self._embedding_config(),
+            lambda seed: FastTextEmbedding(
+                dim=self._dim, epochs=self._epochs, window=8, rng=seed
+            ).fit(self._corpus(dataset)),
+        )
+        self._artifact_keys = {self.name: key}
+        self._set_model(model)
+        return self
+
+    def to_state(self) -> dict:
+        return {
+            "dim": self._dim,
+            "epochs": self._epochs,
+            "seed_material": self._seed_material,
+            "model": self._model.to_state(),
+        }
+
+    @classmethod
+    def _init_args(cls, state) -> dict:
+        # Saves from before seed material was recorded had none.
+        return {
+            "dim": state["dim"],
+            "epochs": state["epochs"],
+            "rng": state.get("seed_material"),
+        }
+
+    def load_state(self, state) -> None:
+        self._set_model(FastTextEmbedding.from_state(state["model"]))
+
+
+class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
     """Learnable tuple representation (§4.1).
 
     Embeds the tuple as a bag of word tokens pooled across attributes (the
@@ -144,38 +232,8 @@ class TupleEmbeddingFeaturizer(Featurizer):
     #: The context half of the output reads the cell's row-mates.
     scope = FeatureContext.TUPLE
     branch = "tuple"
-
-    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
-        self._dim = dim
-        self._epochs = epochs
-        self._seed_material = seed_material(rng)
-        self._model: FastTextEmbedding | None = None
-
-    def _embedding_config(self) -> dict:
-        # Full training config so any default change rekeys the artifact.
-        config = FastTextEmbedding(
-            dim=self._dim, epochs=self._epochs, window=8
-        ).config_dict()
-        if self._seed_material is not None:
-            config["rng"] = self._seed_material
-        return config
-
-    def fit(self, dataset: Dataset) -> "TupleEmbeddingFeaturizer":
-        # The tuple corpus pools every attribute, so the artifact scope is
-        # the whole-relation fingerprint; the training seed derives from
-        # the key (content-addressed — see repro.artifacts.keys).
-        key, model = fit_embedding_artifact(
-            self.artifact_store,
-            "embedding/tuple",
-            dataset.fingerprint(),
-            self._embedding_config(),
-            lambda seed: FastTextEmbedding(
-                dim=self._dim, epochs=self._epochs, window=8, rng=seed
-            ).fit(tuple_corpus(dataset)),
-        )
-        self._artifact_keys = {self.name: key}
-        self._model = model
-        return self
+    _kind = "embedding/tuple"
+    _corpus = staticmethod(tuple_corpus)
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_model")

@@ -9,7 +9,12 @@ serialises all of it to an explicit, inspectable on-disk format:
   policies) with numpy arrays replaced by references;
 - ``arrays.npz`` — the referenced arrays.
 
-No pickle is involved, so saved models are safe to share and load.
+Each featurizer owns its saved state (``to_state``/``from_state``); this
+package records one ``{"type": <class name>, **to_state()}`` entry per
+model and splits the arrays out through
+:func:`repro.artifacts.store.flatten_arrays`, the array layer artifact
+objects share.  No pickle is involved, so saved models are safe to share
+and load.
 """
 
 from repro.persistence.detector_io import (

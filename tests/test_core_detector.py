@@ -68,23 +68,6 @@ class TestPredict:
         predictions = detector.predict()
         assert set(predictions.cells).isdisjoint(split.training.cells)
 
-    def test_worker_prediction_matches_sequential(self, fitted):
-        """The windowed thread-pool path must be positionally identical."""
-        from dataclasses import replace
-
-        _, split, detector = fitted
-        cells = split.test_cells[:150]
-        original = detector.config
-        try:
-            detector.config = replace(original, prediction_batch=32, prediction_workers=1)
-            sequential = detector.predict(cells)
-            detector.config = replace(original, prediction_batch=32, prediction_workers=3)
-            threaded = detector.predict(cells)
-        finally:
-            detector.config = original
-        assert threaded.cells == sequential.cells
-        np.testing.assert_array_equal(threaded.probabilities, sequential.probabilities)
-
     def test_error_predictions_helpers(self, fitted):
         _, split, detector = fitted
         predictions = detector.predict(split.test_cells[:20])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 import threading
 
 import numpy as np
@@ -116,6 +117,13 @@ class TestArtifactStoreFaults:
         assert store.get("ab" * 32) is None
         assert store.stats.corrupt_dropped == 1
         assert not store.object_path("ab" * 32).exists()
+
+    def test_torn_index_append_is_healed(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        with inject("artifacts.index_append=torn:1"):
+            store.put("ab" * 32, PAYLOAD)
+        store.put("cd" * 32, PAYLOAD)
+        assert {r["key"] for r in store.index()} == {"ab" * 32, "cd" * 32}
 
     def test_index_append_fault_never_fails_the_put(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -331,6 +339,26 @@ class TestLeaseFaults:
         queue = WorkQueue(tmp_path, worker_id="w1", clock=lambda: 10.0)
         with inject("lease.audit=torn:1"):
             queue.audit("claim", FP)
+        queue.audit("release", FP)
+        events = [e["event"] for e in read_audit(tmp_path)]
+        assert events == ["claim", "release"]
+
+    def test_short_audit_write_is_retried(self, tmp_path, monkeypatch):
+        """Regression: a short ``os.write`` (part of the line, no error)
+        went unnoticed, so the next event merged into the fragment and only
+        that one survived."""
+        queue = WorkQueue(tmp_path, worker_id="w1", clock=lambda: 10.0)
+        real_write = os.write
+        calls = []
+
+        def short_first_write(fd, data):
+            calls.append(fd)
+            if len(calls) == 1:
+                data = data[: len(data) // 2]
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", short_first_write)
+        queue.audit("claim", FP)
         queue.audit("release", FP)
         events = [e["event"] for e in read_audit(tmp_path)]
         assert events == ["claim", "release"]

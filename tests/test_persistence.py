@@ -1,15 +1,21 @@
 """Round-trip tests for detector persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.artifacts.store import flatten_arrays
 from repro.augmentation.policy import Policy, UniformPolicy
 from repro.augmentation.transformations import Transformation
 from repro.constraints import functional_dependency, parse_denial_constraint
-from repro.core import DetectorConfig, HoloDetect
+from repro.core import DetectionSession, DetectorConfig, HoloDetect
+from repro.dataset import Cell
 from repro.embeddings import FastTextEmbedding
 from repro.evaluation import make_split
-from repro.persistence import load_detector, save_detector
+from repro.features import CellBatch
+from repro.features.pipeline import FeaturizerContext, build_featurizer
+from repro.persistence import detector_fingerprint, load_detector, save_detector
 from repro.persistence.detector_io import (
     decode_constraint,
     decode_policy,
@@ -65,6 +71,58 @@ class TestComponentRoundtrips:
         policy = UniformPolicy([Transformation("a", "b"), Transformation("", "x")])
         restored = decode_policy(encode_policy(policy))
         assert isinstance(restored, UniformPolicy)
+
+
+def encoded(state: dict) -> tuple:
+    """A to_state() dict as (JSON text, array dtypes and bytes)."""
+    arrays: dict = {}
+    text = flatten_arrays(state, arrays, sort_keys=True)
+    return text, [(a.dtype, a.tobytes()) for a in arrays.values()]
+
+
+#: Every built-in featurizer, with non-default constructor arguments
+#: where it takes any (the ten Table 7 models plus the two opt-in ones).
+BUILT_IN_FEATURIZERS = [
+    ("char_embedding", {"dim": 5, "epochs": 1}),
+    ("word_embedding", {"dim": 5, "epochs": 1}),
+    ("format_3gram", {"n": 2, "least_k": 2}),
+    ("symbolic_3gram", {"n": 4, "least_k": 2}),
+    ("empirical_dist", {}),
+    ("column_id", {}),
+    ("cooccurrence", {}),
+    ("tuple_embedding", {"dim": 5, "epochs": 1}),
+    ("neighborhood", {"dim": 5, "epochs": 1}),
+    ("constraint_violations", {}),
+    ("value_length", {}),
+    ("token_frequency", {"alpha": 0.25}),
+]
+
+
+class TestFeaturizerStateRoundtrip:
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        from repro.data import load_dataset
+
+        return load_dataset("hospital", num_rows=60, seed=3)
+
+    @pytest.mark.parametrize(
+        "name,params", BUILT_IN_FEATURIZERS, ids=[n for n, _ in BUILT_IN_FEATURIZERS]
+    )
+    def test_from_state_keeps_arguments_and_transforms(self, bundle, name, params):
+        ctx = FeaturizerContext(constraints=bundle.constraints, rng=7)
+        featurizer = build_featurizer(name, params, ctx).fit(bundle.dirty)
+        restored = type(featurizer).from_state(featurizer.to_state())
+        # The state holds the constructor arguments as well as the fitted
+        # tables, so the rebuilt model re-encodes to the same state.
+        assert encoded(restored.to_state()) == encoded(featurizer.to_state())
+        assert restored.artifact_config() == featurizer.artifact_config()
+        cells = list(bundle.dirty.cells())[::7]
+        overrides = [bundle.dirty.value(c) + "x" if i % 3 else bundle.clean.value(c)
+                     for i, c in enumerate(cells)]
+        for values in (None, overrides):
+            batch = CellBatch(cells, bundle.dirty, values)
+            expected = featurizer.transform_batch(batch)
+            assert restored.transform_batch(batch).tobytes() == expected.tobytes()
 
 
 class TestDetectorRoundtrip:
@@ -154,3 +212,74 @@ class TestDetectorRoundtrip:
         assert legacy.spec.fingerprint() == spec.fingerprint()
         # Without a spec.json sidecar the serving index recomputes it.
         assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()
+
+
+class TestNonDefaultNGramRoundtrip:
+    """A save keeps every featurizer constructor argument: a reloaded
+    detector whose spec sets ``n = 2`` on the n-gram models refits with
+    ``n = 2`` on a refresh, exactly like the original."""
+
+    EDITS = {Cell(2, "City"): "Chicagoo", Cell(5, "ZipCode"): "6061x"}
+
+    @pytest.fixture
+    def fitted(self):
+        from repro.data import load_dataset
+        from repro.spec import SPEC_SCHEMA, DetectorSpec
+
+        bundle = load_dataset("hospital", num_rows=80, seed=3)
+        split = make_split(bundle, 0.2, rng=0)
+        spec = DetectorSpec.from_dict(
+            {
+                "schema": SPEC_SCHEMA,
+                "detector": {"epochs": 5, "embedding_dim": 6, "seed": 0},
+                "featurizers": [
+                    {"name": "format_3gram", "n": 2},
+                    {"name": "symbolic_3gram", "n": 2},
+                    "empirical_dist",
+                    "column_id",
+                    "cooccurrence",
+                ],
+            }
+        )
+        detector = spec.build()
+        # Fitted on a copy: sessions edit the detector's relation in place.
+        detector.fit(bundle.dirty.copy(), split.training, bundle.constraints)
+        return bundle, detector
+
+    def rescored(self, detector) -> np.ndarray:
+        return DetectionSession(detector).apply(self.EDITS, refresh=True).probabilities
+
+    def test_refresh_after_reload_matches_original(self, fitted, tmp_path):
+        bundle, detector = fitted
+        save_detector(detector, tmp_path / "model")
+        loaded = load_detector(tmp_path / "model", bundle.dirty.copy())
+        assert np.array_equal(self.rescored(loaded), self.rescored(detector))
+
+    def test_save_without_new_state_keys_loads(self, fitted, tmp_path):
+        """Saves from before featurizers owned their state lack the n-gram
+        ``n`` and the embeddings' seed material, and carry the retired
+        ``prediction_workers`` option (in the config, and in the spec when
+        it set one, which also leaves a stale ``spec.json`` fingerprint).
+        ``n`` is recovered from the per-column n-gram models."""
+        bundle, detector = fitted
+        path = tmp_path / "legacy"
+        save_detector(detector, path)
+        state = json.loads((path / "state.json").read_text())
+        state["config"]["prediction_workers"] = 1
+        state["spec"]["detector"]["prediction_workers"] = 1
+        for entry in state["pipeline"]["featurizers"]:
+            entry.pop("n", None)
+            entry.pop("seed_material", None)
+        (path / "state.json").write_text(json.dumps(state))
+        sidecar = {"fingerprint": "0" * 64, "spec": state["spec"]}
+        (path / "spec.json").write_text(json.dumps(sidecar))
+
+        legacy = load_detector(path, bundle.dirty.copy())
+        assert [f.to_state()["n"] for f in legacy.pipeline.featurizers[:2]] == [2, 2]
+        cells = detector.predict().cells
+        assert np.array_equal(
+            legacy.predict(cells).probabilities, detector.predict(cells).probabilities
+        )
+        assert np.array_equal(self.rescored(legacy), self.rescored(detector))
+        assert legacy.spec.fingerprint() == detector.spec.fingerprint()
+        assert detector_fingerprint(path) == detector.spec.fingerprint()

@@ -45,6 +45,12 @@ class TestSpecParsing:
                 {"schema": SPEC_SCHEMA, "detector": {"epoch": 9}}
             )
 
+    def test_retired_prediction_workers_is_an_unknown_key(self):
+        with pytest.raises(SpecError, match="prediction_workers.*valid keys"):
+            DetectorSpec.from_dict(
+                {"schema": SPEC_SCHEMA, "detector": {"prediction_workers": 2}}
+            )
+
     def test_out_of_range_detector_field_is_actionable(self):
         with pytest.raises(SpecError, match="epochs must be a positive integer"):
             DetectorSpec.from_dict(
@@ -378,7 +384,6 @@ class TestDetectorConfigValidation:
             ("hidden_dim", -1, "hidden_dim must be a positive integer"),
             ("batch_size", 0, "batch_size must be a positive integer"),
             ("prediction_batch", 0, "prediction_batch must be a positive integer"),
-            ("prediction_workers", 0, "prediction_workers must be a positive integer"),
             ("cache_max_entries", 0, "cache_max_entries must be a positive integer"),
             ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
             ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
