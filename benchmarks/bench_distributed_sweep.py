@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import print_table
+from conftest import print_table, write_results
 
 from repro.coordination import read_audit
 from repro.evaluation.matrix import ScenarioMatrix, run_matrix
@@ -107,17 +107,6 @@ def _execute_events(coord: Path) -> list[str]:
     return [e["fingerprint"] for e in read_audit(coord) if e["event"] == "execute"]
 
 
-def _write_results(section: str, payload: dict) -> None:
-    results = {}
-    if _RESULTS_PATH.exists():
-        try:
-            results = json.loads(_RESULTS_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            results = {}
-    results[section] = payload
-    _RESULTS_PATH.write_text(json.dumps(results, indent=2), encoding="utf-8")
-
-
 def test_cooperative_drain(tmp_path):
     budgets = 12
     spec = _write_spec(tmp_path, budgets)
@@ -180,7 +169,8 @@ def test_cooperative_drain(tmp_path):
             ],
         ],
     )
-    _write_results(
+    write_results(
+        _RESULTS_PATH,
         "cooperative_drain",
         {
             "scenarios": budgets,
@@ -253,7 +243,8 @@ def test_crash_recovery(tmp_path):
             ["recovery wall (s)", f"{recovery_wall:.2f}"],
         ],
     )
-    _write_results(
+    write_results(
+        _RESULTS_PATH,
         "crash_recovery",
         {
             "scenarios": budgets,

@@ -25,13 +25,12 @@ Run with ``pytest benchmarks/bench_fit_path.py -s`` to see the tables.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
-from conftest import BENCH_EPOCHS, bench_config, print_table
+from conftest import BENCH_EPOCHS, bench_config, print_table, write_results
 
 from repro.artifacts import ArtifactStore
 from repro.core import HoloDetect
@@ -40,17 +39,6 @@ from repro.evaluation.splits import make_split
 from repro.utils.timing import Timer
 
 _RESULTS_PATH = Path(os.environ.get("REPRO_FIT_PATH_JSON", "bench_fit_path.json"))
-
-
-def _write_results(section: str, payload: dict) -> None:
-    results = {}
-    if _RESULTS_PATH.exists():
-        try:
-            results = json.loads(_RESULTS_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            results = {}
-    results[section] = payload
-    _RESULTS_PATH.write_text(json.dumps(results, indent=2), encoding="utf-8")
 
 
 @pytest.mark.parametrize("dataset_name", ["hospital"])
@@ -88,7 +76,8 @@ def test_warm_fit_speedup(benchmark, core_bundles, tmp_path, dataset_name):
             ["store", stats.summary()],
         ],
     )
-    _write_results(
+    write_results(
+        _RESULTS_PATH,
         "warm_fit",
         {
             "dataset": dataset_name,
@@ -157,7 +146,8 @@ def test_sweep_artifact_sharing(benchmark, tmp_path):
                       f"{stats['puts']} stored"],
         ],
     )
-    _write_results(
+    write_results(
+        _RESULTS_PATH,
         "sweep_sharing",
         {
             "scenarios": cold.total,

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BENCH_ROWS, BENCH_SEED, bench_config, print_table
+from conftest import BENCH_ROWS, BENCH_SEED, bench_config, print_table, write_results
 
 from repro.data import load_dataset
 from repro.dataset.loader import write_csv
@@ -50,17 +50,6 @@ from repro.utils.timing import Timer
 _RESULTS_PATH = Path(os.environ.get("REPRO_OOC_JSON", "bench_out_of_core.json"))
 _FACTOR = int(os.environ.get("REPRO_OOC_FACTOR", "40"))
 _WORKER = Path(__file__).parent / "_ooc_worker.py"
-
-
-def _write_results(section: str, payload: dict) -> None:
-    results = {}
-    if _RESULTS_PATH.exists():
-        try:
-            results = json.loads(_RESULTS_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            results = {}
-    results[section] = payload
-    _RESULTS_PATH.write_text(json.dumps(results, indent=2), encoding="utf-8")
 
 
 def _detector_config(tmp_path: Path):
@@ -131,7 +120,7 @@ def test_overlap_bit_identity(overlap):
         "cells_scored": len(predictions.cells),
         "bit_identical": True,
     }
-    _write_results("overlap", payload)
+    write_results(_RESULTS_PATH, "overlap", payload)
     print_table(
         "Out-of-core overlap scale: sharded vs in-memory",
         ["rows", "shards", "cold fit (s)", "warm sharded fit (s)", "identical"],
@@ -215,7 +204,7 @@ def test_scale_bounded_memory(overlap, tmp_path):
         "prediction_checksum": sharded["prediction_checksum"],
         "bit_identical": True,
     }
-    _write_results("scale", payload)
+    write_results(_RESULTS_PATH, "scale", payload)
 
     def mb(b: int) -> str:
         return f"{b / 1e6:.1f}"

@@ -21,14 +21,13 @@ Run with ``pytest benchmarks/bench_serving.py -s`` to see the tables.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from conftest import BENCH_EPOCHS, print_table
+from conftest import BENCH_EPOCHS, print_table, write_results
 
 from repro import DetectorSpec, HoloDetect, load_dataset, make_split
 from repro.persistence import load_detector, save_detector
@@ -41,17 +40,6 @@ CLIENTS = 4
 REQUESTS_PER_CLIENT = 25
 CELLS_PER_REQUEST = 30
 P95_GATE = 2.0
-
-
-def _write_results(section: str, payload: dict) -> None:
-    results = {}
-    if _RESULTS_PATH.exists():
-        try:
-            results = json.loads(_RESULTS_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            results = {}
-    results[section] = payload
-    _RESULTS_PATH.write_text(json.dumps(results, indent=2), encoding="utf-8")
 
 
 def _p95(samples: list[float]) -> float:
@@ -185,7 +173,8 @@ def test_concurrent_serving_latency(benchmark, tmp_path):
             ["rescore round-trip", "", f"{1e3 * rescore_latency:.1f}", ""],
         ],
     )
-    _write_results(
+    write_results(
+        _RESULTS_PATH,
         "concurrent_serving",
         {
             "clients": CLIENTS,

@@ -32,14 +32,13 @@ Run with ``pytest benchmarks/bench_training.py -s`` to see the table.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from conftest import print_table
+from conftest import print_table, write_results
 
 from repro.core.model import JointModel
 from repro.core.training import GraphTrainer, TrainerConfig, train_model
@@ -59,17 +58,6 @@ _N = 400
 _NUMERIC_DIM = 8
 _BRANCH_DIMS = {"char": 8, "tuple": 8, "word": 8}
 _TRAIN = dict(epochs=40, batch_size=8, min_steps=_STEPS, seed=3)
-
-
-def _write_results(section: str, payload: dict) -> None:
-    results = {}
-    if _RESULTS_PATH.exists():
-        try:
-            results = json.loads(_RESULTS_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            results = {}
-    results[section] = payload
-    _RESULTS_PATH.write_text(json.dumps(results, indent=2), encoding="utf-8")
 
 
 def _build(seed: int = 1) -> tuple[JointModel, CellFeatures, np.ndarray]:
@@ -152,7 +140,8 @@ def test_fused_training_speedup():
             ],
         ],
     )
-    _write_results(
+    write_results(
+        _RESULTS_PATH,
         "cold_training",
         {
             "steps": _STEPS,

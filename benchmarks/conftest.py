@@ -17,7 +17,9 @@ feature cache on (the ``DetectorConfig`` defaults); its speedup is measured
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,22 @@ def print_table(title: str, header: list[str], rows: list[list[object]]) -> None
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+
+
+def write_results(path: Path, section: str, payload: dict) -> None:
+    """Record one section of a benchmark's JSON results file.
+
+    Sections already in the file (other tests of the same benchmark) are
+    kept; an unreadable file starts over.
+    """
+    results = {}
+    if path.exists():
+        try:
+            results = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            results = {}
+    results[section] = payload
+    path.write_text(json.dumps(results, indent=2), encoding="utf-8")
 
 
 #: Per-dataset row floors.  Adult's published error rate is 0.1% of cells —

@@ -25,19 +25,15 @@ stream (see "Fit-path artifacts" in ``docs/architecture.md``).
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Mapping
 
 import numpy as np
 
+from repro.utils.specfile import canonical_json
+
 #: Key format version; bump when the derivation changes meaning (a bump
 #: invalidates every existing store, which is exactly the point).
 ARTIFACT_SCHEMA = "repro.artifact/v1"
-
-
-def _canonical(payload: object) -> str:
-    """Canonical JSON: sorted keys at every depth, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def artifact_key(
@@ -61,7 +57,7 @@ def artifact_key(
         "config": dict(config or {}),
         "seed": seed,
     }
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def shard_partial_key(

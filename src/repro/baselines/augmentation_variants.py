@@ -22,6 +22,7 @@ from repro.dataset.training import TrainingSet
 from repro.errors.typos import random_typo
 from repro.registry import register
 from repro.utils.rng import as_generator
+from repro.utils.specfile import require_int
 
 
 class RandomChannelPolicy(Policy):
@@ -89,8 +90,7 @@ class RandomChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require_int("seed", self.seed, 0)
 
 
 @register(

@@ -30,7 +30,8 @@ a store other workers are still filling (see ``docs/architecture.md``).
 ``spec``
 validates and pretty-prints declarative detector specs
 (``repro.spec/v1``; see :mod:`repro.spec`) — ``detect`` and ``benchmark``
-accept one via ``--spec`` in place of the individual model flags.
+accept one via ``--spec``, and model flags passed with it override its
+``[detector]`` keys.
 ``serve`` runs the long-lived multi-tenant detection server over a
 directory of saved models, routing requests by spec fingerprint (see
 :mod:`repro.serving`); ``client`` drives a running server (score a CSV,
@@ -41,149 +42,70 @@ a probe value.  ``shard`` manages out-of-core shard directories
 memory-mapped shards at bounded memory, ``info`` prints the manifest
 summary, and ``verify`` recomputes every shard digest.
 
-File formats:
-
-- **labels CSV** — header ``row,attribute,true_value``; one line per cell
-  the user has verified.  ``row`` is the 0-based row index in the input
-  CSV.  A cell is an error example when ``true_value`` differs from the
-  observed value.
-- **edits CSV** — header ``row,attribute,value``; one line per cell repair
-  to apply before re-scoring (``value`` is the new cell content).
-- **constraints file** — one denial constraint per line in the parser
-  syntax (``t1.Zip == t2.Zip & t1.City != t2.City``); blank lines and
-  ``#`` comments are ignored.
+Input files are parsed by the layers that own their types (see "Where each
+input format is parsed" in ``docs/architecture.md``); :func:`_read` turns a
+reader's ``ValueError``, which names ``path:line``, into a one-line exit.
+Every detector is built from a spec — ``--spec`` or the default — with the
+passed model flags as ``[detector]`` overrides, so every save is servable.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
 from repro.augmentation.policy import Policy
-from repro.constraints.dc import DenialConstraint, parse_denial_constraint
-from repro.core.detector import DetectionSession, DetectorConfig, ErrorPredictions, HoloDetect
-from repro.dataset.loader import read_csv
-from repro.dataset.table import Cell, Dataset
-from repro.dataset.training import LabeledCell, TrainingSet
+from repro.constraints.dc import read_constraints
+from repro.core.detector import DetectionSession, ErrorPredictions, HoloDetect
+from repro.dataset.loader import read_csv, read_edit_rows, read_edits, read_labels
+from repro.dataset.table import Dataset
+from repro.serving.reports import report_triage_rows, triage_rows, write_triage_csv
+from repro.spec import DetectorSpec, SpecError
+
+#: ``DetectorConfig`` fields settable by model flags (each flag's ``dest``).
+#: A flag left unset stays ``None`` and leaves the spec's value alone.
+_MODEL_FLAGS = (
+    "epochs", "embedding_dim", "seed", "augment", "prediction_batch", "feature_cache",
+)
 
 
-def load_constraints(path: str | Path) -> list[DenialConstraint]:
-    """Parse a constraints file (one DC per line, # comments allowed)."""
-    constraints = []
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            constraints.append(parse_denial_constraint(stripped))
-        except ValueError as exc:
-            raise SystemExit(f"{path}:{line_number}: {exc}") from exc
-    return constraints
-
-
-def load_labels(path: str | Path, dataset: Dataset) -> TrainingSet:
-    """Read a ``row,attribute,true_value`` labels CSV into a TrainingSet."""
-    examples = []
-    with Path(path).open(newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"row", "attribute", "true_value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SystemExit(
-                f"{path}: labels CSV needs columns {sorted(required)}, "
-                f"got {reader.fieldnames}"
-            )
-        for record in reader:
-            row = _parse_row_index(record["row"], dataset, path)
-            attr = record["attribute"]
-            if attr not in dataset.schema:
-                raise SystemExit(f"{path}: unknown attribute {attr!r}")
-            cell = Cell(row, attr)
-            examples.append(
-                LabeledCell(cell, observed=dataset.value(cell), true=record["true_value"])
-            )
-    return TrainingSet(examples)
-
-
-def _parse_row_index(raw: str, dataset: Dataset, path: str | Path) -> int:
+def _read(reader, *args, **kwargs):
+    """Run an input reader; a missing or malformed file ends the command
+    with its one-line message instead of a traceback."""
     try:
-        row = int(raw)
-    except ValueError:
-        raise SystemExit(f"{path}: row {raw!r} is not an integer") from None
-    if not 0 <= row < dataset.num_rows:
-        raise SystemExit(f"{path}: row {row} out of range")
-    return row
-
-
-def load_edits(path: str | Path, dataset: Dataset) -> dict[Cell, str]:
-    """Read a ``row,attribute,value`` edits CSV into a cell→value mapping."""
-    edits: dict[Cell, str] = {}
-    with Path(path).open(newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"row", "attribute", "value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SystemExit(
-                f"{path}: edits CSV needs columns {sorted(required)}, "
-                f"got {reader.fieldnames}"
-            )
-        for record in reader:
-            row = _parse_row_index(record["row"], dataset, path)
-            attr = record["attribute"]
-            if attr not in dataset.schema:
-                raise SystemExit(f"{path}: unknown attribute {attr!r}")
-            edits[Cell(row, attr)] = record["value"]
-    return edits
-
-
-def _write_triage(
-    path: str | Path, dataset: Dataset, predictions: ErrorPredictions, threshold: float
-) -> int:
-    """Write the ranked per-cell triage CSV; returns the flagged-cell count.
-
-    Delegates to the shared report helpers (:mod:`repro.serving.reports`) so
-    the CSV, the ``--json`` report, and the serving layer's responses all
-    rank and flag identically.
-    """
-    from repro.serving.reports import write_triage_csv
-
-    return write_triage_csv(path, dataset, predictions, threshold)
-
-
-def _detector_config(args: argparse.Namespace) -> DetectorConfig:
-    try:
-        return DetectorConfig(
-            epochs=args.epochs,
-            embedding_dim=args.embedding_dim,
-            seed=args.seed,
-            augment=not args.no_augment,
-            prediction_batch=args.prediction_batch,
-            feature_cache=not args.no_feature_cache,
-            artifact_dir=getattr(args, "artifacts", None),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"invalid detector configuration: {exc}") from exc
+        return reader(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def _build_detector(args: argparse.Namespace) -> HoloDetect:
-    """The detector for ``detect``/``rescore``/``benchmark``: ``--spec``
-    (declarative, wins over the individual model flags) or flag-derived."""
+    """The detector for ``detect``/``rescore``/``benchmark``: ``--spec`` (or
+    the default spec) with the passed model flags as ``[detector]``
+    overrides; ``--artifacts`` wins over the spec's ``[artifacts]`` table."""
+    spec = DetectorSpec.default()
     if getattr(args, "spec", None):
-        from repro.spec import DetectorSpec, SpecError
-
         try:
             spec = DetectorSpec.from_file(args.spec)
         except SpecError as exc:
             raise SystemExit(f"detector spec error: {exc}") from exc
-        print(f"spec: {args.spec} (fingerprint {spec.fingerprint()[:12]})", file=sys.stderr)
+    overrides = {k: getattr(args, k) for k in _MODEL_FLAGS if getattr(args, k) is not None}
+    spec = dataclasses.replace(spec, detector={**dict(spec.detector), **overrides})
+    try:
         detector = HoloDetect.from_spec(spec)
-        if getattr(args, "artifacts", None):
-            # The flag wins over the spec's own [artifacts] table.
-            detector.use_artifacts(args.artifacts)
-        return detector
-    return HoloDetect(_detector_config(args))
+    except SpecError as exc:
+        raise SystemExit(f"invalid detector configuration: {exc}") from exc
+    if getattr(args, "spec", None):
+        print(f"spec: {args.spec} (fingerprint {spec.fingerprint()[:12]})", file=sys.stderr)
+    if args.artifacts:
+        # In the config, not the spec: saves reattach the store as they
+        # always did, and the fingerprint never sees where it lives.
+        detector.config.artifact_dir = args.artifacts
+        detector.use_artifacts(args.artifacts)
+    return detector
 
 
 def _write_detect_json(
@@ -211,9 +133,9 @@ def _write_detect_json(
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    dataset = read_csv(args.input)
-    training = load_labels(args.labels, dataset)
-    constraints = load_constraints(args.constraints) if args.constraints else []
+    dataset = _read(read_csv, args.input)
+    training = _read(read_labels, args.labels, dataset)
+    constraints = _read(read_constraints, args.constraints) if args.constraints else []
     print(
         f"dataset: {dataset.num_rows} rows x {len(dataset.attributes)} attrs; "
         f"{len(training)} labels ({len(training.errors)} errors); "
@@ -229,7 +151,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     predictions = detector.predict()
-    flagged = _write_triage(args.output, dataset, predictions, args.threshold)
+    flagged = write_triage_csv(
+        args.output, triage_rows(dataset, predictions, args.threshold)
+    )
     print(f"wrote {args.output}: {flagged} cells flagged", file=sys.stderr)
     if args.json:
         _write_detect_json(args.json, args, dataset, detector, predictions)
@@ -247,7 +171,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_rescore(args: argparse.Namespace) -> int:
-    dataset = read_csv(args.input)
+    dataset = _read(read_csv, args.input)
+    edits = _read(read_edits, args.edits, dataset)  # before any fit: fail fast
     if args.model:
         from repro.persistence import load_detector
 
@@ -256,9 +181,9 @@ def cmd_rescore(args: argparse.Namespace) -> int:
             detector.use_artifacts(args.artifacts)
         print(f"loaded model from {args.model}", file=sys.stderr)
     elif args.labels:
-        training = load_labels(args.labels, dataset)
-        constraints = load_constraints(args.constraints) if args.constraints else []
-        detector = HoloDetect(_detector_config(args))
+        training = _read(read_labels, args.labels, dataset)
+        constraints = _read(read_constraints, args.constraints) if args.constraints else []
+        detector = _build_detector(args)
         detector.fit(dataset, training, constraints)
     else:
         raise SystemExit("rescore needs --model (saved detector) or --labels (fit fresh)")
@@ -272,7 +197,6 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         f"in {baseline_elapsed:.3f}s",
         file=sys.stderr,
     )
-    edits = load_edits(args.edits, dataset)
     started = time.perf_counter()
     predictions = session.apply(edits, refresh=args.refresh)
     elapsed = time.perf_counter() - started
@@ -285,7 +209,9 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         f"in {elapsed:.3f}s",
         file=sys.stderr,
     )
-    flagged = _write_triage(args.output, dataset, predictions, args.threshold)
+    flagged = write_triage_csv(
+        args.output, triage_rows(dataset, predictions, args.threshold)
+    )
     print(f"wrote {args.output}: {flagged} cells flagged", file=sys.stderr)
     if detector.cache_stats is not None:
         print(f"feature cache: {detector.cache_stats.summary()}", file=sys.stderr)
@@ -298,8 +224,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     from repro.data import load_dataset
     from repro.evaluation import evaluate_predictions, make_split
 
-    bundle = load_dataset(args.dataset, num_rows=args.rows, seed=args.seed)
-    split = make_split(bundle, args.training_fraction, rng=args.seed)
+    seed = 0 if args.seed is None else args.seed  # --seed also draws the data
+    bundle = load_dataset(args.dataset, num_rows=args.rows, seed=seed)
+    split = make_split(bundle, args.training_fraction, rng=seed)
     detector = _build_detector(args)
 
     profiler = None
@@ -502,8 +429,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_spec(args: argparse.Namespace) -> int:
-    from repro.spec import DetectorSpec, SpecError
-
     try:
         spec = DetectorSpec.from_file(args.file)
     except SpecError as exc:
@@ -553,7 +478,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not fingerprints:
         print(
             f"warning: no servable models under {args.models} "
-            "(save one with: repro detect --spec ... --save-model DIR)",
+            "(save one with: repro detect ... --save-model DIR)",
             file=sys.stderr,
         )
 
@@ -610,7 +535,7 @@ def _run_client_action(args: argparse.Namespace, client) -> int:
             raise SystemExit("client detect needs --input")
         if not args.fingerprint and not args.tenant:
             raise SystemExit("client detect needs --fingerprint (or a registered --tenant)")
-        dataset = read_csv(args.input)
+        dataset = _read(read_csv, args.input)
         response = client.detect(
             args.fingerprint or None,
             dataset=dataset,
@@ -622,7 +547,10 @@ def _run_client_action(args: argparse.Namespace, client) -> int:
             raise SystemExit("client rescore needs --tenant")
         if not args.edits:
             raise SystemExit("client rescore needs --edits")
-        edits = _load_wire_edits(args.edits)
+        edits = [
+            {"row": row, "attribute": attr, "value": value}
+            for row, attr, value in _read(read_edit_rows, args.edits)
+        ]
         response = client.rescore(
             args.tenant, edits, refresh=args.refresh, threshold=args.threshold
         )
@@ -643,7 +571,7 @@ def _run_client_action(args: argparse.Namespace, client) -> int:
             file=sys.stderr,
         )
     if args.output:
-        _write_report_triage(args.output, report)
+        write_triage_csv(args.output, report_triage_rows(report))
         print(f"wrote {args.output}", file=sys.stderr)
     if args.json:
         Path(args.json).write_text(
@@ -653,54 +581,9 @@ def _run_client_action(args: argparse.Namespace, client) -> int:
     return 0
 
 
-def _load_wire_edits(path: str | Path) -> list[dict]:
-    """Read a ``row,attribute,value`` edits CSV into wire edit objects.
-
-    Range/attribute validation happens server-side (the server owns the
-    tenant's relation; the client may not have a copy at all).
-    """
-    edits = []
-    with Path(path).open(newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"row", "attribute", "value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SystemExit(
-                f"{path}: edits CSV needs columns {sorted(required)}, "
-                f"got {reader.fieldnames}"
-            )
-        for record in reader:
-            try:
-                row = int(record["row"])
-            except ValueError:
-                raise SystemExit(f"{path}: row {record['row']!r} is not an integer")
-            edits.append(
-                {"row": row, "attribute": record["attribute"], "value": record["value"]}
-            )
-    return edits
-
-
-def _write_report_triage(path: str | Path, report: dict) -> None:
-    """Render a served detect report's ranked cells as the triage CSV."""
-    from repro.serving.reports import report_cells
-
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "attribute", "value", "error_probability", "flagged"])
-        for entry in report_cells(report):
-            writer.writerow(
-                [
-                    entry["row"],
-                    entry["attribute"],
-                    entry["value"],
-                    f"{entry['error_probability']:.4f}",
-                    int(entry["flagged"]),
-                ]
-            )
-
-
 def cmd_policy(args: argparse.Namespace) -> int:
-    dataset = read_csv(args.input)
-    training = load_labels(args.labels, dataset)
+    dataset = _read(read_csv, args.input)
+    training = _read(read_labels, args.labels, dataset)
     pairs = training.error_pairs()
     if not pairs:
         print("no labelled errors: learning from weak supervision", file=sys.stderr)
@@ -718,22 +601,20 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from repro.dataset.sharded import ShardedDataset
 
     if args.shard_command == "convert":
-        try:
-            sharded = ShardedDataset.from_csv(
-                args.input,
-                args.out,
-                shard_rows=args.rows_per_shard,
-                force=args.force,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"shard convert: {exc}") from exc
+        sharded = _read(
+            ShardedDataset.from_csv,
+            args.input,
+            args.out,
+            shard_rows=args.rows_per_shard,
+            force=args.force,
+        )
         print(
             f"wrote {sharded.num_rows} rows x {len(sharded.attributes)} "
             f"attributes into {sharded.num_shards} shards at {args.out}"
         )
         print(f"fingerprint: {sharded.fingerprint()}")
         return 0
-    sharded = ShardedDataset(args.dir)
+    sharded = _read(ShardedDataset, args.dir)
     if args.shard_command == "info":
         info = {
             "dir": str(args.dir),
@@ -770,21 +651,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--epochs", type=int, default=40, help="training epochs")
-        p.add_argument("--embedding-dim", type=int, default=16, help="embedding width")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        # Unset flags stay None: only the flags a user passes override the
+        # spec's [detector] keys (defaults shown are the default spec's).
+        p.add_argument("--epochs", type=int, help="training epochs (default 40)")
+        p.add_argument("--embedding-dim", type=int, help="embedding width (default 16)")
+        p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument(
-            "--no-augment", action="store_true", help="disable data augmentation (SuperL mode)"
+            "--no-augment", action="store_false", dest="augment", default=None,
+            help="disable data augmentation (SuperL mode)",
         )
         p.add_argument(
             "--prediction-batch",
             type=int,
-            default=512,
-            help="cells featurised per prediction chunk",
+            help="cells featurised per prediction chunk (default 512)",
         )
         p.add_argument(
             "--no-feature-cache",
-            action="store_true",
+            action="store_false",
+            dest="feature_cache",
+            default=None,
             help="disable memoisation of transformed feature blocks",
         )
         p.add_argument(
@@ -800,11 +685,14 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--constraints", help="denial constraints file (optional)")
     detect.add_argument("--output", required=True, help="output triage CSV")
     detect.add_argument("--threshold", type=float, default=0.5, help="flagging threshold")
-    detect.add_argument("--save-model", help="directory to save the fitted detector")
+    detect.add_argument(
+        "--save-model",
+        help="directory to save the fitted detector (servable by 'repro serve')",
+    )
     detect.add_argument(
         "--spec",
-        help="declarative detector spec (repro.spec/v1 .toml/.json); "
-        "supersedes the individual model flags",
+        help="declarative detector spec (repro.spec/v1 .toml/.json); model "
+        "flags passed with it override its [detector] keys",
     )
     detect.add_argument(
         "--json", help="also write a machine-readable repro.detect/v1 JSON report"
@@ -838,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--spec",
-        help="declarative detector spec (repro.spec/v1 .toml/.json); "
-        "supersedes the individual model flags",
+        help="declarative detector spec (repro.spec/v1 .toml/.json); model "
+        "flags passed with it override its [detector] keys",
     )
     bench.add_argument(
         "--profile",

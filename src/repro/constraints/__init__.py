@@ -13,6 +13,7 @@ from repro.constraints.dc import (
     Predicate,
     functional_dependency,
     parse_denial_constraint,
+    read_constraints,
 )
 from repro.constraints.violations import ViolationEngine
 from repro.constraints.discovery import discover_constraints, discover_noisy_constraints
@@ -22,6 +23,7 @@ __all__ = [
     "Predicate",
     "functional_dependency",
     "parse_denial_constraint",
+    "read_constraints",
     "ViolationEngine",
     "discover_constraints",
     "discover_noisy_constraints",

@@ -9,12 +9,14 @@ convention the original benchmarks use.
 
 The ubiquitous special case is a functional dependency ``X → Y``:
 ``¬(t1.X == t2.X ∧ t1.Y != t2.Y)``; :func:`functional_dependency` builds it.
+:func:`read_constraints` reads a constraints file, one DC per line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 _OPS: dict[str, Callable[[str, str], bool]] = {
@@ -180,3 +182,19 @@ def parse_denial_constraint(text: str, name: str = "") -> DenialConstraint:
                 Predicate(match.group("left"), match.group("op"), constant=match.group("const"))
             )
     return DenialConstraint(tuple(predicates), name=name or text)
+
+
+def read_constraints(path: str | Path) -> list[DenialConstraint]:
+    """Parse a constraints file: one DC per line in :func:`parse_denial_constraint`
+    syntax; blank lines and ``#`` comments are skipped.  A line that does
+    not parse raises ``ValueError`` naming ``path:line``."""
+    constraints = []
+    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            constraints.append(parse_denial_constraint(stripped))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_number}: {exc}") from None
+    return constraints

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.registry import ComponentError, register
+from repro.utils.specfile import require_int
 
 
 class PlattScaler:
@@ -82,8 +83,7 @@ class PlattCalibratorConfig:
     lr: float = 0.1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
+        require_int("epochs", self.epochs, 1)
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
 

@@ -38,6 +38,7 @@ from repro.features.base import CellBatch, FeatureContext
 from repro.features.cache import CacheStats, FeatureCache
 from repro.features.pipeline import CellFeatures, FeaturePipeline, default_pipeline
 from repro.utils.rng import as_generator
+from repro.utils.specfile import require_int
 
 
 @dataclass
@@ -108,13 +109,6 @@ class DetectorConfig:
         """
         self.exclude_models = tuple(self.exclude_models)
 
-        def positive_int(name: str) -> None:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-
         def fraction(name: str, *, closed_top: bool = False) -> None:
             value = getattr(self, name)
             top_ok = value <= 1.0 if closed_top else value < 1.0
@@ -122,20 +116,15 @@ class DetectorConfig:
                 bound = "[0, 1]" if closed_top else "[0, 1)"
                 raise ValueError(f"{name} must be in {bound}, got {value!r}")
 
-        for name in (
-            "embedding_dim", "embedding_epochs", "hidden_dim", "epochs",
-            "batch_size", "prediction_batch", "cache_max_entries",
+        for name, minimum in (
+            ("embedding_dim", 1), ("embedding_epochs", 1), ("hidden_dim", 1),
+            ("epochs", 1), ("batch_size", 1), ("prediction_batch", 1),
+            ("cache_max_entries", 1), ("min_training_steps", 0),
+            ("min_error_pairs", 0), ("weak_supervision_max_cells", 1), ("seed", 0),
         ):
-            positive_int(name)
-        if self.cache_max_bytes is not None and (
-            not isinstance(self.cache_max_bytes, int)
-            or isinstance(self.cache_max_bytes, bool)
-            or self.cache_max_bytes < 1
-        ):
-            raise ValueError(
-                "cache_max_bytes must be a positive integer or None, "
-                f"got {self.cache_max_bytes!r}"
-            )
+            require_int(name, getattr(self, name), minimum)
+        if self.cache_max_bytes is not None:
+            require_int("cache_max_bytes", self.cache_max_bytes, 1)
         fraction("dropout")
         fraction("holdout_fraction")
         if not isinstance(self.lr, (int, float)) or not self.lr > 0:
@@ -144,11 +133,6 @@ class DetectorConfig:
             raise ValueError(
                 f"weight_decay must be non-negative, got {self.weight_decay!r}"
             )
-        if not isinstance(self.min_training_steps, int) or self.min_training_steps < 0:
-            raise ValueError(
-                "min_training_steps must be a non-negative integer, "
-                f"got {self.min_training_steps!r}"
-            )
         if not isinstance(self.alpha, (int, float)) or not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if self.target_ratio is not None and (
@@ -156,23 +140,6 @@ class DetectorConfig:
         ):
             raise ValueError(
                 f"target_ratio must be positive or None, got {self.target_ratio!r}"
-            )
-        if not isinstance(self.min_error_pairs, int) or self.min_error_pairs < 0:
-            raise ValueError(
-                f"min_error_pairs must be a non-negative integer, "
-                f"got {self.min_error_pairs!r}"
-            )
-        if (
-            not isinstance(self.weak_supervision_max_cells, int)
-            or self.weak_supervision_max_cells < 1
-        ):
-            raise ValueError(
-                "weak_supervision_max_cells must be a positive integer, "
-                f"got {self.weak_supervision_max_cells!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
             )
         if self.artifact_dir is not None and not isinstance(
             self.artifact_dir, (str, PurePath)

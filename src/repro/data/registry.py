@@ -21,6 +21,7 @@ from repro.data.hospital import generate_hospital
 from repro.data.soccer import generate_soccer
 from repro.dataset.ground_truth import GroundTruth
 from repro.registry import REGISTRY, ComponentError
+from repro.utils.specfile import require_int
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,9 @@ class DatasetParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_rows is not None and (
-            not isinstance(self.num_rows, int) or self.num_rows <= 0
-        ):
-            raise ValueError(f"num_rows must be a positive integer, got {self.num_rows!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.num_rows is not None:
+            require_int("num_rows", self.num_rows, 1)
+        require_int("seed", self.seed)
 
 
 #: Default scaled-down row counts for offline CPU runs.  The paper's sizes

@@ -8,12 +8,14 @@ cell addressing (:class:`Cell`), ground-truth bookkeeping
 (:class:`TrainingSet`) that the paper calls ``T = {(c, v_c, v*_c)}``.
 """
 
-from repro.dataset.relation import Relation, ShardSpan
+from repro.dataset.relation import Relation, ShardSpan, check_cell
 from repro.dataset.table import Cell, Dataset, DatasetDelta, Schema
 from repro.dataset.sharded import ShardedDataset, ShardWriter
 from repro.dataset.ground_truth import GroundTruth
 from repro.dataset.training import LabeledCell, TrainingSet
-from repro.dataset.loader import open_relation, read_csv, write_csv
+from repro.dataset.loader import (
+    csv_records, open_relation, read_csv, read_edit_rows, read_edits, read_labels, write_csv,
+)
 
 __all__ = [
     "Cell",
@@ -27,7 +29,12 @@ __all__ = [
     "GroundTruth",
     "LabeledCell",
     "TrainingSet",
+    "check_cell",
+    "csv_records",
     "open_relation",
     "read_csv",
+    "read_edit_rows",
+    "read_edits",
+    "read_labels",
     "write_csv",
 ]

@@ -351,3 +351,17 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.num_rows} rows x {len(self.schema)} attrs)"
+
+
+def check_cell(relation: Relation, row: int, attr: str) -> Cell:
+    """The cell ``(row, attr)`` of ``relation``, checked before use.
+
+    The one cell check for cells named from outside — labels and edits
+    CSVs, and the server's wire cells and edits: the attribute must be in
+    the schema, then the row in range.  ``ValueError`` names the problem.
+    """
+    if attr not in relation.schema:
+        raise ValueError(f"unknown attribute {attr!r}")
+    if not 0 <= row < relation.num_rows:
+        raise ValueError(f"row {row} out of range")
+    return Cell(row, attr)

@@ -338,23 +338,16 @@ class ShardedDataset(Relation):
         force: bool = False,
     ) -> "ShardedDataset":
         """Stream a headered CSV into a shard directory without ever holding
-        the relation in memory (same missing-value convention as
-        :func:`repro.dataset.loader.read_csv`)."""
-        import csv as _csv
+        the relation in memory (same record reader and missing-value
+        convention as :func:`repro.dataset.loader.read_csv`)."""
+        from repro.dataset.loader import csv_records
 
-        csv_path = Path(csv_path)
-        with csv_path.open(newline="", encoding="utf-8") as f:
-            reader = _csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{csv_path} is empty — need a header row") from None
-            writer = ShardWriter(directory, header, shard_rows, force=force)
-            for row in reader:
-                writer.append_row(
-                    [field if field != "" else missing_token for field in row]
-                )
-            writer.close()
+        records = csv_records(csv_path)
+        _, header = next(records)
+        writer = ShardWriter(directory, header, shard_rows, force=force)
+        for _, fields in records:
+            writer.append_row([f if f != "" else missing_token for f in fields])
+        writer.close()
         return cls(directory)
 
     def to_dataset(self):

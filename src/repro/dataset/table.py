@@ -33,9 +33,6 @@ from repro.dataset.relation import (
 
 __all__ = ["Cell", "Dataset", "DatasetDelta", "Schema"]
 
-#: Compatibility alias — the recipe moved to :mod:`repro.dataset.relation`.
-_hash_column = hash_column
-
 
 class Dataset(Relation):
     """A relation: ordered rows over a fixed schema, all values strings.

@@ -28,7 +28,6 @@ is what makes Table-2-style columns comparable.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
@@ -46,6 +45,7 @@ from repro.registry import REGISTRY, ComponentError
 from repro.evaluation.report import markdown_table
 from repro.evaluation.runner import ExperimentResult, run_trials
 from repro.evaluation.store import ResultStore
+from repro.utils.specfile import canonical_json, component_entry, load_spec_file, require_int
 from repro.utils.timing import Timer
 
 #: Fingerprint format version; bump when the spec schema changes meaning.
@@ -61,14 +61,9 @@ class MatrixSpecError(ValueError):
     """A sweep spec is malformed (unknown axis value, bad type, ...)."""
 
 
-def _canonical(payload: object) -> str:
-    """Canonical JSON: sorted keys at every depth, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _derive_seed(*parts: object) -> int:
     """A stable 63-bit seed from a labelled tuple of spec components."""
-    digest = hashlib.sha256(_canonical(parts).encode("utf-8")).digest()
+    digest = hashlib.sha256(canonical_json(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
@@ -112,7 +107,7 @@ class ScenarioSpec:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical spec.  Stable across dict ordering,
         processes, and sessions — the :class:`ResultStore` key."""
-        payload = f"{_FINGERPRINT_VERSION}:{_canonical(self.to_dict())}"
+        payload = f"{_FINGERPRINT_VERSION}:{canonical_json(self.to_dict())}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # -- scoped seeds ----------------------------------------------------
@@ -140,19 +135,6 @@ class ScenarioSpec:
             self.error_profile, dict(self.error_params),
             self.label_budget, self.sampling_fraction, self.trials,
         )
-
-
-def _axis_entry(raw: object, axis: str) -> tuple[str, dict[str, object]]:
-    """Normalise a spec-file axis entry (string or table) to (name, params)."""
-    if isinstance(raw, str):
-        return raw, {}
-    if isinstance(raw, Mapping):
-        entry = dict(raw)
-        name = entry.pop("name", None)
-        if not isinstance(name, str):
-            raise MatrixSpecError(f"{axis} entry {raw!r} needs a string 'name'")
-        return name, entry
-    raise MatrixSpecError(f"{axis} entry {raw!r} must be a string or a table with 'name'")
 
 
 @dataclass
@@ -209,7 +191,7 @@ class ScenarioMatrix:
 
         datasets = []
         for raw in payload["datasets"]:  # type: ignore[union-attr]
-            name, params = _axis_entry(raw, "datasets")
+            name, params = component_entry(raw, "datasets", MatrixSpecError)
             try:
                 REGISTRY.entry("dataset", name)
             except ComponentError as exc:
@@ -217,15 +199,17 @@ class ScenarioMatrix:
             extra = set(params) - {"rows"}
             if extra:
                 raise MatrixSpecError(f"dataset {name!r}: unknown keys {sorted(extra)}")
-            rows = params.get("rows")
-            if rows is not None and (not isinstance(rows, int) or rows <= 0):
-                raise MatrixSpecError(f"dataset {name!r}: rows must be a positive integer")
+            if params.get("rows") is not None:
+                try:
+                    require_int("rows", params["rows"], 1)
+                except ValueError as exc:
+                    raise MatrixSpecError(f"dataset {name!r}: {exc}") from exc
             datasets.append((name, params))
 
         profiles_raw = non_empty_list("error_profiles", payload.get("error_profiles", ["native"]))
         profiles = []
         for raw in profiles_raw:  # type: ignore[union-attr]
-            name, params = _axis_entry(raw, "error_profiles")
+            name, params = component_entry(raw, "error_profiles", MatrixSpecError)
             try:
                 resolve_profile(name, **params)
             except ValueError as exc:
@@ -240,7 +224,7 @@ class ScenarioMatrix:
 
         methods = []
         for raw in payload["methods"]:  # type: ignore[union-attr]
-            name, params = _axis_entry(raw, "methods")
+            name, params = component_entry(raw, "methods", MatrixSpecError)
             # build_method resolves through the registry: built-in keys and
             # 'module:attr' references both validate here, before any run.
             try:
@@ -249,15 +233,16 @@ class ScenarioMatrix:
                 raise MatrixSpecError(str(exc)) from exc
             methods.append((name, params))
 
-        trials = payload.get("trials", 3)
-        if not isinstance(trials, int) or trials < 1:
-            raise MatrixSpecError("trials must be a positive integer")
         sampling = payload.get("sampling_fraction", 0.2)
         if not isinstance(sampling, (int, float)) or not 0.0 <= float(sampling) < 1.0:
             raise MatrixSpecError("sampling_fraction must be in [0, 1)")
+        trials = payload.get("trials", 3)
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
-            raise MatrixSpecError("seed must be an integer")
+        try:
+            require_int("trials", trials, 1)
+            require_int("seed", seed)
+        except ValueError as exc:
+            raise MatrixSpecError(str(exc)) from exc
 
         return cls(
             datasets=datasets,
@@ -272,30 +257,7 @@ class ScenarioMatrix:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioMatrix":
         """Load a spec file; format chosen by suffix (.toml or .json)."""
-        path = Path(path)
-        if not path.exists():
-            raise MatrixSpecError(f"spec file not found: {path}")
-        suffix = path.suffix.lower()
-        if suffix == ".toml":
-            import tomllib
-
-            try:
-                payload = tomllib.loads(path.read_text(encoding="utf-8"))
-            except tomllib.TOMLDecodeError as exc:
-                raise MatrixSpecError(f"{path}: invalid TOML: {exc}") from exc
-        elif suffix == ".json":
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise MatrixSpecError(f"{path}: invalid JSON: {exc}") from exc
-        else:
-            raise MatrixSpecError(f"{path}: unsupported spec format {suffix!r} (use .toml or .json)")
-        if not isinstance(payload, Mapping):
-            raise MatrixSpecError(f"{path}: spec must be a mapping at top level")
-        try:
-            return cls.from_dict(payload)
-        except MatrixSpecError as exc:
-            raise MatrixSpecError(f"{path}: {exc}") from exc
+        return load_spec_file(path, cls.from_dict, MatrixSpecError)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-able form (embedded in sweep reports)."""

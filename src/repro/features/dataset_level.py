@@ -7,7 +7,6 @@ sits from its nearest neighbour in a dataset-wide value embedding.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -69,40 +68,43 @@ class ConstraintViolationFeaturizer(Featurizer):
 
     def __init__(self, constraints: Sequence[DenialConstraint]):
         self._constraints = list(constraints)
-        self._engine = ViolationEngine(self._constraints)
         self._tuple_counts: np.ndarray | None = None
         # Per FD-shaped constraint: join attrs, residual attr, and the
         # group index {join_key -> {residual_value -> count}}.
         self._fd_indexes: list[dict | None] = []
 
     def fit(self, dataset: Dataset) -> "ConstraintViolationFeaturizer":
-        """Count per-tuple violations; shard-streamed when Σ is FD-shaped.
+        """Count per-tuple violations: FD group tables, the engine otherwise.
 
-        Over a multi-shard relation whose constraints are all FD-shaped,
-        the fit builds one mergeable group-table partial per (constraint,
-        shard) — consulted/stored through the artifact store under the
-        shard's fingerprint — then derives every tuple's count in a second
-        streaming pass: within a join group of size ``n`` holding ``m``
-        copies of the tuple's residual value, the tuple participates in
-        exactly ``n - m`` violating pairs, which is what the pairwise hash
-        join counts.  Any non-FD constraint (or a single-shard relation)
-        falls back to the whole-relation engine pass.
+        An FD-shaped constraint is counted from its group table
+        ``{join_key -> {residual_value -> count}}``
+        (:mod:`repro.features.partials`): within a join group of size ``n``
+        holding ``m`` copies of the tuple's residual value, the tuple
+        participates in exactly ``n - m`` violating pairs, which is what
+        the pairwise hash join counts.  Over a multi-shard relation the
+        table is merged from one partial per shard, consulted/stored
+        through the artifact store under the shard's fingerprint.  Only the
+        other constraint shapes go through :class:`ViolationEngine`.
         """
         self._artifact_keys = {}
         spans = dataset.shard_spans()
         shapes = [self._fd_shape(c) for c in self._constraints]
-        if len(spans) <= 1 or any(shape is None for shape in shapes):
-            self._tuple_counts = self._engine.tuple_violation_counts(dataset)
-            self._fd_indexes = [
-                self._build_fd_index(c, dataset) for c in self._constraints
-            ]
-            return self
+        # Partials go through the store only for multi-shard relations: a
+        # single shard's table is already inside the whole-state artifact.
+        store = self.artifact_store if len(spans) > 1 else None
         counts = np.zeros((dataset.num_rows, len(self._constraints)), dtype=np.float64)
+        others = [k for k, shape in enumerate(shapes) if shape is None]
+        if others:
+            engine = ViolationEngine([self._constraints[k] for k in others])
+            counts[:, others] = engine.tuple_violation_counts(dataset)
         indexes: list[dict | None] = []
         for k, (constraint, shape) in enumerate(zip(self._constraints, shapes)):
+            if shape is None:
+                indexes.append(None)
+                continue
             join_attrs, residual_attr = shape
             groups = merge_fd_group_partials(
-                self._shard_groups(dataset, span, constraint, join_attrs, residual_attr)
+                self._shard_groups(store, dataset, span, constraint, join_attrs, residual_attr)
                 for span in spans
             )
             indexes.append(
@@ -130,14 +132,15 @@ class ConstraintViolationFeaturizer(Featurizer):
 
     def _shard_groups(
         self,
+        store,
         dataset: Dataset,
         span: ShardSpan,
         constraint: DenialConstraint,
         join_attrs: list[str],
         residual_attr: str,
     ):
-        """One (constraint, shard) group-table partial, through the store."""
-        store = self.artifact_store
+        """One (constraint, shard) group-table partial, through ``store``
+        when one is given."""
         if store is None:
             return fd_group_partial(dataset, span, join_attrs, residual_attr)
         config = {"constraint": _constraint_config(constraint)}
@@ -172,23 +175,6 @@ class ConstraintViolationFeaturizer(Featurizer):
         ):
             return join_attrs, residual[0].left_attr
         return None
-
-    def _build_fd_index(self, constraint: DenialConstraint, dataset: Dataset) -> dict | None:
-        shape = self._fd_shape(constraint)
-        if shape is None:
-            return None
-        join_attrs, residual_attr = shape
-        groups: dict[tuple[str, ...], dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        join_cols = [dataset.column(a) for a in join_attrs]
-        residual_col = dataset.column(residual_attr)
-        for row in range(dataset.num_rows):
-            key = tuple(col[row] for col in join_cols)
-            groups[key][residual_col[row]] += 1
-        return {
-            "join_attrs": join_attrs,
-            "residual_attr": residual_attr,
-            "groups": {k: dict(v) for k, v in groups.items()},
-        }
 
     def _count_with_override(
         self, index: dict, cell: Cell, value: str, dataset: Dataset

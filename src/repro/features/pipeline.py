@@ -42,6 +42,7 @@ from repro.features.dataset_level import (
 )
 from repro.features.tuple_level import CooccurrenceFeaturizer, TupleEmbeddingFeaturizer
 from repro.registry import REGISTRY, ComponentError, register
+from repro.utils.specfile import require_int
 
 if TYPE_CHECKING:
     from repro.features.cache import FeatureCache
@@ -90,12 +91,9 @@ class EmbeddingModelConfig:
     epochs: int | None = None
 
     def __post_init__(self) -> None:
-        if self.dim is not None and (not isinstance(self.dim, int) or self.dim < 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.epochs is not None and (
-            not isinstance(self.epochs, int) or self.epochs < 1
-        ):
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
+        for name in ("dim", "epochs"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,8 @@ class NGramModelConfig:
     least_k: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.least_k, int) or self.least_k < 1:
-            raise ValueError(f"least_k must be a positive integer, got {self.least_k!r}")
+        require_int("n", self.n, 1)
+        require_int("least_k", self.least_k, 1)
 
 
 def _embedding_factory(cls):

@@ -38,6 +38,7 @@ from repro.serving.reports import (
     build_detect_report,
     count_flagged,
     ranked_predictions,
+    triage_rows,
     write_triage_csv,
 )
 from repro.serving.server import DetectionServer, ServeConfig, Tenant
@@ -70,6 +71,7 @@ __all__ = [
     "probabilities_of",
     "build_detect_report",
     "write_triage_csv",
+    "triage_rows",
     "ranked_predictions",
     "count_flagged",
     "WireError",

@@ -10,7 +10,9 @@ engine-counter blocks cannot disagree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import csv
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.detector import ErrorPredictions, HoloDetect
@@ -97,34 +99,39 @@ def build_detect_report(
     }
 
 
+def triage_rows(
+    dataset: "Dataset", predictions: "ErrorPredictions", threshold: float
+) -> Iterator[tuple[int, str, str, float, bool]]:
+    """Triage rows of locally scored predictions, most suspicious first."""
+    for cell, value, probability in ranked_predictions(dataset, predictions):
+        yield cell.row, cell.attr, value, probability, probability >= threshold
+
+
+def report_triage_rows(report: dict) -> Iterator[tuple[int, str, str, float, bool]]:
+    """Triage rows of a (served) ``repro.detect/v1`` report, in its order."""
+    cells = report.get("cells")
+    for entry in cells if isinstance(cells, list) else ():
+        yield (
+            entry["row"], entry["attribute"], entry["value"],
+            entry["error_probability"], entry["flagged"],
+        )
+
+
 def write_triage_csv(
-    path,
-    dataset: "Dataset",
-    predictions: "ErrorPredictions",
-    threshold: float,
+    path: str | Path, rows: Iterable[tuple[int, str, str, float, bool]]
 ) -> int:
     """Write the ranked per-cell triage CSV; returns the flagged-cell count.
 
-    The ranking and flag decisions come from the same helpers as the JSON
-    report, so the two views of one detection run always agree.
+    ``rows`` are ``(row, attribute, value, error_probability, flagged)``
+    tuples in rank order — :func:`triage_rows` for a local detection run,
+    :func:`report_triage_rows` for a served report — so ``repro detect``
+    and ``repro client detect`` write one format.
     """
-    import csv
-    from pathlib import Path
-
     flagged = 0
     with Path(path).open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["row", "attribute", "value", "error_probability", "flagged"])
-        for cell, value, probability in ranked_predictions(dataset, predictions):
-            is_flagged = probability >= threshold
+        for row, attr, value, probability, is_flagged in rows:
             flagged += is_flagged
-            writer.writerow(
-                [cell.row, cell.attr, value, f"{probability:.4f}", int(is_flagged)]
-            )
+            writer.writerow([row, attr, value, f"{probability:.4f}", int(is_flagged)])
     return flagged
-
-
-def report_cells(report: dict) -> Sequence[dict]:
-    """The ranked cell entries of a detect report (defensive accessor)."""
-    cells = report.get("cells")
-    return cells if isinstance(cells, list) else []

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.dataset.relation import check_cell
 from repro.serving.batching import ScoreBatcher
 from repro.serving.registry import DetectorRegistry, RegistryError
 from repro.serving.reports import build_detect_report
@@ -662,24 +663,16 @@ class DetectionServer:
             raise HttpError(400, "bad_request", f"bad relation: {exc}") from exc
 
     def _parse_cells(self, raw: object, dataset: "Dataset") -> list:
-        from repro.dataset.table import Cell
-
         try:
             pairs = list(iter_cells(raw))
         except WireError as exc:
             raise HttpError(400, "bad_request", str(exc)) from exc
-        cells = []
-        for row, attr in pairs:
-            if attr not in dataset.schema:
-                raise HttpError(400, "bad_request", f"unknown attribute {attr!r}")
-            if not 0 <= row < dataset.num_rows:
-                raise HttpError(400, "bad_request", f"row {row} out of range")
-            cells.append(Cell(row, attr))
-        return cells
+        try:
+            return [check_cell(dataset, row, attr) for row, attr in pairs]
+        except ValueError as exc:
+            raise HttpError(400, "bad_request", str(exc)) from exc
 
     def _parse_edits(self, payload: dict, dataset: "Dataset") -> dict:
-        from repro.dataset.table import Cell
-
         raw = payload.get("edits")
         if not isinstance(raw, list) or not raw:
             raise HttpError(
@@ -703,11 +696,10 @@ class DetectionServer:
                     f"bad edit entry {entry!r}; expected "
                     "{row: int, attribute: str, value: str}",
                 )
-            if attr not in dataset.schema:
-                raise HttpError(400, "bad_edit", f"unknown attribute {attr!r}")
-            if not 0 <= row < dataset.num_rows:
-                raise HttpError(400, "bad_edit", f"row {row} out of range")
-            edits[Cell(row, attr)] = value
+            try:
+                edits[check_cell(dataset, row, attr)] = value
+            except ValueError as exc:
+                raise HttpError(400, "bad_edit", str(exc)) from exc
         return edits
 
     # ------------------------------------------------------------------ #

@@ -45,6 +45,8 @@ import json
 import struct
 from typing import Iterator
 
+from repro.utils.specfile import canonical_json
+
 #: Wire schema identifier carried by every request/response payload.
 SERVE_SCHEMA = "repro.serve/v1"
 
@@ -190,9 +192,7 @@ def encode_payload(payload: object, content_type: str = JSON_CONTENT_TYPE) -> by
         return pack(payload)
     if base in (JSON_CONTENT_TYPE, "", "*/*"):
         try:
-            return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-                "utf-8"
-            )
+            return canonical_json(payload).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise WireError(f"payload is not JSON-encodable: {exc}") from exc
     raise WireError(f"unsupported content type {content_type!r}")

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.registry import REGISTRY, ComponentError
+from repro.utils.specfile import canonical_json, component_entry, load_spec_file
 
 #: Spec schema identifier; bump when the layout changes meaning.
 SPEC_SCHEMA = "repro.spec/v1"
@@ -64,24 +65,6 @@ _ARTIFACT_KEYS = {"dir"}
 
 class SpecError(ValueError):
     """A detector spec is malformed (unknown key, bad component, ...)."""
-
-
-def _canonical(payload: object) -> str:
-    """Canonical JSON: sorted keys at every depth, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _component_entry(raw: object, where: str) -> tuple[str, dict[str, object]]:
-    """Normalise a spec component entry (string or table) to (name, params)."""
-    if isinstance(raw, str):
-        return raw, {}
-    if isinstance(raw, Mapping):
-        entry = dict(raw)
-        name = entry.pop("name", None)
-        if not isinstance(name, str):
-            raise SpecError(f"{where} entry {raw!r} needs a string 'name'")
-        return name, entry
-    raise SpecError(f"{where} entry {raw!r} must be a string or a table with 'name'")
 
 
 def _emit_entry(name: str, params: Mapping[str, object]) -> object:
@@ -191,14 +174,6 @@ class DetectorSpec:
                 "policy_override is not spec-able; use the top-level "
                 "'policy' key instead"
             )
-        for key in ("artifact_store", "artifact_dir"):
-            if key in detector:
-                raise SpecError(
-                    f"{key} is not spec-able under [detector]; point the "
-                    "[artifacts] table's 'dir' at a store directory instead "
-                    "(the store location is an execution detail and must "
-                    "never enter the spec fingerprint)"
-                )
 
         raw_featurizers = payload.get("featurizers")
         featurizers: tuple[tuple[str, Mapping[str, object]], ...] | None = None
@@ -213,11 +188,14 @@ class DetectorSpec:
                     "entirely for the default pipeline"
                 )
             featurizers = tuple(
-                _component_entry(raw, "featurizers") for raw in raw_featurizers
+                component_entry(raw, "featurizers", SpecError)
+                for raw in raw_featurizers
             )
 
-        policy = _component_entry(payload.get("policy", "learned"), "policy")
-        calibrator = _component_entry(payload.get("calibrator", "platt"), "calibrator")
+        policy = component_entry(payload.get("policy", "learned"), "policy", SpecError)
+        calibrator = component_entry(
+            payload.get("calibrator", "platt"), "calibrator", SpecError
+        )
 
         artifacts = payload.get("artifacts", {})
         if not isinstance(artifacts, Mapping):
@@ -236,30 +214,7 @@ class DetectorSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "DetectorSpec":
         """Load a spec file; format chosen by suffix (.toml or .json)."""
-        path = Path(path)
-        if not path.exists():
-            raise SpecError(f"spec file not found: {path}")
-        suffix = path.suffix.lower()
-        if suffix == ".toml":
-            import tomllib
-
-            try:
-                payload = tomllib.loads(path.read_text(encoding="utf-8"))
-            except tomllib.TOMLDecodeError as exc:
-                raise SpecError(f"{path}: invalid TOML: {exc}") from exc
-        elif suffix == ".json":
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-        else:
-            raise SpecError(
-                f"{path}: unsupported spec format {suffix!r} (use .toml or .json)"
-            )
-        try:
-            return cls.from_dict(payload)
-        except SpecError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
+        return load_spec_file(path, cls.from_dict, SpecError)
 
     # -- validation ------------------------------------------------------ #
 
@@ -272,8 +227,8 @@ class DetectorSpec:
         detector = dict(self.detector)
         for key in ("artifact_store", "artifact_dir"):
             if key in detector:
-                # Guard direct construction too: the store location must
-                # never enter the (fingerprinted) [detector] table.
+                # Files and direct construction alike: the store location
+                # must never enter the (fingerprinted) [detector] table.
                 raise SpecError(
                     f"{key} is not spec-able under [detector]; use the "
                     "[artifacts] table's 'dir' key instead"
@@ -350,7 +305,7 @@ class DetectorSpec:
         artifacts live, never *what* the detector computes."""
         payload = self.to_dict()
         payload.pop("artifacts", None)
-        canonical = f"{SPEC_SCHEMA}:{_canonical(payload)}"
+        canonical = f"{SPEC_SCHEMA}:{canonical_json(payload)}"
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def to_file(self, path: str | Path) -> None:

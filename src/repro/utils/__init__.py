@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG handling and timing helpers."""
+"""Shared utilities: deterministic RNG, timing, spec files (:mod:`.specfile`)."""
 
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timing import Timer

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import csv
+import json
 
 import pytest
 
-from repro.cli import build_parser, load_constraints, load_labels, main
-from repro.dataset import Dataset, write_csv
+from repro.cli import build_parser, main
+from repro.constraints import read_constraints
+from repro.dataset import Dataset, read_labels, write_csv
 
 
 @pytest.fixture
@@ -39,21 +41,21 @@ def workspace(tmp_path):
 class TestFileLoaders:
     def test_load_constraints_skips_comments_and_blanks(self, workspace):
         _, _, _, constraints_path = workspace
-        constraints = load_constraints(constraints_path)
+        constraints = read_constraints(constraints_path)
         assert len(constraints) == 2
 
     def test_load_constraints_reports_line(self, tmp_path):
         bad = tmp_path / "c.txt"
         bad.write_text("not a constraint\n")
-        with pytest.raises(SystemExit, match="c.txt:1"):
-            load_constraints(bad)
+        with pytest.raises(ValueError, match="c.txt:1"):
+            read_constraints(bad)
 
     def test_load_labels(self, workspace):
         _, data_path, labels_path, _ = workspace
         from repro.dataset import read_csv
 
         dataset = read_csv(data_path)
-        training = load_labels(labels_path, dataset)
+        training = read_labels(labels_path, dataset)
         assert len(training) == 31
         assert len(training.errors) == 1
 
@@ -64,8 +66,8 @@ class TestFileLoaders:
         dataset = read_csv(data_path)
         bad = tmp_path / "bad.csv"
         bad.write_text("row,attribute,true_value\n0,nope,x\n")
-        with pytest.raises(SystemExit, match="unknown attribute"):
-            load_labels(bad, dataset)
+        with pytest.raises(ValueError, match="bad.csv:2: unknown attribute"):
+            read_labels(bad, dataset)
 
     def test_load_labels_validates_row(self, workspace, tmp_path):
         _, data_path, _, _ = workspace
@@ -74,8 +76,8 @@ class TestFileLoaders:
         dataset = read_csv(data_path)
         bad = tmp_path / "bad.csv"
         bad.write_text("row,attribute,true_value\n999,city,x\n")
-        with pytest.raises(SystemExit, match="out of range"):
-            load_labels(bad, dataset)
+        with pytest.raises(ValueError, match="bad.csv:2: row 999 out of range"):
+            read_labels(bad, dataset)
 
     def test_load_labels_requires_header(self, workspace, tmp_path):
         _, data_path, _, _ = workspace
@@ -84,8 +86,8 @@ class TestFileLoaders:
         dataset = read_csv(data_path)
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
-        with pytest.raises(SystemExit, match="needs columns"):
-            load_labels(bad, dataset)
+        with pytest.raises(ValueError, match="needs columns"):
+            read_labels(bad, dataset)
 
 
 class TestCommands:
@@ -323,3 +325,117 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     message = excinfo.value.code
     assert isinstance(message, str) and "\n" not in message
     assert expected in message
+
+
+def _one_line_exit(argv: list[str]) -> str:
+    """Run the CLI expecting a one-line error exit; return the message."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message, message
+    return message
+
+
+class TestInputErrors:
+    """Malformed input files end the command with one line naming the file."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["zip,zip,state\n60612,Chicago,IL\n", "zip,city,state\n60612,Chicago\n", ""],
+        ids=["duplicate-header", "ragged", "empty"],
+    )
+    @pytest.mark.parametrize("command", ["detect", "rescore", "policy", "client-detect"])
+    def test_malformed_relation(self, workspace, command, text):
+        tmp_path, _, labels_path, _ = workspace
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        edits = tmp_path / "edits.csv"
+        edits.write_text("row,attribute,value\n0,city,Chicago\n")
+        argv = {
+            "detect": ["detect", "--labels", str(labels_path), "--output", "o.csv"],
+            "rescore": ["rescore", "--labels", str(labels_path), "--edits", str(edits),
+                        "--output", "o.csv"],
+            "policy": ["policy", "--labels", str(labels_path), "--value", "Chicago"],
+            # The client reads its input before contacting any server.
+            "client-detect": ["client", "detect", "--fingerprint", "abcdef", "--port", "9"],
+        }[command]
+        assert "bad.csv" in _one_line_exit(argv + ["--input", str(bad)])
+
+    def test_short_labels_row(self, workspace):
+        tmp_path, data_path, labels_path, _ = workspace
+        with labels_path.open("a") as f:
+            f.write("3,city\n")
+        message = _one_line_exit(
+            ["detect", "--input", str(data_path), "--labels", str(labels_path),
+             "--output", str(tmp_path / "o.csv")]
+        )
+        assert "labels.csv:33: expected 3 fields" in message
+
+    def test_short_edits_row(self, workspace):
+        tmp_path, data_path, labels_path, _ = workspace
+        edits = tmp_path / "edits.csv"
+        edits.write_text("row,attribute,value\n0,city,Chicago\n24,city\n")
+        message = _one_line_exit(
+            ["rescore", "--input", str(data_path), "--labels", str(labels_path),
+             "--edits", str(edits), "--output", str(tmp_path / "o.csv")]
+        )
+        assert "edits.csv:3: expected 3 fields" in message
+
+    def test_missing_input_file(self, workspace):
+        tmp_path, _, labels_path, _ = workspace
+        message = _one_line_exit(
+            ["detect", "--input", str(tmp_path / "nope.csv"), "--labels",
+             str(labels_path), "--output", str(tmp_path / "o.csv")]
+        )
+        assert "nope.csv" in message
+
+
+class TestDetectorFromSpec:
+    """Every CLI detector is spec-built; passed model flags override keys."""
+
+    def test_flag_built_save_is_servable(self, workspace):
+        from repro.persistence import detector_index
+        from repro.spec import DetectorSpec
+
+        tmp_path, data_path, labels_path, _ = workspace
+        report, model = tmp_path / "report.json", tmp_path / "models" / "m"
+        code = main(
+            ["detect", "--input", str(data_path), "--labels", str(labels_path),
+             "--output", str(tmp_path / "o.csv"), "--epochs", "5",
+             "--embedding-dim", "6", "--no-augment", "--artifacts", str(tmp_path / "a"),
+             "--save-model", str(model), "--json", str(report)]
+        )
+        assert code == 0
+        # --artifacts stays out of the spec (and its fingerprint) but is
+        # still recorded with the save, so a reload reattaches the store.
+        fingerprint = DetectorSpec.default(
+            epochs=5, embedding_dim=6, augment=False
+        ).fingerprint()
+        assert detector_index(tmp_path / "models") == {fingerprint: model}
+        assert json.loads(report.read_text())["spec_fingerprint"] == fingerprint
+        state = json.loads((model / "state.json").read_text())
+        assert state["config"]["artifact_dir"] == str(tmp_path / "a")
+
+    def test_model_flags_override_spec_keys(self, workspace, spec_file, capsys):
+        from repro.spec import DetectorSpec
+
+        tmp_path, data_path, labels_path, _ = workspace
+        report = tmp_path / "report.json"
+        code = main(
+            ["detect", "--input", str(data_path), "--labels", str(labels_path),
+             "--output", str(tmp_path / "o.csv"), "--spec", str(spec_file),
+             "--epochs", "4", "--json", str(report)]
+        )
+        assert code == 0
+        # spec_file sets epochs = 5, embedding_dim = 6, seed = 0.
+        expected = DetectorSpec.default(epochs=4, embedding_dim=6, seed=0).fingerprint()
+        assert json.loads(report.read_text())["spec_fingerprint"] == expected
+        assert f"(fingerprint {expected[:12]})" in capsys.readouterr().err
+
+    def test_unset_flags_leave_the_spec_alone(self, spec_file):
+        args = build_parser().parse_args(
+            ["benchmark", "--spec", str(spec_file), "--no-feature-cache"]
+        )
+        assert (args.epochs, args.seed, args.augment, args.feature_cache) == (
+            None, None, None, False,
+        )

@@ -189,6 +189,34 @@ class TestFeaturizerEquivalence:
             if a is not None:
                 assert a["groups"] == b["groups"]
 
+    def test_group_counts_match_the_engine(self, hospital, tmp_path):
+        """FD-shaped constraints are counted from group tables, the others
+        by the engine: on hospital's Σ and on a mixed Σ the counts equal
+        the engine's pairwise counts, in memory and sharded."""
+        from repro.constraints import ViolationEngine, parse_denial_constraint
+
+        a = hospital.dirty.attributes
+        mixed = [
+            parse_denial_constraint(f"t1.{a[0]} == t2.{a[0]} & t1.{a[1]} > t2.{a[1]}"),
+            *hospital.constraints,
+            parse_denial_constraint(
+                f"t1.{a[3]} == t2.{a[3]} & t1.{a[4]} != t2.{a[4]} & t1.{a[5]} < t2.{a[5]}"
+            ),
+        ]
+        for k, sigma in enumerate((hospital.constraints, mixed)):
+            engine = ViolationEngine(sigma).tuple_violation_counts(hospital.dirty)
+            mem = ConstraintViolationFeaturizer(sigma).fit(hospital.dirty)
+            assert mem._tuple_counts.tobytes() == engine.tobytes()
+            sharded = ConstraintViolationFeaturizer(sigma)
+            sharded.artifact_store = ArtifactStore(tmp_path / f"store{k}")
+            sharded.fit(_sharded_twin(hospital.dirty, tmp_path / f"twin{k}", 17))
+            assert sharded._tuple_counts.tobytes() == engine.tobytes()
+            assert sharded._fd_indexes == mem._fd_indexes
+        # Only the FD-shaped constraints carry a group index.
+        assert [i is None for i in mem._fd_indexes] == [True] + [
+            False
+        ] * len(hospital.constraints) + [True]
+
     def test_constraint_violations_without_store(self, hospital, tmp_path):
         sharded = _sharded_twin(hospital.dirty, tmp_path, 23)
         mem = ConstraintViolationFeaturizer(hospital.constraints).fit(hospital.dirty)

@@ -343,6 +343,29 @@ class TestTenants:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_edit"
 
+    def test_bad_cells_and_edits_keep_codes_and_messages(self, served_world, client):
+        register(client, served_world)
+        dataset = served_world.bundle.dirty
+        attr, rows = dataset.attributes[0], dataset.num_rows
+        cases = [
+            (lambda: client.detect(tenant="acme", cells=[(0, "Nope")]),
+             "bad_request", "unknown attribute 'Nope'"),
+            (lambda: client.detect(tenant="acme", cells=[(rows, "Nope")]),
+             "bad_request", "unknown attribute 'Nope'"),
+            (lambda: client.detect(tenant="acme", cells=[(0, attr), (rows, attr)]),
+             "bad_request", f"row {rows} out of range"),
+            (lambda: client.rescore("acme", [{"row": 0, "attribute": "Nope", "value": "v"}]),
+             "bad_edit", "unknown attribute 'Nope'"),
+            (lambda: client.rescore("acme", [{"row": -1, "attribute": attr, "value": "v"}]),
+             "bad_edit", "row -1 out of range"),
+        ]
+        for call, code, message in cases:
+            with pytest.raises(ServeClientError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == code
+            assert excinfo.value.payload["error"]["message"] == message
+
     def test_evict_tenant_and_model(self, served_world, client):
         register(client, served_world)
         client.detect(served_world.fingerprint, dataset=served_world.bundle.dirty)
@@ -677,3 +700,30 @@ class TestFaultInjection:
         assert payload["schema"] == SERVE_SCHEMA
         assert payload["kind"] == "error"
         assert set(payload["error"]) == {"code", "message"}
+
+
+class TestCliClient:
+    def test_client_detect_writes_the_served_triage_csv(self, served_world, server, tmp_path):
+        import csv
+
+        from repro.cli import main
+        from repro.dataset import write_csv
+
+        data = tmp_path / "data.csv"
+        write_csv(served_world.bundle.dirty, data)
+        triage, response = tmp_path / "served.csv", tmp_path / "served.json"
+        assert main(
+            ["client", "detect", "--port", str(server.port),
+             "--fingerprint", served_world.fingerprint[:12], "--input", str(data),
+             "--output", str(triage), "--json", str(response)]
+        ) == 0
+        cells = json.loads(response.read_text())["report"]["cells"]
+        with triage.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["row", "attribute", "value", "error_probability", "flagged"]
+        assert rows[1:] == [
+            [str(c["row"]), c["attribute"], c["value"],
+             f"{c['error_probability']:.4f}", str(int(c["flagged"]))]
+            for c in cells
+        ]
+        assert len(rows) - 1 == served_world.bundle.dirty.num_cells

@@ -447,3 +447,80 @@ class TestSpecImmutability:
             HoloDetect.from_spec(DetectorSpec(featurizers=(("nope", {}),)))
         with pytest.raises(SpecError, match="unknown calibrator"):
             HoloDetect.from_spec(DetectorSpec(calibrator=("nope", {})))
+
+
+# --------------------------------------------------------------------- #
+# One spec-file layer: integer checks, pinned fingerprints
+# --------------------------------------------------------------------- #
+
+
+def _matrix(**overrides):
+    from repro.evaluation.matrix import ScenarioMatrix
+
+    payload = {"datasets": ["hospital"], "label_budgets": [0.1], "methods": ["cv"]}
+    payload.update(overrides)
+    return ScenarioMatrix.from_dict(payload)
+
+
+def _configs():
+    from repro.baselines.augmentation_variants import RandomChannelConfig
+    from repro.core.calibration import PlattCalibratorConfig
+    from repro.data.registry import DatasetParams
+    from repro.features.pipeline import EmbeddingModelConfig, NGramModelConfig
+
+    return {
+        "embedding-dim": lambda v: EmbeddingModelConfig(dim=v),
+        "embedding-epochs": lambda v: EmbeddingModelConfig(epochs=v),
+        "ngram-n": lambda v: NGramModelConfig(n=v),
+        "ngram-least_k": lambda v: NGramModelConfig(least_k=v),
+        "platt-epochs": lambda v: PlattCalibratorConfig(epochs=v),
+        "random-channel-seed": lambda v: RandomChannelConfig(seed=v),
+        "dataset-num_rows": lambda v: DatasetParams(num_rows=v),
+        "dataset-seed": lambda v: DatasetParams(seed=v),
+        "matrix-rows": lambda v: _matrix(datasets=[{"name": "hospital", "rows": v}]),
+        "matrix-trials": lambda v: _matrix(trials=v),
+        "matrix-seed": lambda v: _matrix(seed=v),
+        "detector-min_training_steps": lambda v: DetectorConfig(min_training_steps=v),
+        "detector-min_error_pairs": lambda v: DetectorConfig(min_error_pairs=v),
+        "detector-weak_supervision_max_cells": (
+            lambda v: DetectorConfig(weak_supervision_max_cells=v)
+        ),
+        "spec-featurizer-dim": lambda v: DetectorSpec.from_dict(
+            {"schema": SPEC_SCHEMA, "featurizers": [{"name": "char_embedding", "dim": v}]}
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_configs()))
+def test_true_is_never_an_integer(name):
+    """A TOML/JSON ``true`` is rejected wherever a count is expected, while
+    the integer 1 is accepted."""
+    build = _configs()[name]
+    build(1)
+    with pytest.raises(ValueError, match=r"integer, got True"):
+        build(True)
+
+
+def test_fingerprints_and_artifact_keys_are_pinned():
+    """Canonical JSON is shared by specs, scenarios and artifact keys; the
+    digests of a warmed store must never move."""
+    from pathlib import Path
+
+    from repro.artifacts.keys import artifact_key
+    from repro.evaluation.matrix import ScenarioMatrix
+
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    assert DetectorSpec.default().fingerprint() == (
+        "179129f3178af1b1dd1aa73745221ff4703a331fcee6243b21cc98da5a7833bc"
+    )
+    assert DetectorSpec.from_file(examples / "detector_default.toml").fingerprint() == (
+        "b71140c747e28ba3c271ef9e569ff09adf5fd8d5cb1c9314b16df5ddb3e17594"
+    )
+    scenario = ScenarioMatrix.from_file(examples / "sweep_smoke.toml").expand()[0]
+    assert scenario.fingerprint() == (
+        "ead34726946e4b011f22a39caccd3aafc549fa65b084c463bc2956b75ac3c31f"
+    )
+    assert scenario.trials_seed == 589659271167062262
+    assert artifact_key(
+        "embedding/char", "abc", {"dim": 16, "epochs": 2, "b": [1, 2]}, seed=7
+    ) == "bcc5db3f35423aa5a8b5e6f2e5b9806e58ed9e89ea802f9e997611550f7822de"
