@@ -19,8 +19,10 @@ Modules:
   append/latest-wins disk objects, corrupt-tolerant), its statistics, and
   ``flatten_arrays``/``restore_arrays``, the one array layer of artifact
   objects and saved detectors;
-- :mod:`repro.artifacts.codec` — payload encode/decode for embeddings and
-  whole featurizer states, both the components' own ``to_state`` output;
+- :mod:`repro.artifacts.codec` — ``store_or_build``, the one seam through
+  which every fit consults the store, and the payload encode/decode for
+  embeddings and whole featurizer states (the components' own
+  ``to_state`` output);
 - :mod:`repro.artifacts.runtime` — the ambient default store that sweep
   workers attach so every detector built in the process shares one store.
 """

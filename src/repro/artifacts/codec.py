@@ -1,4 +1,10 @@
-"""Payload encode/decode for the two artifact granularities.
+"""The store-or-build seam and the payload codecs of fitted artifacts.
+
+:func:`store_or_build` is the one place the fit path touches an
+:class:`~repro.artifacts.store.ArtifactStore`: every store-backed fit —
+whole featurizer states, per-column and relation-wide embeddings, per-shard
+partials — passes it a key, a ``build`` callable and an ``encode``/``decode``
+pair.  The payload codecs:
 
 - **Embedding artifacts** — one trained
   :class:`~repro.embeddings.fasttext.FastTextEmbedding` (the per-column
@@ -17,48 +23,56 @@ the store.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
-from repro.artifacts.keys import artifact_key, training_seed
 from repro.embeddings.fasttext import FastTextEmbedding
 
+T = TypeVar("T")
 
-def fit_embedding_artifact(
+
+def store_or_build(
     store,
+    key: str,
     kind: str,
-    scope: str,
-    config: Mapping[str, object],
-    train: Callable[[int], FastTextEmbedding],
+    build: Callable[[], T],
+    encode: Callable[[T], dict | None],
+    decode: Callable[[Mapping[str, object]], T],
     meta: Mapping[str, object] | None = None,
-) -> tuple[str, FastTextEmbedding]:
-    """The one store-consult discipline for every embedding-backed fit.
+) -> T:
+    """The value stored under ``key``, or a freshly built one.
 
-    Derives the artifact key, serves the trained model from ``store`` when
-    possible (a payload that fails to decode is treated as a miss), and
-    otherwise calls ``train(seed)`` with the content-derived training seed
-    and stores the result.  Returns ``(key, model)``; ``store`` may be
-    ``None`` (train only — the key is still the seed source).
+    A stored payload is returned through ``decode``.  An absent payload, or
+    one that fails to decode, is a miss: ``build()`` runs and its
+    ``encode``-d form is stored under ``key`` (overwriting a bad payload)
+    unless ``encode`` returns ``None``.  ``store`` may be ``None`` (build
+    only); ``kind`` and ``meta`` go to the store's manifest.
     """
-    key = artifact_key(kind, scope, config)
     if store is not None:
         payload = store.get(key)
         if payload is not None:
             try:
-                return key, FastTextEmbedding.from_state(
-                    {
-                        **payload,
-                        "in_table": np.array(payload["in_table"], dtype=np.float64),
-                        "out_table": np.array(payload["out_table"], dtype=np.float64),
-                    }
-                )
+                return decode(payload)
             except Exception:
-                pass  # malformed payload: retrain (and overwrite) below
-    model = train(training_seed(key))
+                pass  # a bad artifact must never break a fit: rebuild below
+    value = build()
     if store is not None:
-        store.put(key, model.to_state(), kind=kind, meta=meta)
-    return key, model
+        payload = encode(value)
+        if payload is not None:
+            store.put(key, payload, kind=kind, meta=meta)
+    return value
+
+
+def decode_embedding(payload: Mapping[str, object]) -> FastTextEmbedding:
+    """A trained embedding rebuilt from its stored ``to_state`` payload."""
+    return FastTextEmbedding.from_state(
+        {
+            **payload,
+            "in_table": np.array(payload["in_table"], dtype=np.float64),
+            "out_table": np.array(payload["out_table"], dtype=np.float64),
+        }
+    )
 
 
 def featurizer_state(featurizer) -> dict:
@@ -75,17 +89,12 @@ def featurizer_payload(featurizer) -> dict | None:
         return None
 
 
-def load_featurizer_payload(featurizer, payload: Mapping[str, object]) -> bool:
-    """Load a :func:`featurizer_payload` into ``featurizer`` in place.
-
-    False — a miss, and the caller refits — when the payload names another
-    type or fails to decode.
-    """
-    try:
-        state = payload["state"]
-        if state["type"] != type(featurizer).__name__:
-            return False
-        featurizer.load_state(state)
-    except Exception:
-        return False
-    return True
+def load_featurizer_payload(featurizer, payload: Mapping[str, object]):
+    """Load a :func:`featurizer_payload` into ``featurizer`` in place and
+    return it; raises when the payload names another type or fails to
+    decode."""
+    state = payload["state"]
+    if state["type"] != type(featurizer).__name__:
+        raise ValueError(f"payload holds a {state['type']!r} state")
+    featurizer.load_state(state)
+    return featurizer

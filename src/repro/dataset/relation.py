@@ -61,8 +61,12 @@ class Schema:
         return len(self.attributes)
 
     def index(self, attr: str) -> int:
-        """Position of ``attr`` in the schema (raises ``ValueError`` if absent)."""
-        return self.attributes.index(attr)
+        """Position of ``attr`` in the schema (raises ``KeyError`` if absent,
+        like every column accessor)."""
+        try:
+            return self.attributes.index(attr)
+        except ValueError:
+            raise KeyError(f"unknown attribute {attr!r}") from None
 
 
 @dataclass(frozen=True)

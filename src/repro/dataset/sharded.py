@@ -58,6 +58,7 @@ from repro.dataset.relation import (
     ShardSpan,
     column_hasher,
     compose_fingerprint,
+    update_column_hash,
 )
 from repro.faults.inject import trip
 from repro.faults.retry import RetryPolicy, resolve_policy
@@ -155,16 +156,11 @@ class ShardWriter:
         for i, attr in enumerate(self.schema.attributes):
             values = self._buffer[i]
             shard_hash = column_hasher()
-            column_hash = self._column_hashers[attr]
-            for value in values:
-                encoded = value.encode("utf-8")
-                shard_hash.update(encoded)
-                shard_hash.update(b"\x1e")
-                column_hash.update(encoded)
-                column_hash.update(b"\x1e")
-                # What this value would cost inside an in-memory Dataset:
-                # the str object plus its list slot.
-                self._inmemory_bytes += sys.getsizeof(value) + 8
+            update_column_hash(shard_hash, values)
+            update_column_hash(self._column_hashers[attr], values)
+            # What the values would cost inside an in-memory Dataset: each
+            # str object plus its list slot.
+            self._inmemory_bytes += sum(sys.getsizeof(v) + 8 for v in values)
             digests.append(shard_hash.hexdigest())
             np.save(shard_dir / f"c{i}.npy", np.array(values, dtype=str))
         self._shards.append(
@@ -377,8 +373,6 @@ class ShardedDataset(Relation):
         return len(self._shards)
 
     def column(self, attr: str) -> ShardColumnView:
-        if attr not in self.schema:
-            raise KeyError(f"unknown attribute {attr!r}")
         return ShardColumnView(self, attr)
 
     def column_fingerprint(self, attr: str) -> str:
@@ -488,14 +482,10 @@ class ShardedDataset(Relation):
         hashers = {a: column_hasher() for a in self.schema.attributes}
         for span in self.shard_spans():
             for i, attr in enumerate(self.schema.attributes):
+                values = self._array(span.index, i).tolist()
                 shard_hash = column_hasher()
-                column_hash = hashers[attr]
-                for value in self._array(span.index, i):
-                    encoded = value.encode("utf-8")
-                    shard_hash.update(encoded)
-                    shard_hash.update(b"\x1e")
-                    column_hash.update(encoded)
-                    column_hash.update(b"\x1e")
+                update_column_hash(shard_hash, values)
+                update_column_hash(hashers[attr], values)
                 recorded = self._shards[span.index]["digests"][i]
                 if shard_hash.hexdigest() != recorded:
                     raise ValueError(

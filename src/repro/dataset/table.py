@@ -19,7 +19,6 @@ describing exactly the touched rows and columns.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Mapping, Sequence
 
 from repro.dataset.relation import (
@@ -245,24 +244,6 @@ class Dataset(Relation):
                 {a: self.column_fingerprint(a) for a in self.schema.attributes},
             )
         return self._fingerprint
-
-    def rows_fingerprint(self, rows: Iterable[int]) -> str:
-        """Content hash of the given rows across all attributes.
-
-        Keys tuple-scoped feature blocks: a block depending only on some
-        rows' contents stays valid as long as those rows are untouched,
-        whatever happens elsewhere in the relation.
-        """
-        h = hashlib.blake2b(digest_size=16)
-        columns = [self._columns[a] for a in self.schema.attributes]
-        for row in sorted(set(rows)):
-            h.update(str(row).encode("ascii"))
-            h.update(b"\x1f")
-            for column in columns:
-                h.update(column[row].encode("utf-8"))
-                h.update(b"\x1e")
-            h.update(b"\x1d")
-        return h.hexdigest()
 
     # ------------------------------------------------------------------ #
     # Row access (fast paths over the Relation defaults)

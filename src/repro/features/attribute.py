@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.artifacts.codec import fit_embedding_artifact
-from repro.artifacts.keys import seed_material
 from repro.dataset.table import Dataset, DatasetDelta
 from repro.embeddings.corpus import char_corpus, word_corpus
 from repro.embeddings.fasttext import FastTextEmbedding
 from repro.features.base import (
     CellBatch,
     ColumnScopedFeaturizer,
+    EmbeddingFeaturizer,
     FeatureContext,
     Featurizer,
 )
@@ -34,30 +33,17 @@ from repro.text.ngrams import NGramModel, SymbolicNGramModel
 from repro.text.tokenize import char_tokens, word_tokens
 
 
-class _ColumnEmbeddingFeaturizer(ColumnScopedFeaturizer):
+class _ColumnEmbeddingFeaturizer(EmbeddingFeaturizer, ColumnScopedFeaturizer):
     """Shared machinery of the per-column FastText featurizers.
 
     One embedding model per attribute, trained on the column's
-    ``_view``-token corpus.  Each column's model is a content-addressed
-    fitted artifact (:mod:`repro.artifacts`): it is keyed by (corpus view,
-    column content fingerprint, embedding config), trains from a seed
-    derived from that key, and — when a store is attached — is served from
-    the store instead of retrained.  Scoping per column means an edit to
-    one column retrains (or re-fetches) only that column's model, the same
-    locality rule the PR-2 feature cache uses for transformed blocks.
+    ``_view``-token corpus and keyed on the column's content fingerprint,
+    so an edit to one column retrains (or re-fetches) only that column's
+    model — the same locality rule the feature cache uses for transformed
+    blocks.
     """
 
-    #: Corpus view tag ("char"/"word") — part of the artifact key.
-    _view: str = ""
-
-    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
-        self._dim = dim
-        self._epochs = epochs
-        # Training seeds derive from the artifact key (content-addressed);
-        # an explicitly passed rng survives as extra key material so
-        # distinct seeds still produce distinct embeddings.
-        self._seed_material = seed_material(rng)
-        self._models: dict[str, FastTextEmbedding] | None = None
+    _models: dict[str, FastTextEmbedding] | None = None
 
     @staticmethod
     def _corpus(dataset: Dataset, attr: str) -> list[list[str]]:
@@ -67,33 +53,17 @@ class _ColumnEmbeddingFeaturizer(ColumnScopedFeaturizer):
     def _tokens(value: str) -> list[str]:
         raise NotImplementedError
 
-    def _embedding_config(self) -> dict:
-        # The full training-config enumeration (not just the knobs this
-        # featurizer exposes): a future change to any FastTextEmbedding
-        # default must change the key, never silently serve stale weights.
-        config = FastTextEmbedding(dim=self._dim, epochs=self._epochs).config_dict()
-        config["view"] = self._view
-        if self._seed_material is not None:
-            config["rng"] = self._seed_material
-        return config
-
     def _fit_column(self, dataset: Dataset, attr: str) -> None:
         # Default n-gram range: a single-character token "c" is wrapped
         # to "<c>" whose only 3-gram is itself, giving each character a
         # dedicated bucket.  (n_min=1 would make every character share
         # the "<" and ">" buckets, which destabilises training.)
-        key, model = fit_embedding_artifact(
-            self.artifact_store,
-            f"embedding/{self._view}",
+        self._models[attr] = self._fit_embedding(
+            f"{self.name}/{attr}",
             dataset.column_fingerprint(attr),
-            self._embedding_config(),
-            lambda seed: FastTextEmbedding(
-                dim=self._dim, epochs=self._epochs, rng=seed
-            ).fit(self._corpus(dataset, attr)),
+            lambda: self._corpus(dataset, attr),
             meta={"column": attr},
         )
-        self._record_artifact(f"{self.name}/{attr}", key)
-        self._models[attr] = model
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_models")
@@ -109,22 +79,8 @@ class _ColumnEmbeddingFeaturizer(ColumnScopedFeaturizer):
     def dim(self) -> int:
         return self._dim
 
-    def to_state(self) -> dict:
-        return {
-            "dim": self._dim,
-            "epochs": self._epochs,
-            "seed_material": self._seed_material,
-            "models": {a: m.to_state() for a, m in self._models.items()},
-        }
-
-    @classmethod
-    def _init_args(cls, state) -> dict:
-        # Saves from before seed material was recorded had none.
-        return {
-            "dim": state["dim"],
-            "epochs": state["epochs"],
-            "rng": state.get("seed_material"),
-        }
+    def _embedding_states(self) -> dict:
+        return {"models": {a: m.to_state() for a, m in self._models.items()}}
 
     def load_state(self, state) -> None:
         self._models = {
@@ -143,6 +99,7 @@ class CharEmbeddingFeaturizer(_ColumnEmbeddingFeaturizer):
     context = FeatureContext.ATTRIBUTE
     scope = FeatureContext.ATTRIBUTE
     branch = "char"
+    _kind = "embedding/char"
     _view = "char"
     _corpus = staticmethod(char_corpus)
     _tokens = staticmethod(char_tokens)
@@ -160,6 +117,7 @@ class WordEmbeddingFeaturizer(_ColumnEmbeddingFeaturizer):
     context = FeatureContext.ATTRIBUTE
     scope = FeatureContext.ATTRIBUTE
     branch = "word"
+    _kind = "embedding/word"
     _view = "word"
     _corpus = staticmethod(word_corpus)
     _tokens = staticmethod(word_tokens)

@@ -14,13 +14,25 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.artifacts.codec import featurizer_payload, load_featurizer_payload
-from repro.artifacts.keys import artifact_key
+from repro.artifacts.codec import (
+    decode_embedding,
+    featurizer_payload,
+    load_featurizer_payload,
+    store_or_build,
+)
+from repro.artifacts.keys import (
+    artifact_key,
+    seed_material,
+    shard_partial_key,
+    training_seed,
+)
+from repro.dataset.relation import ShardSpan, compose_fingerprint
 from repro.dataset.table import Cell, Dataset, DatasetDelta
+from repro.embeddings.fasttext import FastTextEmbedding
 
 #: Monotonic counter backing :attr:`Featurizer.cache_token` — every reset
 #: yields a token never seen before in the process, so stale cache entries
@@ -165,13 +177,10 @@ class CellBatch:
         columns is mutated, and is untouched by edits to other columns.
         """
         if self._columns_fingerprint is None:
-            h = hashlib.blake2b(digest_size=16)
-            for attr in sorted(self.by_attr):
-                h.update(attr.encode("utf-8"))
-                h.update(b"\x1f")
-                h.update(self.dataset.column_fingerprint(attr).encode("ascii"))
-                h.update(b"\x1d")
-            self._columns_fingerprint = h.hexdigest()
+            attrs = sorted(self.by_attr)
+            self._columns_fingerprint = compose_fingerprint(
+                attrs, {a: self.dataset.column_fingerprint(a) for a in attrs}
+            )
         return self._columns_fingerprint
 
     @property
@@ -280,8 +289,8 @@ class Featurizer:
         not — it is a pure content/config derivation, and persisted
         detectors carry it as provenance.  A stored state is loaded into
         this featurizer in place; one that fails to decode, or that names
-        another type, is a miss and the featurizer refits (a bad artifact
-        must never break a fit).
+        another type, is a miss and the featurizer refits (see
+        :func:`~repro.artifacts.codec.store_or_build`).
         """
         if self.artifact_kind is None:
             self.fit(dataset)
@@ -289,20 +298,54 @@ class Featurizer:
         key = artifact_key(
             self.artifact_kind, self.artifact_scope(dataset), self.artifact_config()
         )
-        store = self.artifact_store
-        if store is not None:
-            payload = store.get(key)
-            if payload is not None and load_featurizer_payload(self, payload):
-                self._artifact_keys = {self.name: key}
-                return
-        self.fit(dataset)
+        self._artifact_keys = {}
+        store_or_build(
+            self.artifact_store,
+            key,
+            self.artifact_kind,
+            lambda: self.fit(dataset),
+            featurizer_payload,
+            lambda payload: load_featurizer_payload(self, payload),
+        )
         # Record (not replace): an out-of-core fit records its per-shard
         # partial keys inside fit(), and the whole-state key joins them.
         self._record_artifact(self.name, key)
-        if store is not None:
-            payload = featurizer_payload(self)
-            if payload is not None:
-                store.put(key, payload, kind=self.artifact_kind)
+
+    def _shard_partials(
+        self,
+        dataset: Dataset,
+        label: str,
+        config: Mapping[str, object],
+        build: Callable[[ShardSpan], object],
+        encode: Callable[[object], dict],
+        decode: Callable[[Mapping[str, object]], object],
+    ) -> Iterator[object]:
+        """``build(span)`` for each row shard of ``dataset``, lazily.
+
+        Over a multi-shard relation each partial goes through the attached
+        store under :func:`~repro.artifacts.keys.shard_partial_key` of the
+        shard's fingerprint, recorded as ``<label>/shard/<index>``.  A single
+        shard's partial is already inside the whole-state artifact, so it is
+        just built.
+        """
+        spans = dataset.shard_spans()
+        store = self.artifact_store if len(spans) > 1 else None
+        for span in spans:
+            if store is None:
+                yield build(span)
+                continue
+            key = shard_partial_key(
+                self.artifact_kind, dataset.shard_fingerprint(span.index), config
+            )
+            self._record_artifact(f"{label}/shard/{span.index}", key)
+            yield store_or_build(
+                store,
+                key,
+                f"{self.artifact_kind}.partial",
+                lambda: build(span),
+                encode,
+                decode,
+            )
 
     # -- fitted state (saved detectors, whole-state artifacts) ---------- #
 
@@ -477,3 +520,89 @@ class ColumnScopedFeaturizer(Featurizer):
                 self._fit_column(dataset, attr)
         self.reset_cache_token()
         return True
+
+
+class EmbeddingFeaturizer(Featurizer):
+    """Shared machinery of the FastText featurizers.
+
+    Every trained embedding is a content-addressed fitted artifact
+    (:mod:`repro.artifacts`): it is keyed by (:attr:`_kind`, the scoped
+    fingerprint of the data it trains on, the full training config), trains
+    from a seed derived from that key, and — when a store is attached — is
+    served from the store instead of retrained.
+    """
+
+    #: Artifact kind of the trained embeddings (``embedding/<corpus>``).
+    _kind: str = ""
+    #: Corpus view tag of the per-column models ("char"/"word"), part of
+    #: their key config; the relation-wide models have none.
+    _view: str | None = None
+    #: FastTextEmbedding arguments beyond ``dim`` and ``epochs``.
+    _training: Mapping[str, object] = {}
+
+    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
+        self._dim = dim
+        self._epochs = epochs
+        # Training seeds derive from the artifact key (content-addressed);
+        # an explicitly passed rng survives as extra key material so
+        # distinct seeds still produce distinct embeddings.
+        self._seed_material = seed_material(rng)
+
+    def _new_embedding(self, seed: int | None = None) -> FastTextEmbedding:
+        return FastTextEmbedding(
+            dim=self._dim, epochs=self._epochs, rng=seed, **self._training
+        )
+
+    def _embedding_config(self) -> dict:
+        # The full training-config enumeration (not just the knobs this
+        # featurizer exposes): a future change to any FastTextEmbedding
+        # default must change the key, never silently serve stale weights.
+        config = self._new_embedding().config_dict()
+        if self._view is not None:
+            config["view"] = self._view
+        if self._seed_material is not None:
+            config["rng"] = self._seed_material
+        return config
+
+    def _fit_embedding(
+        self,
+        label: str,
+        scope: str,
+        corpus: Callable[[], list[list[str]]],
+        meta: Mapping[str, object] | None = None,
+    ) -> FastTextEmbedding:
+        """The embedding of ``corpus()`` under ``scope``, served or trained;
+        its key is recorded as ``label``."""
+        key = artifact_key(self._kind, scope, self._embedding_config())
+        model = store_or_build(
+            self.artifact_store,
+            key,
+            self._kind,
+            lambda: self._new_embedding(training_seed(key)).fit(corpus()),
+            FastTextEmbedding.to_state,
+            decode_embedding,
+            meta=meta,
+        )
+        self._record_artifact(label, key)
+        return model
+
+    def to_state(self) -> dict:
+        return {
+            "dim": self._dim,
+            "epochs": self._epochs,
+            "seed_material": self._seed_material,
+            **self._embedding_states(),
+        }
+
+    def _embedding_states(self) -> dict:
+        """The ``to_state`` entry holding the fitted embedding(s)."""
+        raise NotImplementedError
+
+    @classmethod
+    def _init_args(cls, state) -> dict:
+        # Saves from before seed material was recorded had none.
+        return {
+            "dim": state["dim"],
+            "epochs": state["epochs"],
+            "rng": state.get("seed_material"),
+        }

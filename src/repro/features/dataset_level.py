@@ -11,10 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.artifacts.keys import shard_partial_key
 from repro.constraints.dc import DenialConstraint, decode_constraint, encode_constraint
 from repro.constraints.violations import ViolationEngine
-from repro.dataset.relation import ShardSpan
 from repro.dataset.table import Cell, Dataset
 from repro.embeddings.corpus import EMPTY_TOKEN, tuple_value_corpus
 from repro.embeddings.fasttext import FastTextEmbedding
@@ -89,9 +87,6 @@ class ConstraintViolationFeaturizer(Featurizer):
         self._artifact_keys = {}
         spans = dataset.shard_spans()
         shapes = [self._fd_shape(c) for c in self._constraints]
-        # Partials go through the store only for multi-shard relations: a
-        # single shard's table is already inside the whole-state artifact.
-        store = self.artifact_store if len(spans) > 1 else None
         counts = np.zeros((dataset.num_rows, len(self._constraints)), dtype=np.float64)
         others = [k for k, shape in enumerate(shapes) if shape is None]
         if others:
@@ -104,8 +99,16 @@ class ConstraintViolationFeaturizer(Featurizer):
                 continue
             join_attrs, residual_attr = shape
             groups = merge_fd_group_partials(
-                self._shard_groups(store, dataset, span, constraint, join_attrs, residual_attr)
-                for span in spans
+                self._shard_partials(
+                    dataset,
+                    f"{self.name}/{constraint.name}",
+                    {"constraint": _constraint_config(constraint)},
+                    lambda span: fd_group_partial(
+                        dataset, span, join_attrs, residual_attr
+                    ),
+                    encode_fd_group_partial,
+                    decode_fd_group_partial,
+                )
             )
             indexes.append(
                 {
@@ -129,38 +132,6 @@ class ConstraintViolationFeaturizer(Featurizer):
         self._tuple_counts = counts
         self._fd_indexes = indexes
         return self
-
-    def _shard_groups(
-        self,
-        store,
-        dataset: Dataset,
-        span: ShardSpan,
-        constraint: DenialConstraint,
-        join_attrs: list[str],
-        residual_attr: str,
-    ):
-        """One (constraint, shard) group-table partial, through ``store``
-        when one is given."""
-        if store is None:
-            return fd_group_partial(dataset, span, join_attrs, residual_attr)
-        config = {"constraint": _constraint_config(constraint)}
-        key = shard_partial_key(
-            self.artifact_kind, dataset.shard_fingerprint(span.index), config
-        )
-        self._record_artifact(f"{self.name}/{constraint.name}/shard/{span.index}", key)
-        payload = store.get(key)
-        if payload is not None:
-            try:
-                return decode_fd_group_partial(payload)
-            except Exception:
-                pass  # corrupt partial: recount below, overwrite in store
-        groups = fd_group_partial(dataset, span, join_attrs, residual_attr)
-        store.put(
-            key,
-            encode_fd_group_partial(groups),
-            kind=f"{self.artifact_kind}.partial",
-        )
-        return groups
 
     @staticmethod
     def _fd_shape(constraint: DenialConstraint) -> tuple[list[str], str] | None:

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.artifacts.codec import fit_embedding_artifact
-from repro.artifacts.keys import seed_material, shard_partial_key
-from repro.dataset.relation import ShardSpan
 from repro.dataset.table import Cell, Dataset
 from repro.embeddings.corpus import tuple_corpus
 from repro.embeddings.fasttext import FastTextEmbedding
-from repro.features.base import CellBatch, FeatureContext, Featurizer
+from repro.features.base import (
+    CellBatch,
+    EmbeddingFeaturizer,
+    FeatureContext,
+    Featurizer,
+)
 from repro.features.partials import (
     cooccurrence_partial,
     decode_cooccurrence_partial,
@@ -67,39 +69,21 @@ class CooccurrenceFeaturizer(Featurizer):
         """
         self._attributes = dataset.attributes
         self._artifact_keys = {}
-        spans = dataset.shard_spans()
         # Generator, not list: the merge consumes lazily, so peak memory is
         # two partials (one shard + the accumulator), not one per shard.
-        partials = (self._shard_partial(dataset, span, len(spans)) for span in spans)
-        joint, value_counts = merge_cooccurrence_partials(partials)
+        joint, value_counts = merge_cooccurrence_partials(
+            self._shard_partials(
+                dataset,
+                self.name,
+                self.artifact_config(),
+                lambda span: cooccurrence_partial(dataset, span),
+                encode_cooccurrence_partial,
+                decode_cooccurrence_partial,
+            )
+        )
         self._joint = joint
         self._value_counts = value_counts
         return self
-
-    def _shard_partial(self, dataset: Dataset, span: ShardSpan, num_spans: int):
-        """One shard's joint-count partial, through the store when sharded."""
-        store = self.artifact_store
-        if store is None or num_spans <= 1:
-            return cooccurrence_partial(dataset, span)
-        key = shard_partial_key(
-            self.artifact_kind,
-            dataset.shard_fingerprint(span.index),
-            self.artifact_config(),
-        )
-        self._record_artifact(f"{self.name}/shard/{span.index}", key)
-        payload = store.get(key)
-        if payload is not None:
-            try:
-                return decode_cooccurrence_partial(payload)
-            except Exception:
-                pass  # corrupt partial: recount below, overwrite in store
-        partial = cooccurrence_partial(dataset, span)
-        store.put(
-            key,
-            encode_cooccurrence_partial(partial),
-            kind=f"{self.artifact_kind}.partial",
-        )
-        return partial
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_joint")
@@ -152,67 +136,32 @@ class CooccurrenceFeaturizer(Featurizer):
         self._joint = joint
 
 
-class _RelationEmbeddingFeaturizer(Featurizer):
+class _RelationEmbeddingFeaturizer(EmbeddingFeaturizer):
     """Shared machinery of the relation-wide FastText featurizers: one
     embedding of a ``_corpus`` pooling every attribute, so its artifact is
-    scoped to the whole relation (and seeded from its key — see
-    :mod:`repro.artifacts.keys`)."""
+    scoped to the whole relation."""
 
-    #: Artifact kind of the embedding (``embedding/<corpus>``).
-    _kind: str = ""
-
-    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
-        self._dim = dim
-        self._epochs = epochs
-        self._seed_material = seed_material(rng)
-        self._model: FastTextEmbedding | None = None
+    _training = {"window": 8}
+    _model: FastTextEmbedding | None = None
 
     @staticmethod
     def _corpus(dataset: Dataset) -> list[list[str]]:
         raise NotImplementedError
 
-    def _embedding_config(self) -> dict:
-        # Full training config so any default change rekeys the artifact.
-        config = FastTextEmbedding(
-            dim=self._dim, epochs=self._epochs, window=8
-        ).config_dict()
-        if self._seed_material is not None:
-            config["rng"] = self._seed_material
-        return config
-
     def _set_model(self, model: FastTextEmbedding) -> None:
         self._model = model
 
     def fit(self, dataset: Dataset) -> "_RelationEmbeddingFeaturizer":
-        key, model = fit_embedding_artifact(
-            self.artifact_store,
-            self._kind,
-            dataset.fingerprint(),
-            self._embedding_config(),
-            lambda seed: FastTextEmbedding(
-                dim=self._dim, epochs=self._epochs, window=8, rng=seed
-            ).fit(self._corpus(dataset)),
+        self._artifact_keys = {}
+        self._set_model(
+            self._fit_embedding(
+                self.name, dataset.fingerprint(), lambda: self._corpus(dataset)
+            )
         )
-        self._artifact_keys = {self.name: key}
-        self._set_model(model)
         return self
 
-    def to_state(self) -> dict:
-        return {
-            "dim": self._dim,
-            "epochs": self._epochs,
-            "seed_material": self._seed_material,
-            "model": self._model.to_state(),
-        }
-
-    @classmethod
-    def _init_args(cls, state) -> dict:
-        # Saves from before seed material was recorded had none.
-        return {
-            "dim": state["dim"],
-            "epochs": state["epochs"],
-            "rng": state.get("seed_material"),
-        }
+    def _embedding_states(self) -> dict:
+        return {"model": self._model.to_state()}
 
     def load_state(self, state) -> None:
         self._set_model(FastTextEmbedding.from_state(state["model"]))

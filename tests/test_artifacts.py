@@ -410,6 +410,146 @@ class TestWarmFit:
 
 
 # --------------------------------------------------------------------- #
+# The store-or-build seam over a real fit
+# --------------------------------------------------------------------- #
+
+
+class RecordingStore(ArtifactStore):
+    """A memory-only store, large enough to never evict, that remembers
+    which keys were put."""
+
+    def __init__(self):
+        super().__init__(max_entries=256)
+        self.stored: list[str] = []
+
+    def put(self, key, payload, **kwargs):
+        self.stored.append(key)
+        super().put(key, payload, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def pinned_relation(tmp_path_factory):
+    """A small fixed hospital relation and its 3-shard twin (5, 5, 2 rows)."""
+    from repro.dataset import ShardedDataset
+
+    bundle = load_dataset("hospital", num_rows=12, seed=0)
+    twin = ShardedDataset.convert(
+        bundle.dirty, tmp_path_factory.mktemp("pinned") / "twin", shard_rows=5
+    )
+    return bundle, twin
+
+
+def fit_pipeline(relation, constraints, store):
+    from repro.features.pipeline import default_pipeline
+
+    pipeline = default_pipeline(constraints, embedding_dim=4, embedding_epochs=1)
+    pipeline.artifacts = store
+    return pipeline.fit(relation)
+
+
+class TestStoreOrBuild:
+    def test_real_fit_keys_are_pinned(self, pinned_relation):
+        """Keys and fingerprints of a real fit, in memory and sharded, never
+        move: a store warmed by any earlier version must keep serving."""
+        import hashlib
+
+        from repro.utils.specfile import canonical_json
+
+        def digest(mapping):
+            return hashlib.sha256(canonical_json(mapping).encode()).hexdigest()
+
+        bundle, twin = pinned_relation
+        dirty = bundle.dirty
+        for relation in (dirty, twin):
+            assert relation.fingerprint() == "75dd7683f6702cbef28690509c74dfb3"
+            assert relation.column_fingerprint("ZipCode") == (
+                "b2350043f6aee42b0e24bf1ef2efc8df"
+            )
+            assert digest(
+                {a: relation.column_fingerprint(a) for a in relation.attributes}
+            ) == "9eab6c4ec98eea92fe61da2db53847fe3175b6b10a88fea145cd965ccde758b8"
+        assert [twin.shard_fingerprint(i) for i in range(twin.num_shards)] == [
+            "2f18d6d2136160842ddacd259b57309b",
+            "4222c609a243c25a18b8c5e49dacd084",
+            "12df16130eca0b33dd09f7b40fc4fd18",
+        ]
+        mem = fit_pipeline(dirty, bundle.constraints, ArtifactStore()).artifact_keys
+        sharded = fit_pipeline(twin, bundle.constraints, ArtifactStore()).artifact_keys
+        # 19 columns x (char, word) + tuple, neighborhood and the two
+        # whole states; sharded adds 3 co-occurrence and 9 x 3 FD partials.
+        assert (len(mem), len(sharded)) == (42, 72)
+        assert {k: v for k, v in sharded.items() if "/shard/" not in k} == mem
+        assert digest(mem) == (
+            "d3a6fa873c5440a588b81336c7c4aec379d9173d18fa9dd7d6ab127a87ce011f"
+        )
+        assert digest(sharded) == (
+            "52458cfdde3e79dbca057b5ee425278ab67fc15806df743ef335ce360e6b7dce"
+        )
+        assert {
+            label: sharded[label]
+            for label in (
+                "char_embedding/ZipCode",
+                "word_embedding/ZipCode",
+                "tuple_embedding",
+                "neighborhood",
+                "cooccurrence",
+                "constraint_violations",
+                "cooccurrence/shard/0",
+                "constraint_violations/ZipCode->City/shard/2",
+            )
+        } == {
+            "char_embedding/ZipCode":
+                "568da061342e7a853c2e482d5077e576ad2082fd1fa150407a3b38169dfa120c",
+            "word_embedding/ZipCode":
+                "ddd3c48e0fef1199ad5d8e1bea2e6c51686ddbc113f96bb82d3317f36b6e1b93",
+            "tuple_embedding":
+                "f044ce883a6830543740f85523d3cc54c27e7e900ad04a7a568a4f723d2ec5c5",
+            "neighborhood":
+                "e103a88676f891d21898fadfece9489d310f1d412d8b17c57194d6e94fee2847",
+            "cooccurrence":
+                "b1a6b2fe16646bc678f33084d75a1d5f1170637d3d43512c184d4a1a4575c7f9",
+            "constraint_violations":
+                "97bb6f133da5adc6381481aeccc78b2c7d455ecd70a8f4a584c250f44d0e22ab",
+            "cooccurrence/shard/0":
+                "51accdd6d01ae082c98f8c20687874aa55af6120bf5e74d751d3fa5fe80bf056",
+            "constraint_violations/ZipCode->City/shard/2":
+                "946b33c15b54b5ce1464b438f6237fad68cdd82d762fa1ba4e2c2592c649ebb2",
+        }
+
+    def test_undecodable_payload_is_a_miss_for_every_kind(self, pinned_relation):
+        """Junk under an embedding key, both whole-state keys and both
+        partial kinds: each is rebuilt and overwritten, nothing else is
+        stored, and the refit pipeline transforms bit-identically."""
+        bundle, twin = pinned_relation
+        store = RecordingStore()
+        cold = fit_pipeline(twin, bundle.constraints, store)
+        keys = cold.artifact_keys
+        junk = [
+            keys[label]
+            for label in (
+                "char_embedding/ZipCode",
+                "cooccurrence",
+                "constraint_violations",
+                "cooccurrence/shard/1",
+                "constraint_violations/ZipCode->City/shard/1",
+            )
+        ]
+        for key in junk:
+            store.put(key, {"junk": [1, 2, 3]})
+        store.stored.clear()
+        refit = fit_pipeline(twin, bundle.constraints, store)
+        assert sorted(store.stored) == sorted(junk)
+        assert all("junk" not in store.get(key) for key in junk)
+        assert refit.artifact_keys == keys
+        cells = list(twin.cells())
+        a, b = cold.transform(cells, twin), refit.transform(cells, twin)
+        assert a.numeric.tobytes() == b.numeric.tobytes()
+        assert a.branches.keys() == b.branches.keys()
+        for branch in a.branches:
+            assert a.branches[branch].tobytes() == b.branches[branch].tobytes()
+
+
+# --------------------------------------------------------------------- #
 # Sweep integration
 # --------------------------------------------------------------------- #
 

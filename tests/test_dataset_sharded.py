@@ -334,6 +334,23 @@ class TestRelationSemantics:
         with pytest.raises(TypeError, match="to_dataset"):
             sharded.append_rows([["9"]])
 
+    def test_unknown_attribute_is_a_key_error(self, tmp_path):
+        """Every column accessor of both backings raises ``KeyError`` naming
+        an attribute that is not in the schema."""
+        dataset = Dataset.from_rows(["a", "b"], [["1", "2"], ["3", "4"]])
+        for relation in (dataset, _sharded_twin(dataset, tmp_path, 1)):
+            for access in (
+                lambda: relation.value(Cell(0, "nope")),
+                lambda: relation.column("nope"),
+                lambda: relation.column_chunk("nope", 0, 1),
+                lambda: relation.column_fingerprint("nope"),
+                lambda: relation.value_counts("nope"),
+                lambda: relation.domain("nope"),
+                lambda: relation.shard_column_digest(0, "nope"),
+            ):
+                with pytest.raises(KeyError, match="nope"):
+                    access()
+
     def test_copy_returns_self(self, tmp_path):
         dataset = Dataset.from_rows(["a"], [["1"]])
         sharded = _sharded_twin(dataset, tmp_path, 1)
