@@ -14,7 +14,10 @@ content-addresses payloads by the caller-derived key
 
   Object writes are atomic (temp file + rename), so concurrent sweep
   workers race benignly: both compute the same content and the second
-  rename is a no-op in effect.  The manifest follows the same append-only /
+  rename is a no-op in effect.  Objects are written uncompressed
+  (``np.savez``: float64 tables barely compress, and compressing them
+  cost more than the rest of the put); ``np.load`` reads compressed
+  objects written by earlier versions just the same.  The manifest follows the same append-only /
   latest-wins / corrupt-tail-tolerant discipline as
   :mod:`repro.evaluation.store`; it is informational (listing, sizes) —
   reads always probe the object files, so a worker sees artifacts written
@@ -344,7 +347,7 @@ class ArtifactStore:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                np.savez_compressed(f, **arrays)
+                np.savez(f, **arrays)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -32,11 +32,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.dataset.table import Cell, Dataset
 from repro.utils.stats import normalized_mutual_information
+
+#: Rows scored per posterior matrix: bounds its memory on large relations.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -129,36 +133,91 @@ class NaiveBayesRepairModel:
             raise RuntimeError("model used before fit()")
         return {a: list(b) for a, b in self._partners.items()}
 
-    def _posterior(self, attr: str, tuple_values: dict[str, str]) -> dict[str, float]:
-        """Posterior over candidate values for ``attr`` given its partners."""
-        partners = self._partners.get(attr, [])
-        candidates = list(self._value_counts[attr])
-        if len(candidates) > self.max_candidates:
-            # Keep only the most frequent candidates: rare values cannot be
-            # confident repairs anyway and this bounds the per-cell cost.
-            candidates = sorted(
-                candidates, key=lambda v: -self._value_counts[attr][v]
-            )[: self.max_candidates]
-        domain_sizes = {b: len(self._value_counts[b]) for b in partners}
-        log_scores = np.empty(len(candidates))
-        for i, candidate in enumerate(candidates):
-            support = self._value_counts[attr][candidate]
-            log_score = np.log(self._priors[attr][candidate])
-            for attr_b in partners:
-                count = self._cooc.get((attr, candidate, attr_b), {}).get(
-                    tuple_values[attr_b], 0
-                )
-                log_score += np.log(
-                    (count + self.smoothing)
-                    / (support + self.smoothing * domain_sizes[attr_b])
-                )
-            log_scores[i] = log_score
-        log_scores -= log_scores.max()
-        scores = np.exp(log_scores)
-        scores /= scores.sum()
-        return dict(zip(candidates, scores))
+    def _candidates(self, attr: str) -> list[str]:
+        """Candidate values for ``attr``, in first-seen order.
 
-    def _context_support(self, attr: str, value: str, row_values: dict[str, str]) -> int:
+        Above ``max_candidates`` only the most frequent are kept (stable
+        on ties): rare values cannot be confident repairs anyway, and this
+        bounds the per-cell cost.
+        """
+        counts = self._value_counts[attr]
+        candidates = list(counts)
+        if len(candidates) > self.max_candidates:
+            candidates = sorted(candidates, key=lambda v: -counts[v])[
+                : self.max_candidates
+            ]
+        return candidates
+
+    def _posteriors(
+        self, attr: str, candidates: list[str], dataset: Dataset,
+        rows: Sequence[int],
+    ) -> np.ndarray:
+        """The ``[rows, candidates]`` posterior matrix of ``attr`` given
+        each row's partner values.
+
+        Per row: the log prior plus one smoothed log-likelihood term per
+        partner, added in partner order, then shifted by the row maximum
+        and normalised.  Each term is computed once per distinct partner
+        value and gathered to the rows carrying it.
+        """
+        counts = self._value_counts[attr]
+        priors = self._priors[attr]
+        support = np.array([counts[c] for c in candidates], dtype=np.float64)
+        log_scores = np.empty((len(rows), len(candidates)))
+        log_scores[:] = np.log([priors[c] for c in candidates])
+        for attr_b in self._partners.get(attr, []):
+            column = dataset.column(attr_b)
+            positions: dict[str, int] = {}
+            inverse = np.array(
+                [positions.setdefault(column[r], len(positions)) for r in rows],
+                dtype=np.int64,
+            )
+            cooc = np.zeros((len(candidates), len(positions)))
+            for j, candidate in enumerate(candidates):
+                for value, count in self._cooc.get((attr, candidate, attr_b), {}).items():
+                    k = positions.get(value)
+                    if k is not None:
+                        cooc[j, k] = count
+            denominator = support + self.smoothing * len(self._value_counts[attr_b])
+            terms = np.log((cooc + self.smoothing) / denominator[:, None])
+            log_scores += terms.T[inverse]
+        log_scores -= log_scores.max(axis=1, keepdims=True)
+        scores = np.exp(log_scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+        return scores
+
+    def best_candidates(
+        self, attr: str, dataset: Dataset, rows: Sequence[int]
+    ) -> list[tuple[str, float]]:
+        """``(value, posterior)`` of the most probable candidate for ``attr``
+        in each of ``rows`` of ``dataset``, imputed from the partners.
+
+        Ties in posterior go to the greater value.  The model may have been
+        fit on another relation with the same attributes (HoloClean's
+        repair engine fits on the clean rows and imputes every row).
+        """
+        if not self._fitted:
+            raise RuntimeError("model used before fit()")
+        candidates = self._candidates(attr)
+        rank = np.empty(len(candidates), dtype=np.int64)
+        rank[sorted(range(len(candidates)), key=candidates.__getitem__)] = (
+            np.arange(len(candidates))
+        )
+        best: list[tuple[str, float]] = []
+        for start in range(0, len(rows), _ROW_BLOCK):
+            scores = self._posteriors(
+                attr, candidates, dataset, rows[start : start + _ROW_BLOCK]
+            )
+            top = scores == scores.max(axis=1, keepdims=True)
+            picks = np.where(top, rank, -1).argmax(axis=1)
+            best += [
+                (candidates[j], scores[i, j]) for i, j in enumerate(picks.tolist())
+            ]
+        return best
+
+    def _context_support(
+        self, attr: str, value: str, dataset: Dataset, row: int
+    ) -> int:
         """Max co-occurrence of (attr=value) with the tuple's partner values.
 
         1 means the value co-occurs with the informative context only through
@@ -167,30 +226,47 @@ class NaiveBayesRepairModel:
         """
         support = 0
         for attr_b in self._partners.get(attr, []):
-            count = self._cooc.get((attr, value, attr_b), {}).get(row_values[attr_b], 0)
+            count = self._cooc.get((attr, value, attr_b), {}).get(
+                dataset.column(attr_b)[row], 0
+            )
             support = max(support, count)
         return support
 
-    def suggest_repair(self, cell: Cell, dataset: Dataset) -> SuggestedRepair | None:
-        """Accepted repair for one cell, or ``None`` below the bars."""
+    def _accepted(
+        self, attr: str, dataset: Dataset, rows: Sequence[int]
+    ) -> list[SuggestedRepair]:
+        """The accepted repairs among ``rows`` of one attribute."""
         if not self._fitted:
             raise RuntimeError("model used before fit()")
-        if not self._partners.get(cell.attr):
-            return None  # nothing informative to impute from
-        observed = dataset.value(cell)
-        row_values = dataset.row_dict(cell.row)
-        posterior = self._posterior(cell.attr, row_values)
-        if not posterior:
-            return None
-        best_value = max(posterior, key=lambda v: (posterior[v], v))
-        confidence = posterior[best_value]
-        if best_value == observed or confidence < self.confidence_threshold:
-            return None
-        if self._context_support(cell.attr, observed, row_values) > self.max_observed_support:
-            return None
-        if self._context_support(cell.attr, best_value, row_values) < self.min_candidate_support:
-            return None
-        return SuggestedRepair(cell, observed, best_value, confidence)
+        if not self._partners.get(attr):
+            return []  # nothing informative to impute from
+        column = dataset.column(attr)
+        repairs = []
+        for row, (best_value, confidence) in zip(
+            rows, self.best_candidates(attr, dataset, rows)
+        ):
+            observed = column[row]
+            if best_value == observed or confidence < self.confidence_threshold:
+                continue
+            if (
+                self._context_support(attr, observed, dataset, row)
+                > self.max_observed_support
+            ):
+                continue
+            if (
+                self._context_support(attr, best_value, dataset, row)
+                < self.min_candidate_support
+            ):
+                continue
+            repairs.append(
+                SuggestedRepair(Cell(row, attr), observed, best_value, confidence)
+            )
+        return repairs
+
+    def suggest_repair(self, cell: Cell, dataset: Dataset) -> SuggestedRepair | None:
+        """Accepted repair for one cell, or ``None`` below the bars."""
+        repairs = self._accepted(cell.attr, dataset, [cell.row])
+        return repairs[0] if repairs else None
 
     def suggest_repairs(
         self, dataset: Dataset, max_cells: int | None = None
@@ -198,15 +274,18 @@ class NaiveBayesRepairModel:
         """Scan the dataset and return every accepted repair.
 
         ``max_cells`` bounds the scan (cells are visited in a fixed
-        attribute-major order, so the bound is deterministic).
+        attribute-major order, so the bound is deterministic).  Each
+        attribute's rows are scored as one posterior matrix.
         """
         repairs = []
-        for i, cell in enumerate(dataset.cells()):
-            if max_cells is not None and i >= max_cells:
+        num_rows = dataset.num_rows
+        for position, attr in enumerate(dataset.attributes):
+            limit = num_rows
+            if max_cells is not None:
+                limit = min(num_rows, max_cells - position * num_rows)
+            if limit <= 0:
                 break
-            suggestion = self.suggest_repair(cell, dataset)
-            if suggestion is not None:
-                repairs.append(suggestion)
+            repairs += self._accepted(attr, dataset, range(limit))
         return repairs
 
     def example_pairs(

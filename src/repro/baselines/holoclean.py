@@ -66,19 +66,24 @@ class HoloCleanDetector:
         # tuple have if this one cell held value v" in O(1).
         violation_counter = ConstraintViolationFeaturizer(constraints).fit(dataset)
 
-        flagged: set[Cell] = set()
+        noisy_rows_of: dict[str, list[int]] = {}
         for cell in noisy_cells:
-            posterior = model._posterior(cell.attr, dataset.row_dict(cell.row))
-            if not posterior:
-                continue
-            best = max(posterior, key=lambda v: (posterior[v], v))
-            observed = dataset.value(cell)
-            if best == observed or posterior[best] < self.repair_confidence:
-                continue
-            before = violation_counter.transform([cell], dataset).sum()
-            after = violation_counter.transform([cell], dataset, values=[best]).sum()
-            if after < before:
-                flagged.add(cell)
+            noisy_rows_of.setdefault(cell.attr, []).append(cell.row)
+        flagged: set[Cell] = set()
+        for attr, rows in noisy_rows_of.items():
+            column = dataset.column(attr)
+            for row, (best, confidence) in zip(
+                rows, model.best_candidates(attr, dataset, rows)
+            ):
+                if best == column[row] or confidence < self.repair_confidence:
+                    continue
+                cell = Cell(row, attr)
+                before = violation_counter.transform([cell], dataset).sum()
+                after = violation_counter.transform(
+                    [cell], dataset, values=[best]
+                ).sum()
+                if after < before:
+                    flagged.add(cell)
         self._flagged = flagged
         return self
 

@@ -83,7 +83,7 @@ class FastTextEmbedding:
         self._in: np.ndarray | None = None  # [buckets + vocab, dim]
         self._out: np.ndarray | None = None  # [vocab, dim]
         self._sub_ids: np.ndarray | None = None  # [vocab, max_subwords] padded
-        self._sub_mask: np.ndarray | None = None
+        self._sub_counts: np.ndarray | None = None  # [vocab] real ids per row
         self._word_vectors_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -123,10 +123,9 @@ class FastTextEmbedding:
         ]
         max_len = max(len(ids) for ids in id_lists)
         self._sub_ids = np.zeros((vocab_size, max_len), dtype=np.int64)
-        self._sub_mask = np.zeros((vocab_size, max_len), dtype=np.float64)
+        self._sub_counts = np.array([len(ids) for ids in id_lists], dtype=np.int64)
         for i, ids in enumerate(id_lists):
             self._sub_ids[i, : len(ids)] = ids
-            self._sub_mask[i, : len(ids)] = 1.0
 
     # ------------------------------------------------------------------ #
     # Training
@@ -217,7 +216,7 @@ class FastTextEmbedding:
             n = c.size
             negs = self._rng.choice(vocab_size, size=(n, self.negatives), p=noise)
             KERNELS.sgns_step(
-                self._in, self._out, self._sub_ids[c], self._sub_mask[c],
+                self._in, self._out, self._sub_ids[c], self._sub_counts[c],
                 o, negs, self.lr,
             )
 
@@ -279,7 +278,7 @@ class FastTextEmbedding:
         so each row is bit-identical to :meth:`vector`.
         """
         if self._word_vectors_cache is None:
-            counts = self._sub_mask.sum(axis=1).astype(np.int64)
+            counts = self._sub_counts
             vectors = np.empty((len(self._index_to_word), self.dim))
             for length in np.unique(counts):
                 members = np.flatnonzero(counts == length)

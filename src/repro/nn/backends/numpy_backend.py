@@ -20,6 +20,29 @@ rewrite below relies on an exact IEEE identity, not an algebraic one:
 - ``Generator.random(out=buf)`` consumes the stream of ``random(shape)``;
 - ``np.take(a, idx, out=buf)`` ≡ the fancy-index copy ``a[idx]``;
 - the cached forward carry ``s = 1 - t`` equals the backward recompute.
+
+The SGNS kernel (:meth:`NumpyBackend.sgns_step`) reproduces the padded
+kernel it replaced, which gathered and scattered every slot of the padded
+subword table with the padding multiplied by a zero mask, bit for bit:
+
+- the dropped padding terms only ever added ``±0.0`` (a finite value
+  times the zero mask): to the running subword sums, and to the rows of
+  bucket 0, the padding id.  The kept terms were multiplied by 1.0, which
+  is exact.  Adding ``±0.0`` leaves any value that is not ``-0.0``
+  unchanged, and no table entry or partial sum is ``-0.0``: the tables
+  start as uniform draws and zeros, a sum of two values that are not
+  ``-0.0`` is never ``-0.0``, and the norm clip divides by factors above
+  1 (only an underflowing negative entry could become ``-0.0``);
+- the grouped sums keep the accumulation order: reducing a
+  ``[m, c, dim]`` gather over its middle axis adds the ``c`` rows one by
+  one in index order, as the padded ``[n, L, dim]`` sum did with its
+  first ``c`` rows.  At ``dim == 1`` numpy sums pairwise instead, so that
+  case keeps the padded gather;
+- the 1-D ``np.add.at`` keeps the accumulation order: it applies its
+  indices in order, and with the flat element indices in row-major order
+  each element receives the same additions, in the same order, as under
+  the row-wise ``np.add.at``;
+- ``x / counts`` over integer counts ≡ ``x / counts.astype(float64)``.
 """
 
 from __future__ import annotations
@@ -466,20 +489,26 @@ class NumpyBackend:
         r4 = np.maximum(z4, 0.0)
         return r4 @ lin2.weight.data + lin2.bias.data
 
-    def sgns_step(self, in_table, out_table, sub_ids, sub_mask, contexts,
+    def sgns_step(self, in_table, out_table, sub_ids, sub_counts, contexts,
                   negatives, lr):
         """One skip-gram-negative-sampling batch update, in place.
 
-        ``sub_ids``/``sub_mask`` are the padded per-center subword id table
-        rows; ``contexts`` the positive target ids; ``negatives [n, k]``
-        the sampled negative ids.  Called by
+        ``sub_ids [n, L]`` are the padded per-center subword id table rows
+        and ``sub_counts [n]`` (integers) how many of each row are real;
+        ``contexts`` the positive target ids; ``negatives [n, k]`` the
+        sampled negative ids.  Called by
         :meth:`repro.embeddings.FastTextEmbedding._train_epoch` for every
-        batch.
+        batch.  Both tables must be C-contiguous: they are updated through
+        flat views, and a reshaped copy would drop the update silently.
         """
-        counts = sub_mask.sum(axis=1, keepdims=True)
-        in_vecs = (in_table[sub_ids] * sub_mask[:, :, None]).sum(axis=1) / counts
+        if not (in_table.flags.c_contiguous and out_table.flags.c_contiguous):
+            raise ValueError("sgns_step tables must be C-contiguous")
         n = contexts.shape[0]
         dim = in_table.shape[1]
+        real = np.arange(sub_ids.shape[1]) < sub_counts[:, None]
+        in_vecs = _subword_sums(in_table, sub_ids, sub_counts, real)
+        in_vecs /= sub_counts[:, None]
+
         targets = np.concatenate([contexts[:, None], negatives], axis=1)
         labels = np.zeros((n, 1 + negatives.shape[1]))
         labels[:, 0] = 1.0
@@ -487,10 +516,46 @@ class NumpyBackend:
         scores = np.einsum("nd,nkd->nk", in_vecs, out_vecs)
         g = (1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30))) - labels) * lr
         grad_out = g[:, :, None] * in_vecs[:, None, :]
-        np.add.at(out_table, targets.ravel(), -grad_out.reshape(-1, dim))
-        grad_in = np.einsum("nk,nkd->nd", g, out_vecs) / counts
-        weighted = grad_in[:, None, :] * sub_mask[:, :, None]
-        np.add.at(in_table, sub_ids.ravel(), -weighted.reshape(-1, dim))
+        _scatter_rows(out_table, targets.ravel(), -grad_out.reshape(-1, dim))
+        grad_in = np.einsum("nk,nkd->nd", g, out_vecs) / sub_counts[:, None]
+        _scatter_rows(in_table, sub_ids[real],
+                      np.repeat(-grad_in, sub_counts, axis=0))
+
+
+def _subword_sums(table, sub_ids, counts, real):
+    """``[n, dim]`` sums of each center's real subword rows of ``table``.
+
+    One gather-and-sum per group of centers with equal subword count,
+    sorted so that each group's ids and sums are contiguous slices.  At
+    ``dim == 1`` numpy sums an ``[n, L, 1]`` gather pairwise along ``L``,
+    so the rounding depends on the padded width ``L``: that case keeps the
+    padded gather, masked by ``real``.
+    """
+    n, dim = counts.shape[0], table.shape[1]
+    if dim == 1:
+        return (table[sub_ids] * real[:, :, None]).sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    ids = sub_ids[order]
+    counts = counts[order]
+    sums = np.empty((n, dim))
+    starts = np.flatnonzero(np.diff(counts, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        table[ids[lo:hi, :counts[lo]]].sum(axis=1, out=sums[lo:hi])
+    unsorted = np.empty((n, dim))
+    unsorted[order] = sums
+    return unsorted
+
+
+def _scatter_rows(table, rows, values):
+    """``table[rows[i]] += values[i]`` for every ``i`` in order, in place.
+
+    One 1-D ``np.add.at`` over the flat view of the C-contiguous ``table``,
+    with the element indices in row-major order: each element receives the
+    same additions, in the same order, as a row-wise ``np.add.at``.
+    """
+    dim = table.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(table.reshape(-1), flat, values.ravel())
 
 
 #: The process-wide kernel set.

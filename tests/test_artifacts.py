@@ -10,6 +10,7 @@ producing metrics identical to a sequential cold run.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.artifacts import (
     use_store,
 )
 from repro.artifacts.keys import seed_material
+from repro.artifacts.store import flatten_arrays
 from repro.core.detector import DetectionSession, DetectorConfig, HoloDetect
 from repro.data import load_dataset
 from repro.evaluation.matrix import CoordinateOptions, ScenarioMatrix, run_matrix
@@ -135,6 +137,33 @@ class TestArtifactStore:
         assert b.stats.disk_hits == 1
         assert b.get("deadbeef") is payload  # now served from memory
         assert b.stats.memory_hits == 1
+
+    def test_compressed_object_still_reads(self, tmp_path):
+        """Objects were once written with ``np.savez_compressed``; such an
+        object in the store's layout is a disk hit with the same payload."""
+        table = np.random.default_rng(0).uniform(size=(5, 3))
+        payload = {"config": {"dim": 3}, "table": table, "words": ["a", "é"]}
+        store = ArtifactStore(directory=tmp_path)
+        path = store.object_path("c0de")
+        path.parent.mkdir(parents=True)
+        arrays = {}
+        state = flatten_arrays(payload, arrays, sort_keys=True)
+        with open(path, "wb") as f:
+            np.savez_compressed(f, **arrays, __state__=np.array(state))
+        with zipfile.ZipFile(path) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_DEFLATED}
+
+        got = store.get("c0de")
+        assert store.stats.disk_hits == 1
+        assert store.stats.corrupt_dropped == 0
+        assert got["config"] == {"dim": 3} and got["words"] == ["a", "é"]
+        assert got["table"].tobytes() == table.tobytes()
+
+    def test_objects_written_uncompressed(self, tmp_path):
+        store = ArtifactStore(directory=tmp_path)
+        store.put("5707", {"table": np.arange(100.0), "name": "x" * 100})
+        with zipfile.ZipFile(store.object_path("5707")) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
 
     def test_clear_memory_keeps_disk(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)

@@ -11,17 +11,24 @@ training core; the autodiff graph (:class:`repro.core.training.GraphTrainer`,
   differences, next to the graph's ``Highway`` layer, and the fused flat
   ADAM step is held to the textbook update, next to
   :class:`repro.nn.optim.Adam`;
+- the padding-free SGNS kernel updates the embedding tables
+  **bit-identically** to the padded kernel it replaced (kept below as
+  :func:`padded_sgns_step`), and one whole FastText fit is pinned;
 - the kernel name the benchmark harness reads, and the rejection of the
   retired ``backend`` detector key and ``[compute]`` spec table.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.model import JointModel
 from repro.core.training import GraphTrainer, TrainerConfig, train_model
+from repro.data import load_dataset
+from repro.embeddings import FastTextEmbedding, tuple_corpus
 from repro.features.pipeline import CellFeatures
 from repro.nn import Highway, Tensor
 from repro.nn.backend import DEFAULT_BACKEND, default_backend_name
@@ -204,6 +211,123 @@ class TestTrainingEquivalence:
         graph = model.forward(features).numpy()
         fused = KERNELS.predict_logits(model, features)
         assert np.array_equal(graph, fused)
+
+
+# --------------------------------------------------------------------- #
+# The SGNS kernel
+# --------------------------------------------------------------------- #
+
+
+def padded_sgns_step(in_table, out_table, sub_ids, sub_mask, contexts,
+                     negatives, lr):
+    """The padded SGNS batch update ``NumpyBackend.sgns_step`` replaced:
+    every center gathers and scatters all ``L`` subword slots, the padding
+    masked to zero by the float ``sub_mask``.  Kept as the kernel's
+    reference."""
+    counts = sub_mask.sum(axis=1, keepdims=True)
+    in_vecs = (in_table[sub_ids] * sub_mask[:, :, None]).sum(axis=1) / counts
+    n = contexts.shape[0]
+    dim = in_table.shape[1]
+    targets = np.concatenate([contexts[:, None], negatives], axis=1)
+    labels = np.zeros((n, 1 + negatives.shape[1]))
+    labels[:, 0] = 1.0
+    out_vecs = out_table[targets]
+    scores = np.einsum("nd,nkd->nk", in_vecs, out_vecs)
+    g = (1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30))) - labels) * lr
+    grad_out = g[:, :, None] * in_vecs[:, None, :]
+    np.add.at(out_table, targets.ravel(), -grad_out.reshape(-1, dim))
+    grad_in = np.einsum("nk,nkd->nd", g, out_vecs) / counts
+    weighted = grad_in[:, None, :] * sub_mask[:, :, None]
+    np.add.at(in_table, sub_ids.ravel(), -weighted.reshape(-1, dim))
+
+
+def _subword_vocabulary(buckets: int) -> FastTextEmbedding:
+    """An embedding whose subword table holds two words of every length
+    from 0 to 29 characters.  Words under 2 characters are shorter than
+    ``n_min = 4`` with their boundary markers: their only id is the word's
+    own."""
+    rng = np.random.default_rng(0)
+    words = [
+        "".join(rng.choice(list("abcdefgh"), size=length))
+        for length in list(range(30)) * 2
+    ]
+    model = FastTextEmbedding(dim=2, n_min=4, n_max=6, buckets=buckets)
+    model._build_vocab([words])
+    model._build_subword_table()
+    return model
+
+
+def _bits(table: np.ndarray) -> np.ndarray:
+    return table.view(np.uint64)
+
+
+class TestSgnsKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    @pytest.mark.parametrize("buckets", [3, 64])
+    def test_bit_identical_to_padded_reference(self, dim, buckets):
+        vocab = _subword_vocabulary(buckets)
+        sub_ids, counts = vocab._sub_ids, vocab._sub_counts
+        size = counts.size
+        sub_mask = (np.arange(sub_ids.shape[1]) < counts[:, None]).astype(float)
+        # What the padding-free kernel must get right: every batch mixes
+        # all subword counts, including words shorter than n_min, and ids
+        # repeat within one word (3 buckets force it for most words).
+        assert counts.min() == 1 and np.unique(counts).size >= 28
+        repeats = [len(set(ids[:n].tolist())) < n for ids, n in zip(sub_ids, counts)]
+        assert sum(repeats) >= (size // 2 if buckets == 3 else 1)
+
+        rng = np.random.default_rng(dim * 100 + buckets)
+        scale = 1.0 / dim
+        in_table = rng.uniform(-scale, scale, size=(buckets + size, dim))
+        out_table = rng.uniform(-scale, scale, size=(size, dim))
+        ref_in, ref_out = in_table.copy(), out_table.copy()
+        initial = in_table.copy()
+        for _ in range(5):
+            # Every row once, then repeats: ids recur within the batch.
+            centers = np.concatenate(
+                [rng.permutation(size), rng.integers(0, size, 40)]
+            )
+            contexts = rng.integers(0, size, centers.size)
+            negatives = rng.integers(0, size, (centers.size, 4))
+            padded_sgns_step(ref_in, ref_out, sub_ids[centers],
+                             sub_mask[centers], contexts, negatives, 0.5)
+            KERNELS.sgns_step(in_table, out_table, sub_ids[centers],
+                              counts[centers], contexts, negatives, 0.5)
+        assert np.array_equal(_bits(in_table), _bits(ref_in))
+        assert np.array_equal(_bits(out_table), _bits(ref_out))
+        assert not np.array_equal(in_table, initial)
+
+    def test_window8_fit_tables_pinned(self):
+        """One whole relation-wide (``window=8``) fit; the digest was taken
+        with the padded kernel."""
+        corpus = tuple_corpus(load_dataset("hospital", num_rows=60, seed=1).dirty)
+        model = FastTextEmbedding(dim=16, epochs=2, window=8, rng=3).fit(corpus)
+        digest = hashlib.sha256(
+            model._in.tobytes() + model._out.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "012046b8d496cffec57286a427ad65b8c8016df55d72e61f0e46e4de240c5b02"
+        )
+
+    @pytest.mark.parametrize("which", ["in", "out"])
+    def test_non_contiguous_table_rejected(self, which):
+        """The kernel updates flat views; a table a flat view cannot alias
+        is refused, never updated through a silent copy."""
+        vocab = _subword_vocabulary(64)
+        size = vocab._sub_counts.size
+        tables = {
+            "in": np.zeros((64 + size, 4)),
+            "out": np.zeros((size, 4)),
+        }
+        tables[which] = np.asfortranarray(tables[which] + 1.0)
+        before = tables[which].copy()
+        centers = np.arange(size)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            KERNELS.sgns_step(
+                tables["in"], tables["out"], vocab._sub_ids[centers],
+                vocab._sub_counts[centers], centers, centers[:, None], 0.5,
+            )
+        assert np.array_equal(tables[which], before)
 
 
 # --------------------------------------------------------------------- #
