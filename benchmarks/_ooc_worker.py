@@ -149,7 +149,9 @@ def _run_workload(relation, detector, constraints, args) -> dict:
         "cells_scored": len(cells),
         "fit_checksum": fit_digest.hexdigest(),
         "prediction_checksum": hashlib.sha256(probabilities.tobytes()).hexdigest(),
-        "cache_stats": detector.cache.stats.as_dict() if detector.cache else None,
+        "cache_stats": (
+            detector.cache_stats.as_dict() if detector.cache_stats else None
+        ),
     }
 
 

@@ -58,7 +58,6 @@ def _detector_config(tmp_path: Path):
     config = bench_config(
         artifact_dir=str(tmp_path / "artifacts"),
         prediction_batch=256,
-        cache_max_bytes=1_000_000,
     )
     return HoloDetect(config)
 

@@ -10,9 +10,9 @@ Rows are printed with the same structure the paper reports, so a run of
 ``pytest benchmarks/ --benchmark-only -s`` reproduces each table's layout.
 The benchmark→paper index lives in ``docs/architecture.md``.
 
-All detector-based benchmarks run with the batched featurization engine and
-feature cache on (the ``DetectorConfig`` defaults); its speedup is measured
-— not assumed — by ``bench_feature_engine.py``.
+All detector-based benchmarks run with the batched featurization engine and,
+like every detector, no feature cache; the speedup of an attached cache is
+measured — not assumed — by ``bench_feature_engine.py``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.augmentation.learn import (
 )
 from repro.augmentation.policy import CompositePolicy, Policy, UniformPolicy
 from repro.augmentation.augment import AugmentationResult, augment_training_set
-from repro.augmentation.naive_bayes import NaiveBayesRepairModel
+from repro.augmentation.naive_bayes import NaiveBayesRepairModel, channel_examples
 
 __all__ = [
     "Transformation",
@@ -31,4 +31,5 @@ __all__ = [
     "augment_training_set",
     "AugmentationResult",
     "NaiveBayesRepairModel",
+    "channel_examples",
 ]

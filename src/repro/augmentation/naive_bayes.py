@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.dataset.table import Cell, Dataset
+from repro.dataset.training import TrainingSet
 from repro.utils.stats import normalized_mutual_information
 
 #: Rows scored per posterior matrix: bounds its memory on large relations.
@@ -295,3 +296,24 @@ class NaiveBayesRepairModel:
         return [
             (r.repair, r.observed) for r in self.suggest_repairs(dataset, max_cells)
         ]
+
+
+def channel_examples(
+    dataset: Dataset,
+    training: TrainingSet,
+    *,
+    min_error_pairs: int,
+    max_cells: int | None,
+) -> list[tuple[str, str]]:
+    """The example pairs the noisy channel is learned from (§5.4).
+
+    T's labelled error pairs ``(v*, v)``, topped up by the ``(v̂, v)`` pairs
+    of a Naive Bayes repair model fitted on ``dataset`` when T holds fewer
+    than ``min_error_pairs`` of them.  ``max_cells`` caps the cells the
+    model scans (``None`` scans all).
+    """
+    pairs = training.error_pairs()
+    if len(pairs) < min_error_pairs:
+        weak = NaiveBayesRepairModel().fit(dataset)
+        pairs = pairs + weak.example_pairs(dataset, max_cells=max_cells)
+    return pairs

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.augmentation.naive_bayes import NaiveBayesRepairModel
+from repro.augmentation.naive_bayes import channel_examples
 from repro.augmentation.policy import Policy, UniformPolicy
 from repro.augmentation.transformations import Transformation
 from repro.dataset.table import Dataset
@@ -65,16 +65,18 @@ def uniform_policy_from(
 ) -> UniformPolicy:
     """Learn Φ exactly as AUG does, but discard the distribution Π̂.
 
-    Mirrors :meth:`repro.core.detector.HoloDetect._learn_policy`'s data
-    sourcing (labelled errors topped up by Naïve Bayes weak supervision) so
-    that Table 4 isolates the *policy*, not the transformation set.
+    Learns from the detector's example pairs
+    (:func:`~repro.augmentation.naive_bayes.channel_examples`: labelled
+    errors topped up by Naïve Bayes weak supervision) so that Table 4
+    isolates the *policy*, not the transformation set.
     """
-    pairs = training.error_pairs()
-    if len(pairs) < min_error_pairs:
-        weak = NaiveBayesRepairModel().fit(dataset)
-        pairs = pairs + weak.example_pairs(dataset, max_cells=weak_supervision_max_cells)
-    learned = Policy.learn(pairs)
-    return UniformPolicy(learned.transformations)
+    pairs = channel_examples(
+        dataset,
+        training,
+        min_error_pairs=min_error_pairs,
+        max_cells=weak_supervision_max_cells,
+    )
+    return UniformPolicy(Policy.learn(pairs).transformations)
 
 
 # --------------------------------------------------------------------- #

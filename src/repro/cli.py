@@ -58,6 +58,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.augmentation.naive_bayes import channel_examples
 from repro.augmentation.policy import Policy
 from repro.constraints.dc import read_constraints
 from repro.core.detector import DetectionSession, ErrorPredictions, HoloDetect
@@ -68,9 +69,7 @@ from repro.spec import DetectorSpec, SpecError
 
 #: ``DetectorConfig`` fields settable by model flags (each flag's ``dest``).
 #: A flag left unset stays ``None`` and leaves the spec's value alone.
-_MODEL_FLAGS = (
-    "epochs", "embedding_dim", "seed", "augment", "prediction_batch", "feature_cache",
-)
+_MODEL_FLAGS = ("epochs", "embedding_dim", "seed", "augment", "prediction_batch")
 
 
 def _read(reader, *args, **kwargs):
@@ -158,8 +157,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.json:
         _write_detect_json(args.json, args, dataset, detector, predictions)
         print(f"wrote {args.json}", file=sys.stderr)
-    if detector.cache_stats is not None:
-        print(f"feature cache: {detector.cache_stats.summary()}", file=sys.stderr)
     if detector.artifact_stats is not None:
         print(f"artifact store: {detector.artifact_stats.summary()}", file=sys.stderr)
     if args.save_model:
@@ -213,8 +210,6 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         args.output, triage_rows(dataset, predictions, args.threshold)
     )
     print(f"wrote {args.output}: {flagged} cells flagged", file=sys.stderr)
-    if detector.cache_stats is not None:
-        print(f"feature cache: {detector.cache_stats.summary()}", file=sys.stderr)
     if detector.artifact_stats is not None:
         print(f"artifact store: {detector.artifact_stats.summary()}", file=sys.stderr)
     return 0
@@ -584,12 +579,9 @@ def _run_client_action(args: argparse.Namespace, client) -> int:
 def cmd_policy(args: argparse.Namespace) -> int:
     dataset = _read(read_csv, args.input)
     training = _read(read_labels, args.labels, dataset)
-    pairs = training.error_pairs()
-    if not pairs:
+    if not training.errors:
         print("no labelled errors: learning from weak supervision", file=sys.stderr)
-        from repro.augmentation.naive_bayes import NaiveBayesRepairModel
-
-        pairs = NaiveBayesRepairModel().fit(dataset).example_pairs(dataset)
+    pairs = channel_examples(dataset, training, min_error_pairs=1, max_cells=None)
     policy = Policy.learn(pairs)
     print(f"{len(policy)} transformations learned from {len(pairs)} example pairs")
     for transformation, probability in policy.top_k(args.value, args.top):
@@ -664,13 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--prediction-batch",
             type=int,
             help="cells featurised per prediction chunk (default 512)",
-        )
-        p.add_argument(
-            "--no-feature-cache",
-            action="store_false",
-            dest="feature_cache",
-            default=None,
-            help="disable memoisation of transformed feature blocks",
         )
         p.add_argument(
             "--artifacts",

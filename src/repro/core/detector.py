@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.artifacts import ArtifactStats, ArtifactStore, get_default_store
 from repro.augmentation.augment import augment_training_set
-from repro.augmentation.naive_bayes import NaiveBayesRepairModel
+from repro.augmentation.naive_bayes import channel_examples
 from repro.augmentation.policy import Policy
 from repro.constraints.dc import DenialConstraint
 from repro.core.calibration import PlattScaler
@@ -35,7 +35,7 @@ from repro.core.training import TrainerConfig, train_model
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.dataset.training import LabeledCell, TrainingSet
 from repro.features.base import CellBatch, FeatureContext
-from repro.features.cache import CacheStats, FeatureCache
+from repro.features.cache import CacheStats
 from repro.features.pipeline import CellFeatures, FeaturePipeline, default_pipeline
 from repro.utils.rng import as_generator
 from repro.utils.specfile import require_int
@@ -72,20 +72,10 @@ class DetectorConfig:
     weak_supervision_max_cells: int = 20_000
     #: Representation models to drop (ablation studies).
     exclude_models: tuple[str, ...] = ()
-    #: Cells featurised per prediction chunk.  Chunk boundaries are
-    #: deterministic, so repeated predictions over the same cells hit the
-    #: feature cache block-for-block.
+    #: Cells featurised per prediction chunk.  Every chunk is scored at
+    #: this fixed shape, so a cell's probability does not depend on which
+    #: other cells share its chunk.
     prediction_batch: int = 512
-    #: Memoise transformed feature blocks (see ``repro.features.cache``).
-    feature_cache: bool = True
-    #: LRU capacity of the feature cache, in blocks.
-    cache_max_entries: int = 1024
-    #: Optional LRU capacity of the feature cache, in bytes of cached
-    #: blocks (``None`` = unbounded bytes).  Streaming prediction over an
-    #: out-of-core relation visits far more distinct blocks than fit-time
-    #: work ever re-reads, so a byte bound keeps the cache from holding the
-    #: relation's entire feature matrix.
-    cache_max_bytes: int | None = None
     #: Directory of an on-disk fitted-artifact store (:mod:`repro.artifacts`)
     #: shared across fits and processes; ``None`` = no disk tier.
     artifact_dir: str | None = None
@@ -119,12 +109,10 @@ class DetectorConfig:
         for name, minimum in (
             ("embedding_dim", 1), ("embedding_epochs", 1), ("hidden_dim", 1),
             ("epochs", 1), ("batch_size", 1), ("prediction_batch", 1),
-            ("cache_max_entries", 1), ("min_training_steps", 0),
-            ("min_error_pairs", 0), ("weak_supervision_max_cells", 1), ("seed", 0),
+            ("min_training_steps", 0), ("min_error_pairs", 0),
+            ("weak_supervision_max_cells", 1), ("seed", 0),
         ):
             require_int(name, getattr(self, name), minimum)
-        if self.cache_max_bytes is not None:
-            require_int("cache_max_bytes", self.cache_max_bytes, 1)
         fraction("dropout")
         fraction("holdout_fraction")
         if not isinstance(self.lr, (int, float)) or not self.lr > 0:
@@ -220,14 +208,6 @@ class HoloDetect:
         self.model: JointModel | None = None
         self.scaler: PlattScaler | None = None
         self.policy: Policy | None = None
-        self.cache: FeatureCache | None = (
-            FeatureCache(
-                self.config.cache_max_entries,
-                max_bytes=self.config.cache_max_bytes,
-            )
-            if self.config.feature_cache
-            else None
-        )
         self._artifact_store: ArtifactStore | None = (
             self.config.artifact_store
             if self.config.artifact_store is not None
@@ -275,8 +255,10 @@ class HoloDetect:
 
     @property
     def cache_stats(self) -> CacheStats | None:
-        """Feature-cache accounting, or ``None`` when caching is disabled."""
-        return self.cache.stats if self.cache is not None else None
+        """Accounting of the :class:`~repro.features.cache.FeatureCache` a
+        caller assigned to the fitted ``pipeline.cache``, else ``None``."""
+        cache = self.pipeline.cache if self.pipeline is not None else None
+        return cache.stats if cache is not None else None
 
     @property
     def artifacts(self) -> ArtifactStore | None:
@@ -348,7 +330,6 @@ class HoloDetect:
         # training seeds derive from content, not from the shared stream.
         t0 = perf_counter()
         self.pipeline = self._build_pipeline(constraints)
-        self.pipeline.cache = self.cache
         self.pipeline.artifacts = self.artifacts
         self.pipeline.fit(dataset)
         self.timings["featurize"] = perf_counter() - t0
@@ -475,13 +456,14 @@ class HoloDetect:
 
     def _learn_policy(self, dataset: Dataset, training: TrainingSet) -> Policy:
         """Learn (Φ, Π̂) from T's errors, topped up by weak supervision (§5.4)."""
-        pairs = training.error_pairs()
-        if len(pairs) < self.config.min_error_pairs:
-            weak_model = NaiveBayesRepairModel().fit(dataset)
-            pairs = pairs + weak_model.example_pairs(
-                dataset, max_cells=self.config.weak_supervision_max_cells
+        return Policy.learn(
+            channel_examples(
+                dataset,
+                training,
+                min_error_pairs=self.config.min_error_pairs,
+                max_cells=self.config.weak_supervision_max_cells,
             )
-        return Policy.learn(pairs)
+        )
 
     # ------------------------------------------------------------------ #
     # Prediction
@@ -493,9 +475,9 @@ class HoloDetect:
         Defaults to every cell of D outside the training set (the paper's
         prediction target, §3.3 Module 3).
 
-        Prediction is chunked into ``config.prediction_batch``-cell batches;
-        with the feature cache enabled, a repeated prediction over the same
-        cells (or a second pass after e.g. threshold tuning) reuses every
+        Prediction is chunked into ``config.prediction_batch``-cell batches.
+        With a :class:`~repro.features.cache.FeatureCache` attached to the
+        pipeline, a repeated prediction over the same cells reuses every
         transformed block.
         """
         if self.model is None or self.pipeline is None or self._dataset is None:

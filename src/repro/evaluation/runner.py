@@ -77,13 +77,12 @@ def run_trials(
     ``warmup`` runs the method once on an extra split before the timed
     trials, untimed and unscored.  Use it when measuring steady-state
     runtime of methods with one-time *process-level* costs — lazy imports,
-    module-level index construction, OS page-cache effects.  It does not
-    warm the per-detector feature cache: methods construct a fresh detector
-    (and hence a fresh cache) per trial, so cache effects are measured by
-    ``benchmarks/bench_feature_engine.py`` instead, which times repeated
-    prediction on one fitted detector.  The timed trials use the same
-    generator stream as a non-warmup run, so metrics stay comparable
-    across the two modes.
+    module-level index construction, OS page-cache effects.  Methods
+    construct a fresh detector per trial, so repeated prediction on one
+    fitted detector is measured by ``benchmarks/bench_feature_engine.py``
+    instead, which attaches its own feature cache.  The timed trials use
+    the same generator stream as a non-warmup run, so metrics stay
+    comparable across the two modes.
     """
     result = ExperimentResult()
     true_errors = bundle.error_cells

@@ -7,11 +7,10 @@ layers).  Dropping a model by name reproduces the Fig. 3 ablation.
 
 Transforms are batched: one :class:`~repro.features.base.CellBatch` is built
 per call and shared by every featurizer, so resolved values and per-column
-groupings are computed once per batch rather than once per model.  Attaching
-a :class:`~repro.features.cache.FeatureCache` (``pipeline.cache``) memoises
-each featurizer's block per batch, which makes repeated passes over the same
-cells — augmentation epochs, repeated evaluation, full-dataset prediction —
-near-free.
+groupings are computed once per batch rather than once per model.  No cache
+is attached by default; a caller that transforms the same batch again can
+attach a :class:`~repro.features.cache.FeatureCache` (``pipeline.cache``),
+which memoises each featurizer's block per batch.
 
 After in-place dataset mutations, :meth:`FeaturePipeline.refresh` refits
 only the models whose fitted state the :class:`~repro.dataset.table.DatasetDelta`
@@ -256,8 +255,8 @@ class FeaturePipeline:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate featurizer names: {names}")
         self.featurizers = list(featurizers)
-        #: Optional block cache; assign a ``FeatureCache`` at any time to
-        #: start memoising, or set back to ``None`` to bypass it.
+        #: Optional block cache, ``None`` unless a caller assigns a
+        #: ``FeatureCache``; set back to ``None`` to bypass it.
         self.cache = cache
         #: Optional fitted-artifact store (:mod:`repro.artifacts`); when
         #: attached, :meth:`fit` serves trained embeddings and fitted
@@ -440,7 +439,6 @@ DEFAULT_MODEL_ORDER = (
 def build_pipeline(
     entries: Sequence[str | tuple[str, Mapping[str, object]]],
     ctx: FeaturizerContext | None = None,
-    cache: "FeatureCache | None" = None,
 ) -> FeaturePipeline:
     """Build an (unfitted) pipeline from declarative featurizer entries.
 
@@ -454,7 +452,7 @@ def build_pipeline(
     for entry in entries:
         name, params = entry if isinstance(entry, tuple) else (entry, {})
         featurizers.append(build_featurizer(name, params, ctx))
-    return FeaturePipeline(featurizers, cache=cache)
+    return FeaturePipeline(featurizers)
 
 
 def default_pipeline(

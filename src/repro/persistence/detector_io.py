@@ -15,8 +15,8 @@ Public API
     Reconstruct the detector and re-attach it to ``dataset`` — the same
     relation it was fitted on (data stays with the user; it is never
     written to disk by this module).  The loaded detector predicts exactly
-    as the original did.  A fresh feature cache is attached according to
-    the saved config; caches themselves are never persisted.  Featurizer
+    as the original did.  Feature caches are never persisted, and none is
+    attached on load.  Featurizer
     ``scope`` declarations are class-level, so a loaded detector drops
     straight into a :class:`~repro.core.detector.DetectionSession` for
     incremental re-scoring (``repro rescore --model <path>``).
@@ -43,7 +43,8 @@ fills them in), so the format is forward-extensible without a version bump
 for config-only additions, and featurizer states gain keys the same way
 (older n-gram entries lack ``n``, which their per-column models record).
 Config keys of retired options (``backend``, ``compute_dtype``,
-``prediction_workers``) are dropped on load, from the config and from an
+``prediction_workers``, ``feature_cache``, ``cache_max_entries``,
+``cache_max_bytes``) are dropped on load, from the config and from an
 embedded spec's ``detector`` table, as is a spec's retired ``compute``
 table.
 
@@ -151,7 +152,10 @@ def _decode_featurizer(state: dict) -> features.Featurizer:
 _UNSAVED_CONFIG_FIELDS = ("policy_override", "artifact_store")
 
 #: Config fields of retired options that older saves still carry.
-_RETIRED_CONFIG_FIELDS = ("backend", "compute_dtype", "prediction_workers")
+_RETIRED_CONFIG_FIELDS = (
+    "backend", "compute_dtype", "prediction_workers",
+    "feature_cache", "cache_max_entries", "cache_max_bytes",
+)
 
 
 def _encode_config(config: DetectorConfig) -> dict:
@@ -337,9 +341,6 @@ def load_detector(path: str | Path, dataset: Dataset) -> HoloDetect:
     detector.pipeline._numeric_mean = pipeline_state["numeric_mean"]
     detector.pipeline._numeric_std = pipeline_state["numeric_std"]
     detector.pipeline._fitted = True
-    # Re-attach the block cache the config asked for (caches are never
-    # persisted — they rebuild from hits on the first prediction pass).
-    detector.pipeline.cache = detector.cache
     if detector._artifact_store is not None:
         # Re-point the decoded pipeline at the config's artifact store too,
         # so refresh-time refits consult it (store contents live on disk;

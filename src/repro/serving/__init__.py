@@ -14,7 +14,7 @@ loads cheap.  This package wires them into a server:
 - :mod:`repro.serving.batching` — coalescing of concurrent small detect
   requests into single chunked predicts (bit-identical to sequential);
 - :mod:`repro.serving.server` — the asyncio HTTP server with per-tenant
-  sessions and per-tenant artifact/feature-cache isolation;
+  sessions and per-tenant artifact-store isolation;
 - :mod:`repro.serving.client` — the blocking client (``repro client`` CLI,
   tests, and the load benchmark all use it);
 - :mod:`repro.serving.reports` — the shared ``repro.detect/v1`` report

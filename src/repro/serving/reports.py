@@ -50,12 +50,16 @@ def build_detect_report(
     threshold: float,
     *,
     detector: "HoloDetect | None" = None,
+    include_cells: bool = True,
 ) -> dict:
     """The ``repro.detect/v1`` payload for one scored relation.
 
     ``detector`` contributes the spec fingerprint and the feature-cache /
     artifact-store counter blocks when available (all three are ``None``
     otherwise — the additive-fields contract of the schema).
+    ``include_cells=False`` leaves out the ranked ``cells`` list (the
+    serving wire field of the same name) without building it;
+    ``flagged_cells`` still counts every prediction.
     """
     from repro import __version__
 
@@ -74,7 +78,7 @@ def build_detect_report(
             # Wall-clock seconds of the fit/featurize/train/predict stages
             # (additive field; absent for detectors without timing data).
             timings = {k: round(v, 6) for k, v in detector.timings.items()}
-    return {
+    report = {
         "schema": DETECT_SCHEMA,
         "version": __version__,
         "rows": dataset.num_rows,
@@ -86,7 +90,9 @@ def build_detect_report(
         "feature_cache": feature_cache,
         "artifact_store": artifact_store,
         "timings": timings,
-        "cells": [
+    }
+    if include_cells:
+        report["cells"] = [
             {
                 "row": cell.row,
                 "attribute": cell.attr,
@@ -95,8 +101,8 @@ def build_detect_report(
                 "flagged": bool(probability >= threshold),
             }
             for cell, value, probability in ranked_predictions(dataset, predictions)
-        ],
-    }
+        ]
+    return report
 
 
 def triage_rows(

@@ -16,10 +16,10 @@ Architecture (see ``docs/architecture.md`` → Serving):
   of the saved model, resolved (git-style prefixes allowed) against a
   *model root* directory by the :class:`~repro.serving.registry.DetectorRegistry`
   LRU;
-- **tenant isolation**: each tenant owns a private detector instance (its
-  own feature cache) with a per-tenant artifact-store directory, its own
-  relation copy, and its own session — one tenant's repairs can never
-  reach another tenant's scores;
+- **tenant isolation**: each tenant owns a private detector instance
+  with a per-tenant artifact-store directory, its own relation copy, and
+  its own session — one tenant's repairs can never reach another tenant's
+  scores;
 - **coalescing**: concurrent small detect requests against one tenant are
   merged by the :class:`~repro.serving.batching.ScoreBatcher` into a single
   chunked predict, bit-identical to sequential calls because per-cell
@@ -100,6 +100,11 @@ def error_payload(code: str, message: str,
         "kind": "error",
         "error": error,
     }
+
+
+def _include_cells(payload: dict) -> bool:
+    """Whether the response report carries its ranked ``cells`` list."""
+    return payload.get("include_cells") is not False
 
 
 @dataclass
@@ -515,9 +520,9 @@ class DetectionServer:
             # recompute needed (they are maintained bit-exact by rescore).
             report = build_detect_report(
                 tenant.dataset, tenant.session.predictions, threshold,
-                detector=tenant.detector,
+                detector=tenant.detector, include_cells=_include_cells(payload),
             )
-            return 200, self._detect_response(tenant.fingerprint, tenant_name, report, payload)
+            return 200, self._detect_response(tenant.fingerprint, tenant_name, report)
         cells = self._parse_cells(raw_cells, tenant.dataset)
         probabilities = await self.batcher.score(
             tenant.batch_key, tenant.detector._score_probabilities, cells
@@ -528,9 +533,10 @@ class DetectionServer:
             cells=list(cells), probabilities=probabilities, threshold=threshold
         )
         report = build_detect_report(
-            tenant.dataset, predictions, threshold, detector=tenant.detector
+            tenant.dataset, predictions, threshold,
+            detector=tenant.detector, include_cells=_include_cells(payload),
         )
-        return 200, self._detect_response(tenant.fingerprint, tenant_name, report, payload)
+        return 200, self._detect_response(tenant.fingerprint, tenant_name, report)
 
     async def _detect_stateless(
         self, payload: dict, threshold: float
@@ -557,8 +563,11 @@ class DetectionServer:
         predictions = ErrorPredictions(
             cells=cells, probabilities=probabilities, threshold=threshold
         )
-        report = build_detect_report(dataset, predictions, threshold, detector=detector)
-        return 200, self._detect_response(fingerprint, None, report, payload)
+        report = build_detect_report(
+            dataset, predictions, threshold,
+            detector=detector, include_cells=_include_cells(payload),
+        )
+        return 200, self._detect_response(fingerprint, None, report)
 
     async def _handle_rescore(self, request: _Request) -> tuple[int, dict]:
         payload = self._decode_body(request)
@@ -577,10 +586,8 @@ class DetectionServer:
         delta = tenant.session.last_delta
         report = build_detect_report(
             tenant.dataset, tenant.session.predictions, threshold,
-            detector=tenant.detector,
+            detector=tenant.detector, include_cells=_include_cells(payload),
         )
-        if payload.get("include_cells") is False:
-            report.pop("cells", None)
         return 200, {
             "schema": SERVE_SCHEMA,
             "kind": "rescore",
@@ -627,10 +634,8 @@ class DetectionServer:
         return float(raw)
 
     def _detect_response(
-        self, fingerprint: str, tenant: str | None, report: dict, payload: dict
+        self, fingerprint: str, tenant: str | None, report: dict
     ) -> dict:
-        if payload.get("include_cells") is False:
-            report.pop("cells", None)
         return {
             "schema": SERVE_SCHEMA,
             "kind": "detect",
@@ -747,8 +752,8 @@ class DetectionServer:
                 "registering a tenant relation needs a string 'fingerprint'",
             )
         fingerprint = self.registry.resolve(fingerprint_query)
-        # Private instance: own feature cache, own artifact namespace, own
-        # session — full isolation from other tenants and the hot pool.
+        # Private instance: own artifact namespace, own session — full
+        # isolation from other tenants and the hot pool.
         detector = self.registry.checkout(fingerprint, dataset)
         if self.config.artifact_root is not None:
             detector.use_artifacts(

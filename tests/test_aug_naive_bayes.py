@@ -5,13 +5,14 @@ per-cell loop it replaced, kept here as :func:`reference_scan`.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from repro.augmentation import NaiveBayesRepairModel, naive_bayes
+from repro.augmentation import NaiveBayesRepairModel, channel_examples, naive_bayes
 from repro.augmentation.naive_bayes import SuggestedRepair
-from repro.baselines import HoloCleanDetector
+from repro.baselines import HoloCleanDetector, uniform_policy_from
 from repro.core import DetectorConfig
 from repro.data import load_dataset
 from repro.dataset import Cell, Dataset
@@ -245,4 +246,45 @@ class TestBatchedScan:
         assert len(flagged) == 33
         assert digest == (
             "7a11fe7a1f3d58c9405df5b5d9493519d5d7d52de82b7dae8efea410a5b23b97"
+        )
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+class TestChannelExamples:
+    """``channel_examples`` is the one source of the channel's example pairs
+    for the detector, the Table 4 uniform-policy ablation and ``repro
+    policy``.  The digests were taken with the three copies it replaced."""
+
+    @pytest.fixture(scope="class")
+    def labelled(self):
+        from repro.evaluation import make_split
+
+        bundle = load_dataset("hospital", num_rows=150, seed=6)
+        return bundle.dirty, make_split(bundle, 0.05, rng=6).training
+
+    @pytest.mark.parametrize(
+        "min_error_pairs,count,digest",
+        [
+            # 6 labelled pairs, topped up by weak supervision.
+            (10, 27, "a01cd840b502904d224cad3c351e1741c55b6471bfd3d06dec847b26e9da24e1"),
+            # The labelled pairs alone.
+            (0, 6, "3db900dc266676b1a6d0c759f9b143ad4fb04c2c91c67d9c8368d1ff718d3e64"),
+        ],
+    )
+    def test_pairs_pinned(self, labelled, min_error_pairs, count, digest):
+        pairs = channel_examples(
+            *labelled, min_error_pairs=min_error_pairs, max_cells=20_000
+        )
+        assert len(pairs) == count
+        assert _sha256(pairs) == digest
+
+    def test_uniform_policy_transformations_pinned(self, labelled):
+        policy = uniform_policy_from(*labelled)
+        transformations = [[t.src, t.dst] for t in policy.transformations]
+        assert len(transformations) == 57
+        assert _sha256(transformations) == (
+            "6a984a5ac91b349851b63b958cf7b9acc494608cb796e6be1cae80f748761e12"
         )

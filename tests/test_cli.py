@@ -145,6 +145,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "transformations learned" in out
 
+    def test_policy_weak_supervision_output_pinned(self, tmp_path, capsys):
+        """With no labelled error, ``policy`` learns from Naive Bayes repairs
+        over the whole relation; this stdout was taken before the command
+        shared the detector's example-pair source."""
+        from repro.data import load_dataset
+
+        bundle = load_dataset("hospital", num_rows=80, seed=3)
+        write_csv(bundle.dirty, tmp_path / "data.csv")
+        with (tmp_path / "labels.csv").open("w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["row", "attribute", "true_value"])
+            for cell in list(bundle.dirty.cells())[:60]:
+                writer.writerow([cell.row, cell.attr, bundle.clean.value(cell)])
+        code = main(
+            ["policy", "--input", str(tmp_path / "data.csv"),
+             "--labels", str(tmp_path / "labels.csv"), "--value", "Staidil"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "25 transformations learned from 10 example pairs\n"
+            "  0.7500  't' -> 'x'\n"
+            "  0.2500  'i' -> 'x'\n"
+        )
+        assert "no labelled errors" in captured.err
+
     def test_policy_rejects_model_flags(self):
         """``policy`` trains no model, so it takes no model flags."""
         with pytest.raises(SystemExit) as excinfo:
@@ -434,8 +460,8 @@ class TestDetectorFromSpec:
 
     def test_unset_flags_leave_the_spec_alone(self, spec_file):
         args = build_parser().parse_args(
-            ["benchmark", "--spec", str(spec_file), "--no-feature-cache"]
+            ["benchmark", "--spec", str(spec_file), "--no-augment"]
         )
-        assert (args.epochs, args.seed, args.augment, args.feature_cache) == (
+        assert (args.epochs, args.seed, args.prediction_batch, args.augment) == (
             None, None, None, False,
         )

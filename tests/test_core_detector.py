@@ -6,6 +6,7 @@ import pytest
 from repro.core import DetectorConfig, HoloDetect
 from repro.dataset import Cell
 from repro.evaluation import evaluate_predictions, make_split
+from repro.features import FeatureCache
 
 FAST = DetectorConfig(epochs=20, embedding_dim=8, seed=0)
 
@@ -80,6 +81,23 @@ class TestPredict:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
             HoloDetect(FAST).predict()
+
+    def test_feature_cache_is_opt_in(self, fitted):
+        """No cache on the default path; an attached one changes no
+        probability and serves the repeated prediction from its blocks."""
+        _, split, detector = fitted
+        assert detector.pipeline.cache is None and detector.cache_stats is None
+        cells = split.test_cells[:300]
+        baseline = detector.predict(cells).probabilities
+        detector.pipeline.cache = FeatureCache()
+        try:
+            cold = detector.predict(cells).probabilities
+            warm = detector.predict(cells).probabilities
+            stats = detector.cache_stats
+        finally:
+            detector.pipeline.cache = None
+        assert baseline.tobytes() == cold.tobytes() == warm.tobytes()
+        assert stats.hits == stats.misses == len(detector.pipeline.featurizers)
 
 
 class TestConfigVariants:

@@ -159,21 +159,6 @@ class TestFeatureCache:
         assert cache.stats.misses == 3
         assert after[0, 0] == pytest.approx(4 / 5)
 
-    def test_explicit_scope_invalidation(self, dataset, cells):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        cache = FeatureCache()
-        batch = CellBatch(cells, dataset)
-        cache.get_or_compute(f, batch)
-        assert len(cache) == 1
-        # The block is keyed under the featurizer's scoped fingerprint (the
-        # batch's column fingerprints for this attribute-scoped model).
-        dropped = cache.invalidate_scope(f.scoped_fingerprint(batch))
-        assert dropped == 1 and len(cache) == 0
-        assert cache.stats.invalidations == 1
-        # And the next lookup recomputes.
-        cache.get_or_compute(f, CellBatch(cells, dataset))
-        assert cache.stats.misses == 2
-
     def test_refit_invalidates_via_token(self, dataset, cells):
         pipeline = FeaturePipeline([ColumnIdFeaturizer()], cache=FeatureCache())
         pipeline.fit(dataset)
@@ -201,55 +186,6 @@ class TestFeatureCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             FeatureCache(max_entries=0)
-
-    def test_rejects_nonpositive_max_bytes(self):
-        with pytest.raises(ValueError):
-            FeatureCache(max_bytes=0)
-
-    def test_byte_bound_evicts_lru(self, dataset, cells):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        block_bytes = f.transform_batch(CellBatch([cells[0]], dataset)).nbytes
-        # Room for exactly two single-cell blocks.
-        cache = FeatureCache(max_entries=100, max_bytes=2 * block_bytes)
-        batches = [CellBatch([c], dataset) for c in cells[:3]]
-        for batch in batches:
-            cache.get_or_compute(f, batch)
-        assert len(cache) == 2
-        assert cache.nbytes <= 2 * block_bytes
-        assert cache.stats.evictions == 1
-        assert cache.stats.byte_evictions == 1
-        # The oldest entry was the one dropped; re-fetching it misses.
-        cache.get_or_compute(f, batches[0])
-        assert cache.stats.misses == 4
-
-    def test_oversize_block_returned_but_not_cached(self, dataset, cells):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        cache = FeatureCache(max_bytes=1)
-        batch = CellBatch([cells[0]], dataset)
-        block = cache.get_or_compute(f, batch)
-        assert block.shape[0] == 1
-        assert len(cache) == 0
-        assert cache.nbytes == 0
-        assert cache.stats.oversize_rejections == 1
-        assert "oversize" in cache.stats.summary()
-
-    def test_nbytes_tracks_invalidation_and_clear(self, dataset, cells):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        cache = FeatureCache(max_bytes=10**9)
-        batch = CellBatch([cells[0]], dataset)
-        cache.get_or_compute(f, batch)
-        assert cache.nbytes > 0
-        cache.invalidate_scope(f.scoped_fingerprint(batch))
-        assert cache.nbytes == 0
-        cache.get_or_compute(f, batch)
-        cache.clear()
-        assert cache.nbytes == 0
-
-    def test_stats_dict_includes_byte_counters(self):
-        cache = FeatureCache(max_bytes=1024)
-        stats = cache.stats.as_dict()
-        assert stats["byte_evictions"] == 0
-        assert stats["oversize_rejections"] == 0
 
 
 class TestPipelineCaching:

@@ -185,7 +185,10 @@ class TestDetectorRoundtrip:
     def test_save_with_retired_backend_options_loads(self, fitted, tmp_path):
         """Saves made while the training core had selectable backends carry
         ``backend``/``compute_dtype`` config keys and may embed a spec with
-        a ``[compute]`` table; they load and predict bit-identically."""
+        a ``[compute]`` table; saves made while every detector built a
+        feature cache carry ``feature_cache``/``cache_max_entries``/
+        ``cache_max_bytes``, in the config and in a spec that set them.
+        They load and predict bit-identically, with no cache attached."""
         import json
 
         from repro.persistence import detector_fingerprint
@@ -196,10 +199,16 @@ class TestDetectorRoundtrip:
         save_detector(detector, tmp_path / "legacy")
         state_path = tmp_path / "legacy" / "state.json"
         state = json.loads(state_path.read_text())
-        state["config"].update(backend=None, compute_dtype="float64")
+        cache_keys = dict(
+            feature_cache=False, cache_max_entries=64, cache_max_bytes=1_000_000
+        )
+        state["config"].update(backend=None, compute_dtype="float64", **cache_keys)
         spec = DetectorSpec.default(epochs=8, embedding_dim=6, seed=0)
+        spec_state = spec.to_dict()
         state["spec"] = {
-            **spec.to_dict(), "compute": {"backend": "numpy", "dtype": "float64"}
+            **spec_state,
+            "detector": {**spec_state["detector"], **cache_keys},
+            "compute": {"backend": "numpy", "dtype": "float64"},
         }
         state_path.write_text(json.dumps(state))
 
@@ -209,8 +218,13 @@ class TestDetectorRoundtrip:
         assert np.array_equal(
             legacy.predict(cells).probabilities, fresh.predict(cells).probabilities
         )
+        assert legacy.cache_stats is None
         assert legacy.spec.fingerprint() == spec.fingerprint()
-        # Without a spec.json sidecar the serving index recomputes it.
+        # Without a spec.json sidecar the serving index recomputes it...
+        assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()
+        # ...and a sidecar recorded with the retired keys is stale.
+        sidecar = {"fingerprint": "0" * 64, "spec": state["spec"]}
+        (tmp_path / "legacy" / "spec.json").write_text(json.dumps(sidecar))
         assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()
 
 

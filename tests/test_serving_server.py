@@ -151,13 +151,38 @@ class TestBasics:
         assert nothing["report"]["flagged_cells"] == 0
 
     def test_include_cells_false_drops_cell_list(self, served_world, client):
-        response = client.detect(
-            served_world.fingerprint,
-            dataset=served_world.bundle.dirty,
-            include_cells=False,
-        )
-        assert "cells" not in response["report"]
-        assert response["report"]["scored_cells"] > 0
+        """On every report route, ``include_cells: false`` answers the full
+        response minus ``report.cells``: tenant registration, a tenant cell
+        subset, a stateless detect and a rescore.  Twin tenants take the
+        same requests; ``timings`` are wall clock, so only their keys
+        compare."""
+        dataset = served_world.bundle.dirty
+        fingerprint = served_world.fingerprint
+        subset = list(dataset.cells())[:30]
+        edits = {Cell(2, dataset.attributes[1]): "Replacement Value"}
+
+        def exchange(tenant, include_cells):
+            return [
+                client.detect(fingerprint, dataset=dataset, tenant=tenant,
+                              include_cells=include_cells),
+                client.detect(tenant=tenant, cells=subset, include_cells=include_cells),
+                client.detect(fingerprint, dataset=dataset, include_cells=include_cells),
+                client.rescore(tenant, edits, include_cells=include_cells),
+            ]
+
+        def comparable(response):
+            report = dict(response["report"])
+            report.pop("cells", None)
+            report["timings"] = sorted(report["timings"] or ())
+            return {**response, "tenant": None, "report": report}
+
+        full = exchange("full", True)
+        lean = exchange("lean", False)
+        for with_cells, without_cells in zip(full, lean):
+            assert with_cells["report"]["cells"]
+            assert "cells" not in without_cells["report"]
+            assert without_cells["report"]["scored_cells"] > 0
+            assert comparable(without_cells) == comparable(with_cells)
 
     def test_unknown_fingerprint_404(self, served_world, client):
         with pytest.raises(ServeClientError) as excinfo:

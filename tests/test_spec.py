@@ -20,6 +20,7 @@ from repro import DetectorConfig, DetectorSpec, HoloDetect, SpecError
 from repro.evaluation import evaluate_predictions, make_split
 from repro.features.pipeline import DEFAULT_MODEL_ORDER
 from repro.persistence import load_detector, save_detector
+from repro.persistence.detector_io import _RETIRED_CONFIG_FIELDS
 from repro.spec import SPEC_SCHEMA, load_spec
 
 
@@ -45,11 +46,12 @@ class TestSpecParsing:
                 {"schema": SPEC_SCHEMA, "detector": {"epoch": 9}}
             )
 
-    def test_retired_prediction_workers_is_an_unknown_key(self):
-        with pytest.raises(SpecError, match="prediction_workers.*valid keys"):
-            DetectorSpec.from_dict(
-                {"schema": SPEC_SCHEMA, "detector": {"prediction_workers": 2}}
-            )
+    @pytest.mark.parametrize("key", _RETIRED_CONFIG_FIELDS)
+    def test_retired_key_is_an_unknown_key(self, key):
+        """Saves drop retired options on load; a spec that sets one is
+        rejected like any unknown ``[detector]`` key."""
+        with pytest.raises(SpecError, match=f"{key}.*valid keys"):
+            DetectorSpec.from_dict({"schema": SPEC_SCHEMA, "detector": {key: 1}})
 
     def test_out_of_range_detector_field_is_actionable(self):
         with pytest.raises(SpecError, match="epochs must be a positive integer"):
@@ -384,7 +386,6 @@ class TestDetectorConfigValidation:
             ("hidden_dim", -1, "hidden_dim must be a positive integer"),
             ("batch_size", 0, "batch_size must be a positive integer"),
             ("prediction_batch", 0, "prediction_batch must be a positive integer"),
-            ("cache_max_entries", 0, "cache_max_entries must be a positive integer"),
             ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
             ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
             ("holdout_fraction", 1.5, r"holdout_fraction must be in \[0, 1\)"),
