@@ -71,6 +71,13 @@ from repro.spec import DetectorSpec, SpecError
 #: A flag left unset stays ``None`` and leaves the spec's value alone.
 _MODEL_FLAGS = ("epochs", "embedding_dim", "seed", "augment", "prediction_batch")
 
+#: ``ServeConfig`` fields settable by ``repro serve`` flags, the same way:
+#: a flag left unset keeps the ``ServeConfig`` default.
+_SERVE_FLAGS = (
+    "host", "capacity", "max_body", "read_timeout", "batch_window",
+    "max_batch_cells", "max_inflight", "breaker_threshold", "breaker_cooldown",
+)
+
 
 def _read(reader, *args, **kwargs):
     """Run an input reader; a missing or malformed file ends the command
@@ -445,26 +452,24 @@ def cmd_spec(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_config(args: argparse.Namespace):
+    """The ``repro serve`` :class:`~repro.serving.server.ServeConfig`:
+    ``--models``, ``--port`` and ``--artifacts`` plus the passed flags."""
+    from repro.serving.server import ServeConfig
+
+    overrides = {k: getattr(args, k) for k in _SERVE_FLAGS if getattr(args, k) is not None}
+    return ServeConfig(
+        model_root=args.models, port=args.port, artifact_root=args.artifacts, **overrides
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serving.server import DetectionServer, ServeConfig
+    from repro.serving.server import DetectionServer
 
     try:
-        config = ServeConfig(
-            model_root=args.models,
-            host=args.host,
-            port=args.port,
-            capacity=args.capacity,
-            artifact_root=args.artifacts,
-            max_body=args.max_body,
-            read_timeout=args.read_timeout,
-            batch_window=args.batch_window,
-            max_batch_cells=args.max_batch_cells,
-            max_inflight=args.max_inflight,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-        )
+        config = _serve_config(args)
         # The registry and the batcher check capacity and batching bounds.
         server = DetectionServer(config)
     except ValueError as exc:
@@ -501,7 +506,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_client(args: argparse.Namespace) -> int:
     from repro.serving.client import ServeClient, ServeClientError
 
-    client = ServeClient(args.host, args.port, binary=args.binary)
+    client = ServeClient(args.host, args.port)
     try:
         return _run_client_action(args, client)
     except ServeClientError as exc:
@@ -816,12 +821,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--models", required=True,
         help="model root: a directory of saved detectors (repro detect --save-model)",
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    # Unset tuning flags stay None and keep ServeConfig's defaults.  The
+    # port is the exception: ServeConfig's 0 means an ephemeral port.
+    serve.add_argument("--host", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--capacity", type=int, default=8,
+        "--capacity", type=int,
         help="hot-registry LRU capacity (loaded detectors kept in memory)",
     )
     serve.add_argument(
@@ -829,31 +836,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="root for per-tenant fitted-artifact stores (<DIR>/tenants/<name>)",
     )
     serve.add_argument(
-        "--max-body", type=int, default=8 * 1024 * 1024,
+        "--max-body", type=int,
         help="reject request bodies larger than this many bytes",
     )
     serve.add_argument(
-        "--read-timeout", type=float, default=10.0,
+        "--read-timeout", type=float,
         help="seconds before a slow client is timed out",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.002,
+        "--batch-window", type=float,
         help="seconds concurrent small detect requests wait to coalesce",
     )
     serve.add_argument(
-        "--max-batch-cells", type=int, default=4096,
+        "--max-batch-cells", type=int,
         help="bound on one coalesced scoring pass, in cells",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=64,
+        "--max-inflight", type=int,
         help="shed connections with a 503 beyond this many in flight",
     )
     serve.add_argument(
-        "--breaker-threshold", type=int, default=3,
+        "--breaker-threshold", type=int,
         help="consecutive model-load failures that open a fingerprint's circuit",
     )
     serve.add_argument(
-        "--breaker-cooldown", type=float, default=30.0,
+        "--breaker-cooldown", type=float,
         help="seconds an open circuit fast-fails before admitting a probe load",
     )
     serve.set_defaults(func=cmd_serve)
@@ -885,10 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument("--output", help="write the served triage CSV here")
     client.add_argument("--json", help="write the full wire response as JSON")
-    client.add_argument(
-        "--binary", action="store_true",
-        help="speak the compact repro-pack wire format instead of JSON",
-    )
     client.set_defaults(func=cmd_client)
 
     policy = sub.add_parser("policy", help="inspect the learned noisy channel")

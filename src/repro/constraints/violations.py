@@ -23,18 +23,19 @@ import numpy as np
 from repro.constraints.dc import DenialConstraint
 from repro.dataset.table import Cell, Dataset
 
+#: Bound on the pairwise scan for join-free constraints: relations with more
+#: tuple pairs are checked on this many deterministically sampled pairs.
+_PAIR_SCAN_LIMIT = 2_000_000
+
 
 class ViolationEngine:
     """Evaluates a fixed constraint set against datasets.
 
     The engine is stateless across datasets; construct once per Σ and reuse.
-    ``pair_scan_limit`` bounds the quadratic fallback for join-free
-    constraints (pairs beyond the limit are sampled deterministically).
     """
 
-    def __init__(self, constraints: Sequence[DenialConstraint], pair_scan_limit: int = 2_000_000):
+    def __init__(self, constraints: Sequence[DenialConstraint]):
         self.constraints = list(constraints)
-        self.pair_scan_limit = pair_scan_limit
 
     # ------------------------------------------------------------------ #
     # Core evaluation
@@ -86,7 +87,7 @@ class ViolationEngine:
         n = dataset.num_rows
         total_pairs = n * (n - 1) // 2
         dicts = [dataset.row_dict(r) for r in range(n)]
-        if total_pairs <= self.pair_scan_limit:
+        if total_pairs <= _PAIR_SCAN_LIMIT:
             for i in range(n):
                 for j in range(i + 1, n):
                     if constraint.violated_by(dicts[i], dicts[j]) or constraint.violated_by(
@@ -96,7 +97,7 @@ class ViolationEngine:
             return
         # Deterministic subsample of pairs for very large join-free constraints.
         rng = np.random.default_rng(0)
-        for _ in range(self.pair_scan_limit):
+        for _ in range(_PAIR_SCAN_LIMIT):
             i, j = rng.integers(0, n, size=2)
             if i == j:
                 continue

@@ -36,7 +36,12 @@ from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.dataset.training import LabeledCell, TrainingSet
 from repro.features.base import CellBatch, FeatureContext
 from repro.features.cache import CacheStats
-from repro.features.pipeline import CellFeatures, FeaturePipeline, default_pipeline
+from repro.features.pipeline import (
+    ALL_MODEL_NAMES,
+    CellFeatures,
+    FeaturePipeline,
+    default_pipeline,
+)
 from repro.utils.rng import as_generator
 from repro.utils.specfile import require_int
 
@@ -70,7 +75,8 @@ class DetectorConfig:
     min_error_pairs: int = 10
     #: Cap on cells scanned by the Naive Bayes weak-supervision model.
     weak_supervision_max_cells: int = 20_000
-    #: Representation models to drop (ablation studies).
+    #: Representation models to drop from the default pipeline (ablation
+    #: studies); names from :data:`~repro.features.pipeline.ALL_MODEL_NAMES`.
     exclude_models: tuple[str, ...] = ()
     #: Cells featurised per prediction chunk.  Every chunk is scored at
     #: this fixed shape, so a cell's probability does not depend on which
@@ -98,6 +104,12 @@ class DetectorConfig:
         value, and the valid range.
         """
         self.exclude_models = tuple(self.exclude_models)
+        unknown = [n for n in self.exclude_models if n not in ALL_MODEL_NAMES]
+        if unknown:
+            raise ValueError(
+                f"exclude_models has unknown model names {unknown}; "
+                f"valid names: {list(ALL_MODEL_NAMES)}"
+            )
 
         def fraction(name: str, *, closed_top: bool = False) -> None:
             value = getattr(self, name)

@@ -66,34 +66,16 @@ def run_trials(
     num_trials: int = 3,
     sampling_fraction: float = 0.2,
     seed: int = 0,
-    warmup: bool = False,
 ) -> ExperimentResult:
     """Evaluate ``method`` over ``num_trials`` random splits.
 
     ``method`` receives the bundle, a fresh split, and a per-trial RNG and
     must return the set of cells it predicts to be erroneous.  Predictions
     are scored on the split's test cells only.
-
-    ``warmup`` runs the method once on an extra split before the timed
-    trials, untimed and unscored.  Use it when measuring steady-state
-    runtime of methods with one-time *process-level* costs — lazy imports,
-    module-level index construction, OS page-cache effects.  Methods
-    construct a fresh detector per trial, so repeated prediction on one
-    fitted detector is measured by ``benchmarks/bench_feature_engine.py``
-    instead, which attaches its own feature cache.  The timed trials use
-    the same generator stream as a non-warmup run, so metrics stay
-    comparable across the two modes.
     """
     result = ExperimentResult()
     true_errors = bundle.error_cells
-    generators = spawn_generators(seed, num_trials + (1 if warmup else 0))
-    if warmup:
-        warm_gen = generators.pop()
-        warm_split = make_split(
-            bundle, training_fraction, sampling_fraction=sampling_fraction, rng=warm_gen
-        )
-        method(bundle, warm_split, warm_gen)
-    for gen in generators:
+    for gen in spawn_generators(seed, num_trials):
         split = make_split(
             bundle, training_fraction, sampling_fraction=sampling_fraction, rng=gen
         )

@@ -465,7 +465,8 @@ def default_pipeline(
     """The full representation model Q of Table 7.
 
     ``constraints`` may be ``None``/empty (Σ is optional input); ``exclude``
-    removes named models for ablation studies (see :data:`ALL_MODEL_NAMES`).
+    removes named models for ablation studies (see :data:`ALL_MODEL_NAMES`),
+    skipping any the pipeline lacks (``constraint_violations`` without Σ).
     Every model is resolved through the component registry, so the default
     composition and a spec-declared one share a single construction path.
     """
@@ -475,10 +476,10 @@ def default_pipeline(
         embedding_epochs=embedding_epochs,
         rng=rng,
     )
+    unknown = set(exclude) - set(ALL_MODEL_NAMES)
+    if unknown:
+        raise ValueError(f"unknown model names in exclude: {sorted(unknown)}")
     names = list(DEFAULT_MODEL_ORDER)
     if constraints:
         names.append("constraint_violations")
-    unknown = set(exclude) - set(names)
-    if unknown:
-        raise ValueError(f"unknown model names in exclude: {sorted(unknown)}")
     return build_pipeline([n for n in names if n not in set(exclude)], ctx)

@@ -7,8 +7,8 @@ and cache keys, :class:`~repro.core.detector.DetectionSession` makes
 per-client rescoring O(edit), and the artifact store makes cold detector
 loads cheap.  This package wires them into a server:
 
-- :mod:`repro.serving.wire` — the ``repro.serve/v1`` wire codec: JSON plus
-  the compact "repro-pack" binary twin, exact for probabilities in both;
+- :mod:`repro.serving.wire` — the ``repro.serve/v1`` wire codec: JSON with
+  ``repr``-exact floats, so served probabilities arrive bit for bit;
 - :mod:`repro.serving.registry` — the hot LRU pool of (spec fingerprint →
   loaded detector) over a model-root directory;
 - :mod:`repro.serving.batching` — coalescing of concurrent small detect
@@ -43,21 +43,17 @@ from repro.serving.reports import (
 )
 from repro.serving.server import DetectionServer, ServeConfig, Tenant
 from repro.serving.wire import (
-    BINARY_CONTENT_TYPE,
     JSON_CONTENT_TYPE,
     SERVE_SCHEMA,
     WireError,
     decode_payload,
     encode_payload,
-    pack,
-    unpack,
 )
 
 __all__ = [
     "SERVE_SCHEMA",
     "DETECT_SCHEMA",
     "JSON_CONTENT_TYPE",
-    "BINARY_CONTENT_TYPE",
     "DetectionServer",
     "ServeConfig",
     "Tenant",
@@ -75,8 +71,6 @@ __all__ = [
     "ranked_predictions",
     "count_flagged",
     "WireError",
-    "pack",
-    "unpack",
     "encode_payload",
     "decode_payload",
 ]

@@ -1,7 +1,7 @@
 """Blocking client for the detection service (stdlib ``http.client``).
 
 The programmatic twin of the wire protocol: one method per route, payload
-assembly and content negotiation handled here so callers work with plain
+assembly and the JSON wire encoding handled here so callers work with plain
 dicts and :class:`~repro.dataset.table.Dataset` objects.  Used by the
 ``repro client`` CLI subcommand, the concurrency test suite, and
 ``benchmarks/bench_serving.py`` — all three drive a server exactly the way
@@ -17,7 +17,6 @@ import http.client
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.serving.wire import (
-    BINARY_CONTENT_TYPE,
     JSON_CONTENT_TYPE,
     SERVE_SCHEMA,
     decode_payload,
@@ -51,13 +50,11 @@ class ServeClient:
         host: str = "127.0.0.1",
         port: int = 8765,
         *,
-        binary: bool = False,
         timeout: float = 60.0,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.content_type = BINARY_CONTENT_TYPE if binary else JSON_CONTENT_TYPE
 
     # -- transport -------------------------------------------------------- #
 
@@ -68,10 +65,10 @@ class ServeClient:
         )
         try:
             body = b""
-            headers = {"Accept": self.content_type}
+            headers = {"Accept": JSON_CONTENT_TYPE}
             if payload is not None:
-                body = encode_payload(payload, self.content_type)
-                headers["Content-Type"] = self.content_type
+                body = encode_payload(payload)
+                headers["Content-Type"] = JSON_CONTENT_TYPE
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
             raw = response.read()

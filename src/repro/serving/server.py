@@ -50,7 +50,6 @@ from repro.serving.batching import ScoreBatcher
 from repro.serving.registry import DetectorRegistry, RegistryError
 from repro.serving.reports import build_detect_report
 from repro.serving.wire import (
-    BINARY_CONTENT_TYPE,
     JSON_CONTENT_TYPE,
     SERVE_SCHEMA,
     WireError,
@@ -65,6 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataset.table import Dataset
 
 _TENANT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
+#: Flagging threshold of a detect or rescore request that sets none.
+_DEFAULT_THRESHOLD = 0.5
 
 _REASONS = {
     200: "OK",
@@ -128,7 +130,6 @@ class ServeConfig:
     batch_window: float = 0.002
     #: Bound on one merged scoring pass, in cells.
     max_batch_cells: int = 4096
-    default_threshold: float = 0.5
     #: Admission control: connections handled concurrently beyond this are
     #: shed with a structured 503 instead of queueing unboundedly.
     max_inflight: int = 64
@@ -186,15 +187,6 @@ class _Request:
     @property
     def content_type(self) -> str:
         return self.headers.get("content-type", JSON_CONTENT_TYPE)
-
-    @property
-    def response_content_type(self) -> str:
-        accept = self.headers.get("accept", "").split(";")[0].strip().lower()
-        if accept == BINARY_CONTENT_TYPE:
-            return BINARY_CONTENT_TYPE
-        if self.content_type.split(";")[0].strip().lower() == BINARY_CONTENT_TYPE:
-            return BINARY_CONTENT_TYPE
-        return JSON_CONTENT_TYPE
 
 
 class DetectionServer:
@@ -274,7 +266,6 @@ class DetectionServer:
                     f"{self.config.max_inflight} requests",
                     retry_after=self.config.retry_after,
                 ),
-                JSON_CONTENT_TYPE,
                 retry_after=self.config.retry_after,
             )
             return
@@ -287,13 +278,11 @@ class DetectionServer:
     async def _handle_admitted(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        content_type = JSON_CONTENT_TYPE
         retry_after: float | None = None
         try:
             request = await self._read_request(reader)
             if request is None:  # client vanished before sending anything
                 return
-            content_type = request.response_content_type
             status, payload = await self._dispatch(request)
         except HttpError as exc:
             retry_after = exc.retry_after
@@ -321,9 +310,7 @@ class DetectionServer:
         self.requests_handled += 1
         if status != 200:
             self.errors_returned += 1
-        await self._write_response(
-            writer, status, payload, content_type, retry_after=retry_after
-        )
+        await self._write_response(writer, status, payload, retry_after=retry_after)
 
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
         timeout = self.config.read_timeout
@@ -386,16 +373,13 @@ class DetectionServer:
         writer: asyncio.StreamWriter,
         status: int,
         payload: dict,
-        content_type: str,
         retry_after: float | None = None,
     ) -> None:
         try:
-            body = encode_payload(payload, content_type)
+            body = encode_payload(payload)
         except WireError:
-            content_type = JSON_CONTENT_TYPE
             body = encode_payload(
-                error_payload("internal_error", "response encoding failed"),
-                content_type,
+                error_payload("internal_error", "response encoding failed")
             )
             status = 500
         reason = _REASONS.get(status, "Unknown")
@@ -405,7 +389,7 @@ class DetectionServer:
             extra = f"Retry-After: {max(1, round(retry_after))}\r\n"
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
+            f"Content-Type: {JSON_CONTENT_TYPE}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{extra}"
             f"Connection: close\r\n\r\n"
@@ -628,7 +612,7 @@ class DetectionServer:
     # ------------------------------------------------------------------ #
 
     def _threshold(self, payload: dict) -> float:
-        raw = payload.get("threshold", self.config.default_threshold)
+        raw = payload.get("threshold", _DEFAULT_THRESHOLD)
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise HttpError(400, "bad_request", f"threshold must be a number, got {raw!r}")
         return float(raw)

@@ -353,6 +353,35 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     assert expected in message
 
 
+class TestServeConfig:
+    """``repro serve`` flags are ``ServeConfig`` overrides: the config class
+    is the one source of server defaults."""
+
+    def test_no_flags_keep_the_config_defaults(self, tmp_path):
+        from repro.cli import _serve_config
+        from repro.serving import ServeConfig
+
+        args = build_parser().parse_args(["serve", "--models", str(tmp_path)])
+        assert _serve_config(args) == ServeConfig(model_root=str(tmp_path), port=8765)
+
+    def test_each_passed_flag_reaches_its_field(self, tmp_path):
+        from repro.cli import _serve_config
+        from repro.serving import ServeConfig
+
+        fields = {
+            "host": "0.0.0.0", "port": 9001, "capacity": 3,
+            "artifact_root": str(tmp_path / "arts"), "max_body": 1024,
+            "read_timeout": 2.5, "batch_window": 0.01, "max_batch_cells": 64,
+            "max_inflight": 7, "breaker_threshold": 5, "breaker_cooldown": 4.0,
+        }
+        flags = {"artifact_root": "--artifacts"}
+        argv = ["serve", "--models", str(tmp_path)]
+        for name, value in fields.items():
+            argv += [flags.get(name, "--" + name.replace("_", "-")), str(value)]
+        args = build_parser().parse_args(argv)
+        assert _serve_config(args) == ServeConfig(model_root=str(tmp_path), **fields)
+
+
 def _one_line_exit(argv: list[str]) -> str:
     """Run the CLI expecting a one-line error exit; return the message."""
     with pytest.raises(SystemExit) as excinfo:

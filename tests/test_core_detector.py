@@ -131,3 +131,14 @@ class TestConfigVariants:
         detector = HoloDetect(FAST)
         detector.fit(bundle.dirty, split.training, constraints=None)
         assert "constraint_violations" not in detector.pipeline.model_names
+
+    def test_excluding_a_model_the_pipeline_lacks(self, tiny_bundle_module):
+        """Without Σ there is no constraint model to drop: excluding it is a
+        no-op, not an error inside ``fit()``."""
+        from dataclasses import replace
+
+        bundle, split = tiny_bundle_module
+        plain = HoloDetect(FAST).fit(bundle.dirty, split.training, constraints=None)
+        excluded = HoloDetect(replace(FAST, exclude_models=("constraint_violations",)))
+        excluded.fit(bundle.dirty, split.training, constraints=None)
+        assert excluded.pipeline.model_names == plain.pipeline.model_names

@@ -8,10 +8,12 @@ Three layers of harness from :mod:`repro.serving.testing`:
   path, including thread-pool concurrency;
 - :class:`RawConnection` plays the misbehaving client (slow, vanishing).
 
-The load-bearing assertions are the *bit-identity* ones: concurrent,
-coalesced, and binary-transported responses must equal the sequential
-single-client answer exactly — which in turn equals a direct
-``HoloDetect``/``DetectionSession`` computation on a freshly loaded model.
+The load-bearing assertions are the *bit-identity* ones: concurrent and
+coalesced responses must equal the sequential single-client answer
+exactly — which in turn equals a direct ``HoloDetect``/``DetectionSession``
+computation on a freshly loaded model.  The wire is JSON only: a body
+declared as any other content type is a structured 400, and every answer
+is JSON whatever the ``Accept`` header asks for.
 """
 
 from __future__ import annotations
@@ -218,15 +220,6 @@ class TestBasics:
                 cells=[(dataset.num_rows + 5, dataset.attributes[0])],
             )
         assert excinfo.value.status == 400
-
-    def test_binary_transport_bit_identical_to_json(self, served_world, server):
-        dataset = served_world.bundle.dirty
-        json_client = ServeClient(server.host, server.port)
-        binary_client = ServeClient(server.host, server.port, binary=True)
-        a = json_client.detect(served_world.fingerprint, dataset=dataset)
-        b = binary_client.detect(served_world.fingerprint, dataset=dataset)
-        assert served_probabilities(a) == served_probabilities(b)
-        assert a["report"]["cells"] == b["report"]["cells"]
 
     def test_repeated_requests_identical(self, served_world, client):
         dataset = served_world.bundle.dirty
@@ -570,10 +563,11 @@ def protocol_server(served_world) -> DetectionServer:
 
 
 def http_request(path="/v1/detect", body=b"", method="POST",
-                 content_type="application/json") -> bytes:
+                 content_type="application/json", accept=None) -> bytes:
+    accept_line = f"Accept: {accept}\r\n" if accept is not None else ""
     return (
         f"{method} {path} HTTP/1.1\r\n"
-        f"Host: test\r\nContent-Type: {content_type}\r\n"
+        f"Host: test\r\nContent-Type: {content_type}\r\n{accept_line}"
         f"Content-Length: {len(body)}\r\n\r\n"
     ).encode() + body
 
@@ -610,8 +604,6 @@ class TestFaultInjection:
         assert status == 400
 
     def test_binary_content_type_with_json_bytes_400(self, served_world):
-        from repro.serving.wire import unpack
-
         server = protocol_server(served_world)
         raw = feed_request(
             server,
@@ -620,11 +612,31 @@ class TestFaultInjection:
                 content_type="application/x-repro-pack",
             ),
         )
-        # The error answer is negotiated to the request's (binary) format.
-        head, _, body = raw.partition(b"\r\n\r\n")
-        assert b" 400 " in head.split(b"\r\n", 1)[0]
-        payload = unpack(body)
+        # The wire is JSON only: the retired binary type is an unsupported
+        # content type, answered in JSON like any other.
+        assert b"Content-Type: application/json" in raw.partition(b"\r\n\r\n")[0]
+        status, payload = parse_response(raw)
+        assert status == 400
         assert payload["error"]["code"] == "bad_request"
+        assert "application/x-repro-pack" in payload["error"]["message"]
+        # The server keeps answering afterwards.
+        status, payload = parse_response(
+            feed_request(server, http_request("/v1/health", method="GET"))
+        )
+        assert status == 200
+
+    def test_binary_accept_header_answered_in_json(self, served_world):
+        server = protocol_server(served_world)
+        raw = feed_request(
+            server,
+            http_request(
+                "/v1/health", method="GET", accept="application/x-repro-pack"
+            ),
+        )
+        assert b"Content-Type: application/json" in raw.partition(b"\r\n\r\n")[0]
+        status, payload = parse_response(raw)
+        assert status == 200
+        assert payload["kind"] == "health"
 
     def test_oversized_payload_413(self, served_world):
         server = DetectionServer(

@@ -90,6 +90,32 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="non-empty"):
             DetectorSpec.from_dict({"schema": SPEC_SCHEMA, "featurizers": []})
 
+    @pytest.mark.parametrize(
+        "detector, featurizers, error",
+        [
+            ({"exclude_models": ["nonexistent_model"]}, None,
+             r"exclude_models has unknown model names \['nonexistent_model'\]; "
+             r"valid names: \['char_embedding'"),
+            ({"exclude_models": ["char_embedding"]}, ["char_embedding", "format_3gram"],
+             "exclude_models applies only to the default pipeline"),
+            ({"exclude_models": ["constraint_violations"]}, None, None),
+        ],
+        ids=["unknown-name", "next-to-featurizers", "absent-from-pipeline"],
+    )
+    def test_exclude_models_checked_at_validation(self, detector, featurizers, error):
+        """``exclude_models`` fails where the spec is validated or not at all:
+        never silently ignored, never first inside ``fit()``."""
+        payload = {"schema": SPEC_SCHEMA, "detector": detector}
+        if featurizers is not None:
+            payload["featurizers"] = featurizers
+        if error is not None:
+            with pytest.raises(SpecError, match=error):
+                DetectorSpec.from_dict(payload)
+            return
+        # Σ-free fits have no constraint model, so excluding it is a no-op.
+        pipeline = HoloDetect.from_spec(DetectorSpec.from_dict(payload))._build_pipeline(None)
+        assert pipeline.model_names == list(DEFAULT_MODEL_ORDER)
+
     def test_unknown_policy_and_calibrator_rejected(self):
         with pytest.raises(SpecError, match="unknown policy"):
             DetectorSpec.from_dict({"schema": SPEC_SCHEMA, "policy": "nope"})
@@ -398,6 +424,7 @@ class TestDetectorConfigValidation:
             ("min_error_pairs", -1, "min_error_pairs must be a non-negative"),
             ("weak_supervision_max_cells", 0, "weak_supervision_max_cells"),
             ("seed", -1, "seed must be a non-negative integer"),
+            ("exclude_models", ("nonexistent_model",), "exclude_models.*valid names"),
         ],
     )
     def test_bad_values_fail_fast_with_field_name(self, field, value, match):
