@@ -90,7 +90,6 @@ def _spawn_worker(
             "--coordinate",
             "--worker-id", worker_id,
             "--lease-ttl", str(ttl),
-            "--executor", "serial",
         ],
         env=_worker_env(),
         cwd=spec.parent,

@@ -5,7 +5,8 @@ store per process; every :class:`~repro.core.detector.HoloDetect` whose
 config does not name its own store falls back to the ambient one, so an
 entire worker shares a single LRU + object directory with zero per-method
 plumbing.  ``repro.evaluation.matrix.run_matrix`` installs it via the pool
-initializer (process executor) or around the run (thread/serial).
+initializer in each process worker, or around the drain when the sweep
+runs inline.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
-from repro.faults.retry import RetryPolicy, resolve_policy
+from repro.faults.retry import get_default_policy
 from repro.faults.taxonomy import is_fatal
 
 #: JSON state entry inside each ``.npz`` object file.
@@ -163,7 +163,6 @@ class ArtifactStore:
         self,
         directory: str | Path | None = None,
         max_entries: int = 64,
-        retry_policy: RetryPolicy | None = None,
     ):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
@@ -172,15 +171,7 @@ class ArtifactStore:
         self.stats = ArtifactStats()
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
-        # None = resolve the process-ambient default at each use, so a
-        # test's use_policy() context reaches stores built before it.
-        self._retry_policy = retry_policy
         self._warned_fatal = False
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The policy disk I/O retries through (ambient default if unset)."""
-        return resolve_policy(self._retry_policy)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -248,7 +239,7 @@ class ArtifactStore:
         """
         if self.directory is not None:
             try:
-                self.retry_policy.call(
+                get_default_policy().call(
                     lambda: self._write_object(key, payload, kind, meta),
                     point="artifacts.object_write",
                     op="write",
@@ -310,7 +301,7 @@ class ArtifactStore:
                 return restore_arrays(str(npz[_STATE_KEY]), arrays)
 
         try:
-            return self.retry_policy.call(
+            return get_default_policy().call(
                 load, point="artifacts.object_read", op="read"
             )
         except FileNotFoundError:
@@ -369,9 +360,7 @@ class ArtifactStore:
         # The manifest is informational — a persistently failing append
         # must not fail the put (the object itself already landed).
         try:
-            append_jsonl(
-                self.index_path, record, "artifacts.index_append", self.retry_policy
-            )
+            append_jsonl(self.index_path, record, "artifacts.index_append")
         except OSError:
             pass
 

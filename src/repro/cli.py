@@ -341,7 +341,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             store=store,
             workers=args.workers,
             resume=args.resume,
-            executor=args.executor,
             on_result=progress,
             artifact_dir=args.artifacts,
             coordinate=coordinate,
@@ -733,13 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers (clamped to the pending-scenario count)",
-    )
-    sweep.add_argument(
-        "--executor",
-        choices=("process", "thread", "serial"),
-        default="process",
-        help="worker pool flavour (scenarios are CPU-bound: use process)",
+        help="parallel workers, clamped to the pending-scenario count: one "
+        "runs scenarios inline, more run them on a process pool",
     )
     sweep.add_argument("--store", help="resumable JSONL result store path")
     sweep.add_argument(

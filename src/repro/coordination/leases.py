@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
-from repro.faults.retry import RetryPolicy, resolve_policy
+from repro.faults.retry import get_default_policy
 
 #: Lease payload schema identifier.
 LEASE_SCHEMA = "repro.lease/v1"
@@ -193,7 +193,6 @@ class WorkQueue:
         worker_id: str | None = None,
         ttl: float = DEFAULT_TTL,
         clock: Callable[[], float] = time.time,
-        retry_policy: RetryPolicy | None = None,
     ):
         if ttl <= 0:
             raise CoordinationError(f"lease TTL must be positive, got {ttl!r}")
@@ -205,16 +204,9 @@ class WorkQueue:
         self._clock = clock
         self._lock = threading.Lock()
         self._held: dict[str, float] = {}  # fingerprint -> claimed_at
-        # None = resolve the process-ambient default at each use.
-        self._retry_policy = retry_policy
         self.renew_errors = 0  # persistent renewal faults (lease still held)
         self.release_errors = 0  # leases we could not unlink (left to reclaim)
         self.lease_dir.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The policy lease I/O retries through (ambient default if unset)."""
-        return resolve_policy(self._retry_policy)
 
     # -- paths and payloads ----------------------------------------------
 
@@ -255,7 +247,7 @@ class WorkQueue:
             return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
 
         try:
-            fd = self.retry_policy.call(create, point="lease.claim", op="write")
+            fd = get_default_policy().call(create, point="lease.claim", op="write")
         except FileExistsError:
             return False
         except OSError:
@@ -299,7 +291,7 @@ class WorkQueue:
             os.replace(tmp, self.lease_path(fingerprint))
 
         try:
-            self.retry_policy.call(publish, point="lease.renew", op="write")
+            get_default_policy().call(publish, point="lease.renew", op="write")
         except OSError:
             # A persistently unrefreshable heartbeat is not a lost lease —
             # the on-disk file still names this worker.  Count it and keep
@@ -343,7 +335,7 @@ class WorkQueue:
                 pass
 
         try:
-            self.retry_policy.call(unlink, point="lease.release", op="write")
+            get_default_policy().call(unlink, point="lease.release", op="write")
         except OSError:
             self.release_errors += 1
             self.audit(event, fingerprint, unlink_failed=True)
@@ -416,7 +408,6 @@ class WorkQueue:
                     **extra,
                 },
                 point="lease.audit",
-                policy=self._retry_policy,
             )
         except OSError:
             pass

@@ -61,7 +61,7 @@ from repro.dataset.relation import (
     update_column_hash,
 )
 from repro.faults.inject import trip
-from repro.faults.retry import RetryPolicy, resolve_policy
+from repro.faults.retry import get_default_policy
 
 
 class ShardQuarantinedError(RuntimeError):
@@ -257,7 +257,6 @@ class ShardedDataset(Relation):
         self,
         directory: str | Path,
         max_open_arrays: int = 64,
-        retry_policy: RetryPolicy | None = None,
     ):
         self.directory = Path(directory)
         manifest_path = self.directory / _MANIFEST
@@ -283,14 +282,7 @@ class ShardedDataset(Relation):
             raise ValueError("max_open_arrays must be positive")
         self._max_open = max_open_arrays
         self._open: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        # None = resolve the process-ambient default at each use.
-        self._retry_policy = retry_policy
         self._quarantined: dict[int, ShardQuarantinedError] = {}
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The policy shard reads retry through (ambient default if unset)."""
-        return resolve_policy(self._retry_policy)
 
     @property
     def quarantined(self) -> dict[int, ShardQuarantinedError]:
@@ -440,7 +432,7 @@ class ShardedDataset(Relation):
             return np.load(path, mmap_mode="r")
 
         try:
-            arr = self.retry_policy.call(load, point="shard.read", op="read")
+            arr = get_default_policy().call(load, point="shard.read", op="read")
         except FileNotFoundError:
             raise  # a missing shard file is a broken dataset, not a fault
         except OSError as exc:

@@ -127,17 +127,13 @@ class Dataset(Relation):
         self._version += 1
 
     def set_value(self, cell: Cell, value: str) -> None:
-        """Mutate a cell in place (used by error injection and repair).
+        """Mutate one cell in place (used by error injection and repair):
+        a one-cell :meth:`apply_edits`, with its checks.
 
         Writing the value already present is a no-op: fingerprints and the
         version counter stay untouched.
         """
-        value = str(value)
-        column = self._columns[cell.attr]
-        if column[cell.row] == value:
-            return
-        column[cell.row] = value
-        self._mark_dirty((cell.attr,))
+        self.apply_edits(((cell, value),))
 
     def apply_edits(
         self, edits: Mapping[Cell, str] | Iterable[tuple[Cell, str]]

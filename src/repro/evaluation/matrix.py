@@ -12,11 +12,10 @@ module makes that grid a first-class object:
   spec alone — independent of execution order, worker count, or executor;
 - :func:`run_scenario` executes one spec end-to-end (generate bundle →
   apply error profile → build method adapter → seeded trials);
-- :func:`run_matrix` drains the specs through one claim loop over a
-  serial, thread or process pool — claiming from a private queue, or from
-  lease files shared with other workers (``coordinate=``) — and streams
-  finished records into a resumable
-  :class:`~repro.evaluation.store.ResultStore`.
+- :func:`run_matrix` drains the specs through one claim loop, inline or
+  on a process pool — claiming from a private queue, or from lease files
+  shared with other workers (``coordinate=``) — and streams finished
+  records into a resumable :class:`~repro.evaluation.store.ResultStore`.
 
 Seed derivation is *scoped*, not global: the dataset seed depends only on
 (matrix seed, dataset, rows) and the trial seed additionally on the error
@@ -30,7 +29,9 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, CancelledError, Executor, Future, ProcessPoolExecutor, wait,
+)
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -54,7 +55,7 @@ _FINGERPRINT_VERSION = "repro.scenario/v1"
 #: JSON report schema identifier.
 SWEEP_SCHEMA = "repro.sweep/v1"
 
-_EXECUTORS = ("process", "thread", "serial")
+_EXECUTORS = ("process", "serial")
 
 
 class MatrixSpecError(ValueError):
@@ -357,8 +358,10 @@ def _init_worker(directory: str | None) -> None:
 
 def _run_with_artifact_stats(runner: Callable[["ScenarioSpec"], dict], spec) -> dict:
     """Run one scenario and report the artifact-store counter delta it
-    caused, so the coordinator can aggregate hit/miss totals across
-    workers without touching the (resume-stable) scenario record."""
+    caused, so the coordinator can total hit/miss counts over the inline
+    pool and process workers alike without touching the (resume-stable)
+    scenario record.  ``degraded`` is a state, not a count: the scenario
+    reports the store's flag as it left it."""
     store = get_default_store()
     if store is None:
         return {"record": runner(spec), "artifact_stats": None}
@@ -367,7 +370,9 @@ def _run_with_artifact_stats(runner: Callable[["ScenarioSpec"], dict], spec) -> 
     after = store.stats.as_dict()
     return {
         "record": record,
-        "artifact_stats": {k: after[k] - before[k] for k in after},
+        "artifact_stats": {
+            k: v if isinstance(v, bool) else v - before[k] for k, v in after.items()
+        },
     }
 
 
@@ -480,7 +485,7 @@ class CoordinateOptions:
 
 
 class _InlineExecutor(Executor):
-    """The serial pool: ``submit`` runs the task in the caller's thread.
+    """The one-worker pool: ``submit`` runs the task in the caller's thread.
 
     A scenario's ``Exception`` lands in the returned future, as it would
     from a pool worker; an interrupt propagates at once, out of the loop.
@@ -498,7 +503,7 @@ class _InlineExecutor(Executor):
 class _Sweep:
     """One :func:`run_matrix` call's results: a record per fingerprint,
     each reported to ``on_result`` as it arrives, plus the artifact-store
-    counters process workers send back in their stats envelope."""
+    counters every scenario sends back in its stats envelope."""
 
     def __init__(
         self,
@@ -510,9 +515,7 @@ class _Sweep:
         self.store = store
         self.on_result = on_result
         self.records: dict[str, dict] = {}
-        #: True when results arrive wrapped by :func:`_run_with_artifact_stats`.
-        self.envelope = False
-        self.artifact_totals: dict[str, int] = {}
+        self.artifact_totals: dict[str, int | bool] = {}
 
     def serve(self, fingerprint: str, remote: bool = False) -> None:
         """Report a stored record this invocation did not execute —
@@ -533,11 +536,14 @@ class _Sweep:
             self.on_result(record)
 
     def unwrap(self, result: dict) -> dict:
-        """Strip a process worker's stats envelope, totalling its counters."""
-        if not self.envelope:
-            return result
+        """Strip a scenario's stats envelope: sum its counter deltas into
+        the totals and OR in its ``degraded`` flag."""
+        totals = self.artifact_totals
         for counter, value in (result["artifact_stats"] or {}).items():
-            self.artifact_totals[counter] = self.artifact_totals.get(counter, 0) + value
+            if isinstance(value, bool):
+                totals[counter] = totals.get(counter, False) or value
+            else:
+                totals[counter] = totals.get(counter, 0) + value
         return result["record"]
 
 
@@ -591,10 +597,16 @@ def _drain(
                 # wait() must not be used here: futures cancelled by the
                 # shutdown queue-drain never reach CANCELLED_AND_NOTIFIED,
                 # so wait() would block forever.  exception() blocks only
-                # on genuinely in-flight work.
-                if future.cancelled():
+                # on genuinely in-flight work, and raises CancelledError
+                # for a future the drain cancels, even while we wait: a
+                # process pool cancels from its manager thread, after the
+                # shutdown call has returned.
+                try:
+                    error = future.exception()
+                except CancelledError:
                     source.release(fp, "release")
-                elif future.exception() is not None:
+                    continue
+                if error is not None:
                     source.release(fp, "failed")
                 else:
                     source.complete(fp, sweep.unwrap(future.result()))
@@ -746,10 +758,12 @@ def run_matrix(
     regardless of completion order, and each scenario is self-seeded, so
     metrics are identical for any ``workers``/``executor`` choice.
 
-    ``executor`` is ``"process"`` (default; scenarios are CPU-bound),
-    ``"thread"``, or ``"serial"`` (in-process loop, also used when only one
-    worker is effective).  ``on_result`` is called in completion order from
-    the coordinating process.
+    One effective worker runs each scenario inline, in the caller's thread;
+    more run on a process pool of that size (scenarios are CPU-bound).
+    ``executor="serial"`` forces the inline pool whatever ``workers`` says;
+    ``"process"`` (the default) leaves the choice to ``workers``, clamped
+    by :func:`clamp_workers`.  ``on_result`` is called in completion order
+    from the coordinating process.
 
     ``artifact_dir`` attaches a shared fitted-artifact store directory
     (:mod:`repro.artifacts`): every worker serves trained embeddings and
@@ -783,42 +797,40 @@ def run_matrix(
     initially_cached = len(sweep.records)
     pending = [fp for fp in sweep.specs if fp not in sweep.records]
     effective = 1 if executor == "serial" else clamp_workers(workers, len(pending))
-    in_process = effective == 1 or executor == "thread"
-    # In-process scenarios share one ambient artifact store whose counters
-    # are exact even under thread interleaving; process workers' counters
-    # are out of sight, so each sends its delta back with the record.  With
-    # nothing pending no store is opened and the stats stay empty.
-    sweep.envelope = not in_process
-    shared = None
     with ExitStack() as stack:
         if coordinate is None:
             source = _LocalClaims(sweep, pending)
         else:
             source = _LeaseClaims(sweep, coordinate)
             stack.enter_context(source.heartbeat)
-        if in_process:
-            if artifact_dir is not None and pending:
-                shared = stack.enter_context(use_store(ArtifactStore(artifact_dir)))
-            pool = ThreadPoolExecutor(max_workers=effective) if effective > 1 else _InlineExecutor()
-            task = scenario_runner
+        if effective == 1:
+            # The inline worker is this process: install the ambient store
+            # for the drain, as the pool initializer does in each worker.
+            if artifact_dir is not None:
+                stack.enter_context(use_store(ArtifactStore(artifact_dir)))
+            pool = _InlineExecutor()
         else:
             pool = ProcessPoolExecutor(
                 max_workers=effective,
                 initializer=_init_worker,
                 initargs=(artifact_dir,),
             )
-            task = partial(_run_with_artifact_stats, scenario_runner)
+        # Every scenario sends its artifact counters back with its record,
+        # so the report's totals have one source whichever pool ran it;
+        # with nothing executed they stay empty.
+        task = partial(_run_with_artifact_stats, scenario_runner)
         _drain(sweep, source, stack.enter_context(pool), task, effective)
 
     executed = sum(not record["cached"] for record in sweep.records.values())
-    totals = shared.stats.as_dict() if shared is not None else sweep.artifact_totals
     return SweepReport(
         matrix=matrix,
         records=[sweep.records[fp] for fp in sweep.specs],
         executed=executed,
         cached=len(sweep.specs) - executed,
         workers=effective,
-        artifacts=None if artifact_dir is None else {"dir": artifact_dir, "stats": totals},
+        artifacts=None if artifact_dir is None else {
+            "dir": artifact_dir, "stats": sweep.artifact_totals,
+        },
         coordination=None if coordinate is None else {
             "dir": str(source.queue.directory),
             "worker": source.queue.worker_id,

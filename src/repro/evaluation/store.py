@@ -45,28 +45,21 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
-from repro.faults.retry import RetryPolicy, resolve_policy
+from repro.faults.retry import get_default_policy
 
 
 class ResultStore:
     """Append-only JSONL store of scenario records, keyed by fingerprint."""
 
-    def __init__(self, path: str | Path, retry_policy: RetryPolicy | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         self._records: dict[str, dict] = {}
         self._offset = 0  # bytes of the file consumed so far
         self._lines_read = 0  # complete lines consumed (parseable or not)
         self.skipped_lines = 0
-        # None = resolve the process-ambient default at each use.
-        self._retry_policy = retry_policy
         self.stale_tmp_removed = self._clean_stale_tmp()
         if self.path.exists():
             self._load()
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The policy disk I/O retries through (ambient default if unset)."""
-        return resolve_policy(self._retry_policy)
 
     def _clean_stale_tmp(self) -> int:
         """Remove orphaned compaction temp files; returns the count.
@@ -129,7 +122,7 @@ class ResultStore:
                     self._consume_line(line)
             return tail
 
-        tail = self.retry_policy.call(scan, point="store.read", op="read")
+        tail = get_default_policy().call(scan, point="store.read", op="read")
         if tail:
             self._offset += len(tail)
             self._lines_read += 1
@@ -169,7 +162,7 @@ class ResultStore:
                     self._consume_line(line)
                     consumed += 1
 
-        self.retry_policy.call(scan, point="store.read", op="read")
+        get_default_policy().call(scan, point="store.read", op="read")
         return consumed
 
     def __len__(self) -> int:
@@ -213,7 +206,7 @@ class ResultStore:
             raise ValueError("record needs a non-empty string 'fingerprint'")
         record = dict(record)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        append_jsonl(self.path, record, "store.append", self._retry_policy)
+        append_jsonl(self.path, record, "store.append")
         self._records[fingerprint] = record
 
     def compact(self) -> tuple[int, int]:
@@ -247,7 +240,7 @@ class ResultStore:
             os.replace(tmp, self.path)
 
         try:
-            self.retry_policy.call(rewrite, point="store.compact", op="write")
+            get_default_policy().call(rewrite, point="store.compact", op="write")
         except BaseException:
             # Don't leave the temp sibling behind on a persistent fault
             # (a crash can't run this; _clean_stale_tmp covers that case).

@@ -9,7 +9,7 @@ coordination, sharded datasets, serving) share one fault model:
 - :mod:`repro.faults.retry` — :class:`RetryPolicy`, bounded exponential
   backoff with seeded jitter and injectable clock/sleep (tests never
   real-sleep), plus the process-ambient default policy every retried call
-  site resolves when not handed one explicitly;
+  site looks up at call time (:func:`use_policy` swaps it);
 - :mod:`repro.faults.inject` — the deterministic fault injector: named
   fault points with seeded schedules (fail-first-N, every-Kth, seeded
   rate, torn/short writes), installable in-process via the

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.faults.retry import RetryPolicy, resolve_policy
+from repro.faults.retry import get_default_policy
 
 #: The named fault points threaded through the I/O plane.  The tuple is
 #: documentation + validation, not a closed set — subsystems may add
@@ -335,17 +335,15 @@ def checked_write(point: str, fd: int, data: bytes) -> int:
     return injector.write(point, fd, data)
 
 
-def append_jsonl(
-    path: Path, payload: dict, point: str, policy: RetryPolicy | None = None
-) -> None:
+def append_jsonl(path: Path, payload: dict, point: str) -> None:
     """Append ``payload`` to ``path`` as one JSON line in a single
     ``O_APPEND`` ``write()``.
 
     ``O_APPEND`` makes the kernel pick the offset atomically per write, so
     concurrent appenders (processes, or hosts sharing a filesystem)
     interleave whole lines, never sheared ones.  Transient faults at
-    ``point`` retry through ``policy`` (the ambient default when ``None``);
-    a short write counts as a transient ``EAGAIN``.  Before each retry the
+    ``point`` retry through the ambient default policy; a short write
+    counts as a transient ``EAGAIN``.  Before each retry the
     possibly torn fragment is newline-terminated so the reissued line
     starts fresh; readers skip the fragment, or recover a peer's record
     that landed on its line (:func:`parse_jsonl_line`).
@@ -374,7 +372,7 @@ def append_jsonl(
         finally:
             os.close(fd)
 
-    resolve_policy(policy).call(append, point=point, op="write", on_retry=heal)
+    get_default_policy().call(append, point=point, op="write", on_retry=heal)
 
 
 def parse_jsonl_line(line: bytes) -> tuple[dict | None, bool]:

@@ -1,8 +1,10 @@
 """Bounded exponential backoff with seeded jitter and injectable sleep.
 
-One :class:`RetryPolicy` instance serves a whole subsystem (it is
-thread-safe; the counters are lock-guarded).  The contract at every call
-site is :meth:`RetryPolicy.call`::
+One :class:`RetryPolicy` instance, the process-ambient default, serves
+every retried call site (it is thread-safe; the counters are
+lock-guarded).  Call sites look it up with :func:`get_default_policy` at
+call time, so a :func:`use_policy` context reaches stores built before it.
+The contract at every call site is :meth:`RetryPolicy.call`::
 
     policy.call(lambda: os.write(fd, line), point="store.append", op="write")
 
@@ -241,8 +243,3 @@ def use_policy(policy: RetryPolicy):
     finally:
         with _default_lock:
             _default_policy = previous
-
-
-def resolve_policy(policy: RetryPolicy | None) -> RetryPolicy:
-    """``policy`` itself, or the ambient default when ``None``."""
-    return policy if policy is not None else get_default_policy()

@@ -14,23 +14,33 @@ pointwise nonlinearities) — but each op is fully general over shapes.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread autodiff switch: a prediction under :func:`no_grad` on
+    one thread (a server's scoring loop, say) must not strip the
+    parameters of a model another thread is building."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (used at prediction time)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Context manager disabling graph construction on the calling thread
+    (used at prediction time)."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -58,7 +68,7 @@ class Tensor:
         name: str | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self.grad: np.ndarray | None = None
         self._backward: Callable[[], None] | None = None
         self._parents = _parents if self.requires_grad else ()
@@ -99,7 +109,7 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make(self, data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = _grad_mode.enabled and any(p.requires_grad for p in parents)
         return Tensor(data, requires_grad=requires, _parents=tuple(parents) if requires else ())
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -366,7 +376,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
     if not tensors:
         raise ValueError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = _grad_enabled and any(t.requires_grad for t in tensors)
+    requires = _grad_mode.enabled and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
     if requires:
         sizes = [t.data.shape[axis] for t in tensors]

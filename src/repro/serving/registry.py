@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.faults.breaker import BreakerOpen, CircuitBreaker
 from repro.faults.inject import trip
-from repro.faults.retry import RetryPolicy, resolve_policy
+from repro.faults.retry import get_default_policy
 from repro.persistence import detector_index, load_detector
 from repro.spec import SpecError, resolve_fingerprint
 
@@ -98,7 +98,6 @@ class DetectorRegistry:
     model_root: Path
     capacity: int = 8
     stats: RegistryStats = field(default_factory=RegistryStats)
-    retry_policy: RetryPolicy | None = None
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
     clock: Callable[[], float] = time.monotonic
@@ -133,11 +132,6 @@ class DetectorRegistry:
             for fp, breaker in self._breakers.items()
             if breaker.state != CircuitBreaker.CLOSED
         }
-
-    @property
-    def retry_policy_resolved(self) -> RetryPolicy:
-        """The policy loads retry through (ambient default if unset)."""
-        return resolve_policy(self.retry_policy)
 
     # -- the on-disk index ------------------------------------------------ #
 
@@ -198,7 +192,7 @@ class DetectorRegistry:
             # Transient disk faults retry inside this call; what escapes
             # is either fatal, exhausted (RetryExhausted is an OSError),
             # or genuinely corrupt state.
-            detector = self.retry_policy_resolved.call(
+            detector = get_default_policy().call(
                 load, point="serve.load", op="read"
             )
         except (

@@ -646,12 +646,26 @@ class TestSweepArtifacts:
         assert accuracy_view(coordinated.records) == accuracy_view(cold.records)
         assert coordinated.artifacts["stats"]["puts"] > 0
 
-    # No thread-executor variant here: detector-based methods train nn
-    # models whose layers toggle process-global train/eval state, so two
-    # concurrent in-process trainings race (a pre-existing constraint —
-    # run_matrix documents that CPU-bound scenarios belong on the process
-    # executor).  The artifact store itself is thread-safe (locked), which
+    # A sweep runs inline or on a process pool, and the tests above cover
+    # both.  The artifact store itself is thread-safe (locked), which
     # TestArtifactStore covers directly.
+
+    def test_inline_and_pool_stats_share_one_shape(self, matrix, cold, tmp_path):
+        """Both pools total the store counters the same way: the report's
+        ``artifacts.stats`` has the same keys and JSON types (``degraded``
+        a bool), and the records stay bit-identical."""
+        inline = run_matrix(matrix, workers=1, artifact_dir=tmp_path / "e")
+        pooled = run_matrix(matrix, workers=2, artifact_dir=tmp_path / "f")
+        assert (inline.workers, pooled.workers) == (1, 2)
+        shapes = []
+        for report in (inline, pooled):
+            stats = json.loads(json.dumps(report.to_json()))["artifacts"]["stats"]
+            assert stats["degraded"] is False
+            assert stats["puts"] > 0
+            shapes.append({key: type(value) for key, value in stats.items()})
+        assert shapes[0] == shapes[1]
+        assert accuracy_view(inline.records) == accuracy_view(cold.records)
+        assert accuracy_view(pooled.records) == accuracy_view(cold.records)
 
     def test_report_json_additive(self, matrix, cold, tmp_path):
         payload = cold.to_json()

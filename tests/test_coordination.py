@@ -499,13 +499,12 @@ class TestCoordinatedRunMatrix:
         assert reclaims[0]["stale_worker"] == "dead"
         assert reclaims[0]["worker"] == "survivor"
 
-    def test_coordinated_thread_pool_drains(self, matrix, sequential, tmp_path):
+    def test_coordinated_process_pool_drains(self, matrix, sequential, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         report = run_matrix(
             matrix,
             store=store,
             workers=2,
-            executor="thread",
             coordinate=CoordinateOptions(worker_id="pool", ttl=30.0, poll_interval=0.05),
         )
         assert report.executed == 4

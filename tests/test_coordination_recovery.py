@@ -84,7 +84,6 @@ def test_killed_worker_is_reclaimed_and_sweep_completes(tmp_path):
             "--coordinate",
             "--worker-id", "A",
             "--lease-ttl", "2",
-            "--executor", "serial",
         ],
         env=subprocess_env(),
         cwd=tmp_path,
@@ -166,7 +165,6 @@ def test_killed_worker_under_active_fault_schedules(tmp_path):
             "--coordinate",
             "--worker-id", "A",
             "--lease-ttl", "2",
-            "--executor", "serial",
         ],
         env=env,
         cwd=tmp_path,

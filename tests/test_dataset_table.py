@@ -72,6 +72,15 @@ class TestDatasetAccess:
         with pytest.raises(IndexError):
             zip_dataset.row_dict(99)
 
+    def test_set_value_checks_the_row_like_apply_edits(self):
+        """A negative row is out of range, not Python's from-the-end index:
+        the write raises and leaves the values and version untouched."""
+        dataset = Dataset.from_rows(["a"], [["1"], ["2"]])
+        with pytest.raises(IndexError, match="row -1 out of range"):
+            dataset.set_value(Cell(-1, "a"), "9")
+        assert dataset.column("a") == ["1", "2"]
+        assert dataset.version == 0
+
     def test_cells_enumeration(self, zip_dataset):
         cells = list(zip_dataset.cells())
         assert len(cells) == zip_dataset.num_cells == 18

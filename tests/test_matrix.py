@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -14,6 +17,10 @@ from repro.evaluation.matrix import (
     MatrixSpecError,
     ScenarioMatrix,
     ScenarioSpec,
+    _drain,
+    _LocalClaims,
+    _run_with_artifact_stats,
+    _Sweep,
     clamp_workers,
     run_matrix,
     run_scenario,
@@ -32,13 +39,14 @@ SMALL_MATRIX = {
 
 _COORDINATE = CoordinateOptions(worker_id="w1", ttl=30.0, poll_interval=0.05)
 
-#: {plain, coordinated} x {serial, thread}: both claim sources under the
-#: inline executor and under a real pool.
+#: {plain, coordinated} x {inline, 2-worker process pool}: both claim
+#: sources under both pools.  Runners handed to a process pool live at
+#: module level, so they pickle.
 SOURCES_X_EXECUTORS = [
     dict(),
-    dict(workers=4, executor="thread"),
+    dict(workers=2),
     dict(coordinate=_COORDINATE),
-    dict(workers=4, executor="thread", coordinate=_COORDINATE),
+    dict(workers=2, coordinate=_COORDINATE),
 ]
 
 
@@ -63,6 +71,20 @@ def fake_runner(s: ScenarioSpec) -> dict:
         "median_runtime": 0.0,
         "elapsed": 0.0,
     }
+
+
+def flaky_runner(s: ScenarioSpec) -> dict:
+    """``fake_runner``, except that the third grid point of SMALL_MATRIX
+    (hospital/bart-mix/0.1/cv) fails."""
+    if (s.dataset, s.error_profile, s.method) == ("hospital", "bart-mix", "cv"):
+        raise RuntimeError("degenerate split")
+    return fake_runner(s)
+
+
+def store_dir_runner(s: ScenarioSpec) -> dict:
+    """``fake_runner`` noting the ambient artifact store it ran under."""
+    store = get_default_store()
+    return {**fake_runner(s), "store_dir": None if store is None else str(store.directory)}
 
 
 class TestFingerprint:
@@ -275,19 +297,20 @@ class TestClampWorkers:
 
 
 class TestRunMatrix:
-    def test_parallel_threads_match_serial(self):
+    def test_process_pool_matches_serial(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
         serial = run_matrix(matrix, workers=1)
-        threaded = run_matrix(matrix, workers=4, executor="thread")
-        assert threaded.workers == 4
-        for a, b in zip(serial.records, threaded.records):
+        pooled = run_matrix(matrix, workers=2)
+        assert (serial.workers, pooled.workers) == (1, 2)
+        for a, b in zip(serial.records, pooled.records):
             assert a["metrics"] == b["metrics"]
             assert a["trials"] == b["trials"]
             assert a["fingerprint"] == b["fingerprint"]
 
     def test_records_in_expansion_order(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
-        report = run_matrix(matrix, workers=4, executor="thread", scenario_runner=fake_runner)
+        report = run_matrix(matrix, workers=2, scenario_runner=fake_runner)
+        assert report.workers == 2
         assert [r["fingerprint"] for r in report.records] == [
             s.fingerprint() for s in matrix.expand()
         ]
@@ -296,11 +319,9 @@ class TestRunMatrix:
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
         store_path = tmp_path / "store.jsonl"
         calls: list[str] = []
-        lock = threading.Lock()
 
         def counting_runner(s):
-            with lock:
-                calls.append(s.fingerprint())
+            calls.append(s.fingerprint())
             return fake_runner(s)
 
         first = run_matrix(
@@ -352,25 +373,17 @@ class TestRunMatrix:
 
     def test_unknown_executor(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_matrix(matrix, executor="carrier-pigeon")
+        # Only the inline and the process pool exist: "thread" is unknown.
+        for executor in ("carrier-pigeon", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                run_matrix(matrix, executor=executor)
 
     @pytest.mark.parametrize("kwargs", SOURCES_X_EXECUTORS)
     def test_failing_scenario_names_the_grid_point(self, tmp_path, kwargs):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
         boom = matrix.expand()[2].fingerprint()
-        sibling_done = threading.Event()
-
-        def flaky_runner(s):
-            if s.fingerprint() == boom:
-                # Only fail once a sibling has finished, so the assertion
-                # that completed work reaches the store is deterministic.
-                assert sibling_done.wait(timeout=10)
-                raise RuntimeError("degenerate split")
-            record = fake_runner(s)
-            sibling_done.set()
-            return record
-
+        # At most two scenarios are in flight, claimed in expansion order,
+        # so the failing third one starts only after a sibling has landed.
         store = ResultStore(tmp_path / "store.jsonl")
         with pytest.raises(RuntimeError, match="hospital/bart-mix/0.1/cv .*failed"):
             run_matrix(matrix, store=store, scenario_runner=flaky_runner, **kwargs)
@@ -385,25 +398,46 @@ class TestRunMatrix:
             assert failed == [boom]
             assert list(iter_leases(coord)) == []
 
-    @pytest.mark.parametrize(
-        "kwargs", SOURCES_X_EXECUTORS,
-        ids=["plain-serial", "plain-thread", "coordinated-serial", "coordinated-thread"],
-    )
-    def test_artifact_store_reaches_every_scenario(self, tmp_path, kwargs):
-        """Regression: thread pools once skipped the sweep's ambient setup."""
-        matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
-        seen: list = []
+    def test_failure_lands_in_flight_siblings(self, tmp_path):
+        """The claim loop on a test-side thread pool, four scenarios in
+        flight: the third fails while its siblings still run, and every
+        sibling lands in the store before the sweep raises."""
+        specs = ScenarioMatrix.from_dict(SMALL_MATRIX).expand()
+        boom = specs[2].fingerprint()
+        started = threading.Barrier(4, timeout=10)
 
-        def recording_runner(s):
-            seen.append(get_default_store().directory)
+        def runner(s):
+            started.wait()
+            if s.fingerprint() == boom:
+                raise RuntimeError("degenerate split")
+            time.sleep(0.2)  # still running when the failure is seen
             return fake_runner(s)
 
-        run_matrix(
+        store = ResultStore(tmp_path / "store.jsonl")
+        sweep = _Sweep(specs, store, on_result=None)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(RuntimeError, match="hospital/bart-mix/0.1/cv .*failed"):
+                _drain(
+                    sweep, _LocalClaims(sweep, list(sweep.specs)), pool,
+                    partial(_run_with_artifact_stats, runner), 4,
+                )
+        siblings = {s.fingerprint() for s in specs[:4]} - {boom}
+        assert store.fingerprints == siblings
+
+    @pytest.mark.parametrize(
+        "kwargs", SOURCES_X_EXECUTORS,
+        ids=["plain-serial", "plain-process", "coordinated-serial", "coordinated-process"],
+    )
+    def test_artifact_store_reaches_every_scenario(self, tmp_path, kwargs):
+        """Every scenario runs under the sweep's artifact store: installed
+        around the inline drain, or by each process worker's initializer."""
+        matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
+        report = run_matrix(
             matrix, store=ResultStore(tmp_path / "store.jsonl"),
             artifact_dir=tmp_path / "artifacts",
-            scenario_runner=recording_runner, **kwargs,
+            scenario_runner=store_dir_runner, **kwargs,
         )
-        assert seen == [tmp_path / "artifacts"] * 8
+        assert [r["store_dir"] for r in report.records] == [str(tmp_path / "artifacts")] * 8
         assert get_default_store() is None  # restored afterwards
 
     def test_report_table_and_json(self):

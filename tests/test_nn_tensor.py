@@ -4,12 +4,14 @@ Gradients are validated against central finite differences — the strongest
 correctness guarantee available for a hand-rolled autograd engine.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, concat, no_grad
+from repro.nn import Linear, Tensor, concat, no_grad
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -166,6 +168,28 @@ class TestGraphMechanics:
             x = Tensor([1.0], requires_grad=True)
             y = x * 2.0
         assert not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """A prediction under ``no_grad`` on one thread must not strip the
+        parameters of a model built on another thread meanwhile."""
+        holding, release = threading.Event(), threading.Event()
+
+        def predict() -> None:
+            with no_grad():
+                holding.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=predict)
+        thread.start()
+        try:
+            assert holding.wait(timeout=10)
+            layer = Linear(3, 2, rng=0)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert layer.weight.requires_grad and layer.bias.requires_grad
+        assert len(list(layer.parameters())) == 2
 
     def test_zero_grad(self):
         x = Tensor(np.ones((2,)), requires_grad=True)

@@ -69,7 +69,7 @@ class TestSweepExecution:
     def test_prints_table_and_writes_report(self, spec_path, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         assert run_sweep(
-            "--spec", spec_path, "--executor", "serial", "--report", report_path
+            "--spec", spec_path, "--report", report_path
         ) == 0
         out = capsys.readouterr()
         assert "| hospital" in out.out  # summary table on stdout
@@ -94,15 +94,13 @@ class TestSweepExecution:
         store = tmp_path / "store.jsonl"
         report_a = tmp_path / "a.json"
         report_b = tmp_path / "b.json"
-        run_sweep("--spec", spec_path, "--executor", "serial",
-                  "--store", store, "--resume", "--report", report_a)
+        run_sweep("--spec", spec_path, "--store", store, "--resume", "--report", report_a)
         capsys.readouterr()
 
         # Drop the second completed scenario, as if the sweep was killed.
         lines = store.read_text().splitlines()
         store.write_text(lines[0] + "\n")
-        run_sweep("--spec", spec_path, "--executor", "serial",
-                  "--store", store, "--resume", "--report", report_b)
+        run_sweep("--spec", spec_path, "--store", store, "--resume", "--report", report_b)
         err = capsys.readouterr().err
         assert "2 scenarios (1 run, 1 cached)" in err
 
@@ -115,31 +113,39 @@ class TestSweepExecution:
 
     def test_resume_skips_corrupt_tail(self, spec_path, tmp_path, capsys):
         store = tmp_path / "store.jsonl"
-        run_sweep("--spec", spec_path, "--executor", "serial", "--store", store, "--resume")
+        run_sweep("--spec", spec_path, "--store", store, "--resume")
         capsys.readouterr()
         with store.open("a") as f:
             f.write('{"fingerprint": "half-writ')
-        run_sweep("--spec", spec_path, "--executor", "serial", "--store", store, "--resume")
+        run_sweep("--spec", spec_path, "--store", store, "--resume")
         err = capsys.readouterr().err
         assert "skipped 1 unparseable line" in err
         assert "2 scenarios (0 run, 2 cached)" in err
 
     def test_worker_count_is_clamped(self, spec_path, capsys):
-        run_sweep("--spec", spec_path, "--executor", "serial", "--workers", "-5")
+        run_sweep("--spec", spec_path, "--workers", "-5")
         assert "with 1 worker(s)" in capsys.readouterr().err
-        run_sweep("--spec", spec_path, "--executor", "thread", "--workers", "99")
-        # 2 pending scenarios -> at most 2 workers despite the request.
+        run_sweep("--spec", spec_path, "--workers", "99")
+        # 2 pending scenarios -> a process pool of at most 2 workers
+        # despite the request.
         assert "with 2 worker(s)" in capsys.readouterr().err
+
+    def test_executor_flag_is_retired(self, spec_path):
+        """``--workers`` alone picks the pool: one runs inline, more run a
+        process pool, so ``--executor`` is an unknown flag."""
+        with pytest.raises(SystemExit) as exc:
+            run_sweep("--spec", spec_path, "--executor", "serial")
+        assert exc.value.code == 2
 
     def test_parallel_matches_serial(self, spec_path, tmp_path, capsys):
         serial_report = tmp_path / "serial.json"
-        thread_report = tmp_path / "thread.json"
-        run_sweep("--spec", spec_path, "--executor", "serial", "--report", serial_report)
-        run_sweep("--spec", spec_path, "--executor", "thread", "--workers", "2",
-                  "--report", thread_report)
+        pool_report = tmp_path / "pool.json"
+        run_sweep("--spec", spec_path, "--report", serial_report)
+        run_sweep("--spec", spec_path, "--workers", "2", "--report", pool_report)
         capsys.readouterr()
         a = json.loads(serial_report.read_text())
-        b = json.loads(thread_report.read_text())
+        b = json.loads(pool_report.read_text())
+        assert (a["workers"], b["workers"]) == (1, 2)
         for ra, rb in zip(a["scenarios"], b["scenarios"]):
             assert ra["metrics"] == rb["metrics"]
             assert ra["trials"] == rb["trials"]
@@ -166,14 +172,14 @@ class TestCoordinationFlags:
         """--coordinate implies --resume: a shared store already being
         drained by peers is the normal case, not an error."""
         store = tmp_path / "store.jsonl"
-        run_sweep("--spec", spec_path, "--executor", "serial",
-                  "--store", store, "--coordinate", "--worker-id", "first")
+        run_sweep("--spec", spec_path, "--store", store,
+                  "--coordinate", "--worker-id", "first")
         err = capsys.readouterr().err
         assert "2 scenarios (2 run, 0 cached)" in err
         assert "worker first executed 2" in err
         # Second worker, same store, no --resume flag: nothing left to do.
-        run_sweep("--spec", spec_path, "--executor", "serial",
-                  "--store", store, "--coordinate", "--worker-id", "second")
+        run_sweep("--spec", spec_path, "--store", store,
+                  "--coordinate", "--worker-id", "second")
         err = capsys.readouterr().err
         assert "2 scenarios (0 run, 2 cached)" in err
         assert "worker second executed 0" in err
@@ -181,15 +187,14 @@ class TestCoordinationFlags:
 
     def test_compact_rewrites_superseded_records(self, spec_path, tmp_path, capsys):
         store = tmp_path / "store.jsonl"
-        run_sweep("--spec", spec_path, "--executor", "serial", "--store", store, "--resume")
+        run_sweep("--spec", spec_path, "--store", store, "--resume")
         capsys.readouterr()
         # Duplicate both records, as accumulated re-runs would.
         lines = store.read_text().splitlines()
         with store.open("a") as f:
             for line in lines:
                 f.write(line + "\n")
-        run_sweep("--spec", spec_path, "--executor", "serial",
-                  "--store", store, "--resume", "--compact")
+        run_sweep("--spec", spec_path, "--store", store, "--resume", "--compact")
         err = capsys.readouterr().err
         assert "kept 2 record(s), dropped 2 superseded line(s)" in err
         assert len(store.read_text().splitlines()) == 2
