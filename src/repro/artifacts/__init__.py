@@ -23,11 +23,13 @@ Modules:
   which every fit consults the store, and the payload encode/decode for
   embeddings and whole featurizer states (the components' own
   ``to_state`` output);
-- :mod:`repro.artifacts.runtime` — the ambient default store that sweep
-  workers attach so every detector built in the process shares one store.
+- :mod:`repro.artifacts.runtime` — the ambient store, per thread and per
+  asyncio task: the one route by which a store reaches a fit.  A detector
+  installs its own store around its fit; a sweep installs one for every
+  scenario it runs.
 """
 
-from repro.artifacts.keys import ARTIFACT_SCHEMA, artifact_key, seed_material, training_seed
+from repro.artifacts.keys import ARTIFACT_SCHEMA, artifact_key, training_seed
 from repro.artifacts.runtime import get_default_store, set_default_store, use_store
 from repro.artifacts.store import ArtifactStats, ArtifactStore
 
@@ -37,7 +39,6 @@ __all__ = [
     "ArtifactStore",
     "artifact_key",
     "get_default_store",
-    "seed_material",
     "set_default_store",
     "training_seed",
     "use_store",

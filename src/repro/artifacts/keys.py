@@ -27,8 +27,6 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping
 
-import numpy as np
-
 from repro.utils.specfile import canonical_json
 
 #: Key format version; bump when the derivation changes meaning (a bump
@@ -91,22 +89,3 @@ def training_seed(key: str) -> int:
     """
     return int(key[:16], 16) % (2**63)
 
-
-def seed_material(rng: object) -> int | None:
-    """Coerce a legacy ``rng`` constructor argument into key material.
-
-    Featurizers historically accepted an ``rng`` (int seed or live
-    generator) that seeded their embedding training.  Training now seeds
-    from the artifact key; an explicitly passed ``rng`` survives as extra
-    key material so distinct seeds still yield distinct artifacts.  A live
-    generator contributes one draw — taken once, at construction — so the
-    caller's stream advances identically whether later fits are warm or
-    cold.
-    """
-    if rng is None:
-        return None
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    if isinstance(rng, np.random.Generator):
-        return int(rng.integers(0, 2**63 - 1))
-    raise TypeError(f"expected int, Generator, or None, got {type(rng)!r}")

@@ -1,34 +1,39 @@
-"""Ambient default artifact store.
+"""Ambient artifact store: the one route from a store to a fit.
 
-Sweep workers (and anything else that builds many detectors) attach one
-store per process; every :class:`~repro.core.detector.HoloDetect` whose
-config does not name its own store falls back to the ambient one, so an
-entire worker shares a single LRU + object directory with zero per-method
-plumbing.  ``repro.evaluation.matrix.run_matrix`` installs it via the pool
-initializer in each process worker, or around the drain when the sweep
-runs inline.
+Every store-backed fit in :mod:`repro.features.base` reads the store it
+consults from here.  A :class:`~repro.core.detector.HoloDetect` installs
+its own store (``use_artifacts``, ``artifact_dir``) around its pipeline fit
+and refresh, and otherwise leaves in place whatever the caller installed —
+``repro.evaluation.matrix.run_matrix`` installs one around the drain when
+the sweep runs inline, and in each process worker's pool initializer.
+
+The store is a :class:`contextvars.ContextVar`, so it is per thread and
+per asyncio task: two sweeps inline on two threads of one process each
+see only their own store.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 from repro.artifacts.store import ArtifactStore
 
-_default_store: ArtifactStore | None = None
+_default_store: ContextVar[ArtifactStore | None] = ContextVar(
+    "repro_artifact_store", default=None
+)
 
 
 def get_default_store() -> ArtifactStore | None:
-    """The process-wide ambient store, or ``None`` when unset."""
-    return _default_store
+    """This thread's (or task's) ambient store, or ``None`` when unset."""
+    return _default_store.get()
 
 
 def set_default_store(store: ArtifactStore | None) -> ArtifactStore | None:
     """Install ``store`` as the ambient default; returns the previous one."""
-    global _default_store
-    previous = _default_store
-    _default_store = store
+    previous = _default_store.get()
+    _default_store.set(store)
     return previous
 
 

@@ -64,28 +64,6 @@ def detector_config(params: Mapping[str, object]) -> DetectorConfig:
     return DetectorConfig(**params)  # type: ignore[arg-type]
 
 
-def _holodetect(params: Mapping[str, object]) -> MethodFn:
-    config = detector_config(params)
-
-    def run(bundle, split, rng):
-        det = HoloDetect(replace(config, seed=_trial_seed(rng)))
-        det.fit(bundle.dirty, split.training, bundle.constraints)
-        return det.predict_error_cells(split.test_cells)
-
-    return run
-
-
-def _superl(params: Mapping[str, object]) -> MethodFn:
-    config = detector_config(params)
-
-    def run(bundle, split, rng):
-        det = SupervisedDetector(replace(config, seed=_trial_seed(rng)))
-        det.fit(bundle.dirty, split.training, bundle.constraints)
-        return det.predict_error_cells(split.test_cells)
-
-    return run
-
-
 def _semil(params: Mapping[str, object]) -> MethodFn:
     params = dict(params)
     rounds = int(params.pop("rounds", 1))
@@ -124,17 +102,6 @@ def _activel(params: Mapping[str, object]) -> MethodFn:
     return run
 
 
-def _resampling(params: Mapping[str, object]) -> MethodFn:
-    config = detector_config(params)
-
-    def run(bundle, split, rng):
-        det = ResamplingDetector(replace(config, seed=_trial_seed(rng)))
-        det.fit(bundle.dirty, split.training, bundle.constraints)
-        return det.predict_error_cells(split.test_cells)
-
-    return run
-
-
 def _lr(params: Mapping[str, object]) -> MethodFn:
     if params:
         raise ValueError(f"takes no parameters, got {sorted(params)}")
@@ -145,6 +112,23 @@ def _lr(params: Mapping[str, object]) -> MethodFn:
         return det.predict_error_cells(split.test_cells)
 
     return run
+
+
+def _configured(detector_cls):
+    """A method whose params are ``DetectorConfig`` fields and whose
+    detector takes just that config, seeded per trial."""
+
+    def build(params: Mapping[str, object]) -> MethodFn:
+        config = detector_config(params)
+
+        def run(bundle, split, rng):
+            det = detector_cls(replace(config, seed=_trial_seed(rng)))
+            det.fit(bundle.dirty, split.training, bundle.constraints)
+            return det.predict_error_cells(split.test_cells)
+
+        return run
+
+    return build
 
 
 def _unsupervised(detector_cls, needs_constraints: bool):
@@ -168,12 +152,15 @@ def _unsupervised(detector_cls, needs_constraints: bool):
 #: Registered built-in methods, in registration order.  "aug" is the
 #: paper's name for the full HoloDetect model (augmentation on).
 _METHOD_REGISTRATIONS: tuple[tuple[str, Callable[[Mapping[str, object]], MethodFn], str], ...] = (
-    ("holodetect", _holodetect, "the full AUG model: learned channel + augmentation"),
-    ("aug", _holodetect, "alias of 'holodetect' (the paper's Table 2 name)"),
-    ("superl", _superl, "HoloDetect trained on T only (no augmentation)"),
+    ("holodetect", _configured(HoloDetect),
+     "the full AUG model: learned channel + augmentation"),
+    ("aug", _configured(HoloDetect), "alias of 'holodetect' (the paper's Table 2 name)"),
+    ("superl", _configured(SupervisedDetector),
+     "HoloDetect trained on T only (no augmentation)"),
     ("semil", _semil, "self-training semi-supervised variant"),
     ("activel", _activel, "uncertainty-sampling active learning variant"),
-    ("resampling", _resampling, "minority-class oversampling instead of augmentation"),
+    ("resampling", _configured(ResamplingDetector),
+     "minority-class oversampling instead of augmentation"),
     ("lr", _lr, "logistic regression over co-occurrence + violation features"),
     ("cv", _unsupervised(ConstraintViolationDetector, needs_constraints=True),
      "flag all cells in denial-constraint violations"),

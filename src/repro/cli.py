@@ -80,8 +80,9 @@ _SERVE_FLAGS = (
 
 
 def _read(reader, *args, **kwargs):
-    """Run an input reader; a missing or malformed file ends the command
-    with its one-line message instead of a traceback."""
+    """Run an input reader (a file, a saved model, a built-in bundle or
+    its split); a missing or malformed input ends the command with its
+    one-line message instead of a traceback."""
     try:
         return reader(*args, **kwargs)
     except (OSError, ValueError) as exc:
@@ -180,7 +181,7 @@ def cmd_rescore(args: argparse.Namespace) -> int:
     if args.model:
         from repro.persistence import load_detector
 
-        detector = load_detector(args.model, dataset)
+        detector = _read(load_detector, args.model, dataset)
         if args.artifacts:
             detector.use_artifacts(args.artifacts)
         print(f"loaded model from {args.model}", file=sys.stderr)
@@ -227,8 +228,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     from repro.evaluation import evaluate_predictions, make_split
 
     seed = 0 if args.seed is None else args.seed  # --seed also draws the data
-    bundle = load_dataset(args.dataset, num_rows=args.rows, seed=seed)
-    split = make_split(bundle, args.training_fraction, rng=seed)
+    bundle = _read(load_dataset, args.dataset, num_rows=args.rows, seed=seed)
+    split = _read(make_split, bundle, args.training_fraction, rng=seed)
     detector = _build_detector(args)
 
     profiler = None

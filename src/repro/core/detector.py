@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.artifacts import ArtifactStats, ArtifactStore, get_default_store
+from repro.artifacts import ArtifactStats, ArtifactStore, get_default_store, use_store
 from repro.augmentation.augment import augment_training_set
 from repro.augmentation.naive_bayes import channel_examples
 from repro.augmentation.policy import Policy
@@ -51,7 +51,11 @@ class DetectorConfig:
     """All knobs of the detector, defaulted for laptop-scale runs.
 
     The paper's configuration (500 epochs, batch 5, 50-dim embeddings) is a
-    valid setting of the same fields.
+    valid setting of the same fields.  A fitted-artifact store enters only
+    by its directory (``artifact_dir``); a live
+    :class:`~repro.artifacts.ArtifactStore` is attached to the detector with
+    :meth:`HoloDetect.use_artifacts`, or installed around its fit with
+    :func:`repro.artifacts.use_store`.
     """
 
     embedding_dim: int = 16
@@ -83,14 +87,9 @@ class DetectorConfig:
     #: other cells share its chunk.
     prediction_batch: int = 512
     #: Directory of an on-disk fitted-artifact store (:mod:`repro.artifacts`)
-    #: shared across fits and processes; ``None`` = no disk tier.
+    #: shared across fits and processes; ``None`` = the detector has no
+    #: store of its own and uses the ambient one, if any.
     artifact_dir: str | None = None
-    #: Explicit :class:`~repro.artifacts.ArtifactStore` instance (wins over
-    #: ``artifact_dir``).  When both are unset the detector falls back to
-    #: the process-ambient store installed by sweep workers, if any.
-    artifact_store: ArtifactStore | None = field(
-        default=None, repr=False, compare=False
-    )
     seed: int = 0
     #: Override the learned policy (augmentation-strategy ablations, Table 4).
     policy_override: Policy | None = field(default=None, repr=False)
@@ -146,13 +145,6 @@ class DetectorConfig:
         ):
             raise ValueError(
                 f"artifact_dir must be a path string or None, got {self.artifact_dir!r}"
-            )
-        if self.artifact_store is not None and not isinstance(
-            self.artifact_store, ArtifactStore
-        ):
-            raise ValueError(
-                f"artifact_store must be an ArtifactStore or None, "
-                f"got {type(self.artifact_store).__name__}"
             )
 
 
@@ -221,13 +213,9 @@ class HoloDetect:
         self.scaler: PlattScaler | None = None
         self.policy: Policy | None = None
         self._artifact_store: ArtifactStore | None = (
-            self.config.artifact_store
-            if self.config.artifact_store is not None
-            else (
-                ArtifactStore(directory=self.config.artifact_dir)
-                if self.config.artifact_dir
-                else None
-            )
+            ArtifactStore(directory=self.config.artifact_dir)
+            if self.config.artifact_dir
+            else None
         )
         #: Artifact keys consulted/stored by the last ``fit`` (labelled
         #: ``model`` or ``model/<column>``); persisted with the detector.
@@ -274,8 +262,12 @@ class HoloDetect:
 
     @property
     def artifacts(self) -> ArtifactStore | None:
-        """The fitted-artifact store in effect: the config's own store,
-        else the process-ambient one (sweep workers), else ``None``."""
+        """The fitted-artifact store in effect: the detector's own
+        (:meth:`use_artifacts`, ``artifact_dir``), else the ambient one of
+        the calling thread (:func:`repro.artifacts.get_default_store`: a
+        sweep's), else ``None``.  :meth:`fit` and a refreshing
+        :class:`DetectionSession` install it around the pipeline's fit and
+        refresh, the one route by which a store reaches the featurizers."""
         # Explicit None check: an empty store is len()-falsy but valid.
         if self._artifact_store is not None:
             return self._artifact_store
@@ -295,21 +287,17 @@ class HoloDetect:
         Covers detectors whose config was not in the caller's hands — ones
         built from a spec or reloaded from disk (``repro detect --spec
         ... --artifacts DIR``, ``repro rescore --model ... --artifacts
-        DIR``).  An already-fitted pipeline is re-pointed too, so
-        subsequent ``refresh``/refit work consults the new store.
+        DIR``).  The store is read when it is used, so a later ``fit()``
+        and a fitted detector's refreshing rescores both consult it.
 
-        ``None`` clears the *explicitly attached* store only: the
-        process-ambient store (sweep workers), when installed, still
-        applies at the next ``fit()`` — detaching from the ambient tier is
-        the ambience manager's job (:func:`repro.artifacts.use_store`).
+        ``None`` clears the *explicitly attached* store only: an ambient
+        store (a sweep's), when installed, still applies — detaching from
+        it is the job of whoever installed it
+        (:func:`repro.artifacts.use_store`).
         """
         if isinstance(store, (str, PurePath)):
             store = ArtifactStore(directory=store)
         self._artifact_store = store
-        if self.pipeline is not None:
-            self.pipeline.artifacts = store
-            for featurizer in self.pipeline.featurizers:
-                featurizer.artifact_store = store
         return self
 
     # ------------------------------------------------------------------ #
@@ -342,8 +330,8 @@ class HoloDetect:
         # training seeds derive from content, not from the shared stream.
         t0 = perf_counter()
         self.pipeline = self._build_pipeline(constraints)
-        self.pipeline.artifacts = self.artifacts
-        self.pipeline.fit(dataset)
+        with use_store(self.artifacts):
+            self.pipeline.fit(dataset)
         self.timings["featurize"] = perf_counter() - t0
         self.artifact_keys = self.pipeline.artifact_keys
 
@@ -669,7 +657,8 @@ class DetectionSession:
         self.applied_edits += len(delta.cells)
         refitted: list[str] = []
         if refresh:
-            refitted = self.detector.pipeline.refresh(self.dataset, delta)
+            with use_store(self.detector.artifacts):
+                refitted = self.detector.pipeline.refresh(self.dataset, delta)
             if refitted:
                 # Refits may serve/store fresh artifacts; keep the
                 # detector's provenance keys current (merge — models not

@@ -24,12 +24,8 @@ from repro.artifacts.codec import (
     load_featurizer_payload,
     store_or_build,
 )
-from repro.artifacts.keys import (
-    artifact_key,
-    seed_material,
-    shard_partial_key,
-    training_seed,
-)
+from repro.artifacts.keys import artifact_key, shard_partial_key, training_seed
+from repro.artifacts.runtime import get_default_store
 from repro.dataset.relation import ShardSpan, compose_fingerprint
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.embeddings.fasttext import FastTextEmbedding
@@ -249,10 +245,6 @@ class Featurizer:
     #: counts, frequencies, one-hots) or it manages finer-grained artifacts
     #: itself (the per-column embedding models).
     artifact_kind: str | None = None
-    #: The fitted-artifact store in effect for this fit, attached by
-    #: :meth:`FeaturePipeline.fit` (and left in place so column-scoped
-    #: ``refresh`` consults it too).  ``None`` disables store consultation.
-    artifact_store = None
     _artifact_keys: "dict[str, str] | None" = None
 
     def fit(self, dataset: Dataset) -> "Featurizer":
@@ -280,8 +272,9 @@ class Featurizer:
         return True
 
     def fit_through_store(self, dataset: Dataset) -> None:
-        """Fit, serving/storing the whole fitted state through the attached
-        artifact store when this featurizer declares an :attr:`artifact_kind`.
+        """Fit, serving/storing the whole fitted state through the ambient
+        artifact store (:func:`~repro.artifacts.get_default_store`) when
+        this featurizer declares an :attr:`artifact_kind`.
 
         Used by both :meth:`FeaturePipeline.fit` and the base
         :meth:`refresh`, so an interactive-loop refit consults the store
@@ -300,7 +293,7 @@ class Featurizer:
         )
         self._artifact_keys = {}
         store_or_build(
-            self.artifact_store,
+            get_default_store(),
             key,
             self.artifact_kind,
             lambda: self.fit(dataset),
@@ -322,14 +315,14 @@ class Featurizer:
     ) -> Iterator[object]:
         """``build(span)`` for each row shard of ``dataset``, lazily.
 
-        Over a multi-shard relation each partial goes through the attached
+        Over a multi-shard relation each partial goes through the ambient
         store under :func:`~repro.artifacts.keys.shard_partial_key` of the
         shard's fingerprint, recorded as ``<label>/shard/<index>``.  A single
         shard's partial is already inside the whole-state artifact, so it is
         just built.
         """
         spans = dataset.shard_spans()
-        store = self.artifact_store if len(spans) > 1 else None
+        store = get_default_store() if len(spans) > 1 else None
         for span in spans:
             if store is None:
                 yield build(span)
@@ -528,8 +521,8 @@ class EmbeddingFeaturizer(Featurizer):
     Every trained embedding is a content-addressed fitted artifact
     (:mod:`repro.artifacts`): it is keyed by (:attr:`_kind`, the scoped
     fingerprint of the data it trains on, the full training config), trains
-    from a seed derived from that key, and — when a store is attached — is
-    served from the store instead of retrained.
+    from a seed derived from that key, and — when an ambient store is
+    installed — is served from the store instead of retrained.
     """
 
     #: Artifact kind of the trained embeddings (``embedding/<corpus>``).
@@ -540,13 +533,9 @@ class EmbeddingFeaturizer(Featurizer):
     #: FastTextEmbedding arguments beyond ``dim`` and ``epochs``.
     _training: Mapping[str, object] = {}
 
-    def __init__(self, dim: int = 16, epochs: int = 2, rng=None):
+    def __init__(self, dim: int = 16, epochs: int = 2):
         self._dim = dim
         self._epochs = epochs
-        # Training seeds derive from the artifact key (content-addressed);
-        # an explicitly passed rng survives as extra key material so
-        # distinct seeds still produce distinct embeddings.
-        self._seed_material = seed_material(rng)
 
     def _new_embedding(self, seed: int | None = None) -> FastTextEmbedding:
         return FastTextEmbedding(
@@ -560,8 +549,6 @@ class EmbeddingFeaturizer(Featurizer):
         config = self._new_embedding().config_dict()
         if self._view is not None:
             config["view"] = self._view
-        if self._seed_material is not None:
-            config["rng"] = self._seed_material
         return config
 
     def _fit_embedding(
@@ -575,7 +562,7 @@ class EmbeddingFeaturizer(Featurizer):
         its key is recorded as ``label``."""
         key = artifact_key(self._kind, scope, self._embedding_config())
         model = store_or_build(
-            self.artifact_store,
+            get_default_store(),
             key,
             self._kind,
             lambda: self._new_embedding(training_seed(key)).fit(corpus()),
@@ -590,7 +577,6 @@ class EmbeddingFeaturizer(Featurizer):
         return {
             "dim": self._dim,
             "epochs": self._epochs,
-            "seed_material": self._seed_material,
             **self._embedding_states(),
         }
 
@@ -600,9 +586,6 @@ class EmbeddingFeaturizer(Featurizer):
 
     @classmethod
     def _init_args(cls, state) -> dict:
-        # Saves from before seed material was recorded had none.
-        return {
-            "dim": state["dim"],
-            "epochs": state["epochs"],
-            "rng": state.get("seed_material"),
-        }
+        # Older saves also carry a ``seed_material`` entry, always null for
+        # detector-built fits; it is ignored.
+        return {"dim": state["dim"], "epochs": state["epochs"]}

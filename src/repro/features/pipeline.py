@@ -66,8 +66,8 @@ ALL_MODEL_NAMES = (
 # Registry wiring: every built-in representation model is a registered
 # "featurizer" component, so detector specs (and user code) can compose a
 # pipeline declaratively.  Factories receive their validated config plus a
-# FeaturizerContext carrying the pipeline-level injections (the shared RNG,
-# the constraint set Σ, and the default embedding geometry).
+# FeaturizerContext carrying the pipeline-level injections (the constraint
+# set Σ and the default embedding geometry).
 # --------------------------------------------------------------------- #
 
 
@@ -78,7 +78,6 @@ class FeaturizerContext:
     constraints: Sequence[DenialConstraint] = ()
     embedding_dim: int = 16
     embedding_epochs: int = 2
-    rng: object = None
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ def _embedding_factory(cls):
         return cls(
             dim=cfg.dim if cfg.dim is not None else ctx.embedding_dim,
             epochs=cfg.epochs if cfg.epochs is not None else ctx.embedding_epochs,
-            rng=ctx.rng,
         )
 
     return factory
@@ -249,7 +247,6 @@ class FeaturePipeline:
         self,
         featurizers: Sequence[Featurizer],
         cache: "FeatureCache | None" = None,
-        artifacts=None,
     ):
         names = [f.name for f in featurizers]
         if len(set(names)) != len(names):
@@ -258,10 +255,6 @@ class FeaturePipeline:
         #: Optional block cache, ``None`` unless a caller assigns a
         #: ``FeatureCache``; set back to ``None`` to bypass it.
         self.cache = cache
-        #: Optional fitted-artifact store (:mod:`repro.artifacts`); when
-        #: attached, :meth:`fit` serves trained embeddings and fitted
-        #: featurizer states from it instead of retraining.
-        self.artifacts = artifacts
         self._fitted = False
         self._numeric_mean: np.ndarray | None = None
         self._numeric_std: np.ndarray | None = None
@@ -284,32 +277,27 @@ class FeaturePipeline:
         remaining = [f for f in self.featurizers if f.name != name]
         if len(remaining) == len(self.featurizers):
             raise ValueError(f"no featurizer named {name!r}")
-        return FeaturePipeline(remaining, cache=self.cache, artifacts=self.artifacts)
+        return FeaturePipeline(remaining, cache=self.cache)
 
     def fit(self, dataset: Dataset) -> "FeaturePipeline":
         """Fit every representation model on the noisy input dataset D.
 
-        With an artifact store attached (:attr:`artifacts`), each model's
-        fit first consults the store: whole-state artifacts here, and —
-        inside the column-scoped embedding featurizers — per-column
-        embedding artifacts.  Served or trained, the result is identical
-        (training seeds are content-derived), so a warm fit changes nothing
-        but wall-clock time.
+        With an ambient artifact store installed
+        (:func:`~repro.artifacts.use_store`), each model's fit first
+        consults it: whole-state artifacts here, and — inside the
+        column-scoped embedding featurizers — per-column embedding
+        artifacts.  :meth:`refresh` consults the store installed when it
+        runs.  Served or trained, the result is identical (training seeds
+        are content-derived), so a warm fit changes nothing but wall-clock
+        time.
         """
         for featurizer in self.featurizers:
-            self._fit_featurizer(featurizer, dataset)
+            featurizer.fit_through_store(dataset)
             # A refit invalidates any cached blocks of the previous fit.
             featurizer.reset_cache_token()
         self._fit_standardisation(dataset)
         self._fitted = True
         return self
-
-    def _fit_featurizer(self, featurizer: Featurizer, dataset: Dataset) -> None:
-        """Fit one model, through the artifact store when possible."""
-        # Attached for the duration of the pipeline's life so per-column
-        # fits (and later column-scoped refreshes) consult the same store.
-        featurizer.artifact_store = self.artifacts
-        featurizer.fit_through_store(dataset)
 
     def refresh(self, dataset: Dataset, delta: DatasetDelta) -> list[str]:
         """Refit only the models whose fitted state ``delta`` dirties.
@@ -460,7 +448,6 @@ def default_pipeline(
     embedding_dim: int = 16,
     embedding_epochs: int = 2,
     exclude: Sequence[str] = (),
-    rng=None,
 ) -> FeaturePipeline:
     """The full representation model Q of Table 7.
 
@@ -469,12 +456,14 @@ def default_pipeline(
     skipping any the pipeline lacks (``constraint_violations`` without Σ).
     Every model is resolved through the component registry, so the default
     composition and a spec-declared one share a single construction path.
+    There is no RNG to pass: each embedding trains from a seed derived from
+    its artifact key (:mod:`repro.artifacts.keys`), and its fit consults
+    the ambient artifact store, if one is installed.
     """
     ctx = FeaturizerContext(
         constraints=list(constraints) if constraints else (),
         embedding_dim=embedding_dim,
         embedding_epochs=embedding_epochs,
-        rng=rng,
     )
     unknown = set(exclude) - set(ALL_MODEL_NAMES)
     if unknown:

@@ -149,7 +149,7 @@ def _decode_featurizer(state: dict) -> features.Featurizer:
 
 
 #: Config fields that are live objects, not serialisable settings.
-_UNSAVED_CONFIG_FIELDS = ("policy_override", "artifact_store")
+_UNSAVED_CONFIG_FIELDS = ("policy_override",)
 
 #: Config fields of retired options that older saves still carry.
 _RETIRED_CONFIG_FIELDS = (
@@ -341,11 +341,6 @@ def load_detector(path: str | Path, dataset: Dataset) -> HoloDetect:
     detector.pipeline._numeric_mean = pipeline_state["numeric_mean"]
     detector.pipeline._numeric_std = pipeline_state["numeric_std"]
     detector.pipeline._fitted = True
-    if detector._artifact_store is not None:
-        # Re-point the decoded pipeline at the config's artifact store too,
-        # so refresh-time refits consult it (store contents live on disk;
-        # only the attachment needs rebuilding).
-        detector.use_artifacts(detector._artifact_store)
     model_state = state["model"]
     detector.model = JointModel(
         numeric_dim=model_state["numeric_dim"],

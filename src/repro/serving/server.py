@@ -141,6 +141,8 @@ class ServeConfig:
     breaker_cooldown: float = 30.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
         if self.max_body < 1:
             raise ValueError(f"max_body must be positive, got {self.max_body}")
         if self.read_timeout <= 0:

@@ -225,20 +225,19 @@ class DetectorSpec:
         from repro.features.pipeline import FeaturizerContext, build_pipeline
 
         detector = dict(self.detector)
-        for key in ("artifact_store", "artifact_dir"):
-            if key in detector:
-                # Files and direct construction alike: the store location
-                # must never enter the (fingerprinted) [detector] table.
-                raise SpecError(
-                    f"{key} is not spec-able under [detector]; use the "
-                    "[artifacts] table's 'dir' key instead"
-                )
+        if "artifact_dir" in detector:
+            # Files and direct construction alike: the store location must
+            # never enter the (fingerprinted) [detector] table.
+            raise SpecError(
+                "artifact_dir is not spec-able under [detector]; use the "
+                "[artifacts] table's 'dir' key instead"
+            )
         try:
             config = DetectorConfig(**detector)
         except TypeError as exc:
             valid = sorted(
                 f.name for f in dataclasses.fields(DetectorConfig)
-                if f.name not in ("policy_override", "artifact_store", "artifact_dir")
+                if f.name not in ("policy_override", "artifact_dir")
             )
             raise SpecError(f"[detector]: {exc}; valid keys: {valid}") from exc
         except ValueError as exc:
@@ -341,7 +340,7 @@ class DetectorSpec:
         ]
         defaults = DetectorConfig()
         for f in dataclasses.fields(DetectorConfig):
-            if f.name in ("policy_override", "artifact_store", "artifact_dir"):
+            if f.name in ("policy_override", "artifact_dir"):
                 continue
             value = getattr(config, f.name)
             marker = "" if value == getattr(defaults, f.name) else "   (override)"

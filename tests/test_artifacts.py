@@ -24,7 +24,6 @@ from repro.artifacts import (
     training_seed,
     use_store,
 )
-from repro.artifacts.keys import seed_material
 from repro.artifacts.store import flatten_arrays
 from repro.core.detector import DetectionSession, DetectorConfig, HoloDetect
 from repro.data import load_dataset
@@ -46,8 +45,10 @@ def small_split(small_bundle):
     return make_split(small_bundle, 0.15, rng=1)
 
 
-def fit_and_predict(bundle, split, **config):
+def fit_and_predict(bundle, split, artifact_store=None, **config):
     detector = HoloDetect(DetectorConfig(**TINY, **config))
+    if artifact_store is not None:
+        detector.use_artifacts(artifact_store)
     detector.fit(bundle.dirty, split.training, bundle.constraints)
     return detector, detector.predict()
 
@@ -82,17 +83,6 @@ class TestArtifactKeys:
         key = artifact_key("kind", "scope", {})
         assert training_seed(key) == training_seed(key)
         assert 0 <= training_seed(key) < 2**63
-
-    def test_seed_material_coercion(self):
-        assert seed_material(None) is None
-        assert seed_material(7) == 7
-        gen = np.random.default_rng(0)
-        drawn = seed_material(gen)
-        assert isinstance(drawn, int)
-        # Drawing consumed exactly one integer from the stream.
-        assert seed_material(np.random.default_rng(0)) == drawn
-        with pytest.raises(TypeError):
-            seed_material("not-an-rng")
 
 
 # --------------------------------------------------------------------- #
@@ -298,6 +288,17 @@ class TestWarmFit:
             fit_and_predict(small_bundle, small_split)
         assert store.stats.puts > 0
 
+    def test_own_store_wins_and_ambient_is_restored(self, small_bundle, small_split):
+        """A detector's own store is the one its fit consults, installed
+        for the fit only: the ambient store it found gets nothing and is
+        back in place afterwards."""
+        ambient, own = ArtifactStore(), ArtifactStore()
+        with use_store(ambient):
+            fit_and_predict(small_bundle, small_split, artifact_store=own)
+            assert get_default_store() is ambient
+        assert own.stats.puts > 0
+        assert ambient.stats.lookups == ambient.stats.puts == 0
+
     def test_artifact_keys_recorded(self, small_bundle, small_split):
         detector, _ = fit_and_predict(
             small_bundle, small_split, artifact_store=ArtifactStore()
@@ -332,8 +333,6 @@ class TestWarmFit:
         store = ArtifactStore(directory=tmp_path / "art")
         loaded = load_detector(tmp_path / "model", small_bundle.dirty)
         loaded.use_artifacts(store)
-        assert loaded.pipeline.artifacts is store
-        assert all(f.artifact_store is store for f in loaded.pipeline.featurizers)
         session = DetectionSession(loaded)
         attr = small_bundle.dirty.attributes[0]
         session.apply({Cell(0, attr): "edited-value"}, refresh=True)
@@ -355,8 +354,6 @@ class TestWarmFit:
         loaded = load_detector(tmp_path / "model", small_bundle.dirty)
         store = loaded.artifacts
         assert store is not None and str(store.directory) == art_dir
-        assert loaded.pipeline.artifacts is store
-        assert all(f.artifact_store is store for f in loaded.pipeline.featurizers)
         attr = small_bundle.dirty.attributes[0]
         session = DetectionSession(loaded)
         session.apply({Cell(0, attr): "reattach-edit"}, refresh=True)
@@ -384,17 +381,17 @@ class TestWarmFit:
         dataset = small_bundle.dirty.copy()
         store = ArtifactStore()
         featurizer = CooccurrenceFeaturizer()
-        featurizer.artifact_store = store
-        featurizer.fit_through_store(dataset)
-        attr = dataset.attributes[0]
-        original = dataset.value(Cell(0, attr))
-        delta = dataset.apply_edits({Cell(0, attr): original + "-x"})
-        assert featurizer.refresh(dataset, delta)
-        stored_after_edit = store.stats.puts
-        assert stored_after_edit == 2  # initial fit + refit both stored
-        revert = dataset.apply_edits({Cell(0, attr): original})
-        hits_before = store.stats.hits
-        assert featurizer.refresh(dataset, revert)
+        with use_store(store):
+            featurizer.fit_through_store(dataset)
+            attr = dataset.attributes[0]
+            original = dataset.value(Cell(0, attr))
+            delta = dataset.apply_edits({Cell(0, attr): original + "-x"})
+            assert featurizer.refresh(dataset, delta)
+            stored_after_edit = store.stats.puts
+            assert stored_after_edit == 2  # initial fit + refit both stored
+            revert = dataset.apply_edits({Cell(0, attr): original})
+            hits_before = store.stats.hits
+            assert featurizer.refresh(dataset, revert)
         assert store.stats.hits == hits_before + 1  # served, not retrained
         assert store.stats.puts == stored_after_edit
 
@@ -424,7 +421,7 @@ class TestWarmFit:
         from repro.dataset.table import Cell
 
         edited.set_value(Cell(0, attr), "completely-new-value")
-        fresh = HoloDetect(DetectorConfig(**TINY, artifact_store=store))
+        fresh = HoloDetect(DetectorConfig(**TINY)).use_artifacts(store)
         fresh.fit(edited, small_split.training, small_bundle.constraints)
         after = fresh.artifact_keys
         assert after[f"char_embedding/{attr}"] != before[f"char_embedding/{attr}"]
@@ -472,8 +469,8 @@ def fit_pipeline(relation, constraints, store):
     from repro.features.pipeline import default_pipeline
 
     pipeline = default_pipeline(constraints, embedding_dim=4, embedding_epochs=1)
-    pipeline.artifacts = store
-    return pipeline.fit(relation)
+    with use_store(store):
+        return pipeline.fit(relation)
 
 
 class TestStoreOrBuild:
@@ -667,6 +664,16 @@ class TestSweepArtifacts:
         assert accuracy_view(inline.records) == accuracy_view(cold.records)
         assert accuracy_view(pooled.records) == accuracy_view(cold.records)
 
+    def test_lr_scenario_consults_the_sweep_store(self, tmp_path):
+        """A method that builds its own feature pipeline (the LR baseline)
+        fits through the sweep's store too, and its record does not move."""
+        matrix = ScenarioMatrix.from_dict({**SWEEP_SPEC, "methods": ["lr"]})
+        plain = run_matrix(matrix, executor="serial")
+        stored = run_matrix(matrix, executor="serial", artifact_dir=tmp_path / "lr")
+        assert accuracy_view(stored.records) == accuracy_view(plain.records)
+        stats = stored.artifacts["stats"]
+        assert stats["puts"] > 0 and stats["hits"] > 0
+
     def test_report_json_additive(self, matrix, cold, tmp_path):
         payload = cold.to_json()
         assert "artifacts" not in payload
@@ -720,13 +727,19 @@ class TestSpecArtifacts:
 
     def test_detector_table_store_fields_rejected(self):
         """The store location must never enter the fingerprinted [detector]
-        table — both the file path and direct construction are guarded."""
+        table — both the file path and direct construction are guarded —
+        and a live store is no config field at all."""
         from repro.spec import DetectorSpec, SpecError
 
-        for key in ("artifact_dir", "artifact_store"):
-            with pytest.raises(SpecError, match="not spec-able"):
-                DetectorSpec.from_dict(
-                    {"schema": "repro.spec/v1", "detector": {key: "x"}}
-                )
-            with pytest.raises(SpecError, match="not spec-able"):
-                DetectorSpec(detector={key: "x"}).validate()
+        with pytest.raises(SpecError, match="not spec-able"):
+            DetectorSpec.from_dict(
+                {"schema": "repro.spec/v1", "detector": {"artifact_dir": "x"}}
+            )
+        with pytest.raises(SpecError, match="not spec-able"):
+            DetectorSpec(detector={"artifact_dir": "x"}).validate()
+        with pytest.raises(SpecError, match="unexpected keyword argument 'artifact_store'"):
+            DetectorSpec.from_dict(
+                {"schema": "repro.spec/v1", "detector": {"artifact_store": "x"}}
+            )
+        with pytest.raises(TypeError):
+            HoloDetect(DetectorConfig(artifact_store=ArtifactStore()))

@@ -335,12 +335,22 @@ class TestDetectWithSpec:
           "--rows-per-shard", "0"], "shard_rows"),
         (["sweep", "--spec", "{tmp}/sweep.toml", "--coordinate",
           "--store", "{tmp}/s.jsonl", "--lease-ttl", "-5"], "TTL"),
+        (["benchmark", "--dataset", "hospital", "--rows", "0"], "num_rows"),
+        (["benchmark", "--dataset", "nope"], "unknown dataset 'nope'"),
+        (["benchmark", "--dataset", "hospital", "--training-fraction", "1.5"],
+         "training_fraction"),
+        (["rescore", "--input", "{tmp}/data.csv", "--model", "{tmp}",
+          "--edits", "{tmp}/edits.csv", "--output", "{tmp}/o.csv"], "state.json"),
+        (["serve", "--models", "{tmp}", "--port", "-5"], "port"),
     ],
-    ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl"],
+    ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
+         "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
+         "serve-port"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""
     (tmp_path / "data.csv").write_text("zip,city\n60612,Chicago\n")
+    (tmp_path / "edits.csv").write_text("row,attribute,value\n0,zip,60613\n")
     (tmp_path / "sweep.toml").write_text(
         'datasets = [{ name = "hospital", rows = 60 }]\n'
         "label_budgets = [0.2]\n"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts import use_store
 from repro.artifacts.store import ArtifactStore
 from repro.data.registry import load_dataset
 from repro.dataset import Cell, Dataset, ShardedDataset, open_relation
@@ -164,8 +165,8 @@ class TestFeaturizerEquivalence:
         mem = CooccurrenceFeaturizer().fit(hospital.dirty)
         store = ArtifactStore(tmp_path / "store")
         cold = CooccurrenceFeaturizer()
-        cold.artifact_store = store
-        cold.fit(sharded)
+        with use_store(store):
+            cold.fit(sharded)
         assert cold._joint == mem._joint
         assert cold._value_counts == mem._value_counts
         # Per-shard partial keys were recorded and the partials stored.
@@ -173,16 +174,16 @@ class TestFeaturizerEquivalence:
         assert len(shard_keys) == sharded.num_shards
         # A second fit is served entirely from stored partials.
         warm = CooccurrenceFeaturizer()
-        warm.artifact_store = store
-        warm.fit(sharded)
+        with use_store(store):
+            warm.fit(sharded)
         assert warm._joint == mem._joint
 
     def test_constraint_violations_fit_matches_in_memory(self, hospital, tmp_path):
         sharded = _sharded_twin(hospital.dirty, tmp_path, 17)
         mem = ConstraintViolationFeaturizer(hospital.constraints).fit(hospital.dirty)
         cold = ConstraintViolationFeaturizer(hospital.constraints)
-        cold.artifact_store = ArtifactStore(tmp_path / "store")
-        cold.fit(sharded)
+        with use_store(ArtifactStore(tmp_path / "store")):
+            cold.fit(sharded)
         assert np.array_equal(mem._tuple_counts, cold._tuple_counts)
         for a, b in zip(mem._fd_indexes, cold._fd_indexes):
             assert (a is None) == (b is None)
@@ -208,8 +209,8 @@ class TestFeaturizerEquivalence:
             mem = ConstraintViolationFeaturizer(sigma).fit(hospital.dirty)
             assert mem._tuple_counts.tobytes() == engine.tobytes()
             sharded = ConstraintViolationFeaturizer(sigma)
-            sharded.artifact_store = ArtifactStore(tmp_path / f"store{k}")
-            sharded.fit(_sharded_twin(hospital.dirty, tmp_path / f"twin{k}", 17))
+            with use_store(ArtifactStore(tmp_path / f"store{k}")):
+                sharded.fit(_sharded_twin(hospital.dirty, tmp_path / f"twin{k}", 17))
             assert sharded._tuple_counts.tobytes() == engine.tobytes()
             assert sharded._fd_indexes == mem._fd_indexes
         # Only the FD-shaped constraints carry a group index.

@@ -35,13 +35,13 @@ def cells(dataset):
 
 class TestAttributeFeaturizers:
     def test_char_embedding_shape(self, dataset, cells):
-        f = CharEmbeddingFeaturizer(dim=6, epochs=1, rng=0).fit(dataset)
+        f = CharEmbeddingFeaturizer(dim=6, epochs=1).fit(dataset)
         out = f.transform(cells, dataset)
         assert out.shape == (3, 6)
         assert f.branch == "char"
 
     def test_word_embedding_shape(self, dataset, cells):
-        f = WordEmbeddingFeaturizer(dim=6, epochs=1, rng=0).fit(dataset)
+        f = WordEmbeddingFeaturizer(dim=6, epochs=1).fit(dataset)
         assert f.transform(cells, dataset).shape == (3, 6)
 
     def test_format_ngram_flags_typo(self, dataset):
@@ -99,7 +99,7 @@ class TestTupleFeaturizers:
         assert f.dim == 2
 
     def test_tuple_embedding_shape(self, dataset, cells):
-        f = TupleEmbeddingFeaturizer(dim=5, epochs=1, rng=0).fit(dataset)
+        f = TupleEmbeddingFeaturizer(dim=5, epochs=1).fit(dataset)
         assert f.transform(cells, dataset).shape == (3, 10)
         assert f.branch == "tuple"
 
@@ -128,7 +128,7 @@ class TestDatasetFeaturizers:
         assert broken[0, 0] > 0
 
     def test_neighborhood_distance_range(self, dataset, cells):
-        f = NeighborhoodFeaturizer(dim=6, epochs=1, rng=0).fit(dataset)
+        f = NeighborhoodFeaturizer(dim=6, epochs=1).fit(dataset)
         out = f.transform(cells, dataset)
         assert out.shape == (3, 1)
         assert np.all(out >= 0.0) and np.all(out <= 2.0)
@@ -136,15 +136,15 @@ class TestDatasetFeaturizers:
 
 class TestPipeline:
     def test_default_pipeline_names(self, dataset, zip_fd):
-        pipe = default_pipeline([zip_fd], embedding_dim=4, rng=0)
+        pipe = default_pipeline([zip_fd], embedding_dim=4)
         assert set(pipe.model_names) == set(ALL_MODEL_NAMES)
 
     def test_without_constraints_drops_violation_model(self, dataset):
-        pipe = default_pipeline(None, embedding_dim=4, rng=0)
+        pipe = default_pipeline(None, embedding_dim=4)
         assert "constraint_violations" not in pipe.model_names
 
     def test_transform_blocks(self, dataset, zip_fd, cells):
-        pipe = default_pipeline([zip_fd], embedding_dim=4, embedding_epochs=1, rng=0)
+        pipe = default_pipeline([zip_fd], embedding_dim=4, embedding_epochs=1)
         pipe.fit(dataset)
         feats = pipe.transform(cells, dataset)
         assert feats.numeric.shape == (3, pipe.numeric_dim)
@@ -152,13 +152,13 @@ class TestPipeline:
         assert feats.batch_size == 3
 
     def test_numeric_standardised_and_clipped(self, dataset, zip_fd):
-        pipe = default_pipeline([zip_fd], embedding_dim=4, embedding_epochs=1, rng=0)
+        pipe = default_pipeline([zip_fd], embedding_dim=4, embedding_epochs=1)
         pipe.fit(dataset)
         feats = pipe.transform(list(dataset.cells()), dataset)
         assert np.abs(feats.numeric).max() <= 10.0
 
     def test_exclusion_for_ablation(self, dataset):
-        pipe = default_pipeline(None, embedding_dim=4, exclude=("char_embedding",), rng=0)
+        pipe = default_pipeline(None, embedding_dim=4, exclude=("char_embedding",))
         assert "char_embedding" not in pipe.model_names
 
     def test_unknown_exclusion_rejected(self):
@@ -166,7 +166,7 @@ class TestPipeline:
             default_pipeline(None, exclude=("no_such_model",))
 
     def test_without_method(self, dataset):
-        pipe = default_pipeline(None, embedding_dim=4, rng=0)
+        pipe = default_pipeline(None, embedding_dim=4)
         smaller = pipe.without("neighborhood")
         assert "neighborhood" not in smaller.model_names
         with pytest.raises(ValueError):
@@ -178,6 +178,6 @@ class TestPipeline:
             FeaturePipeline([f1, f2])
 
     def test_unfitted_transform_raises(self, dataset, cells):
-        pipe = default_pipeline(None, embedding_dim=4, rng=0)
+        pipe = default_pipeline(None, embedding_dim=4)
         with pytest.raises(RuntimeError):
             pipe.transform(cells, dataset)

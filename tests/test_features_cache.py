@@ -36,7 +36,7 @@ def cells(dataset):
 @pytest.fixture
 def fitted_pipeline(dataset, zip_fd):
     return default_pipeline(
-        [zip_fd], embedding_dim=4, embedding_epochs=1, rng=0
+        [zip_fd], embedding_dim=4, embedding_epochs=1
     ).fit(dataset)
 
 

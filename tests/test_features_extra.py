@@ -78,7 +78,7 @@ class TestPipelineIntegration:
         """Extra featurizers ride along via a manually built pipeline."""
         from repro.features import default_pipeline
 
-        base = default_pipeline(None, embedding_dim=4, embedding_epochs=1, rng=0)
+        base = default_pipeline(None, embedding_dim=4, embedding_epochs=1)
         extended = FeaturePipeline(base.featurizers + [ValueLengthFeaturizer()])
         extended.fit(dataset)
         assert "value_length" in extended.model_names

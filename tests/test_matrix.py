@@ -87,6 +87,12 @@ def store_dir_runner(s: ScenarioSpec) -> dict:
     return {**fake_runner(s), "store_dir": None if store is None else str(store.directory)}
 
 
+def slow_store_dir_runner(s: ScenarioSpec) -> dict:
+    """``store_dir_runner`` after 50 ms of work."""
+    time.sleep(0.05)
+    return store_dir_runner(s)
+
+
 class TestFingerprint:
     def test_stable_across_param_dict_ordering(self):
         a = spec(method_params={"epochs": 3, "embedding_dim": 8})
@@ -439,6 +445,39 @@ class TestRunMatrix:
         )
         assert [r["store_dir"] for r in report.records] == [str(tmp_path / "artifacts")] * 8
         assert get_default_store() is None  # restored afterwards
+
+    def test_concurrent_inline_sweeps_keep_their_own_stores(self, tmp_path):
+        """Two inline sweeps on two threads of one process, the second
+        started 0.1 s into the first: every scenario runs under its own
+        sweep's store, and neither thread is left with one installed."""
+        matrix = ScenarioMatrix.from_dict({
+            **SMALL_MATRIX,
+            "datasets": [{"name": "hospital", "rows": 80}],
+            "error_profiles": ["native"],
+            "label_budgets": [0.1, 0.2, 0.3],
+        })
+        store_dirs, left_installed = {}, {}
+
+        def sweep(name: str, delay: float) -> None:
+            time.sleep(delay)
+            report = run_matrix(
+                matrix, workers=1, artifact_dir=tmp_path / name,
+                scenario_runner=slow_store_dir_runner,
+            )
+            store_dirs[name] = [r["store_dir"] for r in report.records]
+            left_installed[name] = get_default_store()
+
+        threads = [
+            threading.Thread(target=sweep, args=(name, delay))
+            for name, delay in (("a", 0.0), ("b", 0.1))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert store_dirs == {name: [str(tmp_path / name)] * 6 for name in "ab"}
+        assert left_installed == {"a": None, "b": None}
 
     def test_report_table_and_json(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)

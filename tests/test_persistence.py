@@ -109,7 +109,7 @@ class TestFeaturizerStateRoundtrip:
         "name,params", BUILT_IN_FEATURIZERS, ids=[n for n, _ in BUILT_IN_FEATURIZERS]
     )
     def test_from_state_keeps_arguments_and_transforms(self, bundle, name, params):
-        ctx = FeaturizerContext(constraints=bundle.constraints, rng=7)
+        ctx = FeaturizerContext(constraints=bundle.constraints)
         featurizer = build_featurizer(name, params, ctx).fit(bundle.dirty)
         restored = type(featurizer).from_state(featurizer.to_state())
         # The state holds the constructor arguments as well as the fitted
@@ -144,6 +144,23 @@ class TestDetectorRoundtrip:
         original = detector.predict(cells)
         loaded = restored.predict(cells)
         np.testing.assert_allclose(loaded.probabilities, original.probabilities)
+
+    def test_save_recording_seed_material_loads(self, fitted, tmp_path):
+        """Saves from before the embeddings' ``rng`` was retired record its
+        ``seed_material``, null for every detector-built fit; they load and
+        predict bit-identically."""
+        bundle, split, detector = fitted
+        path = tmp_path / "model"
+        save_detector(detector, path)
+        state = json.loads((path / "state.json").read_text())
+        embeddings = [e for e in state["pipeline"]["featurizers"] if "epochs" in e]
+        assert len(embeddings) == 4
+        for entry in embeddings:
+            entry["seed_material"] = None
+        (path / "state.json").write_text(json.dumps(state))
+        cells = split.test_cells[:200]
+        loaded = load_detector(path, bundle.dirty).predict(cells)
+        assert loaded.probabilities.tobytes() == detector.predict(cells).probabilities.tobytes()
 
     def test_metadata_preserved(self, fitted, tmp_path):
         bundle, _, detector = fitted

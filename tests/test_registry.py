@@ -156,7 +156,7 @@ class TestFeaturizerResolution:
             build_featurizer("custom_components:Nothing")
 
     def test_custom_featurizer_in_full_pipeline(self, zip_dataset):
-        ctx = FeaturizerContext(embedding_dim=4, embedding_epochs=1, rng=0)
+        ctx = FeaturizerContext(embedding_dim=4, embedding_epochs=1)
         pipeline = build_pipeline(
             [
                 "empirical_dist",
@@ -170,7 +170,7 @@ class TestFeaturizerResolution:
         assert features.numeric.shape == (6, 2)
 
     def test_default_pipeline_unchanged_by_registry_refactor(self, zip_fd):
-        pipe = default_pipeline([zip_fd], embedding_dim=4, rng=0)
+        pipe = default_pipeline([zip_fd], embedding_dim=4)
         assert set(pipe.model_names) == set(ALL_MODEL_NAMES)
         with pytest.raises(ValueError, match="unknown model names"):
             default_pipeline(None, exclude=("no_such_model",))
