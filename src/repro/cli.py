@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -87,6 +88,19 @@ def _read(reader, *args, **kwargs):
         return reader(*args, **kwargs)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """End the command in one line when an output file's directory is
+    missing or unwritable, before any input is read or any model fitted."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise SystemExit(f"cannot write {path}: no directory {parent}")
+        if not os.access(parent, os.W_OK):
+            raise SystemExit(f"cannot write {path}: directory {parent} is not writable")
 
 
 def _build_detector(args: argparse.Namespace) -> HoloDetect:
@@ -140,6 +154,7 @@ def _write_detect_json(
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    _check_outputs(args.output, args.json)
     dataset = _read(read_csv, args.input)
     training = _read(read_labels, args.labels, dataset)
     constraints = _read(read_constraints, args.constraints) if args.constraints else []
@@ -176,6 +191,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_rescore(args: argparse.Namespace) -> int:
+    _check_outputs(args.output)
     dataset = _read(read_csv, args.input)
     edits = _read(read_edits, args.edits, dataset)  # before any fit: fail fast
     if args.model:

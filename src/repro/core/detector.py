@@ -680,27 +680,28 @@ class DetectionSession:
                 [preds.probabilities, np.zeros(len(appended_cells))]
             )
             preds._index = None
-        affected = self._affected_cells(delta, refitted, appended_cells)
-        if affected:
-            probabilities = self.detector._score_probabilities(affected)
-            for cell, probability in zip(affected, probabilities):
-                self.predictions.probabilities[
-                    self.predictions.index_of(cell)
-                ] = probability
+        positions = self._affected_positions(delta, refitted, appended_cells)
+        if positions:
+            affected = [self.predictions.cells[i] for i in positions]
+            self.predictions.probabilities[positions] = (
+                self.detector._score_probabilities(affected)
+            )
             self.rescored_cells += len(affected)
         return self.predictions
 
-    def _affected_cells(
+    def _affected_positions(
         self,
         delta: DatasetDelta,
         refitted: Sequence[str],
         appended_cells: Sequence[Cell] = (),
-    ) -> list[Cell]:
-        """The prediction cells whose features ``delta`` can change.
+    ) -> list[int]:
+        """Positions of the prediction cells whose features ``delta`` can
+        change.
 
         Derived from the scopes of the pipeline's (possibly just refitted)
-        featurizers; see the class docstring for the rules.  Preserves the
-        prediction order so chunking stays deterministic.
+        featurizers; see the class docstring for the rules.  Ascending, so
+        the cells keep the prediction order and chunking stays
+        deterministic.
         """
         pipeline = self.detector.pipeline
         predicted = self.predictions
@@ -712,16 +713,18 @@ class DetectionSession:
             f.context is not FeatureContext.ATTRIBUTE for f in refit_by_name.values()
         )
         if everything:
-            return list(predicted.cells)
+            return list(range(len(predicted.cells)))
         # Appended cells have no score yet — always (re)score them.
         edited = set(delta.cells) | set(appended_cells)
+        # Hashing a Cell runs Python code; most cells fail the int test.
+        edited_rows = {cell.row for cell in edited}
         rows = set(delta.rows)
         columns = set(delta.columns) if refit_by_name else set()
         row_scoped = FeatureContext.TUPLE in self.scopes
         return [
-            cell
-            for cell in predicted.cells
-            if cell in edited
+            i
+            for i, cell in enumerate(predicted.cells)
+            if (cell.row in edited_rows and cell in edited)
             or (row_scoped and cell.row in rows)
             or cell.attr in columns
         ]

@@ -242,31 +242,40 @@ class FastTextEmbedding:
         ids = self._word_subword_ids(word, self._vocab.get(word))
         return self._in[ids].mean(axis=0)
 
-    def sentence_vector(self, tokens: Sequence[str]) -> np.ndarray:
-        """Mean of token vectors; zero vector for an empty token list.
+    def token_rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """The ``[len(tokens), dim]`` stack of token vectors, in token order.
 
         In-vocabulary tokens are served as rows of the precomputed
         vocabulary matrix (one gather instead of per-token subword hashing);
-        only out-of-vocabulary tokens fall back to :meth:`vector`.  The
-        stacked rows equal the per-token loop's bit-for-bit, so the mean is
-        unchanged.
+        only out-of-vocabulary tokens fall back to :meth:`vector`.  Each row
+        equals :meth:`vector` of its token bit-for-bit, so the stacks of
+        consecutive pieces of a token list, concatenated, are the stack of
+        the whole list: callers may memoise the rows per piece.
         """
-        if not tokens:
-            return np.zeros(self.dim)
         if self._in is None:
             raise RuntimeError("embedding not fitted")
         vocab = self._vocab
         indices = np.array([vocab.get(t, -1) for t in tokens], dtype=np.int64)
         if np.all(indices >= 0):
-            rows = self._word_vectors()[indices]
-        else:
-            rows = np.empty((len(tokens), self.dim))
-            known = indices >= 0
-            if known.any():
-                rows[known] = self._word_vectors()[indices[known]]
-            for i in np.flatnonzero(~known):
-                rows[i] = self.vector(tokens[i])
-        return np.mean(rows, axis=0)
+            return self._word_vectors()[indices]
+        rows = np.empty((len(tokens), self.dim))
+        known = indices >= 0
+        if known.any():
+            rows[known] = self._word_vectors()[indices[known]]
+        for i in np.flatnonzero(~known):
+            rows[i] = self.vector(tokens[i])
+        return rows
+
+    def sentence_vector(self, tokens: Sequence[str]) -> np.ndarray:
+        """Mean of token vectors; zero vector for an empty token list.
+
+        The mean of :meth:`token_rows`: a caller that averages the same
+        rows in the same order, however it assembled them, gets the same
+        bits.
+        """
+        if not tokens:
+            return np.zeros(self.dim)
+        return np.mean(self.token_rows(tokens), axis=0)
 
     def _word_vectors(self) -> np.ndarray:
         """The ``[vocab, dim]`` matrix of in-vocabulary word vectors.

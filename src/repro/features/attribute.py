@@ -7,7 +7,11 @@ different value, format, and frequency distributions.
 Every transform is batched (see :class:`~repro.features.base.CellBatch`):
 per-value statistics are computed once per *unique* value of a column and
 scattered to all cells carrying it, which is where most of the speedup of
-the batched engine comes from — real columns are heavily repetitive.
+the batched engine comes from — real columns are heavily repetitive.  The
+embedding and n-gram models also memoise value → vector (or log-probability
+row) per column model across calls (:meth:`~repro.features.base.Featurizer._memo`),
+so a served relation whose values repeat from request to request computes
+each value once per fit of its column.
 
 All models here declare ``scope = ATTRIBUTE`` — their transforms read
 nothing beyond the cell's own (possibly overridden) value and the fitted
@@ -70,9 +74,13 @@ class _ColumnEmbeddingFeaturizer(EmbeddingFeaturizer, ColumnScopedFeaturizer):
         out = np.zeros((len(batch), self._dim))
         for attr, by_value in batch.value_groups.items():
             model = self._models[attr]
+            vectors = self._memo(attr, model)
             for value, idx in by_value.items():
-                tokens = self._tokens(value) or ["<empty>"]
-                out[idx] = model.sentence_vector(tokens)
+                vector = vectors.get(value)
+                if vector is None:
+                    tokens = self._tokens(value) or ["<empty>"]
+                    vector = vectors[value] = model.sentence_vector(tokens)
+                out[idx] = vector
         return out
 
     @property
@@ -146,8 +154,14 @@ class _NGramFeaturizer(ColumnScopedFeaturizer):
         out = np.zeros((len(batch), self._least_k))
         for attr, by_value in batch.value_groups.items():
             model = self._models[attr]
+            log_probs = self._memo(attr, model)
             for value, idx in by_value.items():
-                out[idx] = np.log(model.least_probable_grams(value, self._least_k))
+                row = log_probs.get(value)
+                if row is None:
+                    row = log_probs[value] = np.log(
+                        model.least_probable_grams(value, self._least_k)
+                    )
+                out[idx] = row
         return out
 
     @property

@@ -35,6 +35,11 @@ from repro.embeddings.fasttext import FastTextEmbedding
 #: from a previous fit can never collide with a refitted model.
 _TOKEN_COUNTER = itertools.count()
 
+#: Entries at which a :meth:`Featurizer._memo` is emptied before a call.
+#: The call that finds it full refills it, so a memo holds at most this
+#: many entries plus those one transform call adds.
+MEMO_MAX_ENTRIES = 8192
+
 
 class FeatureContext(enum.Enum):
     """The three granularities of §4.1.
@@ -462,6 +467,27 @@ class Featurizer:
         """Issue a fresh cache token (call after refitting in place)."""
         self._cache_token = f"{type(self).__name__}:{self.name}#{next(_TOKEN_COUNTER)}"
 
+    def _memo(self, name: str, fitted: object) -> dict:
+        """The transform memo ``name``: a dict that outlives the call.
+
+        It belongs to the fitted object ``fitted`` (a column's model, the
+        relation-wide embedding): when ``fitted`` is not the object the memo
+        was built for — a per-column refit, :meth:`load_state`, a refit of
+        the relation — a new, empty memo replaces it.  It is emptied once it
+        holds :data:`MEMO_MAX_ENTRIES` entries.  Callers key it by value or
+        row content, never by row index, so it stays correct across edits
+        and relations; and they read it with ``get`` and use what they
+        computed, since another thread may empty it between two lookups.
+        """
+        memos = self.__dict__.setdefault("_memos", {})
+        entry = memos.get(name)
+        if entry is None or entry[0] is not fitted:
+            entry = memos[name] = (fitted, {})
+        memo = entry[1]
+        if len(memo) >= MEMO_MAX_ENTRIES:
+            memo.clear()
+        return memo
+
     def _require_fitted(self, attribute: str) -> None:
         if getattr(self, attribute, None) is None:
             raise RuntimeError(f"{type(self).__name__} used before fit()")
@@ -480,12 +506,12 @@ class ColumnScopedFeaturizer(Featurizer):
     :meth:`fit` (every column) and a column-scoped :meth:`refresh` — after
     a batch edit only the touched columns are refitted.
 
-    Note the cache-token granularity: a refresh still issues one fresh
-    token for the whole featurizer, so cached blocks of *untouched* columns
-    are also recomputed on next use.  That is a deliberate trade-off —
-    refitting a column's model (e.g. a FastText embedding) dwarfs
-    re-transforming its cached blocks, and a per-column token would
-    complicate every cache key for a cost that is already marginal.
+    Note the two granularities of reuse after a refresh.  The opt-in block
+    cache keys on one token for the whole featurizer, and a refresh draws
+    a fresh one, so cached blocks of *untouched* columns are recomputed on
+    next use.  The per-value transform memos (:meth:`Featurizer._memo`)
+    belong to each column's fitted model instead: a refitted column starts
+    a new memo, and every untouched column keeps its own.
     """
 
     scope = FeatureContext.ATTRIBUTE

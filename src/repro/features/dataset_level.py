@@ -15,7 +15,6 @@ from repro.constraints.dc import DenialConstraint, decode_constraint, encode_con
 from repro.constraints.violations import ViolationEngine
 from repro.dataset.table import Cell, Dataset
 from repro.embeddings.corpus import EMPTY_TOKEN, tuple_value_corpus
-from repro.embeddings.fasttext import FastTextEmbedding
 from repro.features.base import CellBatch, FeatureContext, Featurizer
 from repro.features.partials import (
     decode_fd_group_partial,
@@ -263,23 +262,20 @@ class NeighborhoodFeaturizer(_RelationEmbeddingFeaturizer):
     _kind = "embedding/tuple-value"
     _corpus = staticmethod(tuple_value_corpus)
 
-    def _set_model(self, model: FastTextEmbedding) -> None:
-        self._model = model
-        # Per-model memo of token distances.
-        self._cache: dict[str, float] = {}
-
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_model")
         out = np.zeros((len(batch), 1))
         # Distance depends only on the value: compute per unique token, with
-        # the persistent per-fit memo carrying hits across batches.
+        # the per-model memo carrying hits across calls.
+        distances = self._memo("distance", self._model)
         unique: dict[str, list[int]] = {}
         for i, value in enumerate(batch.resolved):
             unique.setdefault(value if value else EMPTY_TOKEN, []).append(i)
         for token, idx in unique.items():
-            if token not in self._cache:
-                self._cache[token] = self._model.nearest_neighbor_distance(token)
-            out[idx, 0] = self._cache[token]
+            distance = distances.get(token)
+            if distance is None:
+                distance = distances[token] = self._model.nearest_neighbor_distance(token)
+            out[idx, 0] = distance
         return out
 
     @property

@@ -272,13 +272,6 @@ class FeaturePipeline:
             keys.update(featurizer.artifact_keys)
         return keys
 
-    def without(self, name: str) -> "FeaturePipeline":
-        """A new (unfitted) pipeline with one representation model removed."""
-        remaining = [f for f in self.featurizers if f.name != name]
-        if len(remaining) == len(self.featurizers):
-            raise ValueError(f"no featurizer named {name!r}")
-        return FeaturePipeline(remaining, cache=self.cache)
-
     def fit(self, dataset: Dataset) -> "FeaturePipeline":
         """Fit every representation model on the noisy input dataset D.
 

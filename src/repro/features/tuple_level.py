@@ -5,16 +5,20 @@ co-occurrence statistics, and a learnable embedding of the whole tuple.
 Swapped values — which look perfectly normal to every attribute-level model —
 break co-occurrence patterns, and these models are what surfaces them.
 
-Both models are batched: co-occurrence statistics are looked up once per
-unique ``(attribute, value)`` pair of the batch, and tuple/context embedding
-vectors are memoised per unique value and per ``(row, attribute)`` context.
+Both models are batched: co-occurrence count tables are resolved once per
+unique ``(attribute, value)`` pair of the batch.  The tuple embedding
+memoises across calls (:meth:`~repro.features.base.Featurizer._memo`), per
+fitted model: value → the cell's own vector, value → its token rows, and
+``(attribute position, row values)`` → the context vector.  The keys are
+contents, never row indices: an edited row misses and computes its new
+contexts, and another relation with the same values reads the same entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dataset.table import Cell, Dataset
+from repro.dataset.table import Dataset
 from repro.embeddings.corpus import tuple_corpus
 from repro.embeddings.fasttext import FastTextEmbedding
 from repro.features.base import (
@@ -102,11 +106,13 @@ class CooccurrenceFeaturizer(Featurizer):
                     # signal — the zero initialisation already encodes it.
                     continue
                 buckets = self._joint[key]
+                tables = [buckets.get(attr_b, {}) for attr_b in others]
                 for i in idx:
                     row = batch.cells[i].row
-                    for j, (attr_b, col_b) in enumerate(zip(others, other_cols)):
-                        count = buckets.get(attr_b, {}).get(col_b[row], 0)
-                        out[i, j] = count / total
+                    out[i] = [
+                        table.get(col_b[row], 0) / total
+                        for table, col_b in zip(tables, other_cols)
+                    ]
         return out
 
     @property
@@ -148,15 +154,10 @@ class _RelationEmbeddingFeaturizer(EmbeddingFeaturizer):
     def _corpus(dataset: Dataset) -> list[list[str]]:
         raise NotImplementedError
 
-    def _set_model(self, model: FastTextEmbedding) -> None:
-        self._model = model
-
     def fit(self, dataset: Dataset) -> "_RelationEmbeddingFeaturizer":
         self._artifact_keys = {}
-        self._set_model(
-            self._fit_embedding(
-                self.name, dataset.fingerprint(), lambda: self._corpus(dataset)
-            )
+        self._model = self._fit_embedding(
+            self.name, dataset.fingerprint(), lambda: self._corpus(dataset)
         )
         return self
 
@@ -164,7 +165,7 @@ class _RelationEmbeddingFeaturizer(EmbeddingFeaturizer):
         return {"model": self._model.to_state()}
 
     def load_state(self, state) -> None:
-        self._set_model(FastTextEmbedding.from_state(state["model"]))
+        self._model = FastTextEmbedding.from_state(state["model"])
 
 
 class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
@@ -186,30 +187,56 @@ class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_model")
+        model = self._model
+        dim = self._dim
+        own_vectors = self._memo("value", model)
+        token_rows = self._memo("tokens", model)
+        contexts = self._memo("context", model)
         dataset = batch.dataset
-        out = np.zeros((len(batch), 2 * self._dim))
-        # The model is dataset-global, so the cell's own vector depends only
-        # on its value — memoise per unique value across the whole batch.
-        value_vectors: dict[str, np.ndarray] = {}
-        # Context excludes the cell's own attribute, so the cache key is
-        # (row, attr); the override never changes the context.
-        context_cache: dict[tuple[int, str], np.ndarray] = {}
+        position = {attr: k for k, attr in enumerate(dataset.attributes)}
+        rows: dict[int, tuple[str, ...]] = {}
+        out = np.zeros((len(batch), 2 * dim))
         for i, (cell, value) in enumerate(zip(batch.cells, batch.resolved)):
-            if value not in value_vectors:
-                cell_tokens = word_tokens(value) or ["<empty>"]
-                value_vectors[value] = self._model.sentence_vector(cell_tokens)
-            key = (cell.row, cell.attr)
-            if key not in context_cache:
-                context_tokens: list[str] = []
-                for attr in dataset.attributes:
-                    if attr != cell.attr:
-                        context_tokens.extend(word_tokens(dataset.value(Cell(cell.row, attr))))
-                context_cache[key] = self._model.sentence_vector(
-                    context_tokens or ["<empty>"]
+            own = own_vectors.get(value)
+            if own is None:
+                own = own_vectors[value] = self._mean_vector(
+                    [self._token_rows(token_rows, value)]
                 )
-            out[i, : self._dim] = value_vectors[value]
-            out[i, self._dim :] = context_cache[key]
+            # The context is the row's other values in schema order, so the
+            # cell's position and the row's values determine it; the
+            # override never changes it.
+            row = rows.get(cell.row)
+            if row is None:
+                row = rows[cell.row] = tuple(dataset.row_values(cell.row))
+            key = (position[cell.attr], row)
+            context = contexts.get(key)
+            if context is None:
+                context = contexts[key] = self._mean_vector(
+                    [
+                        self._token_rows(token_rows, other)
+                        for k, other in enumerate(row)
+                        if k != key[0]
+                    ]
+                )
+            out[i, :dim] = own
+            out[i, dim:] = context
         return out
+
+    def _token_rows(self, memo: dict, value: str) -> np.ndarray:
+        """The token rows of ``value``'s word tokens, through ``memo``."""
+        rows = memo.get(value)
+        if rows is None:
+            rows = memo[value] = self._model.token_rows(word_tokens(value))
+        return rows
+
+    def _mean_vector(self, pieces: list[np.ndarray]) -> np.ndarray:
+        """``sentence_vector`` of the concatenated token lists whose rows
+        are ``pieces`` (``["<empty>"]`` when there are none): the same rows
+        in the same order, so the same bits."""
+        stacked = np.concatenate(pieces) if pieces else np.zeros((0, self._dim))
+        if not len(stacked):
+            return self._model.sentence_vector(["<empty>"])
+        return np.mean(stacked, axis=0)
 
     @property
     def dim(self) -> int:

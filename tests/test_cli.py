@@ -342,15 +342,22 @@ class TestDetectWithSpec:
         (["rescore", "--input", "{tmp}/data.csv", "--model", "{tmp}",
           "--edits", "{tmp}/edits.csv", "--output", "{tmp}/o.csv"], "state.json"),
         (["serve", "--models", "{tmp}", "--port", "-5"], "port"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--output", "{tmp}/missing/o.csv"], "missing/o.csv"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--output", "{tmp}/o.csv", "--json", "{tmp}/missing/r.json"], "missing/r.json"),
+        (["rescore", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--edits", "{tmp}/edits.csv", "--output", "{tmp}/missing/o.csv"], "missing/o.csv"),
     ],
     ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
-         "serve-port"],
+         "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""
     (tmp_path / "data.csv").write_text("zip,city\n60612,Chicago\n")
     (tmp_path / "edits.csv").write_text("row,attribute,value\n0,zip,60613\n")
+    (tmp_path / "labels.csv").write_text("row,attribute,true_value\n0,zip,60612\n")
     (tmp_path / "sweep.toml").write_text(
         'datasets = [{ name = "hospital", rows = 60 }]\n'
         "label_budgets = [0.2]\n"

@@ -165,13 +165,6 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown"):
             default_pipeline(None, exclude=("no_such_model",))
 
-    def test_without_method(self, dataset):
-        pipe = default_pipeline(None, embedding_dim=4)
-        smaller = pipe.without("neighborhood")
-        assert "neighborhood" not in smaller.model_names
-        with pytest.raises(ValueError):
-            pipe.without("nope")
-
     def test_duplicate_names_rejected(self):
         f1, f2 = EmpiricalDistributionFeaturizer(), EmpiricalDistributionFeaturizer()
         with pytest.raises(ValueError, match="duplicate"):

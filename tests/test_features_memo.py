@@ -1,0 +1,194 @@
+"""Transform memos (``Featurizer._memo``): reuse across calls changes no bit.
+
+The embedding, n-gram and neighbourhood featurizers memoise per value, and
+the tuple embedding also per row content, for as long as the fitted model
+they were computed from lives.  These tests pin what keeps that reuse
+exact: content keys (value overrides, edited rows), the reset with the
+fitted model (a per-column refresh, ``load_state``), the entry cap, and
+concurrent transforms through one pipeline.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import repro.features.base as features_base
+from repro.core import DetectionSession, DetectorConfig, HoloDetect
+from repro.data import load_dataset
+from repro.dataset import Cell, Dataset
+from repro.evaluation import make_split
+from repro.features import (
+    CellBatch,
+    CharEmbeddingFeaturizer,
+    FeaturePipeline,
+    FormatNGramFeaturizer,
+    TupleEmbeddingFeaturizer,
+)
+from repro.persistence import load_detector, save_detector
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A fitted detector's save directory and the relation it was fitted on."""
+    bundle = load_dataset("hospital", num_rows=40, seed=3)
+    split = make_split(bundle, 0.2, rng=0)
+    detector = HoloDetect(DetectorConfig(epochs=2, embedding_dim=4, seed=0))
+    detector.fit(bundle.dirty, split.training, bundle.constraints)
+    path = tmp_path_factory.mktemp("memo") / "detector"
+    save_detector(detector, path)
+    return path, bundle.dirty
+
+
+def _fresh(saved) -> HoloDetect:
+    """The saved detector, loaded with empty memos over a copy of its relation."""
+    path, relation = saved
+    return load_detector(path, relation.copy())
+
+
+def _shuffled(dataset: Dataset, seed: int = 0) -> list[Cell]:
+    cells = list(dataset.cells())
+    return [cells[i] for i in np.random.default_rng(seed).permutation(len(cells))]
+
+
+def _blocks(features) -> list[bytes]:
+    return [features.numeric.tobytes()] + [
+        features.branches[name].tobytes() for name in sorted(features.branches)
+    ]
+
+
+def _featurizer(detector: HoloDetect, name: str):
+    return next(f for f in detector.pipeline.featurizers if f.name == name)
+
+
+class TestContentKeys:
+    def test_warm_detector_matches_a_fresh_load(self, saved):
+        warm, fresh = _fresh(saved), _fresh(saved)
+        dataset = warm._dataset
+        warm.predict(list(dataset.cells()))  # every memo warm
+        cells = _shuffled(dataset)
+        assert (
+            warm.predict(cells).probabilities.tobytes()
+            == fresh.predict(cells).probabilities.tobytes()
+        )
+
+    def test_warm_detector_matches_a_fresh_load_with_overrides(self, saved):
+        warm, fresh = _fresh(saved), _fresh(saved)
+        dataset = warm._dataset
+        warm.predict(list(dataset.cells()))
+        cells = _shuffled(dataset, seed=1)
+        # Every other cell carries a value from elsewhere in the relation (a
+        # memo hit under another cell) or a new one (a miss).
+        donors = _shuffled(dataset, seed=2)
+        values = [
+            dataset.value(cell) if i % 2 else dataset.value(donors[i]) + ("" if i % 4 else "~")
+            for i, cell in enumerate(cells)
+        ]
+        warm_features = warm.pipeline.transform(cells, dataset, values)
+        fresh_features = fresh.pipeline.transform(cells, fresh._dataset, values)
+        assert _blocks(warm_features) == _blocks(fresh_features)
+        assert (
+            warm._score_features(warm_features).tobytes()
+            == fresh._score_features(fresh_features).tobytes()
+        )
+
+    def test_edited_row_mates_read_their_new_context(self, saved):
+        detector = _fresh(saved)
+        dataset = detector._dataset
+        detector.predict(list(dataset.cells()))  # every memo warm
+        session = DetectionSession(detector)
+        edited = Cell(3, dataset.attributes[0])
+        session.apply({edited: dataset.value(edited) + " edited"})
+        row_mates = [c for c in dataset.cells_of_row(3) if c != edited]
+        warm = _featurizer(detector, "tuple_embedding")
+        fresh = TupleEmbeddingFeaturizer.from_state(warm.to_state())
+        batch = CellBatch(row_mates, dataset)
+        assert warm.transform_batch(batch).tobytes() == fresh.transform_batch(batch).tobytes()
+        # And end to end: the patched session equals a fresh full prediction.
+        path, _ = saved
+        reloaded = load_detector(path, dataset.copy())
+        expected = reloaded.predict(session.predictions.cells).probabilities
+        assert session.predictions.probabilities.tobytes() == expected.tobytes()
+
+
+class TestReset:
+    @pytest.fixture
+    def relation(self):
+        rows = [["60612", "Chicago", "IL"]] * 4 + [["02139", "Cambridge", "MA"]] * 4
+        return Dataset.from_rows(["zip", "city", "state"], rows)
+
+    def test_refresh_replaces_only_the_refitted_columns_memo(self, relation):
+        featurizer = CharEmbeddingFeaturizer(dim=4, epochs=1)
+        pipeline = FeaturePipeline([featurizer]).fit(relation)
+        pipeline.transform(list(relation.cells()), relation)
+        city = featurizer._memo("city", featurizer._models["city"])
+        zip_memo = featurizer._memo("zip", featurizer._models["zip"])
+        assert city and zip_memo
+        delta = relation.apply_edits({Cell(0, "city"): "Springfield"})
+        assert pipeline.refresh(relation, delta) == ["char_embedding"]
+        pipeline.transform(list(relation.cells()), relation)
+        assert featurizer._memo("city", featurizer._models["city"]) is not city
+        assert featurizer._memo("zip", featurizer._models["zip"]) is zip_memo
+
+    def test_load_state_starts_empty(self, relation):
+        featurizer = FormatNGramFeaturizer().fit(relation)
+        featurizer.transform(list(relation.cells()), relation)
+        assert featurizer._memo("zip", featurizer._models["zip"])
+        featurizer.load_state(featurizer.to_state())
+        assert featurizer._memo("zip", featurizer._models["zip"]) == {}
+
+
+class TestCap:
+    def test_a_full_memo_is_emptied_and_outputs_stay_identical(self, saved, monkeypatch):
+        reference, capped = _fresh(saved), _fresh(saved)
+        cells = _shuffled(capped._dataset, seed=3)[:120]
+        expected = [_blocks(reference.pipeline.transform([c], reference._dataset)) for c in cells]
+        monkeypatch.setattr(features_base, "MEMO_MAX_ENTRIES", 3)
+        char = _featurizer(capped, "char_embedding")
+        sizes = []
+        for cell, blocks in zip(cells, expected):
+            assert _blocks(capped.pipeline.transform([cell], capped._dataset)) == blocks
+            sizes.append(sum(len(memo) for _, memo in char._memos.values()))
+        per_memo = [len(memo) for _, memo in char._memos.values()]
+        assert max(per_memo) <= 3
+        # Filling past the cap empties the memo: the total shrank at least once.
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+
+
+def test_concurrent_transforms_match_the_single_threaded_reference(saved, monkeypatch):
+    """More threads than cores transform overlapping batches through one
+    pipeline whose small memos fill and empty under them."""
+    detector = _fresh(saved)
+    pipeline, dataset = detector.pipeline, detector._dataset
+    cells = _shuffled(dataset, seed=4)[:160]
+    batches = [cells[start : start + 24] for start in range(0, 140, 8)]
+    reference = [_blocks(pipeline.transform(batch, dataset)) for batch in batches]
+    monkeypatch.setattr(features_base, "MEMO_MAX_ENTRIES", 2)
+    threads_count = (os.cpu_count() or 1) + 2
+    problems: list[str] = []
+
+    def work(offset: int) -> None:
+        try:
+            for k in range(len(batches)):
+                index = (k + offset) % len(batches)
+                if _blocks(pipeline.transform(batches[index], dataset)) != reference[index]:
+                    problems.append(f"thread {offset}: batch {index} differs")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            problems.append(f"thread {offset}: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
