@@ -17,9 +17,9 @@ Gates:
   lease; the survivor reclaims it after the TTL and completes the sweep,
   again bit-identically.
 
-The measured numbers are written as JSON (to ``$REPRO_DISTRIBUTED_JSON``
-if set, else ``bench_distributed_sweep.json``) so CI archives them as an
-artifact.  Run with ``pytest benchmarks/bench_distributed_sweep.py -s`` to
+The measured numbers are written as JSON (to
+``bench_distributed_sweep.json`` in the working directory) so CI archives
+them as an artifact.  Run with ``pytest benchmarks/bench_distributed_sweep.py -s`` to
 see the tables.
 """
 
@@ -39,10 +39,10 @@ from repro.coordination import read_audit
 from repro.evaluation.matrix import ScenarioMatrix, run_matrix
 from repro.evaluation.store import ResultStore
 
-_RESULTS_PATH = Path(os.environ.get("REPRO_DISTRIBUTED_JSON", "bench_distributed_sweep.json"))
+_RESULTS_PATH = Path("bench_distributed_sweep.json")
 
-#: Per-scenario sleep; raise via env to push further past process startup.
-_DELAY = float(os.environ.get("REPRO_DIST_DELAY", "0.8"))
+#: Per-scenario sleep: long enough that the sweep outweighs process startup.
+_DELAY = 0.8
 
 #: The acceptance threshold: 3 workers must beat 0.6x one worker.
 _SPEEDUP_GATE = 0.6

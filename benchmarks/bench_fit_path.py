@@ -17,15 +17,14 @@ Two gates, per the ISSUE 5 acceptance criteria:
   shared artifact directory produces metrics **bit-for-bit identical** to a
   cold sequential sweep, with a measured wall-clock reduction.
 
-The measured numbers are written as JSON (to ``$REPRO_FIT_PATH_JSON`` if
-set, else ``bench_fit_path.json``) so CI archives them as an artifact.
+The measured numbers are written as JSON (to ``bench_fit_path.json`` in
+the working directory) so CI archives them as an artifact.
 
 Run with ``pytest benchmarks/bench_fit_path.py -s`` to see the tables.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -38,7 +37,7 @@ from repro.evaluation.matrix import ScenarioMatrix, run_matrix
 from repro.evaluation.splits import make_split
 from repro.utils.timing import Timer
 
-_RESULTS_PATH = Path(os.environ.get("REPRO_FIT_PATH_JSON", "bench_fit_path.json"))
+_RESULTS_PATH = Path("bench_fit_path.json")
 
 
 @pytest.mark.parametrize("dataset_name", ["hospital"])

@@ -15,9 +15,8 @@ Two things are asserted, per the ISSUE 2 acceptance criteria:
 - the patched probabilities are **bit-for-bit identical** to the full pass
   — incrementality never changes a prediction.
 
-The measured numbers are also written as JSON (to ``$REPRO_BENCH_JSON`` if
-set, else ``bench_incremental.json`` in the working directory) so CI can
-archive them as a build artifact.
+The measured numbers are also written as JSON (to ``bench_incremental.json``
+in the working directory) so CI can archive them as a build artifact.
 
 Run with ``pytest benchmarks/bench_incremental.py -s`` to see the table.
 """
@@ -25,7 +24,6 @@ Run with ``pytest benchmarks/bench_incremental.py -s`` to see the table.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +112,9 @@ def test_incremental_rescore_speedup(benchmark, core_bundles, dataset_name):
         "seconds_incremental": t_incr,
         "speedup": speedup,
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_JSON", "bench_incremental.json"))
-    out_path.write_text(json.dumps(results, indent=2), encoding="utf-8")
+    Path("bench_incremental.json").write_text(
+        json.dumps(results, indent=2), encoding="utf-8"
+    )
 
     # ISSUE 2 acceptance: the incremental path is exact...
     assert patched.cells == baseline.cells

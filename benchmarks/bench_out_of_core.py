@@ -21,8 +21,8 @@ Two phases, per the acceptance criteria:
   while the in-memory twin of the same workload reports the same
   prediction checksum and relation fingerprint (bit-identity at scale).
 
-The measured numbers are written as JSON (to ``$REPRO_OOC_JSON`` if set,
-else ``bench_out_of_core.json``) so CI archives them as an artifact.
+The measured numbers are written as JSON (to ``bench_out_of_core.json`` in
+the working directory) so CI archives them as an artifact.
 
 Run with ``pytest benchmarks/bench_out_of_core.py -s`` to see the tables.
 """
@@ -47,7 +47,7 @@ from repro.evaluation.splits import make_split
 from repro.persistence import save_detector
 from repro.utils.timing import Timer
 
-_RESULTS_PATH = Path(os.environ.get("REPRO_OOC_JSON", "bench_out_of_core.json"))
+_RESULTS_PATH = Path("bench_out_of_core.json")
 _FACTOR = int(os.environ.get("REPRO_OOC_FACTOR", "40"))
 _WORKER = Path(__file__).parent / "_ooc_worker.py"
 

@@ -8,8 +8,8 @@ passes, so their p95 latency must stay within 2× of a lone client's p95
 (the acceptance gate), while every response stays bit-identical to a direct
 ``HoloDetect`` computation on a freshly loaded model.
 
-Reported (and archived as JSON to ``$REPRO_SERVING_JSON`` if set, else
-``bench_serving.json``):
+Reported (and archived as JSON to ``bench_serving.json`` in the working
+directory):
 
 - single-client sequential p50/p95 latency and requests/sec;
 - 4-client concurrent p50/p95 latency and aggregate requests/sec;
@@ -21,7 +21,6 @@ Run with ``pytest benchmarks/bench_serving.py -s`` to see the tables.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +33,7 @@ from repro.persistence import load_detector, save_detector
 from repro.serving import ServeClient, ServeConfig, probabilities_of
 from repro.serving.testing import InProcessServer
 
-_RESULTS_PATH = Path(os.environ.get("REPRO_SERVING_JSON", "bench_serving.json"))
+_RESULTS_PATH = Path("bench_serving.json")
 
 CLIENTS = 4
 REQUESTS_PER_CLIENT = 25

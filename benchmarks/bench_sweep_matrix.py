@@ -10,9 +10,8 @@ exercises the full machinery at CI scale — a 2-dataset × 2-error-profile ×
 - after deleting half the store, a ``resume`` run re-executes **only** the
   missing scenarios and converges to the same records.
 
-The sweep summary is also written as JSON (to ``$REPRO_SWEEP_JSON`` if
-set, else ``bench_sweep_matrix.json`` in the working directory) so CI can
-archive it as a build artifact.
+The sweep summary is also written as JSON (to ``bench_sweep_matrix.json``
+in the working directory) so CI can archive it as a build artifact.
 
 Run with ``pytest benchmarks/bench_sweep_matrix.py -s`` to see the table.
 """
@@ -20,7 +19,6 @@ Run with ``pytest benchmarks/bench_sweep_matrix.py -s`` to see the table.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from conftest import BENCH_SEED, print_table
@@ -107,6 +105,6 @@ def test_sweep_parallel_matches_sequential_and_resumes(tmp_path):
     payload = parallel.to_json()
     payload["sequential_seconds"] = serial_timer.elapsed
     payload["parallel_seconds"] = parallel_timer.elapsed
-    out_path = Path(os.environ.get("REPRO_SWEEP_JSON", "bench_sweep_matrix.json"))
+    out_path = Path("bench_sweep_matrix.json")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")

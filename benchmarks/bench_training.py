@@ -24,15 +24,14 @@ measured in **process CPU time** (best of three interleaved rounds) so
 noisy-neighbour contention on shared CI runners cannot skew the ratio in
 either direction; wall-clock is reported alongside and matches on a quiet
 machine.  The measured numbers are written as JSON (to
-``$REPRO_TRAINING_JSON`` if set, else ``bench_training.json``) so CI
-archives them as an artifact.
+``bench_training.json`` in the working directory) so CI archives them as
+an artifact.
 
 Run with ``pytest benchmarks/bench_training.py -s`` to see the table.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -48,11 +47,11 @@ from repro.nn.backends.numpy_backend import KERNELS
 #: The two trainers, by the names the results table and JSON use.
 _TRAINERS = {"reference": GraphTrainer, "numpy": KERNELS.joint_trainer}
 
-_RESULTS_PATH = Path(os.environ.get("REPRO_TRAINING_JSON", "bench_training.json"))
+_RESULTS_PATH = Path("bench_training.json")
 
-#: Scale knobs (env-overridable for CI smoke runs).
-_STEPS = int(os.environ.get("REPRO_TRAINING_STEPS", "800"))
-_MIN_SPEEDUP = float(os.environ.get("REPRO_TRAINING_MIN_SPEEDUP", "5.0"))
+#: Optimiser steps of each timed run, and the speedup gate.
+_STEPS = 800
+_MIN_SPEEDUP = 5.0
 
 _N = 400
 _NUMERIC_DIM = 8

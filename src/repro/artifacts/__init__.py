@@ -5,17 +5,17 @@ The fit path of the detector is dominated by work that is a *pure function*
 of its inputs: a FastText embedding is determined by (corpus content,
 embedding config), a co-occurrence table by (relation content).  The
 artifact store memoises those fits under a SHA-256 content key, served from
-an in-process LRU backed by an optional on-disk object directory, so a warm
-``fit()`` skips embedding training entirely and parallel sweep workers
-share one fit per (dataset, budget-independent component) instead of one
-per scenario.
+an in-process memory tier backed by an optional on-disk object directory,
+so a warm ``fit()`` skips embedding training entirely and parallel sweep
+workers share one fit per (dataset, budget-independent component) instead
+of one per scenario.
 
 Modules:
 
 - :mod:`repro.artifacts.keys` — key derivation (canonical-JSON SHA-256 over
   kind + scoped data fingerprint + component config) and the content-derived
   training seeds that make fitted artifacts reusable across detector seeds;
-- :mod:`repro.artifacts.store` — :class:`ArtifactStore` (bounded LRU +
+- :mod:`repro.artifacts.store` — :class:`ArtifactStore` (memory tier +
   append/latest-wins disk objects, corrupt-tolerant), its statistics, and
   ``flatten_arrays``/``restore_arrays``, the one array layer of artifact
   objects and saved detectors;

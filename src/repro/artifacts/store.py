@@ -1,12 +1,16 @@
-"""The content-addressed artifact store: bounded LRU + optional disk objects.
+"""The content-addressed artifact store: a memory tier + optional disk objects.
 
 A *payload* is a JSON-able dict that may carry numpy arrays as values at any
 depth (e.g. a :meth:`FastTextEmbedding.to_state` dict).  The store
 content-addresses payloads by the caller-derived key
 (:func:`repro.artifacts.keys.artifact_key`) at two tiers:
 
-- an **in-process LRU** (``max_entries`` payloads) serving repeated fits in
-  one process at dictionary-lookup cost;
+- an **in-process memory tier** serving repeated fits in one process at
+  dictionary-lookup cost.  A memory-only store keeps every payload it is
+  given: the memory tier is its only copy, and one sharded fit alone
+  stores more artifacts than an LRU of :data:`LRU_MAX_ENTRIES` holds.  A
+  directory-backed store keeps the :data:`LRU_MAX_ENTRIES` most recently
+  used payloads in memory; an evicted key comes back as a disk hit;
 - an optional **on-disk object directory** shared across processes::
 
       <dir>/objects/<key[:2]>/<key>.npz   # arrays + JSON state, one file per key
@@ -40,8 +44,8 @@ could not be memoised), while a persistent *read* fault reports a miss
 without deleting the object (the bytes may be intact; only *corrupt
 content* is unlinked).
 
-Payloads returned by :meth:`ArtifactStore.get` are shared with the LRU —
-treat them as read-only (the codec copies arrays into fresh models).
+Payloads returned by :meth:`ArtifactStore.get` are shared with the memory
+tier — treat them as read-only (the codec copies arrays into fresh models).
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ from repro.faults.taxonomy import is_fatal
 
 #: JSON state entry inside each ``.npz`` object file.
 _STATE_KEY = "__state__"
+
+#: Memory-tier capacity of a directory-backed store (a memory-only store
+#: keeps every payload).
+LRU_MAX_ENTRIES = 64
 
 
 @dataclass
@@ -151,23 +159,18 @@ def restore_arrays(text: str, arrays: Mapping[str, np.ndarray]) -> object:
 
 
 class ArtifactStore:
-    """Bounded, thread-safe LRU of fitted-artifact payloads with optional
-    shared on-disk backing.
+    """Thread-safe store of fitted-artifact payloads with optional shared
+    on-disk backing.
 
     ``directory=None`` gives a process-local memory-only store (the warm-fit
-    case); a directory adds the cross-process object tier (the sweep case).
-    The directory is created lazily on the first write.
+    case), which keeps every payload; a directory adds the cross-process
+    object tier (the sweep case) and bounds the memory tier to an LRU of
+    :data:`LRU_MAX_ENTRIES`.  The directory is created lazily on the first
+    write.
     """
 
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        max_entries: int = 64,
-    ):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
+    def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
-        self.max_entries = max_entries
         self.stats = ArtifactStats()
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
@@ -179,8 +182,8 @@ class ArtifactStore:
     def __repr__(self) -> str:
         where = str(self.directory) if self.directory is not None else "memory"
         return (
-            f"ArtifactStore({where}, entries={len(self._entries)}/"
-            f"{self.max_entries}, {self.stats.summary()})"
+            f"ArtifactStore({where}, entries={len(self._entries)}, "
+            f"{self.stats.summary()})"
         )
 
     # ------------------------------------------------------------------ #
@@ -207,7 +210,7 @@ class ArtifactStore:
         """The payload stored under ``key``, or ``None`` on a miss.
 
         Memory first, then the object directory; disk hits are promoted
-        into the LRU.  The returned dict is shared — treat as read-only.
+        into the memory tier.  The returned dict is shared — treat as read-only.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -276,7 +279,7 @@ class ArtifactStore:
         # Caller holds the lock.
         self._entries[key] = payload
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+        while self.directory is not None and len(self._entries) > LRU_MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -101,6 +102,14 @@ def _check_outputs(*paths: str | None) -> None:
             raise SystemExit(f"cannot write {path}: no directory {parent}")
         if not os.access(parent, os.W_OK):
             raise SystemExit(f"cannot write {path}: directory {parent} is not writable")
+
+
+def _check_threshold(threshold: float | None) -> None:
+    """End the command in one line when ``--threshold`` is not a finite
+    number (``nan``, ``inf``, ``1e400``): it would flag nothing, and the
+    JSON report could not carry it."""
+    if threshold is not None and not math.isfinite(threshold):
+        raise SystemExit(f"--threshold must be a finite number, got {threshold}")
 
 
 def _build_detector(args: argparse.Namespace) -> HoloDetect:
@@ -154,6 +163,7 @@ def _write_detect_json(
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    _check_threshold(args.threshold)
     _check_outputs(args.output, args.json)
     dataset = _read(read_csv, args.input)
     training = _read(read_labels, args.labels, dataset)
@@ -191,6 +201,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_rescore(args: argparse.Namespace) -> int:
+    _check_threshold(args.threshold)
     _check_outputs(args.output)
     dataset = _read(read_csv, args.input)
     edits = _read(read_edits, args.edits, dataset)  # before any fit: fail fast
@@ -522,6 +533,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_client(args: argparse.Namespace) -> int:
     from repro.serving.client import ServeClient, ServeClientError
 
+    _check_threshold(args.threshold)
     client = ServeClient(args.host, args.port)
     try:
         return _run_client_action(args, client)

@@ -18,17 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.features.pipeline import CellFeatures
-from repro.nn import (
-    Dropout,
-    Highway,
-    Linear,
-    Module,
-    ReLU,
-    Sequential,
-    Tensor,
-    concat,
-    no_grad,
-)
+from repro.nn import Dropout, Highway, Linear, Module, ReLU, Sequential, Tensor, concat
 from repro.nn.backends.numpy_backend import KERNELS
 from repro.utils.rng import as_generator
 
@@ -71,19 +61,38 @@ class JointModel(Module):
             Linear(hidden_dim, 2, rng=gen),
         )
 
-    def forward(self, features: CellFeatures) -> Tensor:  # type: ignore[override]
-        """Two-class logits ``[batch, 2]`` for a feature batch."""
-        parts: list[Tensor] = []
-        for name, branch in zip(self.branch_names, self.branches):
+    def kernel_layers(self) -> tuple:
+        """The layers the fused kernels run: ``(branches, dropout, hidden, output)``.
+
+        ``branches`` holds each branch's two highway layers and its
+        single-unit dense layer, in :attr:`branch_names` order; ``dropout``,
+        ``hidden`` and ``output`` are classifier M's.  The ReLUs between
+        them hold no parameters.
+        """
+        branches = [(h1, h2, dense) for h1, h2, _, dense in self.branches]
+        dropout, hidden, _, output = self.classifier
+        return branches, dropout, hidden, output
+
+    def check_batch(self, features: CellFeatures) -> None:
+        """Raise ``KeyError`` for a missing branch block and ``ValueError``
+        for a numeric block of the wrong width."""
+        for name in self.branch_names:
             if name not in features.branches:
                 raise KeyError(f"feature batch missing branch {name!r}")
-            parts.append(branch(Tensor(features.branches[name])))
+        if self.numeric_dim and features.numeric.shape[1] != self.numeric_dim:
+            raise ValueError(
+                f"numeric block width {features.numeric.shape[1]} != "
+                f"model numeric_dim {self.numeric_dim}"
+            )
+
+    def forward(self, features: CellFeatures) -> Tensor:  # type: ignore[override]
+        """Two-class logits ``[batch, 2]`` for a feature batch."""
+        self.check_batch(features)
+        parts = [
+            branch(Tensor(features.branches[name]))
+            for name, branch in zip(self.branch_names, self.branches)
+        ]
         if self.numeric_dim:
-            if features.numeric.shape[1] != self.numeric_dim:
-                raise ValueError(
-                    f"numeric block width {features.numeric.shape[1]} != "
-                    f"model numeric_dim {self.numeric_dim}"
-                )
             parts.append(Tensor(features.numeric))
         joint = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         return self.classifier(joint)
@@ -93,14 +102,9 @@ class JointModel(Module):
 
         This is the scalar score Platt scaling calibrates.  The forward
         pass runs on the fused numpy kernels, which are bit-identical to
-        the autodiff graph (:meth:`forward`) at float64.
+        the autodiff graph (:meth:`forward`) in eval mode at float64.  They
+        apply no dropout and build no graph, so scoring leaves the model's
+        training mode alone and needs no ``no_grad``.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                logits = KERNELS.predict_logits(self, features)
-        finally:
-            if was_training:
-                self.train()
+        logits = KERNELS.predict_logits(self, features)
         return logits[:, ERROR_CLASS] - logits[:, CORRECT_CLASS]

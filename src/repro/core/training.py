@@ -8,10 +8,12 @@ The loop is split in two: this module owns everything that defines a run —
 label validation, the epoch/permutation/minibatch schedule, the step-count
 floor, loss history — while the per-step math (forward, backward, optimiser
 update) comes from a *trainer*.  By default that is the fused numpy trainer
-(:class:`repro.nn.backends.NumpyBackend`); :class:`GraphTrainer` is the
-autodiff-graph reference it is bit-identical to at float64.  Because the
-loop draws the batch permutations from one generator, both trainers see
-the *same* batch sequence.
+(:class:`repro.nn.backends.NumpyBackend`), which trains a
+:class:`~repro.core.model.JointModel` and nothing else; :class:`GraphTrainer`
+is the autodiff-graph reference it is bit-identical to at float64, and the
+only trainer for any other module (``trainer_factory=GraphTrainer``).
+Because the loop draws the batch permutations from one generator, both
+trainers see the *same* batch sequence.
 """
 
 from __future__ import annotations
@@ -86,15 +88,24 @@ def train_model(
     features: CellFeatures,
     labels: np.ndarray,
     config: TrainerConfig | None = None,
-    trainer_factory=KERNELS.joint_trainer,
+    trainer_factory=None,
 ) -> list[float]:
     """Train ``model`` on a fixed feature batch; returns per-epoch mean loss.
 
     ``labels`` are class indices (0 = correct, 1 = error).
     ``trainer_factory(model, features, labels, config)`` builds the
-    per-step trainer: the fused kernels by default, or
-    :class:`GraphTrainer` to run the autodiff reference.
+    per-step trainer: the fused kernels by default, which take a
+    :class:`~repro.core.model.JointModel` only (any other module raises
+    ``TypeError``), or :class:`GraphTrainer` to run the autodiff reference.
     """
+    if trainer_factory is None:
+        if not isinstance(model, JointModel):
+            raise TypeError(
+                f"the fused kernels train a JointModel, not "
+                f"{type(model).__name__}; pass trainer_factory=GraphTrainer "
+                f"to train it on the autodiff graph"
+            )
+        trainer_factory = KERNELS.joint_trainer
     config = config or TrainerConfig()
     labels = np.asarray(labels, dtype=np.int64)
     n = features.batch_size

@@ -43,55 +43,18 @@ subword table with the padding multiplied by a zero mask, bit for bit:
   each element receives the same additions, in the same order, as under
   the row-wise ``np.add.at``;
 - ``x / counts`` over integer counts ≡ ``x / counts.astype(float64)``.
+
+The trainer and the eval forward serve :class:`repro.core.model.JointModel`
+only: the model hands them its layers through
+:meth:`~repro.core.model.JointModel.kernel_layers` and checks a batch
+through :meth:`~repro.core.model.JointModel.check_batch`, so this module
+inspects no layer types.  Any other module trains on the autodiff graph,
+reached through ``train_model(..., trainer_factory=GraphTrainer)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.nn.layers import Dropout, Highway, Linear, ReLU, Sequential
-
-
-def extract_structure(model):
-    """The (branches, dropout, linear1, linear2) layers of a JointModel.
-
-    Returns ``None`` when ``model`` is not shaped like
-    :class:`repro.core.model.JointModel` (fused kernels are specialised to
-    that architecture; anything else falls back to the autodiff graph).
-    """
-    try:
-        branch_seqs = model.branches
-        classifier = model.classifier
-        names = model.branch_names
-    except AttributeError:
-        return None
-    if not isinstance(classifier, Sequential) or len(classifier.modules) != 4:
-        return None
-    drop, lin1, relu_c, lin2 = classifier.modules
-    if not (
-        isinstance(drop, Dropout)
-        and isinstance(lin1, Linear)
-        and isinstance(relu_c, ReLU)
-        and isinstance(lin2, Linear)
-    ):
-        return None
-    if len(branch_seqs) != len(names):
-        return None
-    branches = []
-    for seq in branch_seqs:
-        if not isinstance(seq, Sequential) or len(seq.modules) != 4:
-            return None
-        h1, h2, relu_b, lin = seq.modules
-        if not (
-            isinstance(h1, Highway)
-            and isinstance(h2, Highway)
-            and isinstance(relu_b, ReLU)
-            and isinstance(lin, Linear)
-        ):
-            return None
-        branches.append((h1, h2, lin))
-    return branches, drop, lin1, lin2
-
 
 # Hot-loop aliases: skip the np-module attribute lookup per call, and — for
 # clip — the fromnumeric wrapper entirely (maximum∘minimum computes the
@@ -240,7 +203,7 @@ class _Workspace:
 
 
 class _FusedJointTrainer:
-    """Flat-parameter fused trainer over a JointModel's layer structure.
+    """Flat-parameter fused trainer over a JointModel's layers.
 
     Driven by :func:`repro.core.training.train_model`, which owns the
     epoch / permutation / minibatch schedule: :meth:`step` runs one
@@ -248,8 +211,9 @@ class _FusedJointTrainer:
     :meth:`finalize` writes the trained parameters back into the model.
     """
 
-    def __init__(self, model, features, labels, config, structure):
-        branches, drop, lin1, lin2 = structure
+    def __init__(self, model, features, labels, config):
+        model.check_batch(features)
+        branches, drop, lin1, lin2 = model.kernel_layers()
 
         params = []
         for h1, h2, lin in branches:
@@ -419,7 +383,7 @@ class _FusedJointTrainer:
             p.data = view.copy()
 
 
-def _eval_highway(x, highway: Highway) -> np.ndarray:
+def _eval_highway(x, highway) -> np.ndarray:
     Wg, bg = highway.gate.weight.data, highway.gate.bias.data
     Wt, bt = highway.transform.weight.data, highway.transform.bias.data
     t = 1.0 / (1.0 + np.exp(-np.clip(x @ Wg + bg, -60.0, 60.0)))
@@ -435,39 +399,23 @@ class NumpyBackend:
     """
 
     def joint_trainer(self, model, features, labels, config):
-        """A fused training run of ``model`` (the default trainer factory of
-        :func:`repro.core.training.train_model`).
-
-        Models not shaped like :class:`~repro.core.model.JointModel` train
-        on the autodiff graph instead.
-        """
-        structure = extract_structure(model)
-        if structure is None:
-            from repro.core.training import GraphTrainer
-
-            return GraphTrainer(model, features, labels, config)
-        return _FusedJointTrainer(model, features, labels, config, structure)
+        """A fused training run of the :class:`~repro.core.model.JointModel`
+        ``model`` (the default trainer of
+        :func:`repro.core.training.train_model`)."""
+        return _FusedJointTrainer(model, features, labels, config)
 
     def predict_logits(self, model, features) -> np.ndarray:
-        """Eval-mode logits ``[n, classes]`` for a feature batch.
+        """Eval-mode logits ``[n, classes]`` of a
+        :class:`~repro.core.model.JointModel` for a feature batch.
 
-        Bit-identical to ``model.forward(features)`` at float64 — the
-        prediction path the golden metrics pin.  The caller manages eval
-        mode and ``no_grad``.
+        Bit-identical at float64 to ``model.forward(features)`` in eval
+        mode — the prediction path the golden metrics pin.  It applies no
+        dropout and builds no graph, whatever the model's mode, and a
+        malformed batch raises the graph forward's ``KeyError`` or
+        ``ValueError``.
         """
-        structure = extract_structure(model)
-        if (
-            structure is None
-            or any(n not in features.branches for n in model.branch_names)
-            or (
-                model.numeric_dim
-                and features.numeric.shape[1] != model.numeric_dim
-            )
-        ):
-            # The graph forward raises the canonical errors for malformed
-            # batches; shape-mismatched inputs take that path.
-            return model.forward(features).numpy()
-        branches, _, lin1, lin2 = structure
+        model.check_batch(features)
+        branches, _, lin1, lin2 = model.kernel_layers()
         names = model.branch_names
         first = (
             np.asarray(features.branches[names[0]])

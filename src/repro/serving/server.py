@@ -39,6 +39,8 @@ one pass), not through parallel forwards.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -615,9 +617,13 @@ class DetectionServer:
 
     def _threshold(self, payload: dict) -> float:
         raw = payload.get("threshold", _DEFAULT_THRESHOLD)
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise HttpError(400, "bad_request", f"threshold must be a number, got {raw!r}")
-        return float(raw)
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            with contextlib.suppress(OverflowError):  # an int beyond float range
+                if math.isfinite(raw):
+                    return float(raw)
+        raise HttpError(
+            400, "bad_request", f"threshold must be a finite number, got {raw!r}"
+        )
 
     def _detect_response(
         self, fingerprint: str, tenant: str | None, report: dict

@@ -11,7 +11,9 @@ equal bytes.
 (property-tested in ``tests/test_serving_wire.py``).  Unsupported types
 raise :class:`WireError` at encode time, malformed bytes at decode time,
 and a content type other than JSON in either direction — never an
-unhandled JSON/Unicode error.
+unhandled JSON/Unicode error.  The decoder is strict JSON (RFC 8259): the
+non-standard ``NaN``, ``Infinity`` and ``-Infinity`` constants that
+Python's ``json`` accepts by default are malformed bytes too.
 """
 
 from __future__ import annotations
@@ -46,11 +48,15 @@ def encode_payload(payload: object, content_type: str = JSON_CONTENT_TYPE) -> by
         raise WireError(f"payload is not JSON-encodable: {exc}") from exc
 
 
+def _reject_constant(name: str) -> object:
+    raise WireError(f"invalid JSON payload: {name} is not a JSON number")
+
+
 def decode_payload(data: bytes, content_type: str = JSON_CONTENT_TYPE) -> object:
     """Decode wire bytes declared as ``content_type``, which must be JSON."""
     _require_json(content_type)
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"invalid JSON payload: {exc}") from exc
 

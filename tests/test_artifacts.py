@@ -9,6 +9,7 @@ producing metrics identical to a sequential cold run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zipfile
 
@@ -24,6 +25,7 @@ from repro.artifacts import (
     training_seed,
     use_store,
 )
+from repro.artifacts import store as store_module
 from repro.artifacts.store import flatten_arrays
 from repro.core.detector import DetectionSession, DetectorConfig, HoloDetect
 from repro.data import load_dataset
@@ -102,18 +104,27 @@ class TestArtifactStore:
         assert store.stats.memory_hits == 1
         assert store.stats.puts == 1
 
-    def test_lru_eviction(self):
-        store = ArtifactStore(max_entries=2)
+    def test_lru_eviction(self, tmp_path, monkeypatch):
+        """A memory-only store keeps every payload (its memory tier is its
+        only copy); a directory-backed store's memory tier is an LRU whose
+        evicted keys come back from disk."""
+        monkeypatch.setattr(store_module, "LRU_MAX_ENTRIES", 2)
+        memory = ArtifactStore()
         for i in range(3):
-            store.put(f"k{i}", {"i": i})
-        assert len(store) == 2
-        assert store.stats.evictions == 1
-        assert store.get("k0") is None  # evicted (memory-only store)
-        assert store.get("k2")["i"] == 2
+            memory.put(f"k{i}", {"i": i})
+        assert len(memory) == 3
+        assert memory.stats.evictions == 0
+        assert memory.get("k0")["i"] == 0
+        assert memory.stats.memory_hits == 1
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ArtifactStore(max_entries=0)
+        backed = ArtifactStore(directory=tmp_path)
+        for i in range(3):
+            backed.put(f"k{i}", {"i": i})
+        assert len(backed) == 2
+        assert backed.stats.evictions == 1
+        assert backed.get("k0")["i"] == 0  # evicted from memory, read from disk
+        assert backed.stats.disk_hits == 1
+        assert backed.get("k2")["i"] == 2
 
     def test_disk_round_trip_fresh_store(self, tmp_path):
         a = ArtifactStore(directory=tmp_path)
@@ -411,7 +422,7 @@ class TestWarmFit:
 
     def test_column_scoped_invalidation(self, small_bundle, small_split):
         """Editing one column changes only that column's embedding keys."""
-        store = ArtifactStore(max_entries=256)
+        store = ArtifactStore()
         detector, _ = fit_and_predict(
             small_bundle, small_split, artifact_store=store
         )
@@ -441,11 +452,11 @@ class TestWarmFit:
 
 
 class RecordingStore(ArtifactStore):
-    """A memory-only store, large enough to never evict, that remembers
-    which keys were put."""
+    """A memory-only store (which keeps every payload) that remembers which
+    keys were put."""
 
     def __init__(self):
-        super().__init__(max_entries=256)
+        super().__init__()
         self.stored: list[str] = []
 
     def put(self, key, payload, **kwargs):
@@ -541,6 +552,21 @@ class TestStoreOrBuild:
             "constraint_violations/ZipCode->City/shard/2":
                 "946b33c15b54b5ce1464b438f6237fad68cdd82d762fa1ba4e2c2592c649ebb2",
         }
+
+    def test_memory_only_store_serves_a_whole_refit(self, pinned_relation):
+        """The sharded twin's cold fit stores more artifacts than a
+        directory-backed store keeps in memory; a memory-only store keeps
+        them all, so the refit hits every lookup and stores nothing."""
+        bundle, twin = pinned_relation
+        store = ArtifactStore()
+        cold = fit_pipeline(twin, bundle.constraints, store)
+        assert len(cold.artifact_keys) == 72  # a memory tier of 64 would evict
+        assert store.stats.evictions == 0
+        before = dataclasses.replace(store.stats)
+        fit_pipeline(twin, bundle.constraints, store)
+        assert store.stats.lookups > before.lookups
+        assert store.stats.misses == before.misses
+        assert store.stats.puts == before.puts
 
     def test_undecodable_payload_is_a_miss_for_every_kind(self, pinned_relation):
         """Junk under an embedding key, both whole-state keys and both

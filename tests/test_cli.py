@@ -348,10 +348,21 @@ class TestDetectWithSpec:
           "--output", "{tmp}/o.csv", "--json", "{tmp}/missing/r.json"], "missing/r.json"),
         (["rescore", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
           "--edits", "{tmp}/edits.csv", "--output", "{tmp}/missing/o.csv"], "missing/o.csv"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--output", "{tmp}/o.csv", "--threshold", "nan"], "--threshold"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--output", "{tmp}/o.csv", "--threshold", "inf"], "--threshold"),
+        (["rescore", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--edits", "{tmp}/edits.csv", "--output", "{tmp}/o.csv",
+          "--threshold", "1e400"], "--threshold"),
+        (["client", "detect", "--input", "{tmp}/data.csv", "--fingerprint", "abc",
+          "--port", "1", "--threshold=-inf"], "--threshold"),
     ],
     ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
-         "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir"],
+         "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir",
+         "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
+         "client-threshold-inf"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import JointModel, PlattScaler, TrainerConfig, train_model
+from repro.core.training import GraphTrainer
 from repro.features.pipeline import CellFeatures
+from repro.nn import Linear, Module, Tensor
 
 
 def synthetic_features(n: int, seed: int = 0) -> tuple[CellFeatures, np.ndarray]:
@@ -28,12 +30,16 @@ class TestJointModel:
         model = JointModel(numeric_dim=4, branch_dims={"char": 6, "word": 6}, rng=0)
         with pytest.raises(KeyError):
             model(feats)
+        with pytest.raises(KeyError, match="'word'"):
+            model.error_scores(feats)
 
     def test_numeric_width_mismatch_raises(self):
         feats = CellFeatures(numeric=np.zeros((2, 3)), branches={})
         model = JointModel(numeric_dim=4, branch_dims={}, rng=0)
         with pytest.raises(ValueError):
             model(feats)
+        with pytest.raises(ValueError, match="width 3 != model numeric_dim 4"):
+            model.error_scores(feats)
 
     def test_no_features_rejected(self):
         with pytest.raises(ValueError):
@@ -58,6 +64,30 @@ class TestJointModel:
         model.train()
         model.error_scores(feats)
         assert model.training
+        model.eval()
+        model.error_scores(feats)
+        assert not model.training
+
+    def test_error_scores_switches_no_mode(self, monkeypatch):
+        """Scoring runs the fused forward alone: it neither flips the
+        model's train/eval mode nor enters ``no_grad``."""
+        import repro.nn.tensor as tensor_module
+
+        switches = []
+
+        class GradSwitch:
+            enabled = True
+
+            def __setattr__(self, name, value):
+                switches.append((name, value))
+
+        feats, _ = synthetic_features(5)
+        model = JointModel(numeric_dim=4, branch_dims={"char": 6, "word": 6}, rng=0)
+        monkeypatch.setattr(tensor_module, "_grad_mode", GradSwitch())
+        monkeypatch.setattr(model, "train", lambda: switches.append("train"))
+        monkeypatch.setattr(model, "eval", lambda: switches.append("eval"))
+        model.error_scores(feats)
+        assert switches == []
 
 
 class TestTraining:
@@ -92,6 +122,28 @@ class TestTraining:
         model = JointModel(numeric_dim=4, branch_dims={}, rng=0)
         with pytest.raises(ValueError):
             train_model(model, feats, np.zeros(0, dtype=int))
+
+    def test_other_modules_train_on_the_graph_only(self):
+        """The fused kernels train a JointModel; any other module needs the
+        autodiff graph, asked for by name."""
+
+        class NumericOnly(Module):
+            def __init__(self):
+                super().__init__()
+                self.linear = Linear(4, 2, rng=0)
+
+            def forward(self, features):
+                return self.linear(Tensor(features.numeric))
+
+        feats, labels = synthetic_features(12)
+        model = NumericOnly()
+        with pytest.raises(TypeError, match="trainer_factory=GraphTrainer"):
+            train_model(model, feats, labels, TrainerConfig(epochs=2, seed=0))
+        history = train_model(
+            model, feats, labels, TrainerConfig(epochs=2, seed=0),
+            trainer_factory=GraphTrainer,
+        )
+        assert len(history) == 2
 
 
 class TestPlattScaler:

@@ -587,6 +587,35 @@ class TestFaultInjection:
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize(
+        "threshold", [b"NaN", b"Infinity", b"-Infinity", b"1e400", b'"0.5"', b"true"]
+    )
+    def test_non_finite_threshold_400(self, served_world, threshold):
+        """A threshold must be a finite JSON number: the non-standard
+        constants fail to decode, and a literal beyond float range (which
+        parses to infinity) fails the threshold check.  The request is
+        otherwise a valid stateless detect."""
+        server = protocol_server(served_world)
+        dataset = served_world.bundle.dirty
+        request = json.dumps({
+            "schema": "repro.serve/v1",
+            "fingerprint": served_world.fingerprint,
+            "columns": dataset.attributes,
+            "rows": [dataset.row_values(0)],
+            "cells": [[0, dataset.attributes[0]]],
+            "threshold": "<threshold>",
+        }).encode()
+        body = request.replace(b'"<threshold>"', threshold)
+        status, payload = parse_response(
+            feed_request(server, http_request(body=body))
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        message = payload["error"]["message"]
+        assert "threshold must be a finite number" in message or (
+            "is not a JSON number" in message
+        )
+
     def test_wrong_schema_400(self, served_world):
         server = protocol_server(served_world)
         body = json.dumps({"schema": "repro.serve/v0"}).encode()

@@ -31,13 +31,13 @@ from repro.serving.wire import (
 GOLDEN = Path(__file__).parent / "golden"
 
 # The JSON data model, recursively: what the wire format must be closed
-# under.  Floats exclude NaN (NaN != NaN breaks equality-based round-trip
-# checks; the protocol never emits NaN probabilities).
+# under.  Floats exclude NaN and the infinities: strict JSON (RFC 8259) has
+# neither, and the decoder rejects both (``TestDecodeErrors``).
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    st.floats(allow_nan=False, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=40),
 )
 payloads = st.recursive(
@@ -162,6 +162,16 @@ class TestDecodeErrors:
             decode_payload(b"{nope", JSON_CONTENT_TYPE)
         with pytest.raises(WireError, match="invalid JSON"):
             decode_payload(b"\xff\xfe", JSON_CONTENT_TYPE)
+
+    @pytest.mark.parametrize(
+        "body", [b"NaN", b"Infinity", b"-Infinity", b'{"threshold": NaN}',
+                 b'{"threshold": [0.5, -Infinity]}'],
+    )
+    def test_non_standard_constants_rejected(self, body):
+        """Python's ``json`` reads these by default; strict JSON has no
+        such numbers, so they are malformed bytes like any other."""
+        with pytest.raises(WireError, match="is not a JSON number"):
+            decode_payload(body, JSON_CONTENT_TYPE)
 
 
 class TestRequestValidation:
