@@ -19,8 +19,8 @@ Gates:
 
 The measured numbers are written as JSON (to
 ``bench_distributed_sweep.json`` in the working directory) so CI archives
-them as an artifact.  Run with ``pytest benchmarks/bench_distributed_sweep.py -s`` to
-see the tables.
+them as an artifact.  Run with
+``pytest benchmarks/bench_distributed_sweep.py -s`` to see the tables.
 """
 
 from __future__ import annotations

@@ -588,13 +588,16 @@ class TestFaultInjection:
         assert payload["error"]["code"] == "bad_request"
 
     @pytest.mark.parametrize(
-        "threshold", [b"NaN", b"Infinity", b"-Infinity", b"1e400", b'"0.5"', b"true"]
+        "threshold",
+        [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"1" + b"0" * 400, b'"0.5"', b"true"],
+        ids=["nan", "infinity", "-infinity", "1e400", "int-beyond-float", "string", "bool"],
     )
-    def test_non_finite_threshold_400(self, served_world, threshold):
+    def test_threshold_must_be_a_finite_number_400(self, served_world, threshold):
         """A threshold must be a finite JSON number: the non-standard
-        constants fail to decode, and a literal beyond float range (which
-        parses to infinity) fails the threshold check.  The request is
-        otherwise a valid stateless detect."""
+        constants fail to decode, and a literal beyond float range (a float
+        parses to infinity, an integer does not convert), a string or a
+        boolean fails the threshold check.  The request is otherwise a valid
+        stateless detect."""
         server = protocol_server(served_world)
         dataset = served_world.bundle.dirty
         request = json.dumps({
