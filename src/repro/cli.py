@@ -66,6 +66,7 @@ from repro.constraints.dc import read_constraints
 from repro.core.detector import DetectionSession, ErrorPredictions, HoloDetect
 from repro.dataset.loader import read_csv, read_edit_rows, read_edits, read_labels
 from repro.dataset.table import Dataset
+from repro.dataset.training import TrainingSet
 from repro.serving.reports import report_triage_rows, triage_rows, write_triage_csv
 from repro.spec import DetectorSpec, SpecError
 
@@ -89,6 +90,15 @@ def _read(reader, *args, **kwargs):
         return reader(*args, **kwargs)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
+
+
+def _read_training(path: str, dataset: Dataset) -> TrainingSet:
+    """The labels a fit trains on; a labels file with no label lines ends
+    the command in one line instead of a traceback from the fit."""
+    training = _read(read_labels, path, dataset)
+    if not len(training):
+        raise SystemExit(f"{path}: no labels below the header; a fit needs at least one")
+    return training
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -166,7 +176,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     _check_outputs(args.output, args.json)
     dataset = _read(read_csv, args.input)
-    training = _read(read_labels, args.labels, dataset)
+    training = _read_training(args.labels, dataset)
     constraints = _read(read_constraints, args.constraints) if args.constraints else []
     print(
         f"dataset: {dataset.num_rows} rows x {len(dataset.attributes)} attrs; "
@@ -213,7 +223,7 @@ def cmd_rescore(args: argparse.Namespace) -> int:
             detector.use_artifacts(args.artifacts)
         print(f"loaded model from {args.model}", file=sys.stderr)
     elif args.labels:
-        training = _read(read_labels, args.labels, dataset)
+        training = _read_training(args.labels, dataset)
         constraints = _read(read_constraints, args.constraints) if args.constraints else []
         detector = _build_detector(args)
         detector.fit(dataset, training, constraints)

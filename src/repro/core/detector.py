@@ -45,6 +45,15 @@ from repro.features.pipeline import (
 from repro.utils.rng import as_generator
 from repro.utils.specfile import require_int
 
+#: Row quantum of every scoring forward: a chunk of ``n`` cells is
+#: zero-padded to the next multiple of this many rows.  BLAS picks its
+#: kernels, and so its reduction order, by matrix shape.  On OpenBLAS's
+#: Haswell kernels every multiple of 4 rows gives each row the same bits,
+#: so a cell's score does not depend on its chunk-mates; other row counts
+#: can differ in the last bit.  ``tests/test_core_detector.py`` pins this
+#: on the host's BLAS.
+SCORE_QUANTUM = 32
+
 
 @dataclass
 class DetectorConfig:
@@ -82,9 +91,9 @@ class DetectorConfig:
     #: Representation models to drop from the default pipeline (ablation
     #: studies); names from :data:`~repro.features.pipeline.ALL_MODEL_NAMES`.
     exclude_models: tuple[str, ...] = ()
-    #: Cells featurised per prediction chunk.  Every chunk is scored at
-    #: this fixed shape, so a cell's probability does not depend on which
-    #: other cells share its chunk.
+    #: Cells featurised per prediction chunk.  Each chunk is scored padded
+    #: to a multiple of :data:`SCORE_QUANTUM` rows, so a cell's probability
+    #: depends neither on this setting nor on its chunk-mates.
     prediction_batch: int = 512
     #: Directory of an on-disk fitted-artifact store (:mod:`repro.artifacts`)
     #: shared across fits and processes; ``None`` = the detector has no
@@ -500,10 +509,9 @@ class HoloDetect:
         ``config.prediction_batch``-cell chunks as they arrive.  Peak memory
         is one chunk's features, independent of the relation's size.
 
-        Chunk boundaries match :meth:`predict` exactly (same batch size,
-        same fixed-shape padding of the trailing chunk), so for the same
-        cell sequence the streamed probabilities are bit-identical to a
-        ``predict`` pass.
+        Chunks are scored like :meth:`predict`'s (padded to a multiple of
+        :data:`SCORE_QUANTUM` rows), so for the same cells the streamed
+        probabilities are bit-identical to a ``predict`` pass.
         """
         if self.model is None or self.pipeline is None or self._dataset is None:
             raise RuntimeError("detector used before fit()")
@@ -528,20 +536,20 @@ class HoloDetect:
     def _score_features(self, features: CellFeatures) -> np.ndarray:
         """Calibrated probabilities for one chunk's transformed features.
 
-        Every chunk is forwarded at the fixed ``prediction_batch`` shape
-        (short chunks are zero-padded): BLAS kernel selection — and hence
+        The chunk is forwarded zero-padded to the next multiple of
+        :data:`SCORE_QUANTUM` rows: BLAS kernel selection — and hence
         reduction order — is shape-dependent, and per-cell scores must not
         depend on chunk composition.  ``DetectionSession`` patches subsets
         and relies on bit-for-bit agreement with a full prediction pass.
         """
-        batch = max(1, self.config.prediction_batch)
         n = features.batch_size
+        rows = -(-n // SCORE_QUANTUM) * SCORE_QUANTUM
 
         def pad(block: np.ndarray) -> np.ndarray:
-            filler = np.zeros((batch - block.shape[0], block.shape[1]), dtype=block.dtype)
+            filler = np.zeros((rows - block.shape[0], block.shape[1]), dtype=block.dtype)
             return np.concatenate([block, filler], axis=0)
 
-        if n < batch:
+        if n < rows:
             features = CellFeatures(
                 numeric=pad(features.numeric),
                 branches={k: pad(v) for k, v in features.branches.items()},

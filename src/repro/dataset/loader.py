@@ -29,13 +29,14 @@ def csv_records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Stream a headered CSV as ``(line, fields)`` pairs, the header first.
 
     The header must be present and its names unique; every later row must
-    be exactly as wide as the header; blank lines are skipped.  Violations,
+    be exactly as wide as the header; blank lines are skipped; a UTF-8
+    byte-order mark before the header is dropped.  Violations,
     undecodable text and ``csv`` errors (an oversized field) raise
     ``ValueError`` naming ``path:line``.  Rows are yielded as they are
     read, so the caller's memory stays constant.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header: list[str] | None = None
         try:

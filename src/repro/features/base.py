@@ -85,6 +85,7 @@ class CellBatch:
         "_digest",
         "_columns_fingerprint",
         "_rows_fingerprint",
+        "_rows",
     )
 
     def __init__(
@@ -112,6 +113,7 @@ class CellBatch:
         self._digest: str | None = None
         self._columns_fingerprint: str | None = None
         self._rows_fingerprint: str | None = None
+        self._rows: dict[int, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -148,6 +150,14 @@ class CellBatch:
                 for attr, by_value in groups.items()
             }
         return self._value_groups
+
+    def row_values(self, row: int) -> tuple[str, ...]:
+        """Row ``row``'s observed values in schema order, built once per
+        batch and shared by the featurizers whose memos key on row content."""
+        values = self._rows.get(row)
+        if values is None:
+            values = self._rows[row] = tuple(self.dataset.row_values(row))
+        return values
 
     @property
     def overridden(self) -> np.ndarray:

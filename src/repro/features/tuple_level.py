@@ -5,13 +5,14 @@ co-occurrence statistics, and a learnable embedding of the whole tuple.
 Swapped values — which look perfectly normal to every attribute-level model —
 break co-occurrence patterns, and these models are what surfaces them.
 
-Both models are batched: co-occurrence count tables are resolved once per
-unique ``(attribute, value)`` pair of the batch.  The tuple embedding
-memoises across calls (:meth:`~repro.features.base.Featurizer._memo`), per
-fitted model: value → the cell's own vector, value → its token rows, and
-``(attribute position, row values)`` → the context vector.  The keys are
+Both models memoise across calls (:meth:`~repro.features.base.Featurizer._memo`),
+per fitted model.  Co-occurrence keeps ``(attribute, value, row values)`` →
+the cell's row of conditionals.  The tuple embedding keeps value → the
+cell's own vector, value → its token rows, and ``(attribute position, row
+values)`` → the context vector.  Both read one row-values tuple per row of
+a batch (:meth:`~repro.features.base.CellBatch.row_values`).  The keys are
 contents, never row indices: an edited row misses and computes its new
-contexts, and another relation with the same values reads the same entries.
+entries, and another relation with the same values reads the same ones.
 """
 
 from __future__ import annotations
@@ -91,28 +92,37 @@ class CooccurrenceFeaturizer(Featurizer):
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         self._require_fitted("_joint")
-        dataset = batch.dataset
-        width = len(self._attributes) - 1
-        out = np.zeros((len(batch), width))
+        attributes = self._attributes
+        schema = batch.dataset.attributes
+        out = np.zeros((len(batch), len(attributes) - 1))
+        # A row tuple names its values by position in the batch relation's
+        # schema, so the memo serves only relations in the fitted order.
+        memo = self._memo("row", self._joint) if schema == attributes else {}
+        position = {attr: k for k, attr in enumerate(schema)}
         for attr, by_value in batch.value_groups.items():
-            # Other-attribute order and their columns, resolved once per attr.
-            others = [a for a in self._attributes if a != attr]
-            other_cols = [dataset.column(a) for a in others]
             for value, idx in by_value.items():
-                key = (attr, value)
-                total = self._value_counts.get(key, 0)
+                total = self._value_counts.get((attr, value), 0)
                 if not total:
                     # Unseen value: all conditionals are 0, the strongest
                     # signal — the zero initialisation already encodes it.
                     continue
-                buckets = self._joint[key]
-                tables = [buckets.get(attr_b, {}) for attr_b in others]
+                # Each other attribute's count table and position in a row
+                # tuple, resolved at the value's first miss.
+                tables = None
                 for i in idx:
-                    row = batch.cells[i].row
-                    out[i] = [
-                        table.get(col_b[row], 0) / total
-                        for table, col_b in zip(tables, other_cols)
-                    ]
+                    row = batch.row_values(batch.cells[i].row)
+                    key = (attr, value, row)
+                    quotients = memo.get(key)
+                    if quotients is None:
+                        if tables is None:
+                            buckets = self._joint[(attr, value)]
+                            tables = [
+                                (buckets.get(b, {}), position[b]) for b in attributes if b != attr
+                            ]
+                        quotients = memo[key] = np.array(
+                            [table.get(row[k], 0) / total for table, k in tables]
+                        )
+                    out[i] = quotients
         return out
 
     @property
@@ -192,9 +202,7 @@ class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
         own_vectors = self._memo("value", model)
         token_rows = self._memo("tokens", model)
         contexts = self._memo("context", model)
-        dataset = batch.dataset
-        position = {attr: k for k, attr in enumerate(dataset.attributes)}
-        rows: dict[int, tuple[str, ...]] = {}
+        position = {attr: k for k, attr in enumerate(batch.dataset.attributes)}
         out = np.zeros((len(batch), 2 * dim))
         for i, (cell, value) in enumerate(zip(batch.cells, batch.resolved)):
             own = own_vectors.get(value)
@@ -205,9 +213,7 @@ class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
             # The context is the row's other values in schema order, so the
             # cell's position and the row's values determine it; the
             # override never changes it.
-            row = rows.get(cell.row)
-            if row is None:
-                row = rows[cell.row] = tuple(dataset.row_values(cell.row))
+            row = batch.row_values(cell.row)
             key = (position[cell.attr], row)
             context = contexts.get(key)
             if context is None:

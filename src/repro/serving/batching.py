@@ -1,19 +1,20 @@
 """Request coalescing: merge concurrent small scoring calls into one predict.
 
 Interactive clients send *small* requests — score these 40 cells, re-check
-that column — and under concurrency the naive path runs one padded
-model-forward per request.  The :class:`ScoreBatcher` instead collects the
-scoring calls that arrive within one short window **per batch key** (one
-tenant session, or one hot detector), concatenates their cell lists, runs a
-single chunked ``_score_probabilities`` pass, and slices the result back to
-each waiter.
+that column — and under concurrency the naive path runs one featurization
+and one model forward per request.  The :class:`ScoreBatcher` instead
+collects the scoring calls that arrive within one short window **per batch
+key** (one tenant session, or one hot detector), concatenates their cell
+lists, runs a single chunked ``_score_probabilities`` pass, and slices the
+result back to each waiter.
 
 Correctness rests on a documented detector invariant: per-cell outputs are
-independent of chunk composition (prediction chunks are forwarded at a
-fixed padded shape precisely so BLAS kernel selection cannot couple cells
-to their batch-mates — see ``HoloDetect._score_probabilities``).  Merging
-N requests into one pass is therefore **bit-identical** to running them
-sequentially, which the concurrency suite and ``bench_serving.py`` assert.
+independent of chunk composition (each chunk is forwarded padded to a
+multiple of ``SCORE_QUANTUM`` rows, a row count at which BLAS gives every
+row the bits it has in any other such forward — see
+``HoloDetect._score_features``).  Merging N requests into one pass is
+therefore **bit-identical** to running them sequentially, which the
+concurrency suite and ``bench_serving.py`` assert.
 
 The batcher is asyncio-native and single-loop: all bookkeeping runs on the
 event loop, so no locks are needed.  A scoring failure is delivered to every

@@ -9,9 +9,10 @@ equal bytes.
 
 ``decode(encode(x)) == x`` for every tree of supported types
 (property-tested in ``tests/test_serving_wire.py``).  Unsupported types
-raise :class:`WireError` at encode time, malformed bytes at decode time,
-and a content type other than JSON in either direction — never an
-unhandled JSON/Unicode error.  The decoder is strict JSON (RFC 8259): the
+raise :class:`WireError` at encode time, malformed bytes at decode time
+(arrays nested too deep to parse and integers past Python's 4,300-digit
+conversion limit among them), and a content type other than JSON in either
+direction — never an unhandled JSON/Unicode error.  The decoder is strict JSON (RFC 8259): the
 non-standard ``NaN``, ``Infinity`` and ``-Infinity`` constants that
 Python's ``json`` accepts by default are malformed bytes too.
 """
@@ -57,7 +58,12 @@ def decode_payload(data: bytes, content_type: str = JSON_CONTENT_TYPE) -> object
     _require_json(content_type)
     try:
         return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except WireError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable UTF-8, malformed JSON and an
+        # integer past Python's digit limit; RecursionError, nesting too
+        # deep for the parser.
         raise WireError(f"invalid JSON payload: {exc}") from exc
 
 

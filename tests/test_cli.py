@@ -357,18 +357,24 @@ class TestDetectWithSpec:
           "--threshold", "1e400"], "--threshold"),
         (["client", "detect", "--input", "{tmp}/data.csv", "--fingerprint", "abc",
           "--port", "1", "--threshold=-inf"], "--threshold"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/header_only.csv",
+          "--output", "{tmp}/o.csv"], "header_only.csv: no labels"),
+        (["rescore", "--input", "{tmp}/data.csv", "--labels", "{tmp}/header_only.csv",
+          "--edits", "{tmp}/edits.csv", "--output", "{tmp}/o.csv"],
+         "header_only.csv: no labels"),
     ],
     ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
          "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir",
          "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
-         "client-threshold-inf"],
+         "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""
     (tmp_path / "data.csv").write_text("zip,city\n60612,Chicago\n")
     (tmp_path / "edits.csv").write_text("row,attribute,value\n0,zip,60613\n")
     (tmp_path / "labels.csv").write_text("row,attribute,true_value\n0,zip,60612\n")
+    (tmp_path / "header_only.csv").write_text("row,attribute,true_value\n")
     (tmp_path / "sweep.toml").write_text(
         'datasets = [{ name = "hospital", rows = 60 }]\n'
         "label_budgets = [0.2]\n"

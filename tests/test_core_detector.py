@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import DetectorConfig, HoloDetect
+from repro.core.detector import SCORE_QUANTUM
 from repro.dataset import Cell
 from repro.evaluation import evaluate_predictions, make_split
-from repro.features import FeatureCache
+from repro.features import CellBatch, CellFeatures, FeatureCache
 
 FAST = DetectorConfig(epochs=20, embedding_dim=8, seed=0)
 
@@ -98,6 +99,61 @@ class TestPredict:
             detector.pipeline.cache = None
         assert baseline.tobytes() == cold.tobytes() == warm.tobytes()
         assert stats.hits == stats.misses == len(detector.pipeline.featurizers)
+
+
+def _rows(features: CellFeatures, start: int, stop: int) -> CellFeatures:
+    return CellFeatures(
+        numeric=features.numeric[start:stop],
+        branches={k: v[start:stop] for k, v in features.branches.items()},
+    )
+
+
+class TestScoreQuantum:
+    """Scoring forwards a chunk padded to a multiple of ``SCORE_QUANTUM``
+    rows, not to ``prediction_batch``.  That holds only while every such
+    row count gives each row the bits of a full chunk, which BLAS does not
+    promise; these tests pin it on the host's BLAS."""
+
+    OFFSETS = (0, 5, 13)
+
+    @pytest.fixture(scope="class")
+    def chunk(self, fitted):
+        """Features of ``prediction_batch`` cells plus the largest offset."""
+        bundle, _, detector = fitted
+        size = detector.config.prediction_batch + max(self.OFFSETS)
+        cells = list(bundle.dirty.cells())[:size]
+        return detector, detector.pipeline.transform_batch(CellBatch(cells, bundle.dirty))
+
+    def test_quantum_multiples_reproduce_the_full_chunk(self, chunk):
+        detector, features = chunk
+        batch = detector.config.prediction_batch
+        reference = detector.model.error_scores(_rows(features, 0, batch))
+        for offset in self.OFFSETS:
+            full = detector.model.error_scores(_rows(features, offset, offset + batch))
+            # A cell's full-chunk score does not depend on where the chunk starts...
+            assert full[: batch - offset].tobytes() == reference[offset:].tobytes()
+            # ...nor on the chunk's row count, at every multiple of the quantum.
+            for rows in range(SCORE_QUANTUM, batch + 1, SCORE_QUANTUM):
+                scores = detector.model.error_scores(_rows(features, offset, offset + rows))
+                assert scores.tobytes() == full[:rows].tobytes(), (offset, rows)
+
+    def test_padded_chunks_reproduce_the_full_chunk(self, chunk):
+        detector, features = chunk
+        batch = detector.config.prediction_batch
+        full = detector._score_features(_rows(features, 0, batch))
+        for n in [*range(1, 2 * SCORE_QUANTUM + 2), batch // 2 + 3, batch - 1]:
+            scores = detector._score_features(_rows(features, 0, n))
+            assert scores.tobytes() == full[:n].tobytes(), n
+
+    def test_prediction_batch_changes_no_probability(self, fitted, monkeypatch):
+        """Full chunks round up to the quantum too, so a chunk size that is
+        not a multiple of it scores the same bits as the default."""
+        _, split, detector = fitted
+        cells = split.test_cells[:700]
+        expected = detector.predict(cells).probabilities
+        for batch in (1, 50, 100, 333):
+            monkeypatch.setattr(detector.config, "prediction_batch", batch)
+            assert detector.predict(cells).probabilities.tobytes() == expected.tobytes()
 
 
 class TestConfigVariants:

@@ -83,6 +83,27 @@ class TestCsvRecords:
         with pytest.raises(ValueError, match="latin.csv: not UTF-8"):
             read_csv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """Spreadsheet exports often start with a UTF-8 BOM; every reader
+        drops it instead of gluing it to the first column's name."""
+        from repro.dataset import ShardedDataset, read_edits, read_labels
+
+        plain = tmp_path / "plain.csv"
+        plain.write_text("zip,city\n60612,Chicago\n")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        relation = read_csv(marked)
+        assert relation.attributes == ("zip", "city")
+        assert relation.fingerprint() == read_csv(plain).fingerprint()
+        sharded = ShardedDataset.from_csv(marked, tmp_path / "shards")
+        assert sharded.attributes == ("zip", "city")
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"\xef\xbb\xbfrow,attribute,true_value\n0,zip,60613\n")
+        assert [e.true for e in read_labels(labels, relation)] == ["60613"]
+        edits = tmp_path / "edits.csv"
+        edits.write_bytes(b"\xef\xbb\xbfrow,attribute,value\n0,city,Boston\n")
+        assert list(read_edits(edits, relation).values()) == ["Boston"]
+
     def test_records_stream_with_line_numbers(self, tmp_path):
         from repro.dataset import csv_records
 

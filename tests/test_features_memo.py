@@ -1,11 +1,12 @@
 """Transform memos (``Featurizer._memo``): reuse across calls changes no bit.
 
 The embedding, n-gram and neighbourhood featurizers memoise per value, and
-the tuple embedding also per row content, for as long as the fitted model
-they were computed from lives.  These tests pin what keeps that reuse
-exact: content keys (value overrides, edited rows), the reset with the
-fitted model (a per-column refresh, ``load_state``), the entry cap, and
-concurrent transforms through one pipeline.
+the tuple embedding and co-occurrence also per row content, for as long as
+the fitted model they were computed from lives.  These tests pin what keeps
+that reuse exact: content keys (value overrides, edited rows), the reset
+with the fitted model (a per-column refresh, a relation-wide refresh,
+``load_state``), the entry cap, and concurrent transforms through one
+pipeline.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.evaluation import make_split
 from repro.features import (
     CellBatch,
     CharEmbeddingFeaturizer,
+    CooccurrenceFeaturizer,
     FeaturePipeline,
     FormatNGramFeaturizer,
     TupleEmbeddingFeaturizer,
@@ -113,6 +115,107 @@ class TestContentKeys:
         reloaded = load_detector(path, dataset.copy())
         expected = reloaded.predict(session.predictions.cells).probabilities
         assert session.predictions.probabilities.tobytes() == expected.tobytes()
+
+
+class TestCooccurrence:
+    """``(attribute, value, row values)`` → the cell's conditionals."""
+
+    @staticmethod
+    def _memo(featurizer: CooccurrenceFeaturizer) -> dict:
+        return featurizer._memo("row", featurizer._joint)
+
+    def test_warm_scores_equal_a_fresh_load(self, saved):
+        warm, fresh = _fresh(saved), _fresh(saved)
+        dataset = warm._dataset
+        warm.predict(list(dataset.cells()))
+        memo = self._memo(_featurizer(warm, "cooccurrence"))
+        assert memo
+        cells = _shuffled(dataset, seed=5)
+        warm_block = _featurizer(warm, "cooccurrence").transform(cells, dataset)
+        fresh_block = _featurizer(fresh, "cooccurrence").transform(cells, fresh._dataset)
+        assert warm_block.tobytes() == fresh_block.tobytes()
+        for size in (1, 30, 97):
+            assert (
+                warm.predict(cells[:size]).probabilities.tobytes()
+                == fresh.predict(cells[:size]).probabilities.tobytes()
+            )
+
+    def test_an_overridden_value_is_keyed_by_that_value(self, saved):
+        warm, fresh = _fresh(saved), _fresh(saved)
+        dataset = warm._dataset
+        featurizer = _featurizer(warm, "cooccurrence")
+        cell = Cell(5, dataset.attributes[1])
+        observed = dataset.value(cell)
+        # A value the column holds in another row, so its counts exist.
+        other = next(v for v in dataset.column(cell.attr) if v != observed)
+        plain = featurizer.transform([cell], dataset)
+        overridden = featurizer.transform([cell], dataset, [other])
+        row = tuple(dataset.row_values(cell.row))
+        assert {(cell.attr, observed, row), (cell.attr, other, row)} <= set(self._memo(featurizer))
+        assert plain.tobytes() != overridden.tobytes()
+        reference = _featurizer(fresh, "cooccurrence")
+        assert overridden.tobytes() == reference.transform([cell], fresh._dataset, [other]).tobytes()
+        # The override left the observed value's entry alone.
+        assert featurizer.transform([cell], dataset).tobytes() == plain.tobytes()
+
+    def test_an_edited_rows_row_mates_miss(self, saved):
+        detector = _fresh(saved)
+        dataset = detector._dataset
+        detector.predict(list(dataset.cells()))
+        featurizer = _featurizer(detector, "cooccurrence")
+        session = DetectionSession(detector)
+        # A row outside the training set, so the session scores its cells.
+        row = session.predictions.cells[0].row
+        edited = Cell(row, dataset.attributes[0])
+        old_row = tuple(dataset.row_values(row))
+        session.apply({edited: dataset.value(edited) + " edited"})
+        new_row = tuple(dataset.row_values(row))
+        row_mates = [c for c in dataset.cells_of_row(row) if c != edited]
+        keys = set(self._memo(featurizer))
+        # The session's rescore computed the row-mates under the new row...
+        seen = [c for c in row_mates if featurizer._value_counts.get((c.attr, dataset.value(c)))]
+        assert seen
+        for cell in seen:
+            assert (cell.attr, dataset.value(cell), new_row) in keys
+        # ...and the pre-edit entries cannot serve them: their key differs.
+        assert old_row != new_row
+        fresh = CooccurrenceFeaturizer.from_state(featurizer.to_state())
+        batch = CellBatch(row_mates, dataset)
+        assert featurizer.transform_batch(batch).tobytes() == fresh.transform_batch(batch).tobytes()
+
+    def test_refresh_and_load_state_reset_the_memo(self):
+        rows = [["60612", "Chicago", "IL"]] * 4 + [["02139", "Cambridge", "MA"]] * 4
+        relation = Dataset.from_rows(["zip", "city", "state"], rows)
+        featurizer = CooccurrenceFeaturizer().fit(relation)
+        featurizer.transform(list(relation.cells()), relation)
+        memo = self._memo(featurizer)
+        assert memo
+        delta = relation.apply_edits({Cell(0, "city"): "Springfield"})
+        assert featurizer.refresh(relation, delta)
+        assert self._memo(featurizer) == {}
+        featurizer.transform(list(relation.cells()), relation)
+        refreshed = self._memo(featurizer)
+        assert refreshed and refreshed is not memo
+        featurizer.load_state(featurizer.to_state())
+        assert self._memo(featurizer) == {}
+
+    def test_a_relation_in_another_column_order_reads_no_entry(self):
+        """A row tuple names values by schema position.  Under a header
+        that orders the columns differently the same tuple means other
+        values, so that relation must not read the fitted order's entries."""
+        rows = [["60612", "Chicago", "IL"]] * 3 + [["02139", "Cambridge", "MA"]] * 3
+        relation = Dataset.from_rows(["zip", "city", "state"], rows)
+        reordered = Dataset.from_rows(["city", "zip", "state"], rows)
+        featurizer = CooccurrenceFeaturizer().fit(relation)
+        cells = list(relation.cells())
+        values = [relation.value(c) for c in cells]
+        fitted_order = featurizer.transform(cells, relation)
+        assert self._memo(featurizer)
+        # Same cells, values and row tuples: only the column names moved.
+        fresh = CooccurrenceFeaturizer.from_state(featurizer.to_state())
+        expected = fresh.transform(cells, reordered, values)
+        assert expected.tobytes() != fitted_order.tobytes()
+        assert featurizer.transform(cells, reordered, values).tobytes() == expected.tobytes()
 
 
 class TestReset:

@@ -588,6 +588,26 @@ class TestFaultInjection:
         assert payload["error"]["code"] == "bad_request"
 
     @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 100_000,
+            b'{"schema": "repro.serve/v1", "threshold": ' + b"7" * 5_000 + b"}",
+        ],
+        ids=["nested-past-recursion-limit", "integer-past-digit-limit"],
+    )
+    def test_body_the_json_parser_refuses_400(self, served_world, body):
+        """Python's ``json`` raises ``RecursionError`` on deep nesting and
+        ``ValueError`` on an integer past its 4,300-digit limit; both are
+        malformed bodies, answered 400 ``bad_request``, not 500."""
+        server = protocol_server(served_world)
+        status, payload = parse_response(
+            feed_request(server, http_request(body=body))
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert payload["error"]["message"].startswith("invalid JSON payload")
+
+    @pytest.mark.parametrize(
         "threshold",
         [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"1" + b"0" * 400, b'"0.5"', b"true"],
         ids=["nan", "infinity", "-infinity", "1e400", "int-beyond-float", "string", "bool"],
