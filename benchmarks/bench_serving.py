@@ -121,9 +121,10 @@ def test_concurrent_serving_latency(benchmark, tmp_path):
     queries = _queries(bundle.dirty)
 
     def run():
-        # A 10ms coalescing window: the single client pays it on every
-        # request (it is part of the measured baseline), and concurrent
-        # clients amortise it across a merged scoring pass.
+        # A 10ms coalescing window: the single client's lone detects wait
+        # it out on every request (it is part of the measured baseline),
+        # while a batch of concurrent clients' detects closes as soon as
+        # no other request is still being read.
         config = ServeConfig(
             model_root=model_root,
             artifact_root=tmp_path / "artifacts",

@@ -101,6 +101,21 @@ def _read_training(path: str, dataset: Dataset) -> TrainingSet:
     return training
 
 
+def _fit(
+    detector: HoloDetect, labels_path: str, dataset: Dataset,
+    training: TrainingSet, constraints: list,
+) -> None:
+    """Fit ``detector``; labels its holdout split would leave none of to
+    train on end the command in one line instead of a traceback."""
+    fraction = detector.config.holdout_fraction
+    if training.holdout_size(fraction) == len(training):
+        raise SystemExit(
+            f"{labels_path}: holdout_fraction {fraction} holds out all "
+            f"{len(training)} labels, leaving none to train on"
+        )
+    detector.fit(dataset, training, constraints)
+
+
 def _check_outputs(*paths: str | None) -> None:
     """End the command in one line when an output file's directory is
     missing or unwritable, before any input is read or any model fitted."""
@@ -185,7 +200,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     detector = _build_detector(args)
-    detector.fit(dataset, training, constraints)
+    _fit(detector, args.labels, dataset, training, constraints)
     if detector.policy is not None:
         print(
             f"learned {len(detector.policy)} transformations; "
@@ -226,7 +241,7 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         training = _read_training(args.labels, dataset)
         constraints = _read(read_constraints, args.constraints) if args.constraints else []
         detector = _build_detector(args)
-        detector.fit(dataset, training, constraints)
+        _fit(detector, args.labels, dataset, training, constraints)
     else:
         raise SystemExit("rescore needs --model (saved detector) or --labels (fit fresh)")
     # The session needs a baseline scoring of the pre-edit relation; within
@@ -878,7 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window", type=float,
-        help="seconds concurrent small detect requests wait to coalesce",
+        help="seconds a lone detect waits for others to coalesce with "
+        "(bounds every batch's wait)",
     )
     serve.add_argument(
         "--max-batch-cells", type=int,

@@ -90,19 +90,9 @@ class TrainingSet:
         tuning and Platt scaling (§6.1).  Stratified so the scarce error class
         appears on both sides whenever it has at least two members.
         """
-        if not 0.0 <= fraction < 1.0:
-            raise ValueError("fraction must be in [0, 1)")
         gen = as_generator(rng)
         holdout_idx: set[int] = set()
-        for group in (
-            [i for i, e in enumerate(self._examples) if e.is_error],
-            [i for i, e in enumerate(self._examples) if not e.is_error],
-        ):
-            if not group:
-                continue
-            take = int(round(len(group) * fraction))
-            if take == 0 and len(group) >= 2 and fraction > 0:
-                take = 1
+        for group, take in self._holdout_plan(fraction):
             chosen = gen.choice(len(group), size=take, replace=False) if take else []
             holdout_idx.update(group[int(i)] for i in np.atleast_1d(chosen))
         train = [e for i, e in enumerate(self._examples) if i not in holdout_idx]
@@ -112,6 +102,27 @@ class TrainingSet:
         t2 = TrainingSet.__new__(TrainingSet)
         t2._examples = hold
         return t1, t2
+
+    def holdout_size(self, fraction: float) -> int:
+        """How many examples :meth:`split_holdout` holds out at ``fraction``."""
+        return sum(take for _, take in self._holdout_plan(fraction))
+
+    def _holdout_plan(self, fraction: float) -> list[tuple[list[int], int]]:
+        """Each class's example indices (errors first) with how many the
+        holdout takes: ``fraction`` of the class, rounded, and at least one
+        of a class of two or more."""
+        if not 0.0 <= fraction < 1.0:
+            raise ValueError("fraction must be in [0, 1)")
+        plan = []
+        for group in (
+            [i for i, e in enumerate(self._examples) if e.is_error],
+            [i for i, e in enumerate(self._examples) if not e.is_error],
+        ):
+            take = int(round(len(group) * fraction))
+            if take == 0 and len(group) >= 2 and fraction > 0:
+                take = 1
+            plan.append((group, take))
+        return plan
 
     @classmethod
     def from_cells(

@@ -3,10 +3,19 @@
 Interactive clients send *small* requests — score these 40 cells, re-check
 that column — and under concurrency the naive path runs one featurization
 and one model forward per request.  The :class:`ScoreBatcher` instead
-collects the scoring calls that arrive within one short window **per batch
-key** (one tenant session, or one hot detector), concatenates their cell
-lists, runs a single chunked ``_score_probabilities`` pass, and slices the
-result back to each waiter.
+queues concurrent scoring calls **per batch key** (one tenant session, or
+one hot detector), concatenates each batch's cell lists, runs a single
+chunked ``_score_probabilities`` pass, and slices the result back to each
+waiter.
+
+A batch closes as soon as no further request can join it.  The server
+counts the admitted connections still reading their request
+(:meth:`ScoreBatcher.reading`), and a detect reaches :meth:`~ScoreBatcher.score`
+without awaiting once its read ends, so those connections are exactly the
+requests that could still join.  A batch of two or more therefore closes
+the moment none is mid-read.  A lone request waits out the window: the
+only request that could join it is one not yet admitted.  The window
+bounds every wait.
 
 Correctness rests on a documented detector invariant: per-cell outputs are
 independent of chunk composition (each chunk is forwarded padded to a
@@ -25,8 +34,9 @@ wedges its batch-mates' futures.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,15 +65,35 @@ class _Pending:
     future: "asyncio.Future[np.ndarray]"
 
 
+@dataclass
+class _Batch:
+    """One key's queued requests and the timer that closes them at the window."""
+
+    score_fn: Callable[[list], np.ndarray]
+    timer: asyncio.TimerHandle
+    entries: list[_Pending] = field(default_factory=list)
+
+    @property
+    def cells(self) -> int:
+        return sum(len(p.cells) for p in self.entries)
+
+    @property
+    def waiting(self) -> int:
+        return sum(not p.future.cancelled() for p in self.entries)
+
+
 class ScoreBatcher:
     """Per-key coalescing front of a synchronous batch scoring function.
 
-    ``window`` is the collection delay in seconds: the first request for a
-    key opens the window, every request landing inside it joins the batch.
-    ``max_cells`` bounds one merged pass; a batch flushes early when the
-    next request would push it past the bound.  ``window=0`` still
-    coalesces whatever arrives in the same event-loop tick (the flush is
-    scheduled, not inline), while keeping added latency at one tick.
+    ``window`` bounds how long any batch stays open, in seconds, and is how
+    long a lone request waits for company.  A batch of two or more closes
+    early, as soon as no connection the server has admitted is still
+    reading its request (:meth:`reading`).  A batcher no server informs
+    cannot tell whether anyone may still come, so its batches close at the
+    window only.  ``max_cells`` bounds one merged pass; a batch flushes
+    early when the next request would push it past the bound.  ``window=0``
+    still coalesces whatever arrives in the same event-loop tick (the flush
+    is scheduled, not inline), while keeping added latency at one tick.
     """
 
     def __init__(self, *, window: float = 0.002, max_cells: int = 4096):
@@ -74,8 +104,33 @@ class ScoreBatcher:
         self.window = window
         self.max_cells = max_cells
         self.stats = BatcherStats()
-        self._pending: dict[object, list[_Pending]] = {}
-        self._flushers: dict[object, asyncio.Task] = {}
+        self._batches: dict[object, _Batch] = {}
+        #: Connections mid-read; ``None`` until a server counts one.
+        self._reading: int | None = None
+
+    @property
+    def mid_read(self) -> int | None:
+        """Requests the server is still reading (``None``: no server informs
+        this batcher, so anyone may still come)."""
+        return self._reading
+
+    @contextlib.contextmanager
+    def reading(self) -> Iterator[None]:
+        """Count one admitted connection as mid-read for the block.
+
+        The server wraps each request read in this, so however the read
+        ends the count comes back down.  When it reaches zero, every batch
+        of two or more closes one loop tick later: a detect whose read just
+        ended queues first (it does not await before :meth:`score`) and
+        joins the batch instead of starting a lone one.
+        """
+        self._reading = (self._reading or 0) + 1
+        try:
+            yield
+        finally:
+            self._reading -= 1
+            if self._reading == 0 and self._batches:
+                asyncio.get_running_loop().call_soon(self._close_ready)
 
     async def score(
         self,
@@ -85,7 +140,7 @@ class ScoreBatcher:
     ) -> np.ndarray:
         """Queue ``cells`` under ``key``; returns their probabilities.
 
-        All queued calls sharing ``key`` before the window closes are scored
+        All queued calls sharing ``key`` before the batch closes are scored
         by a single ``score_fn(merged_cells)`` invocation.  ``score_fn``
         must be position-stable: output[i] corresponds to merged_cells[i].
         """
@@ -93,41 +148,36 @@ class ScoreBatcher:
         if not cells:
             return np.zeros(0)
         loop = asyncio.get_running_loop()
-        queue = self._pending.setdefault(key, [])
-        queued_cells = sum(len(p.cells) for p in queue)
-        if queue and queued_cells + len(cells) > self.max_cells:
+        batch = self._batches.get(key)
+        if batch is not None and batch.cells + len(cells) > self.max_cells:
             # Overflow: flush what is queued now; this request starts the
             # next batch so no merged pass exceeds the bound.
             self._flush(key, score_fn)
-            queue = self._pending.setdefault(key, [])
+            batch = None
+        if batch is None:
+            timer = loop.call_later(self.window, self._flush, key, score_fn)
+            batch = self._batches[key] = _Batch(score_fn, timer)
         entry = _Pending(list(cells), loop.create_future())
-        queue.append(entry)
-        if key not in self._flushers:
-            self._flushers[key] = loop.create_task(self._flush_later(key, score_fn))
+        batch.entries.append(entry)
+        if self._reading == 0 and batch.waiting >= 2:
+            # Nobody mid-read can join any more: close now, not at the window.
+            self._flush(key, score_fn)
         return await entry.future
 
-    async def _flush_later(
-        self, key: object, score_fn: Callable[[list], np.ndarray]
-    ) -> None:
-        if self.window > 0:
-            await asyncio.sleep(self.window)
-        else:
-            # One explicit tick: lets same-tick submitters join the batch.
-            await asyncio.sleep(0)
-        self._flush(key, score_fn)
+    def _close_ready(self) -> None:
+        """Flush every batch of two or more, unless a read began meanwhile."""
+        if self._reading:
+            return
+        for key, batch in list(self._batches.items()):
+            if batch.waiting >= 2:
+                self._flush(key, batch.score_fn)
 
     def _flush(self, key: object, score_fn: Callable[[list], np.ndarray]) -> None:
-        queue = self._pending.pop(key, [])
-        flusher = self._flushers.pop(key, None)
-        if flusher is not None and not flusher.done():
-            current = None
-            try:
-                current = asyncio.current_task()
-            except RuntimeError:  # pragma: no cover - no running loop
-                pass
-            if flusher is not current:
-                flusher.cancel()
-        waiters = [p for p in queue if not p.future.cancelled()]
+        batch = self._batches.pop(key, None)
+        if batch is None:
+            return
+        batch.timer.cancel()
+        waiters = [p for p in batch.entries if not p.future.cancelled()]
         if not waiters:
             return
         merged: list = []
@@ -167,17 +217,13 @@ class ScoreBatcher:
         request queued before the mutation observes the pre-edit relation —
         the same order a sequential client would see.
         """
-        if key in self._pending:
-            self._flush(key, score_fn)
+        self._flush(key, score_fn)
 
     async def drain(self) -> None:
-        """Flush everything pending (shutdown path)."""
-        for task in list(self._flushers.values()):
-            task.cancel()
-        pending = list(self._pending)
-        for key in pending:
-            queue = self._pending.pop(key, [])
-            for entry in queue:
+        """Cancel everything pending (shutdown path)."""
+        for batch in self._batches.values():
+            batch.timer.cancel()
+            for entry in batch.entries:
                 if not entry.future.done():
                     entry.future.cancel()
-        self._flushers.clear()
+        self._batches.clear()

@@ -23,7 +23,10 @@ Architecture (see ``docs/architecture.md`` → Serving):
 - **coalescing**: concurrent small detect requests against one tenant are
   merged by the :class:`~repro.serving.batching.ScoreBatcher` into a single
   chunked predict, bit-identical to sequential calls because per-cell
-  scores are chunk-composition independent;
+  scores are chunk-composition independent.  The server counts the
+  connections still reading their request, so a batch of two or more
+  closes as soon as none is, and only a lone detect waits out
+  ``batch_window``;
 - **fault containment**: malformed requests, oversized payloads, unknown
   fingerprints, slow or vanishing clients, and corrupt saved-model
   directories all produce structured ``repro.serve/v1`` error payloads
@@ -128,7 +131,9 @@ class ServeConfig:
     max_body: int = 8 * 1024 * 1024
     #: Per-read timeout for slow clients (408 on the headers, drop on body).
     read_timeout: float = 10.0
-    #: Coalescing window for concurrent small detect requests, seconds.
+    #: Coalescing window, seconds: how long a lone detect waits for company,
+    #: and the bound on every batch's wait.  A batch of two or more closes
+    #: sooner, once no other request is still being read.
     batch_window: float = 0.002
     #: Bound on one merged scoring pass, in cells.
     max_batch_cells: int = 4096
@@ -284,7 +289,11 @@ class DetectionServer:
     ) -> None:
         retry_after: float | None = None
         try:
-            request = await self._read_request(reader)
+            # The batcher closes a coalescing batch once no connection is
+            # mid-read: a detect does not await between the end of its read
+            # and ``batcher.score``, so only these reads can still join one.
+            with self.batcher.reading():
+                request = await self._read_request(reader)
             if request is None:  # client vanished before sending anything
                 return
             status, payload = await self._dispatch(request)

@@ -362,12 +362,16 @@ class TestDetectWithSpec:
         (["rescore", "--input", "{tmp}/data.csv", "--labels", "{tmp}/header_only.csv",
           "--edits", "{tmp}/edits.csv", "--output", "{tmp}/o.csv"],
          "header_only.csv: no labels"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/two_clean.csv",
+          "--spec", "{tmp}/holdout.toml", "--output", "{tmp}/o.csv"],
+         "two_clean.csv: holdout_fraction 0.9 holds out all 2 labels"),
     ],
     ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
          "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir",
          "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
-         "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only"],
+         "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only",
+         "detect-holdout-empties-labels"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""
@@ -375,6 +379,12 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     (tmp_path / "edits.csv").write_text("row,attribute,value\n0,zip,60613\n")
     (tmp_path / "labels.csv").write_text("row,attribute,true_value\n0,zip,60612\n")
     (tmp_path / "header_only.csv").write_text("row,attribute,true_value\n")
+    (tmp_path / "two_clean.csv").write_text(
+        "row,attribute,true_value\n0,zip,60612\n0,city,Chicago\n"
+    )
+    (tmp_path / "holdout.toml").write_text(
+        'schema = "repro.spec/v1"\n[detector]\nholdout_fraction = 0.9\n'
+    )
     (tmp_path / "sweep.toml").write_text(
         'datasets = [{ name = "hospital", rows = 60 }]\n'
         "label_budgets = [0.2]\n"

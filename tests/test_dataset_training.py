@@ -66,6 +66,17 @@ class TestTrainingSet:
     def test_split_holdout_invalid_fraction(self, zip_training):
         with pytest.raises(ValueError):
             zip_training.split_holdout(1.0)
+        with pytest.raises(ValueError):
+            zip_training.holdout_size(1.0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("clean, errors", [(0, 1), (1, 0), (2, 0), (2, 1), (5, 3), (20, 2)])
+    def test_holdout_size_is_what_split_holdout_holds_out(self, clean, errors, fraction):
+        examples = [example(i, "a", "v", "v") for i in range(clean)]
+        examples += [example(i, "b", "x", "y") for i in range(errors)]
+        ts = TrainingSet(examples)
+        _, hold = ts.split_holdout(fraction, rng=3)
+        assert ts.holdout_size(fraction) == len(hold)
 
     def test_iteration_and_indexing(self, zip_training):
         assert list(zip_training)[0] == zip_training[0]

@@ -791,6 +791,230 @@ class TestFaultInjection:
         assert set(payload["error"]) == {"code", "message"}
 
 
+# --------------------------------------------------------------------- #
+# Early batch close: the count of requests still being read
+# --------------------------------------------------------------------- #
+
+#: A batch window long enough that a batch closing at it is unmistakable.
+LONG_WINDOW = 5.0
+
+
+def settled_mid_read(harness) -> int | None:
+    """The batcher's mid-read count once no connection is in flight."""
+
+    async def state():
+        return harness.server._inflight, harness.server.batcher.mid_read
+
+    deadline = time.monotonic() + 10
+    inflight, mid_read = harness.submit(state())
+    while inflight and time.monotonic() < deadline:
+        time.sleep(0.01)
+        inflight, mid_read = harness.submit(state())
+    return mid_read
+
+
+def tenant_detect_pair(harness, served_world) -> list[float]:
+    """Seconds each of two concurrent one-cell detects of tenant ``acme``
+    takes to answer."""
+    attr = served_world.bundle.dirty.attributes[0]
+    barrier = threading.Barrier(2)
+
+    def detect(row):
+        client = ServeClient(harness.host, harness.port)
+        barrier.wait()
+        started = time.perf_counter()
+        client.detect(tenant="acme", cells=[(row, attr)])
+        return time.perf_counter() - started
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(detect, (0, 1)))
+
+
+def raw_status(harness, data: bytes) -> int:
+    connection = RawConnection(harness.host, harness.port)
+    try:
+        return parse_response(connection.send(data).read_response())[0]
+    finally:
+        connection.close()
+
+
+def end_bad_request_line(harness, served_world):
+    assert raw_status(harness, b"NOT A VALID REQUEST\r\n\r\n") == 400
+
+
+def head_only_status(harness, content_length: int) -> int:
+    """The answer to a request head whose declared body is never sent."""
+    connection = RawConnection(harness.host, harness.port)
+    try:
+        connection.send_request_head(content_length=content_length)
+        return parse_response(connection.read_response())[0]
+    finally:
+        connection.close()
+
+
+def end_payload_too_large(harness, served_world):
+    assert head_only_status(harness, harness.config.max_body + 1) == 413
+
+
+def end_read_timeout(harness, served_world):
+    assert head_only_status(harness, 64) == 408
+
+
+def end_disconnect_mid_body(harness, served_world):
+    connection = RawConnection(harness.host, harness.port)
+    connection.send_request_head(content_length=4096)
+    connection.send(b"partial")
+    connection.abort()
+
+
+def end_unknown_route(harness, served_world):
+    assert raw_status(harness, http_request("/v1/nope", method="GET")) == 404
+
+
+def end_method_not_allowed(harness, served_world):
+    assert raw_status(harness, http_request("/v1/detect", method="GET")) == 405
+
+
+def end_shed(harness, served_world):
+    """Stalled connections fill every in-flight slot; the next is shed."""
+
+    async def inflight():
+        return harness.server._inflight
+
+    cap = harness.config.max_inflight
+    stalled = [RawConnection(harness.host, harness.port) for _ in range(cap)]
+    try:
+        deadline = time.monotonic() + 10
+        while harness.submit(inflight()) < cap and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert raw_status(harness, http_request("/v1/health", method="GET")) == 503
+    finally:
+        for connection in stalled:
+            connection.close()
+
+
+def end_stateless_detect(harness, served_world):
+    ServeClient(harness.host, harness.port).detect(
+        served_world.fingerprint, dataset=served_world.bundle.dirty
+    )
+
+
+def end_whole_relation_view(harness, served_world):
+    ServeClient(harness.host, harness.port).detect(tenant="acme")
+
+
+def end_rescore(harness, served_world):
+    attr = served_world.bundle.dirty.attributes[0]
+    ServeClient(harness.host, harness.port).rescore(
+        "acme", [{"row": 2, "attribute": attr, "value": "Edited"}]
+    )
+
+
+def end_evict(harness, served_world):
+    ServeClient(harness.host, harness.port).evict(
+        fingerprint=served_world.fingerprint
+    )
+
+
+ENDINGS = [
+    end_bad_request_line, end_payload_too_large, end_read_timeout,
+    end_disconnect_mid_body, end_unknown_route, end_method_not_allowed,
+    end_shed, end_stateless_detect, end_whole_relation_view, end_rescore,
+    end_evict,
+]
+
+
+class TestMidReadCount:
+    """The batcher closes a batch of two or more once no admitted
+    connection is still reading its request.  A count left raised by some
+    way a connection ends would bring the whole window back to every
+    batch, so each ending must bring it back to zero."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"NOT A VALID REQUEST\r\n\r\n",
+            http_request(body=b"x" * 2048),
+            b"POST /v1/detect HTTP/1.1\r\nContent-Length: 4096\r\n\r\npartial",
+            http_request("/v1/nope", method="GET"),
+            http_request("/v1/detect", method="GET"),
+            http_request(body=b"{nope"),
+            http_request("/v1/health", method="GET"),
+            b"",
+        ],
+        ids=["bad-request-line", "413", "disconnect-mid-body", "404", "405",
+             "bad-json", "health", "empty-connection"],
+    )
+    def test_fed_request_leaves_no_read_counted(self, served_world, raw):
+        server = DetectionServer(
+            ServeConfig(model_root=served_world.model_root, max_body=1024)
+        )
+        feed_request(server, raw)
+        assert server.batcher.mid_read == 0
+
+    def test_shed_connection_is_never_counted(self, served_world):
+        server = protocol_server(served_world)
+        server._inflight = server.config.max_inflight
+        status, _ = parse_response(
+            feed_request(server, http_request("/v1/health", method="GET"))
+        )
+        assert status == 503
+        assert server.batcher.mid_read is None  # no read was ever counted
+
+    @pytest.fixture()
+    def window_server(self, served_world, tmp_path):
+        config = ServeConfig(
+            model_root=served_world.model_root,
+            artifact_root=tmp_path / "artifacts",
+            batch_window=LONG_WINDOW,
+            read_timeout=2.0,
+            max_inflight=2,
+        )
+        with InProcessServer(config) as harness:
+            register(ServeClient(harness.host, harness.port), served_world)
+            yield harness
+
+    @pytest.mark.parametrize(
+        "ending", ENDINGS, ids=[e.__name__.removeprefix("end_") for e in ENDINGS]
+    )
+    def test_every_ending_leaves_no_read_counted(
+        self, served_world, window_server, ending
+    ):
+        ending(window_server, served_world)
+        assert settled_mid_read(window_server) == 0
+        # Nothing left mid-read: a pair of detects closes its batch at once
+        # instead of sitting out the 5 s window.
+        assert max(tenant_detect_pair(window_server, served_world)) < LONG_WINDOW / 2
+
+    def test_stalled_read_brings_back_only_the_window(self, served_world, tmp_path):
+        window = 0.5
+        config = ServeConfig(
+            model_root=served_world.model_root,
+            artifact_root=tmp_path / "artifacts",
+            batch_window=window,
+            read_timeout=30.0,
+        )
+
+        async def mid_read():
+            return harness.server.batcher.mid_read
+
+        with InProcessServer(config) as harness:
+            register(ServeClient(harness.host, harness.port), served_world)
+            stalled = RawConnection(harness.host, harness.port)
+            try:
+                stalled.send(b"POST /v1/detect HTTP/1.1\r\n")  # the head never ends
+                deadline = time.monotonic() + 10
+                while harness.submit(mid_read()) != 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                elapsed = tenant_detect_pair(harness, served_world)
+            finally:
+                stalled.close()
+            # The stalled read could still join, so the pair waits out the
+            # window, and no longer: the read itself would run to 30 s.
+            assert window <= max(elapsed) < 10
+            assert settled_mid_read(harness) == 0
+
+
 class TestCliClient:
     def test_client_detect_writes_the_served_triage_csv(self, served_world, server, tmp_path):
         import csv
