@@ -105,8 +105,9 @@ def _fit(
     detector: HoloDetect, labels_path: str, dataset: Dataset,
     training: TrainingSet, constraints: list,
 ) -> None:
-    """Fit ``detector``; labels its holdout split would leave none of to
-    train on end the command in one line instead of a traceback."""
+    """Fit ``detector`` on ``training``; when its holdout split would hold
+    out every label, end the command in one line naming the labels file
+    instead of letting the fit raise a traceback."""
     fraction = detector.config.holdout_fraction
     if training.holdout_size(fraction) == len(training):
         raise SystemExit(

@@ -105,7 +105,6 @@ class ScoreBatcher:
         self.max_cells = max_cells
         self.stats = BatcherStats()
         self._batches: dict[object, _Batch] = {}
-        #: Connections mid-read; ``None`` until a server counts one.
         self._reading: int | None = None
 
     @property

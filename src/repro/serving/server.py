@@ -572,12 +572,7 @@ class DetectionServer:
         tenant = self._require_tenant(payload)
         edits = self._parse_edits(payload, tenant.dataset)
         refresh = bool(payload.get("refresh", False))
-        # Ordering barrier: anything already queued for this tenant scores
-        # against the pre-edit relation, exactly as a sequential client
-        # interleaving detect → rescore would observe.
-        self.batcher.flush_key(
-            tenant.batch_key, tenant.detector._score_probabilities
-        )
+        self._flush_tenant(tenant)
         before = tenant.session.rescored_cells
         tenant.session.apply(edits, refresh=refresh)
         delta = tenant.session.last_delta
@@ -611,7 +606,10 @@ class DetectionServer:
             evicted_model = self.registry.evict(fingerprint)
         evicted_tenant = False
         if tenant_name is not None:
-            evicted_tenant = self.tenants.pop(tenant_name, None) is not None
+            tenant = self.tenants.pop(tenant_name, None)
+            if tenant is not None:
+                self._flush_tenant(tenant)
+                evicted_tenant = True
         return 200, {
             "schema": SERVE_SCHEMA,
             "kind": "evict",
@@ -770,8 +768,18 @@ class DetectionServer:
             detector=detector,
             session=session,
         )
+        if existing is not None:
+            self._flush_tenant(existing)
         self.tenants[tenant_name] = tenant
         return tenant
+
+    def _flush_tenant(self, tenant: Tenant) -> None:
+        """Ordering barrier before a tenant's relation changes (a rescore,
+        a re-registration, an evict): detects already queued for it score
+        against the relation they were sent against, exactly as a
+        sequential client would observe, and never join a batch scored by
+        the replacement detector."""
+        self.batcher.flush_key(tenant.batch_key, tenant.detector._score_probabilities)
 
     def _require_tenant(self, payload: dict) -> Tenant:
         tenant_name = payload.get("tenant")

@@ -1015,6 +1015,61 @@ class TestMidReadCount:
             assert settled_mid_read(harness) == 0
 
 
+class TestTenantBarrier:
+    """A detect queued for a tenant is scored against the relation it was
+    sent against, even when the tenant's relation is replaced before the
+    batch closes: the replacement flushes the batch first.  The 5 s window
+    keeps the detect queued until then."""
+
+    @pytest.mark.parametrize("replace", ["re-register", "evict-then-register"])
+    def test_queued_detect_scores_the_relation_it_was_sent_against(
+        self, served_world, tmp_path, replace
+    ):
+        dataset = served_world.bundle.dirty
+        attr = dataset.attributes[0]
+        changed = dataset.copy()
+        changed.set_value(Cell(0, attr), "Changed Value")
+        config = ServeConfig(
+            model_root=served_world.model_root,
+            artifact_root=tmp_path / "artifacts",
+            batch_window=LONG_WINDOW,
+        )
+
+        def detect(harness, barrier=None):
+            client = ServeClient(harness.host, harness.port)
+            if barrier is not None:
+                barrier.wait()
+            return served_probabilities(client.detect(tenant="acme", cells=[(0, attr)]))
+
+        with InProcessServer(config) as harness:
+            client = ServeClient(harness.host, harness.port)
+            register(client, served_world)
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                queued = pool.submit(detect, harness)
+                deadline = time.monotonic() + 10
+                while (
+                    client.registry()["batcher"]["requests"] < 1
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                if replace == "evict-then-register":
+                    client.evict(tenant="acme")
+                client.detect(
+                    served_world.fingerprint, dataset=changed, tenant="acme",
+                    include_cells=False,
+                )
+                # A pair, so the batch after the replacement closes at once.
+                barrier = threading.Barrier(2)
+                later = list(pool.map(detect, [harness] * 2, [barrier] * 2))
+                first = queued.result(timeout=30)
+
+        cell = [Cell(0, attr)]
+        assert first == direct_probabilities(fresh_baseline(served_world), cell)
+        expected = direct_probabilities(fresh_baseline(served_world, changed), cell)
+        assert later == [expected, expected]
+        assert first != expected
+
+
 class TestCliClient:
     def test_client_detect_writes_the_served_triage_csv(self, served_world, server, tmp_path):
         import csv
