@@ -10,8 +10,8 @@ Rows are printed with the same structure the paper reports, so a run of
 ``pytest benchmarks/ --benchmark-only -s`` reproduces each table's layout.
 The benchmark→paper index lives in ``docs/architecture.md``.
 
-All detector-based benchmarks run with the batched featurization engine and,
-like every detector, no feature cache; the speedup of an attached cache is
+All detector-based benchmarks run with the batched featurization engine and
+its per-model transform memos; the speedup of warm memos over cold ones is
 measured — not assumed — by ``bench_feature_engine.py``.
 """
 

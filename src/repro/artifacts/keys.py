@@ -7,11 +7,10 @@ An artifact key is the SHA-256 of the canonical JSON of
 
 so the key — like the scenario fingerprints of
 :mod:`repro.evaluation.matrix` — is stable under dict key reordering,
-whitespace, processes, and sessions.  The *scope* is the same scoped
-fingerprint discipline the feature cache uses: a per-column embedding keys
-on its column's content fingerprint, a relation-wide model on the whole
-dataset fingerprint, so an edit to column A never invalidates column B's
-artifact.
+whitespace, processes, and sessions.  The *scope* is the narrowest
+fingerprint of the data a fit reads: a per-column embedding keys on its
+column's content fingerprint, a relation-wide model on the whole dataset
+fingerprint, so an edit to column A never invalidates column B's artifact.
 
 Training seeds are derived *from the key itself* (:func:`training_seed`):
 an embedding trained for a given (corpus, config) is seeded by the content

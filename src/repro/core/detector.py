@@ -35,7 +35,6 @@ from repro.core.training import TrainerConfig, train_model
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.dataset.training import LabeledCell, TrainingSet
 from repro.features.base import CellBatch, FeatureContext
-from repro.features.cache import CacheStats
 from repro.features.pipeline import (
     ALL_MODEL_NAMES,
     CellFeatures,
@@ -263,13 +262,6 @@ class HoloDetect:
         return cls(DetectorConfig(**config_kwargs), spec=spec)
 
     @property
-    def cache_stats(self) -> CacheStats | None:
-        """Accounting of the :class:`~repro.features.cache.FeatureCache` a
-        caller assigned to the fitted ``pipeline.cache``, else ``None``."""
-        cache = self.pipeline.cache if self.pipeline is not None else None
-        return cache.stats if cache is not None else None
-
-    @property
     def artifacts(self) -> ArtifactStore | None:
         """The fitted-artifact store in effect: the detector's own
         (:meth:`use_artifacts`, ``artifact_dir``), else the ambient one of
@@ -485,9 +477,8 @@ class HoloDetect:
         prediction target, §3.3 Module 3).
 
         Prediction is chunked into ``config.prediction_batch``-cell batches.
-        With a :class:`~repro.features.cache.FeatureCache` attached to the
-        pipeline, a repeated prediction over the same cells reuses every
-        transformed block.
+        A repeated prediction reads what the first computed from the
+        featurizers' memos (:class:`~repro.features.cache.FeatureCache`).
         """
         if self.model is None or self.pipeline is None or self._dataset is None:
             raise RuntimeError("detector used before fit()")

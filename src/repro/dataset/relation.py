@@ -16,9 +16,9 @@ read-side API.  Two backings implement it:
 
 The fingerprint recipes live here because they are a *contract*: both
 backings must produce bit-identical column and relation fingerprints for the
-same content, which is what keeps every feature-cache key and fitted-artifact
-key independent of the backing (see ``docs/architecture.md``,
-"Sharded & out-of-core datasets").
+same content, which is what keeps every fitted-artifact key independent of
+the backing (see ``docs/architecture.md``, "Sharded & out-of-core
+datasets").
 
 Shard addressing is part of the read-side protocol: every relation exposes
 :meth:`Relation.shard_spans` (the in-memory backing reports one span covering
@@ -290,9 +290,8 @@ class Relation:
     def rows_fingerprint(self, rows: Iterable[int]) -> str:
         """Content hash of the given rows across all attributes.
 
-        Keys tuple-scoped feature blocks: a block depending only on some
-        rows' contents stays valid as long as those rows are untouched,
-        whatever happens elsewhere in the relation.
+        It changes only when one of those rows does, whatever happens
+        elsewhere in the relation.
         """
         h = hashlib.blake2b(digest_size=16)
         columns = [self.column(a) for a in self.schema.attributes]

@@ -18,9 +18,9 @@ per-column hash recipe of the in-memory backing
 (:func:`repro.dataset.relation.hash_column`), one streaming hasher per
 column across shards, so ``column_fingerprint``/``fingerprint`` are
 bit-identical to an in-memory :class:`~repro.dataset.table.Dataset` holding
-the same content.  Every feature-cache key and fitted-artifact key is
-therefore independent of the backing: a model fitted against the in-memory
-relation is served warm against its sharded twin, and vice versa.
+the same content.  Every fitted-artifact key is therefore independent of
+the backing: a model fitted against the in-memory relation is served warm
+against its sharded twin, and vice versa.
 Per-shard digests (the same recipe over each shard's rows) are recorded
 alongside and key mergeable fit partials
 (:func:`repro.artifacts.keys.shard_partial_key`).

@@ -11,8 +11,8 @@ dominant access pattern in featurisation — cheap.
 Versioning is column-scoped: every column carries its own memoised content
 fingerprint, and the relation fingerprint is derived from the column
 fingerprints.  A mutation therefore re-hashes only the touched columns, and
-downstream consumers (the feature cache, :class:`DetectionSession`) can tell
-*which* columns changed.  The batch mutators :meth:`Dataset.apply_edits` and
+downstream consumers (the artifact store, :class:`DetectionSession`) can
+tell *which* columns changed.  The batch mutators :meth:`Dataset.apply_edits` and
 :meth:`Dataset.append_rows` return a structured :class:`DatasetDelta`
 describing exactly the touched rows and columns.
 """
@@ -217,8 +217,8 @@ class Dataset(Relation):
     def column_fingerprint(self, attr: str) -> str:
         """Stable content hash of one column, memoised until it is mutated.
 
-        The feature cache keys attribute-scoped blocks on this value, so an
-        edit to column A never invalidates cached blocks of column B.
+        Per-column embedding artifacts are keyed on this value, so an edit
+        to column A never invalidates column B's.
         """
         fp = self._column_fingerprints[attr]
         if fp is None:
@@ -230,9 +230,9 @@ class Dataset(Relation):
         """Stable content hash of the relation (schema order + all values).
 
         Derived from the per-column fingerprints, so after a mutation only
-        the dirty columns are re-hashed — never the whole relation.  The
-        feature cache keys dataset-scoped blocks on this value; any in-place
-        mutation invalidates them automatically.
+        the dirty columns are re-hashed — never the whole relation.
+        Relation-wide artifacts are keyed on this value, so any in-place
+        mutation invalidates them.
         """
         if self._fingerprint is None:
             self._fingerprint = compose_fingerprint(

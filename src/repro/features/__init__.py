@@ -16,9 +16,10 @@ dataset D, transforms cells into a fixed ``numeric`` block plus named
 embedding branches, and supports dropping any single model for the Fig. 3
 ablation study.
 
-Transforms are batched through :class:`~repro.features.base.CellBatch` and
-optionally memoised by a :class:`~repro.features.cache.FeatureCache` — see
-``docs/architecture.md`` for where the cache sits in the system.
+Transforms are batched through :class:`~repro.features.base.CellBatch`, and
+each model memoises what it computes across calls in per-model
+:class:`~repro.features.cache.FeatureCache` memos, which count their hits —
+see ``docs/architecture.md`` for what each memo keeps.
 """
 
 from repro.features.base import CellBatch, Featurizer, FeatureContext

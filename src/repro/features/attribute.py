@@ -9,9 +9,11 @@ per-value statistics are computed once per *unique* value of a column and
 scattered to all cells carrying it, which is where most of the speedup of
 the batched engine comes from — real columns are heavily repetitive.  The
 embedding and n-gram models also memoise value → vector (or log-probability
-row) per column model across calls (:meth:`~repro.features.base.Featurizer._memo`),
-so a served relation whose values repeat from request to request computes
-each value once per fit of its column.
+row) per column model across calls, in a
+:class:`~repro.features.cache.FeatureCache` each
+(:meth:`~repro.features.base.Featurizer._memo`), so a served relation whose
+values repeat from request to request computes each value once per fit of
+its column.
 
 All models here declare ``scope = ATTRIBUTE`` — their transforms read
 nothing beyond the cell's own (possibly overridden) value and the fitted
@@ -43,8 +45,7 @@ class _ColumnEmbeddingFeaturizer(EmbeddingFeaturizer, ColumnScopedFeaturizer):
     One embedding model per attribute, trained on the column's
     ``_view``-token corpus and keyed on the column's content fingerprint,
     so an edit to one column retrains (or re-fetches) only that column's
-    model — the same locality rule the feature cache uses for transformed
-    blocks.
+    model, and only that column's transform memo starts over.
     """
 
     _models: dict[str, FastTextEmbedding] | None = None
@@ -78,9 +79,11 @@ class _ColumnEmbeddingFeaturizer(EmbeddingFeaturizer, ColumnScopedFeaturizer):
             for value, idx in by_value.items():
                 vector = vectors.get(value)
                 if vector is None:
+                    vectors.stats.misses += 1
                     tokens = self._tokens(value) or ["<empty>"]
                     vector = vectors[value] = model.sentence_vector(tokens)
                 out[idx] = vector
+            vectors.stats.lookups += len(by_value)
         return out
 
     @property
@@ -158,10 +161,12 @@ class _NGramFeaturizer(ColumnScopedFeaturizer):
             for value, idx in by_value.items():
                 row = log_probs.get(value)
                 if row is None:
+                    log_probs.stats.misses += 1
                     row = log_probs[value] = np.log(
                         model.least_probable_grams(value, self._least_k)
                     )
                 out[idx] = row
+            log_probs.stats.lookups += len(by_value)
         return out
 
     @property

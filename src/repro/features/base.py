@@ -12,8 +12,6 @@ instead of being recomputed per cell per featurizer.
 from __future__ import annotations
 
 import enum
-import hashlib
-import itertools
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -26,19 +24,10 @@ from repro.artifacts.codec import (
 )
 from repro.artifacts.keys import artifact_key, shard_partial_key, training_seed
 from repro.artifacts.runtime import get_default_store
-from repro.dataset.relation import ShardSpan, compose_fingerprint
+from repro.dataset.relation import ShardSpan
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.embeddings.fasttext import FastTextEmbedding
-
-#: Monotonic counter backing :attr:`Featurizer.cache_token` — every reset
-#: yields a token never seen before in the process, so stale cache entries
-#: from a previous fit can never collide with a refitted model.
-_TOKEN_COUNTER = itertools.count()
-
-#: Entries at which a :meth:`Featurizer._memo` is emptied before a call.
-#: The call that finds it full refills it, so a memo holds at most this
-#: many entries plus those one transform call adds.
-MEMO_MAX_ENTRIES = 8192
+from repro.features.cache import FeatureCache
 
 
 class FeatureContext(enum.Enum):
@@ -52,9 +41,9 @@ class FeatureContext(enum.Enum):
       of the dataset a transformed block reads beyond the batch's own
       resolved values.  ``ATTRIBUTE`` = nothing beyond the batch's columns,
       ``TUPLE`` = the batch rows' contents across all columns, ``DATASET`` =
-      potentially anything.  The scope drives cache keying and incremental
-      re-scoring; the two often differ (e.g. the neighborhood model *fits*
-      on the whole dataset but *transforms* from the cell value alone).
+      potentially anything.  The scope drives incremental re-scoring; the
+      two often differ (e.g. the neighborhood model *fits* on the whole
+      dataset but *transforms* from the cell value alone).
     """
 
     ATTRIBUTE = "attribute"
@@ -82,9 +71,6 @@ class CellBatch:
         "_by_attr",
         "_value_groups",
         "_overridden",
-        "_digest",
-        "_columns_fingerprint",
-        "_rows_fingerprint",
         "_rows",
     )
 
@@ -110,9 +96,6 @@ class CellBatch:
         self._by_attr: dict[str, np.ndarray] | None = None
         self._value_groups: dict[str, dict[str, np.ndarray]] | None = None
         self._overridden: np.ndarray | None = None
-        self._digest: str | None = None
-        self._columns_fingerprint: str | None = None
-        self._rows_fingerprint: str | None = None
         self._rows: dict[int, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
@@ -175,53 +158,6 @@ class CellBatch:
                 )
         return self._overridden
 
-    @property
-    def dataset_fingerprint(self) -> str:
-        """Content hash of the backing dataset (see ``Dataset.fingerprint``)."""
-        return self.dataset.fingerprint()
-
-    @property
-    def columns_fingerprint(self) -> str:
-        """Combined content hash of the columns the batch's cells live in.
-
-        Keys attribute-scoped blocks: it changes when any of the batch's
-        columns is mutated, and is untouched by edits to other columns.
-        """
-        if self._columns_fingerprint is None:
-            attrs = sorted(self.by_attr)
-            self._columns_fingerprint = compose_fingerprint(
-                attrs, {a: self.dataset.column_fingerprint(a) for a in attrs}
-            )
-        return self._columns_fingerprint
-
-    @property
-    def rows_fingerprint(self) -> str:
-        """Content hash of the batch's rows across all attributes.
-
-        Keys tuple-scoped blocks: it changes when any cell of any of the
-        batch's rows is mutated, and is untouched by edits to other rows.
-        """
-        if self._rows_fingerprint is None:
-            self._rows_fingerprint = self.dataset.rows_fingerprint(
-                c.row for c in self.cells
-            )
-        return self._rows_fingerprint
-
-    @property
-    def digest(self) -> str:
-        """Stable hash of the batch's cells and resolved values.
-
-        Together with :attr:`dataset_fingerprint` and a featurizer's
-        ``cache_token``, this fully keys a transformed block: same cells,
-        same overrides, same dataset, same fitted model → same output.
-        """
-        if self._digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            for cell, value in zip(self.cells, self.resolved):
-                h.update(f"{cell.row}\x1f{cell.attr}\x1f{value}\x1e".encode("utf-8"))
-            self._digest = h.hexdigest()
-        return self._digest
-
 
 class Featurizer:
     """One representation model: fit on the noisy dataset, transform cells.
@@ -234,10 +170,10 @@ class Featurizer:
 
     ``scope`` declares the transform-time dependency granularity — what a
     transformed block reads from the dataset beyond the batch's own resolved
-    values — and selects the fingerprint that keys the block in the feature
-    cache (see :meth:`scoped_fingerprint`).  The default is the conservative
-    ``DATASET`` (any mutation invalidates); built-in models declare the
-    tightest scope that is honest for their transform.
+    values — and so which cells an edit can change (see
+    :class:`~repro.core.detector.DetectionSession`).  The default is the
+    conservative ``DATASET`` (any mutation re-scores everything); built-in
+    models declare the tightest scope that is honest for their transform.
 
     The primary transform contract is :meth:`transform_batch`, which receives
     a :class:`CellBatch` and returns the feature block for all of its cells
@@ -249,11 +185,10 @@ class Featurizer:
 
     name: str = "featurizer"
     context: FeatureContext = FeatureContext.ATTRIBUTE
-    #: Transform-time dependency granularity (cache scoping + incremental
-    #: re-scoring).  DATASET is the safe default for custom subclasses.
+    #: Transform-time dependency granularity (incremental re-scoring).
+    #: DATASET is the safe default for custom subclasses.
     scope: FeatureContext = FeatureContext.DATASET
     branch: str | None = None
-    _cache_token: str | None = None
     #: Whole-state artifact kind tag (see :mod:`repro.artifacts`).  ``None``
     #: means this featurizer is not stored at whole-state granularity —
     #: either its fit is too cheap to be worth a store round-trip (n-gram
@@ -263,27 +198,20 @@ class Featurizer:
     _artifact_keys: "dict[str, str] | None" = None
 
     def fit(self, dataset: Dataset) -> "Featurizer":
-        """Learn the model's statistics from the (noisy) input dataset D.
-
-        Refitting an already-fitted featurizer should be followed by
-        :meth:`reset_cache_token` so cached blocks from the previous fit
-        cannot be served (``FeaturePipeline.fit`` does this automatically).
-        """
+        """Learn the model's statistics from the (noisy) input dataset D."""
         raise NotImplementedError
 
     def refresh(self, dataset: Dataset, delta: DatasetDelta) -> bool:
         """Refit on ``dataset`` if ``delta`` dirties this model's fitted state.
 
-        Returns whether a refit happened (and hence a fresh cache token was
-        issued).  The base implementation refits fully on any effective
-        change; per-column models override this to refit only the touched
-        columns, and models whose fitted state cannot go stale (e.g. a
-        schema-only one-hot) override it to do nothing.
+        Returns whether a refit happened.  The base implementation refits
+        fully on any effective change; per-column models override this to
+        refit only the touched columns, and models whose fitted state cannot
+        go stale (e.g. a schema-only one-hot) override it to do nothing.
         """
         if delta.is_empty:
             return False
         self.fit_through_store(dataset)
-        self.reset_cache_token()
         return True
 
     def fit_through_store(self, dataset: Dataset) -> None:
@@ -412,21 +340,6 @@ class Featurizer:
             self._artifact_keys = {}
         self._artifact_keys[label] = key
 
-    def scoped_fingerprint(self, batch: CellBatch) -> str:
-        """The dataset fingerprint keying this model's block for ``batch``.
-
-        Selected by :attr:`scope`: attribute-scoped models key on the
-        batch's column fingerprints, tuple-scoped models on the batch rows'
-        content hash, dataset-scoped models on the whole-relation
-        fingerprint.  Together with :attr:`cache_token` and the batch digest
-        this fully determines a transformed block.
-        """
-        if self.scope is FeatureContext.ATTRIBUTE:
-            return batch.columns_fingerprint
-        if self.scope is FeatureContext.TUPLE:
-            return batch.rows_fingerprint
-        return batch.dataset_fingerprint
-
     def transform_batch(self, batch: CellBatch) -> np.ndarray:
         """Feature block ``[len(batch), self.dim]`` for the batch's cells.
 
@@ -461,41 +374,25 @@ class Featurizer:
         """Output width of :meth:`transform_batch`."""
         raise NotImplementedError
 
-    @property
-    def cache_token(self) -> str:
-        """Opaque token identifying this featurizer's *fitted state*.
-
-        Feature-cache keys include this token; it changes on every
-        :meth:`reset_cache_token`, so blocks computed under an older fit can
-        never be confused with the current one.
-        """
-        if self._cache_token is None:
-            self.reset_cache_token()
-        return self._cache_token
-
-    def reset_cache_token(self) -> None:
-        """Issue a fresh cache token (call after refitting in place)."""
-        self._cache_token = f"{type(self).__name__}:{self.name}#{next(_TOKEN_COUNTER)}"
-
-    def _memo(self, name: str, fitted: object) -> dict:
-        """The transform memo ``name``: a dict that outlives the call.
+    def _memo(self, name: str, fitted: object) -> FeatureCache:
+        """The transform memo ``name``, a :class:`FeatureCache` that
+        outlives the call.
 
         It belongs to the fitted object ``fitted`` (a column's model, the
         relation-wide embedding): when ``fitted`` is not the object the memo
         was built for — a per-column refit, :meth:`load_state`, a refit of
-        the relation — a new, empty memo replaces it.  It is emptied once it
-        holds :data:`MEMO_MAX_ENTRIES` entries.  Callers key it by value or
-        row content, never by row index, so it stays correct across edits
-        and relations; and they read it with ``get`` and use what they
-        computed, since another thread may empty it between two lookups.
+        the relation — a new, empty memo replaces it.  A full memo is
+        emptied first (:meth:`FeatureCache.make_room`).  Callers key it by
+        value or row content, never by row index, so it stays correct
+        across edits and relations.  They count a miss where they compute
+        the entry and their lookups once per call (``memo.stats``).
         """
         memos = self.__dict__.setdefault("_memos", {})
         entry = memos.get(name)
         if entry is None or entry[0] is not fitted:
-            entry = memos[name] = (fitted, {})
+            entry = memos[name] = (fitted, FeatureCache())
         memo = entry[1]
-        if len(memo) >= MEMO_MAX_ENTRIES:
-            memo.clear()
+        memo.make_room()
         return memo
 
     def _require_fitted(self, attribute: str) -> None:
@@ -516,12 +413,9 @@ class ColumnScopedFeaturizer(Featurizer):
     :meth:`fit` (every column) and a column-scoped :meth:`refresh` — after
     a batch edit only the touched columns are refitted.
 
-    Note the two granularities of reuse after a refresh.  The opt-in block
-    cache keys on one token for the whole featurizer, and a refresh draws
-    a fresh one, so cached blocks of *untouched* columns are recomputed on
-    next use.  The per-value transform memos (:meth:`Featurizer._memo`)
-    belong to each column's fitted model instead: a refitted column starts
-    a new memo, and every untouched column keeps its own.
+    The per-value transform memos (:meth:`Featurizer._memo`) belong to
+    each column's fitted model, so after a refresh a refitted column starts
+    a new memo while every untouched column keeps its own.
     """
 
     scope = FeatureContext.ATTRIBUTE
@@ -547,7 +441,6 @@ class ColumnScopedFeaturizer(Featurizer):
         else:
             for attr in delta.columns:
                 self._fit_column(dataset, attr)
-        self.reset_cache_token()
         return True
 
 

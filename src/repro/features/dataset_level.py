@@ -256,7 +256,7 @@ class NeighborhoodFeaturizer(_RelationEmbeddingFeaturizer):
     name = "neighborhood"
     context = FeatureContext.DATASET
     #: Fits on the whole dataset, but the transform reads only the cell's
-    #: resolved value (covered by the batch digest) — attribute-scoped.
+    #: resolved value — attribute-scoped.
     scope = FeatureContext.ATTRIBUTE
     branch = None
     _kind = "embedding/tuple-value"
@@ -274,8 +274,10 @@ class NeighborhoodFeaturizer(_RelationEmbeddingFeaturizer):
         for token, idx in unique.items():
             distance = distances.get(token)
             if distance is None:
+                distances.stats.misses += 1
                 distance = distances[token] = self._model.nearest_neighbor_distance(token)
             out[idx, 0] = distance
+        distances.stats.lookups += len(unique)
         return out
 
     @property

@@ -25,7 +25,7 @@ Public API
 Both follow the standard :class:`~repro.features.base.Featurizer` lifecycle
 — ``fit(dataset)`` learns per-attribute statistics, then the batched
 ``transform_batch`` / ``transform`` produce ``[n_cells, 1]`` blocks — and
-are compatible with the feature cache and value overrides.
+honour value overrides.
 
 Usage::
 

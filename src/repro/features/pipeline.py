@@ -7,10 +7,9 @@ layers).  Dropping a model by name reproduces the Fig. 3 ablation.
 
 Transforms are batched: one :class:`~repro.features.base.CellBatch` is built
 per call and shared by every featurizer, so resolved values and per-column
-groupings are computed once per batch rather than once per model.  No cache
-is attached by default; a caller that transforms the same batch again can
-attach a :class:`~repro.features.cache.FeatureCache` (``pipeline.cache``),
-which memoises each featurizer's block per batch.
+groupings are computed once per batch rather than once per model.  Reuse
+across calls lives inside the featurizers, in their per-model
+:class:`~repro.features.cache.FeatureCache` memos.
 
 After in-place dataset mutations, :meth:`FeaturePipeline.refresh` refits
 only the models whose fitted state the :class:`~repro.dataset.table.DatasetDelta`
@@ -20,7 +19,7 @@ dirties (per-column models refit just the touched columns).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,9 +41,6 @@ from repro.features.dataset_level import (
 from repro.features.tuple_level import CooccurrenceFeaturizer, TupleEmbeddingFeaturizer
 from repro.registry import REGISTRY, ComponentError, register
 from repro.utils.specfile import require_int
-
-if TYPE_CHECKING:
-    from repro.features.cache import FeatureCache
 
 #: Names of all representation models in the default pipeline, usable with
 #: :func:`default_pipeline`'s ``exclude`` for ablation studies.
@@ -243,18 +239,11 @@ class CellFeatures:
 class FeaturePipeline:
     """Fits featurizers on a dataset and transforms cells into model inputs."""
 
-    def __init__(
-        self,
-        featurizers: Sequence[Featurizer],
-        cache: "FeatureCache | None" = None,
-    ):
+    def __init__(self, featurizers: Sequence[Featurizer]):
         names = [f.name for f in featurizers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate featurizer names: {names}")
         self.featurizers = list(featurizers)
-        #: Optional block cache, ``None`` unless a caller assigns a
-        #: ``FeatureCache``; set back to ``None`` to bypass it.
-        self.cache = cache
         self._fitted = False
         self._numeric_mean: np.ndarray | None = None
         self._numeric_std: np.ndarray | None = None
@@ -286,8 +275,6 @@ class FeaturePipeline:
         """
         for featurizer in self.featurizers:
             featurizer.fit_through_store(dataset)
-            # A refit invalidates any cached blocks of the previous fit.
-            featurizer.reset_cache_token()
         self._fit_standardisation(dataset)
         self._fitted = True
         return self
@@ -343,15 +330,9 @@ class FeaturePipeline:
             for i in range(0, total, stride)[:limit]
         ]
 
-    def _block(self, featurizer: Featurizer, batch: CellBatch) -> np.ndarray:
-        """One featurizer's block for the batch, through the cache if any."""
-        if self.cache is None:
-            return featurizer.transform_batch(batch)
-        return self.cache.get_or_compute(featurizer, batch)
-
     def _numeric_block(self, batch: CellBatch) -> np.ndarray:
         blocks = [
-            self._block(f, batch)
+            f.transform_batch(batch)
             for f in self.featurizers
             if f.branch is None and f.dim > 0
         ]
@@ -370,24 +351,20 @@ class FeaturePipeline:
         return self.transform_batch(CellBatch(cells, dataset, values))
 
     def transform_batch(self, batch: CellBatch) -> CellFeatures:
-        """Features for a prepared :class:`CellBatch`.
-
-        The batch's groupings are shared by all featurizers; with a cache
-        attached each featurizer's block is memoised per batch.
-        """
+        """Features for a prepared :class:`CellBatch`, whose groupings
+        are shared by all featurizers."""
         if not self._fitted:
             raise RuntimeError("pipeline used before fit()")
         numeric = self._numeric_block(batch)
         if numeric.shape[1]:
-            # Standardisation allocates a fresh array, so cached blocks stay
-            # pristine.  Standardised features are clipped: a value whose raw
-            # statistic is wildly outside the fit sample (e.g. an unseen
-            # n-gram in a near-constant column) should read "extreme", not
-            # destabilise the optimiser.
+            # Standardised features are clipped: a value whose raw statistic
+            # is wildly outside the fit sample (e.g. an unseen n-gram in a
+            # near-constant column) should read "extreme", not destabilise
+            # the optimiser.
             numeric = (numeric - self._numeric_mean) / self._numeric_std
             numeric = np.clip(numeric, -10.0, 10.0)
         branches = {
-            f.branch: self._block(f, batch)
+            f.branch: f.transform_batch(batch)
             for f in self.featurizers
             if f.branch is not None
         }

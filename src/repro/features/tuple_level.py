@@ -5,14 +5,16 @@ co-occurrence statistics, and a learnable embedding of the whole tuple.
 Swapped values — which look perfectly normal to every attribute-level model —
 break co-occurrence patterns, and these models are what surfaces them.
 
-Both models memoise across calls (:meth:`~repro.features.base.Featurizer._memo`),
-per fitted model.  Co-occurrence keeps ``(attribute, value, row values)`` →
-the cell's row of conditionals.  The tuple embedding keeps value → the
-cell's own vector, value → its token rows, and ``(attribute position, row
-values)`` → the context vector.  Both read one row-values tuple per row of
-a batch (:meth:`~repro.features.base.CellBatch.row_values`).  The keys are
-contents, never row indices: an edited row misses and computes its new
-entries, and another relation with the same values reads the same ones.
+Both models memoise across calls, per fitted model, in
+:class:`~repro.features.cache.FeatureCache` memos
+(:meth:`~repro.features.base.Featurizer._memo`).  Co-occurrence keeps
+``(attribute, value, row values)`` → the cell's row of conditionals.  The
+tuple embedding keeps value → the cell's own vector, value → its token
+rows, and ``(attribute position, row values)`` → the context vector.  Both
+read one row-values tuple per row of a batch
+(:meth:`~repro.features.base.CellBatch.row_values`).  The keys are contents,
+never row indices: an edited row misses and computes its new entries, and
+another relation with the same values reads the same ones.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.features.base import (
     FeatureContext,
     Featurizer,
 )
+from repro.features.cache import FeatureCache
 from repro.features.partials import (
     cooccurrence_partial,
     decode_cooccurrence_partial,
@@ -96,9 +99,14 @@ class CooccurrenceFeaturizer(Featurizer):
         schema = batch.dataset.attributes
         out = np.zeros((len(batch), len(attributes) - 1))
         # A row tuple names its values by position in the batch relation's
-        # schema, so the memo serves only relations in the fitted order.
-        memo = self._memo("row", self._joint) if schema == attributes else {}
+        # schema, so the memo serves only relations in the fitted order;
+        # another order gets a memo of its own for this call.
+        if schema == attributes:
+            memo = self._memo("row", self._joint)
+        else:
+            memo = FeatureCache()
         position = {attr: k for k, attr in enumerate(schema)}
+        lookups = 0
         for attr, by_value in batch.value_groups.items():
             for value, idx in by_value.items():
                 total = self._value_counts.get((attr, value), 0)
@@ -106,6 +114,7 @@ class CooccurrenceFeaturizer(Featurizer):
                     # Unseen value: all conditionals are 0, the strongest
                     # signal — the zero initialisation already encodes it.
                     continue
+                lookups += len(idx)
                 # Each other attribute's count table and position in a row
                 # tuple, resolved at the value's first miss.
                 tables = None
@@ -114,6 +123,7 @@ class CooccurrenceFeaturizer(Featurizer):
                     key = (attr, value, row)
                     quotients = memo.get(key)
                     if quotients is None:
+                        memo.stats.misses += 1
                         if tables is None:
                             buckets = self._joint[(attr, value)]
                             tables = [
@@ -123,6 +133,7 @@ class CooccurrenceFeaturizer(Featurizer):
                             [table.get(row[k], 0) / total for table, k in tables]
                         )
                     out[i] = quotients
+        memo.stats.lookups += lookups
         return out
 
     @property
@@ -207,6 +218,7 @@ class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
         for i, (cell, value) in enumerate(zip(batch.cells, batch.resolved)):
             own = own_vectors.get(value)
             if own is None:
+                own_vectors.stats.misses += 1
                 own = own_vectors[value] = self._mean_vector(
                     [self._token_rows(token_rows, value)]
                 )
@@ -217,6 +229,7 @@ class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
             key = (position[cell.attr], row)
             context = contexts.get(key)
             if context is None:
+                contexts.stats.misses += 1
                 context = contexts[key] = self._mean_vector(
                     [
                         self._token_rows(token_rows, other)
@@ -226,12 +239,17 @@ class TupleEmbeddingFeaturizer(_RelationEmbeddingFeaturizer):
                 )
             out[i, :dim] = own
             out[i, dim:] = context
+        own_vectors.stats.lookups += len(batch)
+        contexts.stats.lookups += len(batch)
         return out
 
-    def _token_rows(self, memo: dict, value: str) -> np.ndarray:
-        """The token rows of ``value``'s word tokens, through ``memo``."""
+    def _token_rows(self, memo: FeatureCache, value: str) -> np.ndarray:
+        """The token rows of ``value``'s word tokens, through ``memo``
+        (read only on a miss of the other two memos)."""
+        memo.stats.lookups += 1
         rows = memo.get(value)
         if rows is None:
+            memo.stats.misses += 1
             rows = memo[value] = self._model.token_rows(word_tokens(value))
         return rows
 

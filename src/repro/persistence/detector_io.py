@@ -15,11 +15,11 @@ Public API
     Reconstruct the detector and re-attach it to ``dataset`` — the same
     relation it was fitted on (data stays with the user; it is never
     written to disk by this module).  The loaded detector predicts exactly
-    as the original did.  Feature caches are never persisted, and none is
-    attached on load.  Featurizer
-    ``scope`` declarations are class-level, so a loaded detector drops
-    straight into a :class:`~repro.core.detector.DetectionSession` for
-    incremental re-scoring (``repro rescore --model <path>``).
+    as the original did.  Transform memos are never persisted: a loaded
+    detector starts with empty ones.  Featurizer ``scope`` declarations are
+    class-level, so a loaded detector drops straight into a
+    :class:`~repro.core.detector.DetectionSession` for incremental
+    re-scoring (``repro rescore --model <path>``).
 
 On-disk layout
 --------------

@@ -54,9 +54,11 @@ def build_detect_report(
 ) -> dict:
     """The ``repro.detect/v1`` payload for one scored relation.
 
-    ``detector`` contributes the spec fingerprint and the feature-cache /
-    artifact-store counter blocks when available (all three are ``None``
-    otherwise — the additive-fields contract of the schema).
+    ``detector`` contributes the spec fingerprint and the artifact-store
+    counter block when available (both are ``None`` otherwise — the
+    additive-fields contract of the schema).  ``feature_cache`` is always
+    ``None``: the field stays for readers of the schema, though no block
+    cache exists to report on.
     ``include_cells=False`` leaves out the ranked ``cells`` list (the
     serving wire field of the same name) without building it;
     ``flagged_cells`` still counts every prediction.
@@ -64,14 +66,11 @@ def build_detect_report(
     from repro import __version__
 
     spec_fingerprint = None
-    feature_cache = None
     artifact_store = None
     timings = None
     if detector is not None:
         if detector.spec is not None:
             spec_fingerprint = detector.spec.fingerprint()
-        if detector.cache_stats is not None:
-            feature_cache = detector.cache_stats.as_dict()
         if detector.artifact_stats is not None:
             artifact_store = detector.artifact_stats.as_dict()
         if getattr(detector, "timings", None):
@@ -87,7 +86,7 @@ def build_detect_report(
         "scored_cells": len(predictions.cells),
         "flagged_cells": count_flagged(predictions, threshold),
         "spec_fingerprint": spec_fingerprint,
-        "feature_cache": feature_cache,
+        "feature_cache": None,
         "artifact_store": artifact_store,
         "timings": timings,
     }

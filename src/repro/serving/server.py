@@ -295,6 +295,7 @@ class DetectionServer:
             with self.batcher.reading():
                 request = await self._read_request(reader)
             if request is None:  # client vanished before sending anything
+                self._close_quietly(writer)
                 return
             status, payload = await self._dispatch(request)
         except HttpError as exc:

@@ -27,18 +27,23 @@ def _load(name: str, monkeypatch):
 
 
 @pytest.fixture
-def instrumented(monkeypatch):
+def instrumentation(monkeypatch):
     """The tracer's instrumentation, installed over the imported program."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # import_program prepends src/
     _load("run", monkeypatch).import_program()
     tracer_mod = _load("tracer", monkeypatch)
-    tracer = tracer_mod.Tracer()
-    instrumentation = tracer_mod.Instrumentation(tracer)
+    instrumentation = tracer_mod.Instrumentation(tracer_mod.Tracer())
     instrumentation.install()
     try:
-        yield tracer
+        yield instrumentation
     finally:
         instrumentation.restore()
+
+
+@pytest.fixture
+def instrumented(instrumentation):
+    """The installed instrumentation's tracer."""
+    return instrumentation.tracer
 
 
 def test_instrumentation_installs_and_restores(instrumented):
@@ -61,3 +66,17 @@ def test_every_sgns_batch_is_traced(instrumented):
     names = [span.name for span in instrumented.spans]
     assert names.count("nn.sgns_step") >= 2
     assert names.count("embeddings.fit") == 1
+
+
+def test_every_memo_reports_its_hits(instrumentation):
+    """``features.cache_hit_ratio`` reads the ``stats`` of every
+    ``FeatureCache`` built while the tracer is installed: the memos."""
+    from repro.dataset import Dataset
+    from repro.features import FormatNGramFeaturizer
+
+    relation = Dataset.from_rows(["code"], [["a1"], ["b2"], ["a1"]])
+    featurizer = FormatNGramFeaturizer().fit(relation)
+    for _ in range(2):
+        featurizer.transform(list(relation.cells()), relation)
+    [stats] = instrumentation.cache_stats
+    assert (stats.hits, stats.lookups) == (2, 4)

@@ -1,23 +1,16 @@
-"""Tests for the batched featurization engine and the feature cache.
+"""Tests for the batched featurization engine.
 
-Covers the ISSUE 1 checklist: hit/miss accounting, invalidation on dataset
-change, and byte-identical outputs versus the uncached path — plus the
-batch-vs-single-cell equivalence that underpins the vectorised transforms.
+``CellBatch`` groupings, the batch-vs-single-cell equivalence that
+underpins the vectorised transforms, transform-only legacy subclasses, and
+dataset fingerprints.  The transform memos (``FeatureCache``) are tested in
+``test_features_memo.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.dataset import Cell, Dataset
-from repro.features import (
-    CellBatch,
-    ColumnIdFeaturizer,
-    EmpiricalDistributionFeaturizer,
-    FeatureCache,
-    FeaturePipeline,
-    Featurizer,
-    default_pipeline,
-)
+from repro.features import CellBatch, Featurizer, default_pipeline
 from repro.features.extra import TokenFrequencyFeaturizer, ValueLengthFeaturizer
 
 
@@ -67,12 +60,6 @@ class TestCellBatch:
         )
         np.testing.assert_array_equal(batch.overridden, [False, True])
 
-    def test_digest_sensitive_to_values(self, dataset, cells):
-        plain = CellBatch(cells, dataset)
-        overridden = CellBatch(cells, dataset, values=["a", "b", "c", "d"])
-        assert plain.digest != overridden.digest
-        assert plain.digest == CellBatch(cells, dataset).digest
-
 
 class TestBatchEquivalence:
     """transform_batch must equal per-cell transform for every model."""
@@ -104,131 +91,6 @@ class TestBatchEquivalence:
             batched = featurizer.transform(cells, dataset)
             singles = np.vstack([featurizer.transform([c], dataset) for c in cells])
             np.testing.assert_array_equal(batched, singles)
-
-
-class TestFeatureCache:
-    def test_hit_miss_accounting(self, dataset, cells):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        cache = FeatureCache()
-        batch = CellBatch(cells, dataset)
-        cache.get_or_compute(f, batch)
-        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        cache.get_or_compute(f, batch)
-        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        # A different batch of the same cells still hits: same digest.
-        cache.get_or_compute(f, CellBatch(cells, dataset))
-        assert cache.stats.hits == 2
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
-
-    def test_value_override_keys_separately(self, dataset):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        cache = FeatureCache()
-        probe = [Cell(0, "city")]
-        a = cache.get_or_compute(f, CellBatch(probe, dataset))
-        b = cache.get_or_compute(f, CellBatch(probe, dataset, values=["Cicago"]))
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
-        assert a[0, 0] == pytest.approx(10 / 21)
-        assert b[0, 0] == pytest.approx(1 / 21)
-
-    def test_cached_blocks_byte_identical(self, dataset, fitted_pipeline, cells):
-        cache = FeatureCache()
-        batch = CellBatch(cells, dataset)
-        for featurizer in fitted_pipeline.featurizers:
-            uncached = featurizer.transform_batch(batch)
-            cached_cold = cache.get_or_compute(featurizer, batch)
-            cached_warm = cache.get_or_compute(featurizer, batch)
-            assert uncached.tobytes() == cached_cold.tobytes() == cached_warm.tobytes()
-
-    def test_invalidation_on_dataset_change(self, cells):
-        rows = [["60612", "Chicago", "IL"]] * 5
-        mutable = Dataset.from_rows(["zip", "city", "state"], rows)
-        f = EmpiricalDistributionFeaturizer().fit(mutable)
-        cache = FeatureCache()
-        probe = [Cell(0, "city")]
-        cache.get_or_compute(f, CellBatch(probe, mutable))
-        # Mutating the dataset changes its fingerprint: the next lookup is a
-        # miss — the stale block is never served again.
-        mutable.set_value(Cell(1, "city"), "Springfield")
-        cache.get_or_compute(f, CellBatch(probe, mutable))
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
-        # After refitting on the mutated data (fresh token), the recomputed
-        # block reflects the new contents.
-        f.fit(mutable)
-        f.reset_cache_token()
-        after = cache.get_or_compute(f, CellBatch(probe, mutable))
-        assert cache.stats.misses == 3
-        assert after[0, 0] == pytest.approx(4 / 5)
-
-    def test_refit_invalidates_via_token(self, dataset, cells):
-        pipeline = FeaturePipeline([ColumnIdFeaturizer()], cache=FeatureCache())
-        pipeline.fit(dataset)
-        batch = CellBatch(cells, dataset)
-        pipeline.transform_batch(batch)
-        token_before = pipeline.featurizers[0].cache_token
-        pipeline.fit(dataset)
-        assert pipeline.featurizers[0].cache_token != token_before
-        pipeline.transform_batch(batch)
-        # Both passes were misses: the refit issued a fresh token.
-        assert pipeline.cache.stats.hits == 0
-
-    def test_lru_eviction(self, dataset, cells):
-        f = EmpiricalDistributionFeaturizer().fit(dataset)
-        cache = FeatureCache(max_entries=2)
-        batches = [CellBatch([c], dataset) for c in cells[:3]]
-        for batch in batches:
-            cache.get_or_compute(f, batch)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        # The oldest entry (cells[0]) was evicted; re-fetching it misses.
-        cache.get_or_compute(f, batches[0])
-        assert cache.stats.misses == 4
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            FeatureCache(max_entries=0)
-
-
-class TestPipelineCaching:
-    def test_pipeline_transform_hits_on_repeat(self, dataset, fitted_pipeline, cells):
-        cache = FeatureCache()
-        fitted_pipeline.cache = cache
-        first = fitted_pipeline.transform(cells, dataset)
-        assert cache.stats.hits == 0
-        lookups_per_pass = cache.stats.misses
-        assert lookups_per_pass == len(fitted_pipeline.featurizers)
-        second = fitted_pipeline.transform(cells, dataset)
-        assert cache.stats.hits == lookups_per_pass
-        np.testing.assert_array_equal(first.numeric, second.numeric)
-        for branch in first.branches:
-            np.testing.assert_array_equal(first.branches[branch], second.branches[branch])
-
-    def test_cached_and_uncached_pipelines_agree(self, dataset, fitted_pipeline, cells):
-        fitted_pipeline.cache = None
-        uncached = fitted_pipeline.transform(cells, dataset)
-        fitted_pipeline.cache = FeatureCache()
-        fitted_pipeline.transform(cells, dataset)  # cold fill
-        warm = fitted_pipeline.transform(cells, dataset)
-        assert uncached.numeric.tobytes() == warm.numeric.tobytes()
-        for branch in uncached.branches:
-            assert uncached.branches[branch].tobytes() == warm.branches[branch].tobytes()
-
-
-class TestCacheConcurrency:
-    def test_parallel_lookups_are_consistent(self, dataset, fitted_pipeline, cells):
-        from concurrent.futures import ThreadPoolExecutor
-
-        cache = FeatureCache()
-        fitted_pipeline.cache = cache
-        batches = [CellBatch(cells, dataset) for _ in range(8)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(fitted_pipeline.transform_batch, batches))
-        reference = results[0]
-        for other in results[1:]:
-            np.testing.assert_array_equal(reference.numeric, other.numeric)
-        # One block per featurizer survives; concurrent misses may compute
-        # the same block more than once but never corrupt the cache.
-        assert len(cache) == len(fitted_pipeline.featurizers)
-        assert cache.stats.lookups == 8 * len(fitted_pipeline.featurizers)
 
 
 class TestLegacyFeaturizerCompat:

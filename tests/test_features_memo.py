@@ -6,7 +6,8 @@ the fitted model they were computed from lives.  These tests pin what keeps
 that reuse exact: content keys (value overrides, edited rows), the reset
 with the fitted model (a per-column refresh, a relation-wide refresh,
 ``load_state``), the entry cap, and concurrent transforms through one
-pipeline.
+pipeline.  Each memo is a ``FeatureCache``; its hit, miss and eviction
+counts are pinned too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-import repro.features.base as features_base
+import repro.features.cache as features_cache
 from repro.core import DetectionSession, DetectorConfig, HoloDetect
 from repro.data import load_dataset
 from repro.dataset import Cell, Dataset
@@ -31,6 +32,7 @@ from repro.features import (
     FormatNGramFeaturizer,
     TupleEmbeddingFeaturizer,
 )
+from repro.features.cache import CacheStats, FeatureCache
 from repro.persistence import load_detector, save_detector
 
 
@@ -65,6 +67,21 @@ def _blocks(features) -> list[bytes]:
 
 def _featurizer(detector: HoloDetect, name: str):
     return next(f for f in detector.pipeline.featurizers if f.name == name)
+
+
+def _memos(detector: HoloDetect) -> list[FeatureCache]:
+    """Every transform memo of the detector's featurizers."""
+    return [
+        memo
+        for featurizer in detector.pipeline.featurizers
+        for _, memo in getattr(featurizer, "_memos", {}).values()
+    ]
+
+
+@pytest.fixture
+def relation():
+    rows = [["60612", "Chicago", "IL"]] * 4 + [["02139", "Cambridge", "MA"]] * 4
+    return Dataset.from_rows(["zip", "city", "state"], rows)
 
 
 class TestContentKeys:
@@ -219,11 +236,6 @@ class TestCooccurrence:
 
 
 class TestReset:
-    @pytest.fixture
-    def relation(self):
-        rows = [["60612", "Chicago", "IL"]] * 4 + [["02139", "Cambridge", "MA"]] * 4
-        return Dataset.from_rows(["zip", "city", "state"], rows)
-
     def test_refresh_replaces_only_the_refitted_columns_memo(self, relation):
         featurizer = CharEmbeddingFeaturizer(dim=4, epochs=1)
         pipeline = FeaturePipeline([featurizer]).fit(relation)
@@ -250,7 +262,7 @@ class TestCap:
         reference, capped = _fresh(saved), _fresh(saved)
         cells = _shuffled(capped._dataset, seed=3)[:120]
         expected = [_blocks(reference.pipeline.transform([c], reference._dataset)) for c in cells]
-        monkeypatch.setattr(features_base, "MEMO_MAX_ENTRIES", 3)
+        monkeypatch.setattr(features_cache, "MEMO_MAX_ENTRIES", 3)
         char = _featurizer(capped, "char_embedding")
         sizes = []
         for cell, blocks in zip(cells, expected):
@@ -262,6 +274,69 @@ class TestCap:
         assert any(after < before for before, after in zip(sizes, sizes[1:]))
 
 
+class TestCounts:
+    """Each memo counts its lookups and misses (hits are the difference)
+    and the entries its cap drops; on one thread the counts are exact."""
+
+    def test_memo_builds_feature_caches_with_hit_counts(self, saved):
+        detector = _fresh(saved)
+        detector.predict(_shuffled(detector._dataset, seed=6)[:90])
+        memos = _memos(detector)
+        assert memos and all(type(memo) is FeatureCache for memo in memos)
+        for memo in memos:
+            # A fresh load starts empty, so every entry was one miss.
+            assert memo.stats.misses == len(memo)
+            assert memo.stats.hits == memo.stats.lookups - memo.stats.misses >= 0
+        assert sum(memo.stats.hits for memo in memos) > 0
+
+    def test_a_repeated_predict_counts_only_hits(self, saved):
+        detector = _fresh(saved)
+        cells = _shuffled(detector._dataset, seed=7)
+        first = detector.predict(cells).probabilities
+        before = {id(memo): (memo.stats.lookups, memo.stats.misses) for memo in _memos(detector)}
+        assert detector.predict(cells).probabilities.tobytes() == first.tobytes()
+        memos = _memos(detector)
+        assert {id(memo) for memo in memos} == set(before)
+        hits = 0
+        for memo in memos:
+            lookups, misses = before[id(memo)]
+            assert memo.stats.misses == misses
+            hits += memo.stats.lookups - lookups
+        assert hits > 0
+
+    def test_the_cap_counts_its_evictions(self, monkeypatch):
+        codes = Dataset.from_rows(["code"], [[f"v{i}"] for i in range(7)])
+        featurizer = FormatNGramFeaturizer().fit(codes)
+        monkeypatch.setattr(features_cache, "MEMO_MAX_ENTRIES", 3)
+        for cell in codes.cells():  # one new value per call
+            featurizer.transform([cell], codes)
+        # The 4th and 7th calls each found 3 entries and dropped them.
+        _, memo = featurizer._memos["code"]
+        assert memo.stats == CacheStats(lookups=7, misses=7, evictions=6)
+        assert len(memo) == 1
+
+    def test_a_refitted_column_starts_counting_afresh(self, relation):
+        featurizer = CharEmbeddingFeaturizer(dim=4, epochs=1)
+        pipeline = FeaturePipeline([featurizer]).fit(relation)
+        cells = list(relation.cells())
+        for _ in range(2):
+            pipeline.transform(cells, relation)
+        _, city = featurizer._memos["city"]
+        _, zip_memo = featurizer._memos["zip"]
+        assert city.stats.hits > 0 and zip_memo.stats.hits > 0
+        zip_before = CacheStats(**vars(zip_memo.stats))
+        delta = relation.apply_edits({Cell(0, "city"): "Springfield"})
+        assert pipeline.refresh(relation, delta) == ["char_embedding"]
+        pipeline.transform(cells, relation)
+        _, refitted = featurizer._memos["city"]
+        assert refitted is not city
+        # Only the pass after the refit, over three distinct city values.
+        assert refitted.stats == CacheStats(lookups=3, misses=3)
+        assert featurizer._memos["zip"][1] is zip_memo
+        assert zip_memo.stats.misses == zip_before.misses
+        assert zip_memo.stats.lookups == zip_before.lookups + 2
+
+
 def test_concurrent_transforms_match_the_single_threaded_reference(saved, monkeypatch):
     """More threads than cores transform overlapping batches through one
     pipeline whose small memos fill and empty under them."""
@@ -270,7 +345,7 @@ def test_concurrent_transforms_match_the_single_threaded_reference(saved, monkey
     cells = _shuffled(dataset, seed=4)[:160]
     batches = [cells[start : start + 24] for start in range(0, 140, 8)]
     reference = [_blocks(pipeline.transform(batch, dataset)) for batch in batches]
-    monkeypatch.setattr(features_base, "MEMO_MAX_ENTRIES", 2)
+    monkeypatch.setattr(features_cache, "MEMO_MAX_ENTRIES", 2)
     threads_count = (os.cpu_count() or 1) + 2
     problems: list[str] = []
 

@@ -1,8 +1,7 @@
 """Tests for the versioned-dataset + column-scoped incremental engine (ISSUE 2).
 
 Covers the satellite checklist: delta correctness for ``apply_edits`` /
-``append_rows``, scoped-invalidation invariants (an edit in column A leaves
-column-B attribute blocks cached, asserted via ``CacheStats``),
+``append_rows``, the conservative default featurizer scope,
 ``FeaturePipeline.refresh`` refitting only dirty models, and
 ``DetectionSession.apply`` matching a full ``predict()`` bit-for-bit on the
 edited dataset.
@@ -14,11 +13,9 @@ import pytest
 from repro.core import DetectionSession, DetectorConfig, HoloDetect
 from repro.dataset import Cell, Dataset, DatasetDelta
 from repro.features import (
-    CellBatch,
     ColumnIdFeaturizer,
     CooccurrenceFeaturizer,
     EmpiricalDistributionFeaturizer,
-    FeatureCache,
     FeatureContext,
     FeaturePipeline,
     FormatNGramFeaturizer,
@@ -169,60 +166,18 @@ class TestDeltaMerge:
 
 
 # --------------------------------------------------------------------- #
-# Scoped cache invalidation
+# Featurizer scopes
 # --------------------------------------------------------------------- #
 
 
 class TestScopedInvalidation:
-    def test_edit_in_column_a_keeps_column_b_attribute_blocks(self, mutable):
-        featurizer = EmpiricalDistributionFeaturizer().fit(mutable)
-        cache = FeatureCache()
-        batch_a = [Cell(r, "zip") for r in range(4)]
-        batch_b = [Cell(r, "city") for r in range(4)]
-        cache.get_or_compute(featurizer, CellBatch(batch_a, mutable))
-        cache.get_or_compute(featurizer, CellBatch(batch_b, mutable))
-        assert cache.stats.misses == 2
-        mutable.set_value(Cell(0, "zip"), "00000")
-        # Column B (city) block survives the column-A edit: a cache hit.
-        cache.get_or_compute(featurizer, CellBatch(batch_b, mutable))
-        assert cache.stats.hits == 1
-        # Column A block was invalidated by its own column's fingerprint.
-        cache.get_or_compute(featurizer, CellBatch(batch_a, mutable))
-        assert cache.stats.misses == 3
-        assert cache.stats.hit_rate == pytest.approx(1 / 4)
-
-    def test_tuple_scope_blocks_survive_edits_to_other_rows(self, mutable):
-        featurizer = CooccurrenceFeaturizer().fit(mutable)
-        cache = FeatureCache()
-        rows_01 = [Cell(0, "city"), Cell(1, "city")]
-        rows_67 = [Cell(6, "city"), Cell(7, "city")]
-        cache.get_or_compute(featurizer, CellBatch(rows_01, mutable))
-        cache.get_or_compute(featurizer, CellBatch(rows_67, mutable))
-        # Edit row 6 (any column): rows 0-1 block must still hit...
-        mutable.set_value(Cell(6, "zip"), "00000")
-        cache.get_or_compute(featurizer, CellBatch(rows_01, mutable))
-        assert cache.stats.hits == 1
-        # ...while the block containing row 6 recomputes.
-        cache.get_or_compute(featurizer, CellBatch(rows_67, mutable))
-        assert cache.stats.misses == 3
-
-    def test_scoped_fingerprint_selection(self, mutable):
-        batch = CellBatch([Cell(0, "city")], mutable)
-        attribute_scoped = EmpiricalDistributionFeaturizer().fit(mutable)
-        tuple_scoped = CooccurrenceFeaturizer().fit(mutable)
-        assert attribute_scoped.scoped_fingerprint(batch) == batch.columns_fingerprint
-        assert tuple_scoped.scoped_fingerprint(batch) == batch.rows_fingerprint
-        assert batch.columns_fingerprint != batch.rows_fingerprint
-
     def test_default_scope_is_conservative_dataset(self, mutable):
         from repro.features import Featurizer
 
         class Custom(Featurizer):
             name = "custom"
 
-        batch = CellBatch([Cell(0, "city")], mutable)
         assert Custom.scope is FeatureContext.DATASET
-        assert Custom().scoped_fingerprint(batch) == mutable.fingerprint()
 
 
 # --------------------------------------------------------------------- #
@@ -238,7 +193,7 @@ class TestPipelineRefresh:
         ngram = pipeline.featurizers[0]
         untouched_model = ngram._models["state"]
         touched_model = ngram._models["city"]
-        cooccurrence_token = pipeline.featurizers[2].cache_token
+        cooccurrence_tables = pipeline.featurizers[2]._joint
         delta = mutable.apply_edits({Cell(0, "city"): "Berwyn"})
         refitted = pipeline.refresh(mutable, delta)
         # Per-column model: only the touched column was refitted.
@@ -247,9 +202,9 @@ class TestPipelineRefresh:
         assert ngram._models["city"] is not touched_model
         # Schema-only model: never refitted.
         assert "column_id" not in refitted
-        # Relation-wide model: fully refitted, with a fresh cache token.
+        # Relation-wide model: fully refitted, with new count tables.
         assert "cooccurrence" in refitted
-        assert pipeline.featurizers[2].cache_token != cooccurrence_token
+        assert pipeline.featurizers[2]._joint is not cooccurrence_tables
 
     def test_refreshed_statistics_reflect_the_edit(self, mutable):
         pipeline = FeaturePipeline([EmpiricalDistributionFeaturizer()]).fit(mutable)

@@ -205,7 +205,7 @@ class TestDetectorRoundtrip:
         a ``[compute]`` table; saves made while every detector built a
         feature cache carry ``feature_cache``/``cache_max_entries``/
         ``cache_max_bytes``, in the config and in a spec that set them.
-        They load and predict bit-identically, with no cache attached."""
+        They load and predict bit-identically."""
         import json
 
         from repro.persistence import detector_fingerprint
@@ -235,7 +235,6 @@ class TestDetectorRoundtrip:
         assert np.array_equal(
             legacy.predict(cells).probabilities, fresh.predict(cells).probabilities
         )
-        assert legacy.cache_stats is None
         assert legacy.spec.fingerprint() == spec.fingerprint()
         # Without a spec.json sidecar the serving index recomputes it...
         assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()

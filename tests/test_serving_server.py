@@ -18,8 +18,10 @@ is JSON whatever the ``Accept`` header asks for.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import shutil
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +38,12 @@ from repro.serving import (
     probabilities_of,
 )
 from repro.serving.server import DetectionServer
-from repro.serving.testing import InProcessServer, RawConnection, feed_request
+from repro.serving.testing import (
+    InProcessServer,
+    RawConnection,
+    _CaptureTransport,
+    feed_request,
+)
 
 # --------------------------------------------------------------------- #
 # Harness
@@ -756,6 +763,36 @@ class TestFaultInjection:
         connection.close()
         time.sleep(0.05)
         assert ServeClient(server.host, server.port).health()["status"] == "ok"
+
+    def test_connection_that_sends_nothing_is_closed(self, served_world):
+        """A client that connects and hangs up (a health probe, a port
+        scan) gets no answer, and its connection is closed rather than
+        left open until a garbage collection."""
+        server = protocol_server(served_world)
+
+        async def run() -> tuple[list[bytes], bool]:
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            transport = _CaptureTransport()
+            protocol = asyncio.StreamReaderProtocol(asyncio.StreamReader())
+            writer = asyncio.StreamWriter(
+                transport, protocol, None, asyncio.get_running_loop()
+            )
+            await server._handle_connection(reader, writer)
+            # Read while ``writer`` is alive: dropping an open StreamWriter
+            # closes its transport too, with a ResourceWarning.
+            return transport.chunks, transport.is_closing()
+
+        assert asyncio.run(run()) == ([], True)
+
+    def test_half_closed_empty_connection_sees_the_close(self, server):
+        connection = RawConnection(server.host, server.port, timeout=3)
+        try:
+            connection.sock.shutdown(socket.SHUT_WR)
+            # End of stream, not a timeout: the server closed its side.
+            assert connection.sock.recv(1) == b""
+        finally:
+            connection.close()
 
     def test_corrupt_model_500_then_heals(self, served_world, tmp_path):
         root = tmp_path / "models"
