@@ -1,7 +1,9 @@
 """Tests for the versioned-dataset + column-scoped incremental engine (ISSUE 2).
 
 Covers the satellite checklist: delta correctness for ``apply_edits`` /
-``append_rows``, the conservative default featurizer scope,
+``append_rows``, scoped reuse (an edit in column A leaves column B's memo
+entries serving hits, asserted via ``CacheStats``), the conservative
+default featurizer scope,
 ``FeaturePipeline.refresh`` refitting only dirty models, and
 ``DetectionSession.apply`` matching a full ``predict()`` bit-for-bit on the
 edited dataset.
@@ -13,6 +15,7 @@ import pytest
 from repro.core import DetectionSession, DetectorConfig, HoloDetect
 from repro.dataset import Cell, Dataset, DatasetDelta
 from repro.features import (
+    CacheStats,
     ColumnIdFeaturizer,
     CooccurrenceFeaturizer,
     EmpiricalDistributionFeaturizer,
@@ -171,6 +174,44 @@ class TestDeltaMerge:
 
 
 class TestScopedInvalidation:
+    def test_edit_in_column_a_keeps_column_b_attribute_blocks(self, mutable):
+        featurizer = FormatNGramFeaturizer().fit(mutable)
+        batch_a = [Cell(r, "zip") for r in range(4)]
+        batch_b = [Cell(r, "city") for r in range(4)]
+        featurizer.transform(batch_a, mutable)
+        before_b = featurizer.transform(batch_b, mutable)
+        memos = {attr: memo for attr, (_, memo) in featurizer._memos.items()}
+        assert memos["zip"].stats == CacheStats(lookups=1, misses=1)
+        assert memos["city"].stats == CacheStats(lookups=1, misses=1)
+        mutable.set_value(Cell(0, "zip"), "00000")
+        # Column B (city) entries survive the column-A edit: a hit.
+        assert featurizer.transform(batch_b, mutable).tobytes() == before_b.tobytes()
+        assert memos["city"].stats == CacheStats(lookups=2, misses=1)
+        # Column A computes only its new value; the unchanged one hits.
+        featurizer.transform(batch_a, mutable)
+        assert memos["zip"].stats == CacheStats(lookups=3, misses=2)
+
+    def test_tuple_scope_blocks_survive_edits_to_other_rows(self, mutable):
+        featurizer = CooccurrenceFeaturizer().fit(mutable)
+        rows_01 = [Cell(0, "city"), Cell(1, "city")]
+        rows_67 = [Cell(6, "city"), Cell(7, "city")]
+        featurizer.transform(rows_01, mutable)
+        before = featurizer.transform(rows_67, mutable)
+        _, memo = featurizer._memos["row"]
+        # Rows 0-1 hold the same values, as do rows 6-7: one entry each.
+        assert memo.stats == CacheStats(lookups=4, misses=2)
+        # Edit row 6 (any column): rows 0-1 still hit...
+        mutable.set_value(Cell(6, "zip"), "00000")
+        featurizer.transform(rows_01, mutable)
+        assert memo.stats == CacheStats(lookups=6, misses=2)
+        # ...while row 6's new content is computed and row 7 hits.
+        after = featurizer.transform(rows_67, mutable)
+        assert memo.stats == CacheStats(lookups=8, misses=3)
+        assert after[0].tobytes() != before[0].tobytes()
+        assert after[1].tobytes() == before[1].tobytes()
+        fresh = CooccurrenceFeaturizer.from_state(featurizer.to_state())
+        assert after.tobytes() == fresh.transform(rows_67, mutable).tobytes()
+
     def test_default_scope_is_conservative_dataset(self, mutable):
         from repro.features import Featurizer
 
