@@ -123,7 +123,7 @@ def _run_workload(relation, detector, constraints, args) -> dict:
         relation.verify()
     fingerprint = relation.fingerprint()
 
-    # Streaming relation-scoped fits (mergeable per-shard partials).
+    # Streaming relation-scoped fits (per-shard partials merged in memory).
     cooc = CooccurrenceFeaturizer().fit(relation)
     violations = ConstraintViolationFeaturizer(constraints).fit(relation)
     fit_digest = hashlib.sha256()

@@ -2,9 +2,9 @@
 
 :func:`store_or_build` is the one place the fit path touches an
 :class:`~repro.artifacts.store.ArtifactStore`: every store-backed fit —
-whole featurizer states, per-column and relation-wide embeddings, per-shard
-partials — passes it a key, a ``build`` callable and an ``encode``/``decode``
-pair.  The payload codecs:
+whole featurizer states, per-column and relation-wide embeddings — passes
+it a key, a ``build`` callable and an ``encode``/``decode`` pair.  The
+payload codecs:
 
 - **Embedding artifacts** — one trained
   :class:`~repro.embeddings.fasttext.FastTextEmbedding` (the per-column

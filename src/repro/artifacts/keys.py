@@ -11,6 +11,9 @@ whitespace, processes, and sessions.  The *scope* is the narrowest
 fingerprint of the data a fit reads: a per-column embedding keys on its
 column's content fingerprint, a relation-wide model on the whole dataset
 fingerprint, so an edit to column A never invalidates column B's artifact.
+No key is scoped to a row shard: both dataset backings compose the same
+column and relation fingerprints, so a fit over a sharded relation derives
+exactly the keys of its in-memory twin.
 
 Training seeds are derived *from the key itself* (:func:`training_seed`):
 an embedding trained for a given (corpus, config) is seeded by the content
@@ -55,27 +58,6 @@ def artifact_key(
         "seed": seed,
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def shard_partial_key(
-    kind: str,
-    shard_fingerprint: str,
-    config: Mapping[str, object] | None = None,
-) -> str:
-    """The content key of one *per-shard partial* of a relation-scoped fit.
-
-    Out-of-core fits of mergeable featurizer states (co-occurrence joint
-    counts, FD group tables — see ``repro.features.partials``) compute one
-    partial per row shard and merge them.  Each partial is keyed on the
-    shard's own content fingerprint (``Relation.shard_fingerprint``) under
-    the parent kind with a ``.partial`` suffix, so appending shards to a
-    relation reuses every existing shard's partial and computes only the new
-    ones.  For a single-shard relation the shard fingerprint equals the
-    relation fingerprint, and the partial key degenerates to a
-    whole-relation key under the ``.partial`` kind — disjoint from the
-    whole-state artifact by construction.
-    """
-    return artifact_key(f"{kind}.partial", shard_fingerprint, config)
 
 
 def training_seed(key: str) -> int:

@@ -7,10 +7,12 @@ content-addresses payloads by the caller-derived key
 
 - an **in-process memory tier** serving repeated fits in one process at
   dictionary-lookup cost.  A memory-only store keeps every payload it is
-  given: the memory tier is its only copy, and one sharded fit alone
-  stores more artifacts than an LRU of :data:`LRU_MAX_ENTRIES` holds.  A
-  directory-backed store keeps the :data:`LRU_MAX_ENTRIES` most recently
-  used payloads in memory; an evicted key comes back as a disk hit;
+  given: the memory tier is its only copy, so an eviction would turn a
+  warm refit into a retrain, and one fit of a wide relation (two
+  embeddings per column) can store more artifacts than an LRU of
+  :data:`LRU_MAX_ENTRIES` holds.  A directory-backed store keeps the
+  :data:`LRU_MAX_ENTRIES` most recently used payloads in memory; an
+  evicted key comes back as a disk hit;
 - an optional **on-disk object directory** shared across processes::
 
       <dir>/objects/<key[:2]>/<key>.npz   # arrays + JSON state, one file per key

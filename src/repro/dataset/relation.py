@@ -154,12 +154,8 @@ def hash_column(values: Sequence[str]) -> str:
 def compose_fingerprint(
     attributes: Sequence[str], column_fingerprints: Mapping[str, str]
 ) -> str:
-    """Relation fingerprint from per-column fingerprints, in schema order.
-
-    Also used for per-shard fingerprints (composing the shard's per-column
-    digests), so the single-shard case degenerates to the relation
-    fingerprint — the scope under which whole-state artifacts are keyed.
-    """
+    """Relation fingerprint from per-column fingerprints, in schema order:
+    the scope under which whole-state artifacts are keyed."""
     h = hashlib.blake2b(digest_size=16)
     for attr in attributes:
         h.update(attr.encode("utf-8"))
@@ -250,33 +246,6 @@ class Relation:
         if self.num_rows == 0:
             return ()
         return (ShardSpan(0, 0, self.num_rows),)
-
-    def shard_column_digest(self, index: int, attr: str) -> str:
-        """Content hash of one column restricted to one shard's rows.
-
-        For a single-shard relation this *is* the column fingerprint; the
-        sharded backing reads it from its manifest.  Per-shard digests key
-        mergeable fit partials (see :func:`repro.artifacts.keys.shard_partial_key`).
-        """
-        spans = self.shard_spans()
-        if not 0 <= index < len(spans):
-            raise IndexError(f"shard {index} out of range")
-        span = spans[index]
-        if span.start == 0 and span.stop == self.num_rows:
-            return self.column_fingerprint(attr)
-        return hash_column(self.column_chunk(attr, span.start, span.stop))
-
-    def shard_fingerprint(self, index: int) -> str:
-        """Content hash of one shard across all columns (schema order).
-
-        Composed exactly like the relation fingerprint, so a single-shard
-        relation's shard fingerprint equals its relation fingerprint — the
-        scope of whole-state artifacts.
-        """
-        return compose_fingerprint(
-            self.schema.attributes,
-            {a: self.shard_column_digest(index, a) for a in self.schema.attributes},
-        )
 
     # -- fingerprints --------------------------------------------------- #
 

@@ -22,8 +22,10 @@ the same content.  Every fitted-artifact key is therefore independent of
 the backing: a model fitted against the in-memory relation is served warm
 against its sharded twin, and vice versa.
 Per-shard digests (the same recipe over each shard's rows) are recorded
-alongside and key mergeable fit partials
-(:func:`repro.artifacts.keys.shard_partial_key`).
+alongside, and :meth:`ShardedDataset.verify` re-checks them against the
+shard files.  A manifest that is not JSON, not an object, or missing or
+mistyping an entry a reader needs is a ``ValueError`` naming the file and
+the entry.
 
 The backing is immutable: mutators raise, ``version`` stays 0, and
 ``copy()`` returns ``self``.  Edit workflows convert to the in-memory
@@ -91,13 +93,64 @@ DEFAULT_SHARD_ROWS = 4096
 
 _MANIFEST = "manifest.json"
 
+#: The manifest entries a reader needs, with their JSON types.
+_MANIFEST_ENTRIES = {
+    "attributes": list,
+    "num_rows": int,
+    "shards": list,
+    "column_fingerprints": dict,
+    "fingerprint": str,
+}
+_SHARD_ENTRIES = {"dir": str, "start": int, "rows": int, "digests": list}
+
+_JSON_TYPES = {list: "an array", dict: "an object", int: "an integer", str: "a string"}
+
+
+def _check_entries(path: Path, where: str, value: object, entries: dict) -> None:
+    """Raise a ``ValueError`` naming ``path`` unless ``value`` is a JSON
+    object holding every entry of ``entries`` with its type."""
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"{path}: {where} must be {_JSON_TYPES[dict]}, "
+            f"not {type(value).__name__}"
+        )
+    for name, kind in entries.items():
+        if name not in value:
+            raise ValueError(f"{path}: {where} has no {name!r} entry")
+        entry = value[name]
+        if not isinstance(entry, kind) or isinstance(entry, bool):
+            raise ValueError(
+                f"{path}: {where} entry {name!r} must be {_JSON_TYPES[kind]}, "
+                f"not {type(entry).__name__}"
+            )
+
+
+def _read_manifest(path: Path) -> dict:
+    """The parsed manifest at ``path``, checked for every entry a reader
+    needs; anything else is a ``ValueError`` naming ``path``."""
+    try:
+        with path.open(encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON manifest ({exc})") from exc
+    if isinstance(manifest, dict) and manifest.get("schema") != SHARD_SCHEMA:
+        raise ValueError(
+            f"{path}: unsupported shard manifest schema "
+            f"{manifest.get('schema')!r} (expected {SHARD_SCHEMA!r})"
+        )
+    _check_entries(path, "manifest", manifest, _MANIFEST_ENTRIES)
+    for i, shard in enumerate(manifest["shards"]):
+        _check_entries(path, f"shard {i}", shard, _SHARD_ENTRIES)
+    return manifest
+
 
 class ShardWriter:
     """Streaming ingest: append rows, flush fixed-size shards, emit manifest.
 
     Feeds every value through both the whole-column hasher (yielding
     fingerprints bit-identical to the in-memory backing) and a per-shard
-    hasher (yielding the partial-keying digests), and accumulates an
+    hasher (yielding the per-shard digests :meth:`ShardedDataset.verify`
+    re-checks), and accumulates an
     estimate of what the relation would occupy as an in-memory ``Dataset``
     (``inmemory_bytes`` in the manifest — the bound the out-of-core
     benchmark gates peak RSS against).
@@ -264,13 +317,7 @@ class ShardedDataset(Relation):
             raise FileNotFoundError(
                 f"{self.directory} has no {_MANIFEST} — not a sharded dataset"
             )
-        with manifest_path.open(encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("schema") != SHARD_SCHEMA:
-            raise ValueError(
-                f"unsupported shard manifest schema {manifest.get('schema')!r} "
-                f"(expected {SHARD_SCHEMA!r})"
-            )
+        manifest = _read_manifest(manifest_path)
         self.manifest = manifest
         self.schema = Schema(tuple(manifest["attributes"]))
         self._num_rows = int(manifest["num_rows"])
@@ -401,11 +448,6 @@ class ShardedDataset(Relation):
             ShardSpan(i, int(s["start"]), int(s["start"]) + int(s["rows"]))
             for i, s in enumerate(self._shards)
         )
-
-    def shard_column_digest(self, index: int, attr: str) -> str:
-        if not 0 <= index < len(self._shards):
-            raise IndexError(f"shard {index} out of range")
-        return self._shards[index]["digests"][self.schema.index(attr)]
 
     @property
     def inmemory_bytes(self) -> int:

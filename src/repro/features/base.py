@@ -12,7 +12,7 @@ instead of being recomputed per cell per featurizer.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,9 +22,8 @@ from repro.artifacts.codec import (
     load_featurizer_payload,
     store_or_build,
 )
-from repro.artifacts.keys import artifact_key, shard_partial_key, training_seed
+from repro.artifacts.keys import artifact_key, training_seed
 from repro.artifacts.runtime import get_default_store
-from repro.dataset.relation import ShardSpan
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.embeddings.fasttext import FastTextEmbedding
 from repro.features.cache import FeatureCache
@@ -234,7 +233,6 @@ class Featurizer:
         key = artifact_key(
             self.artifact_kind, self.artifact_scope(dataset), self.artifact_config()
         )
-        self._artifact_keys = {}
         store_or_build(
             get_default_store(),
             key,
@@ -243,45 +241,7 @@ class Featurizer:
             featurizer_payload,
             lambda payload: load_featurizer_payload(self, payload),
         )
-        # Record (not replace): an out-of-core fit records its per-shard
-        # partial keys inside fit(), and the whole-state key joins them.
-        self._record_artifact(self.name, key)
-
-    def _shard_partials(
-        self,
-        dataset: Dataset,
-        label: str,
-        config: Mapping[str, object],
-        build: Callable[[ShardSpan], object],
-        encode: Callable[[object], dict],
-        decode: Callable[[Mapping[str, object]], object],
-    ) -> Iterator[object]:
-        """``build(span)`` for each row shard of ``dataset``, lazily.
-
-        Over a multi-shard relation each partial goes through the ambient
-        store under :func:`~repro.artifacts.keys.shard_partial_key` of the
-        shard's fingerprint, recorded as ``<label>/shard/<index>``.  A single
-        shard's partial is already inside the whole-state artifact, so it is
-        just built.
-        """
-        spans = dataset.shard_spans()
-        store = get_default_store() if len(spans) > 1 else None
-        for span in spans:
-            if store is None:
-                yield build(span)
-                continue
-            key = shard_partial_key(
-                self.artifact_kind, dataset.shard_fingerprint(span.index), config
-            )
-            self._record_artifact(f"{label}/shard/{span.index}", key)
-            yield store_or_build(
-                store,
-                key,
-                f"{self.artifact_kind}.partial",
-                lambda: build(span),
-                encode,
-                decode,
-            )
+        self._artifact_keys = {self.name: key}
 
     # -- fitted state (saved detectors, whole-state artifacts) ---------- #
 

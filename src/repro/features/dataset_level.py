@@ -16,12 +16,7 @@ from repro.constraints.violations import ViolationEngine
 from repro.dataset.table import Cell, Dataset
 from repro.embeddings.corpus import EMPTY_TOKEN, tuple_value_corpus
 from repro.features.base import CellBatch, FeatureContext, Featurizer
-from repro.features.partials import (
-    decode_fd_group_partial,
-    encode_fd_group_partial,
-    fd_group_partial,
-    merge_fd_group_partials,
-)
+from repro.features.partials import fd_group_partial, merge_fd_group_partials
 from repro.features.tuple_level import _RelationEmbeddingFeaturizer
 
 
@@ -79,11 +74,9 @@ class ConstraintViolationFeaturizer(Featurizer):
         holding ``m`` copies of the tuple's residual value, the tuple
         participates in exactly ``n - m`` violating pairs, which is what
         the pairwise hash join counts.  Over a multi-shard relation the
-        table is merged from one partial per shard, consulted/stored
-        through the artifact store under the shard's fingerprint.  Only the
-        other constraint shapes go through :class:`ViolationEngine`.
+        table is merged from one partial per shard.  Only the other
+        constraint shapes go through :class:`ViolationEngine`.
         """
-        self._artifact_keys = {}
         spans = dataset.shard_spans()
         shapes = [self._fd_shape(c) for c in self._constraints]
         counts = np.zeros((dataset.num_rows, len(self._constraints)), dtype=np.float64)
@@ -92,22 +85,14 @@ class ConstraintViolationFeaturizer(Featurizer):
             engine = ViolationEngine([self._constraints[k] for k in others])
             counts[:, others] = engine.tuple_violation_counts(dataset)
         indexes: list[dict | None] = []
-        for k, (constraint, shape) in enumerate(zip(self._constraints, shapes)):
+        for k, shape in enumerate(shapes):
             if shape is None:
                 indexes.append(None)
                 continue
             join_attrs, residual_attr = shape
             groups = merge_fd_group_partials(
-                self._shard_partials(
-                    dataset,
-                    f"{self.name}/{constraint.name}",
-                    {"constraint": _constraint_config(constraint)},
-                    lambda span: fd_group_partial(
-                        dataset, span, join_attrs, residual_attr
-                    ),
-                    encode_fd_group_partial,
-                    decode_fd_group_partial,
-                )
+                fd_group_partial(dataset, span, join_attrs, residual_attr)
+                for span in spans
             )
             indexes.append(
                 {

@@ -16,17 +16,16 @@ the state a whole-relation fit would have produced.  Two families live here:
   second streaming pass as ``group_total - count(own residual value)``,
   which equals the pairwise hash-join count exactly.
 
-Partials are stored through the fitted-artifact store under
-:func:`repro.artifacts.keys.shard_partial_key` — keyed on the *shard's*
-content fingerprint — so growing a relation by appending shards refits
-nothing that was already summarised.  The store carries JSON-able payloads;
-the ``encode_*``/``decode_*`` pairs here convert the tuple-keyed runtime
-form to a pure-JSON form and back.
+Partials live only in memory, for the length of one fit: the merges
+consume a generator over :meth:`~repro.dataset.relation.Relation.shard_spans`,
+so one shard's partial is alive beside the accumulator.  The artifact
+store holds the merged, whole-state fit under the relation fingerprint,
+which both backings share; it stores no partial.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.dataset.relation import Relation, ShardSpan
 
@@ -89,30 +88,6 @@ def merge_cooccurrence_partials(
     return joint, counts
 
 
-def encode_cooccurrence_partial(partial: CooccurrencePartial) -> dict:
-    """Pure-JSON store payload (tuple keys become nested string keys)."""
-    joint, counts = partial
-    return {
-        "joint": [
-            [attr_a, value_a, {b: dict(v) for b, v in buckets.items()}]
-            for (attr_a, value_a), buckets in joint.items()
-        ],
-        "counts": [[attr_a, value_a, n] for (attr_a, value_a), n in counts.items()],
-    }
-
-
-def decode_cooccurrence_partial(payload: Mapping) -> CooccurrencePartial:
-    joint = {
-        (attr_a, value_a): {
-            str(b): {str(v): int(n) for v, n in by_value.items()}
-            for b, by_value in buckets.items()
-        }
-        for attr_a, value_a, buckets in payload["joint"]
-    }
-    counts = {(attr_a, value_a): int(n) for attr_a, value_a, n in payload["counts"]}
-    return joint, counts
-
-
 # --------------------------------------------------------------------- #
 # FD group tables (constraint violations)
 # --------------------------------------------------------------------- #
@@ -147,14 +122,3 @@ def merge_fd_group_partials(partials: Iterable[FDGroups]) -> FDGroups:
             for value, n in by_value.items():
                 merged[value] = merged.get(value, 0) + n
     return groups
-
-
-def encode_fd_group_partial(groups: FDGroups) -> dict:
-    return {"groups": [[list(k), dict(v)] for k, v in groups.items()]}
-
-
-def decode_fd_group_partial(payload: Mapping) -> FDGroups:
-    return {
-        tuple(str(p) for p in key): {str(v): int(n) for v, n in by_value.items()}
-        for key, by_value in payload["groups"]
-    }

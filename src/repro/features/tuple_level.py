@@ -31,12 +31,7 @@ from repro.features.base import (
     Featurizer,
 )
 from repro.features.cache import FeatureCache
-from repro.features.partials import (
-    cooccurrence_partial,
-    decode_cooccurrence_partial,
-    encode_cooccurrence_partial,
-    merge_cooccurrence_partials,
-)
+from repro.features.partials import cooccurrence_partial, merge_cooccurrence_partials
 from repro.text.tokenize import word_tokens
 
 
@@ -70,24 +65,14 @@ class CooccurrenceFeaturizer(Featurizer):
 
         The in-memory backing is a single shard spanning the relation, so
         this is one scan; an out-of-core relation is summarised into one
-        mergeable partial per shard (consulted/stored through the artifact
-        store under its shard fingerprint — see
-        :mod:`repro.features.partials`), and the merged tables equal a
-        whole-relation scan exactly.
+        mergeable partial per shard (:mod:`repro.features.partials`), and
+        the merged tables equal a whole-relation scan exactly.
         """
         self._attributes = dataset.attributes
-        self._artifact_keys = {}
         # Generator, not list: the merge consumes lazily, so peak memory is
         # two partials (one shard + the accumulator), not one per shard.
         joint, value_counts = merge_cooccurrence_partials(
-            self._shard_partials(
-                dataset,
-                self.name,
-                self.artifact_config(),
-                lambda span: cooccurrence_partial(dataset, span),
-                encode_cooccurrence_partial,
-                decode_cooccurrence_partial,
-            )
+            cooccurrence_partial(dataset, span) for span in dataset.shard_spans()
         )
         self._joint = joint
         self._value_counts = value_counts

@@ -505,22 +505,14 @@ class TestStoreOrBuild:
             assert digest(
                 {a: relation.column_fingerprint(a) for a in relation.attributes}
             ) == "9eab6c4ec98eea92fe61da2db53847fe3175b6b10a88fea145cd965ccde758b8"
-        assert [twin.shard_fingerprint(i) for i in range(twin.num_shards)] == [
-            "2f18d6d2136160842ddacd259b57309b",
-            "4222c609a243c25a18b8c5e49dacd084",
-            "12df16130eca0b33dd09f7b40fc4fd18",
-        ]
         mem = fit_pipeline(dirty, bundle.constraints, ArtifactStore()).artifact_keys
         sharded = fit_pipeline(twin, bundle.constraints, ArtifactStore()).artifact_keys
         # 19 columns x (char, word) + tuple, neighborhood and the two
-        # whole states; sharded adds 3 co-occurrence and 9 x 3 FD partials.
-        assert (len(mem), len(sharded)) == (42, 72)
-        assert {k: v for k, v in sharded.items() if "/shard/" not in k} == mem
+        # whole states, the same in both backings.
+        assert len(mem) == 42
+        assert sharded == mem
         assert digest(mem) == (
             "d3a6fa873c5440a588b81336c7c4aec379d9173d18fa9dd7d6ab127a87ce011f"
-        )
-        assert digest(sharded) == (
-            "52458cfdde3e79dbca057b5ee425278ab67fc15806df743ef335ce360e6b7dce"
         )
         assert {
             label: sharded[label]
@@ -531,8 +523,6 @@ class TestStoreOrBuild:
                 "neighborhood",
                 "cooccurrence",
                 "constraint_violations",
-                "cooccurrence/shard/0",
-                "constraint_violations/ZipCode->City/shard/2",
             )
         } == {
             "char_embedding/ZipCode":
@@ -547,20 +537,39 @@ class TestStoreOrBuild:
                 "b1a6b2fe16646bc678f33084d75a1d5f1170637d3d43512c184d4a1a4575c7f9",
             "constraint_violations":
                 "97bb6f133da5adc6381481aeccc78b2c7d455ecd70a8f4a584c250f44d0e22ab",
-            "cooccurrence/shard/0":
-                "51accdd6d01ae082c98f8c20687874aa55af6120bf5e74d751d3fa5fe80bf056",
-            "constraint_violations/ZipCode->City/shard/2":
-                "946b33c15b54b5ce1464b438f6237fad68cdd82d762fa1ba4e2c2592c649ebb2",
         }
 
-    def test_memory_only_store_serves_a_whole_refit(self, pinned_relation):
+    @pytest.mark.parametrize("shard_rows", [1, 5, 12])
+    def test_sharded_fit_records_its_twins_keys(
+        self, pinned_relation, tmp_path, shard_rows
+    ):
+        """At every shard size a sharded fit derives exactly the keys of
+        its in-memory twin, and stores nothing per shard."""
+        from repro.dataset import ShardedDataset
+
+        bundle, _ = pinned_relation
+        twin = ShardedDataset.convert(
+            bundle.dirty, tmp_path / "twin", shard_rows=shard_rows
+        )
+        store = ArtifactStore(tmp_path / "store")
+        sharded = fit_pipeline(twin, bundle.constraints, store).artifact_keys
+        mem = fit_pipeline(bundle.dirty, bundle.constraints, ArtifactStore())
+        assert sharded == mem.artifact_keys
+        kinds = {record["kind"] for record in store.index()}
+        assert "featurizer/cooccurrence" in kinds
+        assert not [kind for kind in kinds if kind.endswith(".partial")]
+
+    def test_memory_only_store_serves_a_whole_refit(
+        self, pinned_relation, monkeypatch
+    ):
         """The sharded twin's cold fit stores more artifacts than a
-        directory-backed store keeps in memory; a memory-only store keeps
-        them all, so the refit hits every lookup and stores nothing."""
+        bounded memory tier keeps; a memory-only store keeps them all, so
+        the refit hits every lookup and stores nothing."""
+        monkeypatch.setattr(store_module, "LRU_MAX_ENTRIES", 8)
         bundle, twin = pinned_relation
         store = ArtifactStore()
         cold = fit_pipeline(twin, bundle.constraints, store)
-        assert len(cold.artifact_keys) == 72  # a memory tier of 64 would evict
+        assert len(cold.artifact_keys) == 42  # a memory tier of 8 would evict
         assert store.stats.evictions == 0
         before = dataclasses.replace(store.stats)
         fit_pipeline(twin, bundle.constraints, store)
@@ -569,9 +578,9 @@ class TestStoreOrBuild:
         assert store.stats.puts == before.puts
 
     def test_undecodable_payload_is_a_miss_for_every_kind(self, pinned_relation):
-        """Junk under an embedding key, both whole-state keys and both
-        partial kinds: each is rebuilt and overwritten, nothing else is
-        stored, and the refit pipeline transforms bit-identically."""
+        """Junk under an embedding key and both whole-state keys: each is
+        rebuilt and overwritten, nothing else is stored, and the refit
+        pipeline transforms bit-identically."""
         bundle, twin = pinned_relation
         store = RecordingStore()
         cold = fit_pipeline(twin, bundle.constraints, store)
@@ -582,8 +591,6 @@ class TestStoreOrBuild:
                 "char_embedding/ZipCode",
                 "cooccurrence",
                 "constraint_violations",
-                "cooccurrence/shard/1",
-                "constraint_violations/ZipCode->City/shard/1",
             )
         ]
         for key in junk:

@@ -365,13 +365,20 @@ class TestDetectWithSpec:
         (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/two_clean.csv",
           "--spec", "{tmp}/holdout.toml", "--output", "{tmp}/o.csv"],
          "two_clean.csv: holdout_fraction 0.9 holds out all 2 labels"),
+        (["shard", "info", "{tmp}/no_attributes"],
+         "no_attributes/manifest.json: manifest has no 'attributes' entry"),
+        (["shard", "verify", "{tmp}/list_manifest"],
+         "list_manifest/manifest.json: manifest must be an object, not list"),
+        (["shard", "info", "{tmp}/truncated"],
+         "truncated/manifest.json: not a JSON manifest"),
     ],
     ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
          "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir",
          "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
          "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only",
-         "detect-holdout-empties-labels"],
+         "detect-holdout-empties-labels", "shard-info-no-attributes",
+         "shard-verify-list-manifest", "shard-info-truncated"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""
@@ -390,6 +397,13 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
         "label_budgets = [0.2]\n"
         'methods = ["cv"]\n'
     )
+    for name, manifest in (
+        ("no_attributes", '{"schema": "repro.shards/v1"}'),
+        ("list_manifest", "[1, 2]"),
+        ("truncated", '{"schema": "repro.sh'),
+    ):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(manifest)
     with pytest.raises(SystemExit) as excinfo:
         main([arg.format(tmp=tmp_path) for arg in argv])
     message = excinfo.value.code

@@ -5,9 +5,10 @@ must produce bit-identical fingerprints, featurizer fits, and predictions
 to the in-memory :class:`~repro.dataset.table.Dataset` holding the same
 rows — for every shard size.  Property tests drive that invariance with
 hypothesis-generated tables; fixed tests cover the ingestion path, the
-immutability guard, the registry kind, and the store round-trip of
-mergeable partials.
+manifest reader, the immutability guard and the registry kind.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -19,14 +20,10 @@ from repro.artifacts.store import ArtifactStore
 from repro.data.registry import load_dataset
 from repro.dataset import Cell, Dataset, ShardedDataset, open_relation
 from repro.dataset.loader import read_csv, write_csv
-from repro.dataset.relation import ShardSpan, compose_fingerprint, hash_column
+from repro.dataset.relation import ShardSpan, hash_column
 from repro.features.dataset_level import ConstraintViolationFeaturizer
 from repro.features.partials import (
     cooccurrence_partial,
-    decode_cooccurrence_partial,
-    decode_fd_group_partial,
-    encode_cooccurrence_partial,
-    encode_fd_group_partial,
     fd_group_partial,
     merge_cooccurrence_partials,
     merge_fd_group_partials,
@@ -73,29 +70,19 @@ class TestFingerprintInvariance:
     @given(dataset=_tables, shard_rows=_shard_rows)
     @settings(max_examples=20, deadline=None)
     def test_shard_digests_compose(self, dataset, shard_rows, tmp_path_factory):
-        """Per-shard digests are exactly what the in-memory backing derives
-        from the same spans, and a single-shard relation's shard
-        fingerprint degenerates to the relation fingerprint."""
+        """The manifest's per-shard digests, which ``verify`` re-checks, are
+        exactly what the in-memory backing derives from the same spans."""
         tmp = tmp_path_factory.mktemp("shards")
         sharded = _sharded_twin(dataset, tmp, shard_rows)
         for span in sharded.shard_spans():
-            for attr in dataset.attributes:
-                expected = hash_column(dataset.column(attr)[span.start : span.stop])
-                assert sharded.shard_column_digest(span.index, attr) == expected
-            assert sharded.shard_fingerprint(span.index) == compose_fingerprint(
-                sharded.attributes,
-                {
-                    a: sharded.shard_column_digest(span.index, a)
-                    for a in sharded.attributes
-                },
-            )
-        if sharded.num_shards == 1:
-            assert sharded.shard_fingerprint(0) == dataset.fingerprint()
+            assert sharded.manifest["shards"][span.index]["digests"] == [
+                hash_column(dataset.column(attr)[span.start : span.stop])
+                for attr in dataset.attributes
+            ]
 
     def test_in_memory_is_one_span(self, tmp_path):
         dataset = Dataset.from_rows(["x"], [["1"], ["2"]])
         assert dataset.shard_spans() == (ShardSpan(0, 0, 2),)
-        assert dataset.shard_fingerprint(0) == dataset.fingerprint()
 
 
 class TestPartialComposition:
@@ -144,15 +131,6 @@ class TestPartialComposition:
         )
         assert merged == whole
 
-    @given(dataset=_tables)
-    @settings(max_examples=20, deadline=None)
-    def test_partials_round_trip_through_json(self, dataset):
-        span = ShardSpan(0, 0, dataset.num_rows)
-        co = cooccurrence_partial(dataset, span)
-        assert decode_cooccurrence_partial(encode_cooccurrence_partial(co)) == co
-        fd = fd_group_partial(dataset, span, ["p", "r"], "q")
-        assert decode_fd_group_partial(encode_fd_group_partial(fd)) == fd
-
 
 @pytest.fixture(scope="module")
 def hospital():
@@ -163,20 +141,9 @@ class TestFeaturizerEquivalence:
     def test_cooccurrence_fit_matches_in_memory(self, hospital, tmp_path):
         sharded = _sharded_twin(hospital.dirty, tmp_path, 17)
         mem = CooccurrenceFeaturizer().fit(hospital.dirty)
-        store = ArtifactStore(tmp_path / "store")
-        cold = CooccurrenceFeaturizer()
-        with use_store(store):
-            cold.fit(sharded)
+        cold = CooccurrenceFeaturizer().fit(sharded)
         assert cold._joint == mem._joint
         assert cold._value_counts == mem._value_counts
-        # Per-shard partial keys were recorded and the partials stored.
-        shard_keys = [k for k in cold.artifact_keys if "/shard/" in k]
-        assert len(shard_keys) == sharded.num_shards
-        # A second fit is served entirely from stored partials.
-        warm = CooccurrenceFeaturizer()
-        with use_store(store):
-            warm.fit(sharded)
-        assert warm._joint == mem._joint
 
     def test_constraint_violations_fit_matches_in_memory(self, hospital, tmp_path):
         sharded = _sharded_twin(hospital.dirty, tmp_path, 17)
@@ -274,10 +241,8 @@ class TestDetectorEquivalence:
     def test_warm_fit_reuses_artifacts(self, fitted):
         mem, ooc = fitted
         # The two fits shared one store and identical fingerprints, so the
-        # sharded fit reused the in-memory fit's whole-state artifacts.
-        mem_keys = {k: v for k, v in mem.artifact_keys.items() if "/shard/" not in k}
-        ooc_keys = {k: v for k, v in ooc.artifact_keys.items() if "/shard/" not in k}
-        assert mem_keys == ooc_keys
+        # sharded fit derived, and reused, every key of the in-memory fit.
+        assert ooc.artifact_keys == mem.artifact_keys
 
 
 class TestIngestion:
@@ -324,6 +289,63 @@ class TestIngestion:
         assert opened.fingerprint() == dataset.fingerprint()
 
 
+class TestManifestReader:
+    """A malformed manifest is one ``ValueError`` that names the manifest
+    file and the missing or mistyped entry, never a ``KeyError`` or an
+    ``AttributeError`` from deep in the reader."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"schema": "repro.shards/v1"}', "manifest has no 'attributes' entry"),
+            ("[1, 2]", "manifest must be an object, not list"),
+            ('{"schema": "repro.shards/v1", "attri', "not a JSON manifest"),
+            ('{"schema": "repro.shards/v0"}', "unsupported shard manifest schema"),
+        ],
+        ids=["no-attributes", "not-an-object", "truncated", "foreign-schema"],
+    )
+    def test_malformed_manifest_names_the_file(self, tmp_path, text, expected):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            ShardedDataset(tmp_path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{tmp_path / 'manifest.json'}: ")
+        assert expected in message
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda m: m.pop("fingerprint"), "manifest has no 'fingerprint' entry"),
+            (lambda m: m.update(num_rows="3"), "'num_rows' must be an integer, not str"),
+            (lambda m: m.update(shards={}), "'shards' must be an array, not dict"),
+            (lambda m: m["shards"].__setitem__(1, [0, 2]),
+             "shard 1 must be an object, not list"),
+            (lambda m: m["shards"][0].pop("start"), "shard 0 has no 'start' entry"),
+        ],
+        ids=["no-fingerprint", "num-rows-str", "shards-object", "shard-list",
+             "shard-no-start"],
+    )
+    def test_mistyped_entry_is_named(self, tmp_path, edit, expected):
+        _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
+        path = tmp_path / "twin" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest.json: ") as excinfo:
+            ShardedDataset(tmp_path / "twin")
+        assert expected in str(excinfo.value)
+
+    def test_registry_kind_fails_in_one_line(self, tmp_path):
+        from repro.registry import ComponentError, REGISTRY
+
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ComponentError) as excinfo:
+            REGISTRY.create("dataset", "sharded", {"dir": str(tmp_path)})
+        message = str(excinfo.value)
+        assert "manifest.json: manifest must be an object" in message
+        assert "\n" not in message
+
+
 class TestRelationSemantics:
     def test_mutators_raise(self, tmp_path):
         dataset = Dataset.from_rows(["a"], [["1"], ["2"]])
@@ -347,7 +369,6 @@ class TestRelationSemantics:
                 lambda: relation.column_fingerprint("nope"),
                 lambda: relation.value_counts("nope"),
                 lambda: relation.domain("nope"),
-                lambda: relation.shard_column_digest(0, "nope"),
             ):
                 with pytest.raises(KeyError, match="nope"):
                     access()
