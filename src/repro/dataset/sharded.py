@@ -23,9 +23,10 @@ the backing: a model fitted against the in-memory relation is served warm
 against its sharded twin, and vice versa.
 Per-shard digests (the same recipe over each shard's rows) are recorded
 alongside, and :meth:`ShardedDataset.verify` re-checks them against the
-shard files.  A manifest that is not JSON, not an object, or missing or
-mistyping an entry a reader needs is a ``ValueError`` naming the file and
-the entry.
+shard files.  A manifest that is not JSON, not an object, missing or
+mistyping an entry a reader needs, or whose column fingerprints or shard
+digests do not cover its attributes is a ``ValueError`` naming the file
+and the entry.
 
 The backing is immutable: mutators raise, ``version`` stays 0, and
 ``copy()`` returns ``self``.  Edit workflows convert to the in-memory
@@ -139,8 +140,19 @@ def _read_manifest(path: Path) -> dict:
             f"{manifest.get('schema')!r} (expected {SHARD_SCHEMA!r})"
         )
     _check_entries(path, "manifest", manifest, _MANIFEST_ENTRIES)
+    attributes = manifest["attributes"]
+    for attr in attributes:
+        if not isinstance(attr, str):
+            raise ValueError(f"{path}: manifest attribute {attr!r} is not a string")
+        if attr not in manifest["column_fingerprints"]:
+            raise ValueError(f"{path}: manifest has no column fingerprint for {attr!r}")
     for i, shard in enumerate(manifest["shards"]):
         _check_entries(path, f"shard {i}", shard, _SHARD_ENTRIES)
+        if len(shard["digests"]) != len(attributes):
+            raise ValueError(
+                f"{path}: shard {i} has {len(shard['digests'])} digests "
+                f"for {len(attributes)} attributes"
+            )
     return manifest
 
 

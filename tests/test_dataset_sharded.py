@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.artifacts import use_store
-from repro.artifacts.store import ArtifactStore
 from repro.data.registry import load_dataset
 from repro.dataset import Cell, Dataset, ShardedDataset, open_relation
 from repro.dataset.loader import read_csv, write_csv
@@ -148,9 +146,7 @@ class TestFeaturizerEquivalence:
     def test_constraint_violations_fit_matches_in_memory(self, hospital, tmp_path):
         sharded = _sharded_twin(hospital.dirty, tmp_path, 17)
         mem = ConstraintViolationFeaturizer(hospital.constraints).fit(hospital.dirty)
-        cold = ConstraintViolationFeaturizer(hospital.constraints)
-        with use_store(ArtifactStore(tmp_path / "store")):
-            cold.fit(sharded)
+        cold = ConstraintViolationFeaturizer(hospital.constraints).fit(sharded)
         assert np.array_equal(mem._tuple_counts, cold._tuple_counts)
         for a, b in zip(mem._fd_indexes, cold._fd_indexes):
             assert (a is None) == (b is None)
@@ -175,9 +171,9 @@ class TestFeaturizerEquivalence:
             engine = ViolationEngine(sigma).tuple_violation_counts(hospital.dirty)
             mem = ConstraintViolationFeaturizer(sigma).fit(hospital.dirty)
             assert mem._tuple_counts.tobytes() == engine.tobytes()
-            sharded = ConstraintViolationFeaturizer(sigma)
-            with use_store(ArtifactStore(tmp_path / f"store{k}")):
-                sharded.fit(_sharded_twin(hospital.dirty, tmp_path / f"twin{k}", 17))
+            sharded = ConstraintViolationFeaturizer(sigma).fit(
+                _sharded_twin(hospital.dirty, tmp_path / f"twin{k}", 17)
+            )
             assert sharded._tuple_counts.tobytes() == engine.tobytes()
             assert sharded._fd_indexes == mem._fd_indexes
         # Only the FD-shaped constraints carry a group index.
@@ -321,9 +317,14 @@ class TestManifestReader:
             (lambda m: m["shards"].__setitem__(1, [0, 2]),
              "shard 1 must be an object, not list"),
             (lambda m: m["shards"][0].pop("start"), "shard 0 has no 'start' entry"),
+            (lambda m: m["attributes"].append(["b"]), "attribute ['b'] is not a string"),
+            (lambda m: m["column_fingerprints"].pop("a"),
+             "no column fingerprint for 'a'"),
+            (lambda m: m["shards"][1].update(digests=[]), "shard 1 has 0 digests for 1"),
         ],
         ids=["no-fingerprint", "num-rows-str", "shards-object", "shard-list",
-             "shard-no-start"],
+             "shard-no-start", "attribute-list", "no-column-fingerprint",
+             "digests-short"],
     )
     def test_mistyped_entry_is_named(self, tmp_path, edit, expected):
         _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
