@@ -49,7 +49,9 @@ class OutlierDetector:
                     correlated[a].append(b)
                     correlated[b].append(a)
 
-        # Conditional co-occurrence counts P(t[A]=v | t[B]=w).
+        # Conditional co-occurrence counts P(t[A]=v | t[B]=w): the
+        # denominator counts each row once, however many attributes B
+        # correlates with.
         cond: dict[tuple[str, str, str], dict[str, int]] = defaultdict(lambda: defaultdict(int))
         marginals: dict[tuple[str, str], int] = defaultdict(int)
         for row in range(dataset.num_rows):
@@ -57,10 +59,10 @@ class OutlierDetector:
                 if not correlated[a]:
                     continue
                 v = columns[a][row]
+                marginals[(a, v)] += 1
                 for b in correlated[a]:
                     w = columns[b][row]
                     cond[(a, b, w)][v] += 1
-                    marginals[(b, w)] += 1
 
         flagged: set[Cell] = set()
         for row in range(dataset.num_rows):

@@ -101,6 +101,17 @@ class TestOD:
         assert Cell(40, "city") in flagged
         assert Cell(0, "city") not in flagged
 
+    def test_conditional_is_not_divided_by_the_attribute_degree(self):
+        """``P(t[A]=v | t[B]=w)`` divides by ``count(B=w)`` alone: with
+        three perfectly correlated columns every conditional is 1, so no
+        cell is an outlier, however many attributes B correlates with."""
+        from repro.dataset import Dataset
+
+        rows = [["x", "1", "p"]] * 10 + [["y", "2", "q"]] * 10
+        d = Dataset.from_rows(["a", "b", "c"], rows)
+        det = OutlierDetector(correlation_threshold=0.3, probability_threshold=0.6)
+        assert det.fit(d).predict_error_cells() == set()
+
 
 class TestFBI:
     def test_flags_low_lift_pair(self):

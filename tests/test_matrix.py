@@ -288,8 +288,8 @@ class TestRunScenario:
         assert a["trials"] == b["trials"]
 
     def test_error_profile_changes_the_bundle(self):
-        native = run_scenario(spec(method="od", trials=2))
-        swapped = run_scenario(spec(method="od", trials=2, error_profile="swaps"))
+        native = run_scenario(spec(trials=2))
+        swapped = run_scenario(spec(trials=2, error_profile="swaps"))
         assert native["metrics"] != swapped["metrics"]
 
 
