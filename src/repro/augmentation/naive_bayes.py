@@ -30,12 +30,12 @@ seed transformation learning (Algorithm 1).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.dataset.counts import cooccurrence
 from repro.dataset.table import Cell, Dataset
 from repro.dataset.training import TrainingSet
 from repro.utils.stats import normalized_mutual_information
@@ -55,7 +55,10 @@ class SuggestedRepair:
 
 
 class NaiveBayesRepairModel:
-    """Per-attribute Naïve Bayes imputation over informative co-occurrence."""
+    """Per-attribute Naïve Bayes imputation over informative co-occurrence,
+    read from the relation's joint table ``joint[(A, v)][B][w]``
+    (:func:`~repro.dataset.counts.cooccurrence`), the co-occurrence
+    featurizer's table."""
 
     def __init__(
         self,
@@ -76,15 +79,16 @@ class NaiveBayesRepairModel:
         self.min_candidate_support = min_candidate_support
         self._fitted = False
         self._priors: dict[str, dict[str, float]] = {}
-        # (target_attr, target_value, other_attr) -> {other_value -> count}
-        self._cooc: dict[tuple[str, str, str], dict[str, int]] = {}
+        # (target_attr, target_value) -> {other_attr -> {other_value -> count}}
+        self._joint: dict[tuple[str, str], dict[str, dict[str, int]]] = {}
         self._value_counts: dict[str, dict[str, int]] = {}
         self._attributes: tuple[str, ...] = ()
         self._partners: dict[str, list[str]] = {}
         self._num_rows = 0
 
     def fit(self, dataset: Dataset) -> "NaiveBayesRepairModel":
-        """Collect priors, co-occurrence counts, and the partner graph."""
+        """Collect priors, the joint co-occurrence table, and the partner
+        graph."""
         self._attributes = dataset.attributes
         self._num_rows = dataset.num_rows
         self._value_counts = {a: dataset.value_counts(a) for a in dataset.attributes}
@@ -92,16 +96,7 @@ class NaiveBayesRepairModel:
             a: {v: c / max(dataset.num_rows, 1) for v, c in counts.items()}
             for a, counts in self._value_counts.items()
         }
-        cooc: dict[tuple[str, str, str], dict[str, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        for row in range(dataset.num_rows):
-            values = dataset.row_dict(row)
-            for attr_a, value_a in values.items():
-                for attr_b, value_b in values.items():
-                    if attr_a != attr_b:
-                        cooc[(attr_a, value_a, attr_b)][value_b] += 1
-        self._cooc = {k: dict(v) for k, v in cooc.items()}
+        self._joint = cooccurrence(dataset)[0]
 
         # Informative-partner graph (symmetric by construction of NMI).
         # Near-key attributes are excluded on both sides: two high-
@@ -175,7 +170,7 @@ class NaiveBayesRepairModel:
             )
             cooc = np.zeros((len(candidates), len(positions)))
             for j, candidate in enumerate(candidates):
-                for value, count in self._cooc.get((attr, candidate, attr_b), {}).items():
+                for value, count in self._joint[(attr, candidate)].get(attr_b, {}).items():
                     k = positions.get(value)
                     if k is not None:
                         cooc[j, k] = count
@@ -227,7 +222,7 @@ class NaiveBayesRepairModel:
         """
         support = 0
         for attr_b in self._partners.get(attr, []):
-            count = self._cooc.get((attr, value, attr_b), {}).get(
+            count = self._joint.get((attr, value), {}).get(attr_b, {}).get(
                 dataset.column(attr_b)[row], 0
             )
             support = max(support, count)

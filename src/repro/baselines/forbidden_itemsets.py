@@ -4,7 +4,8 @@ A pair of values (a, b) across two attributes is a *forbidden itemset* when
 it co-occurs far less than independence predicts — lift =
 P(a,b) / (P(a)·P(b)) below a threshold τ — while both values individually
 have significant support.  Cells participating in forbidden pairs are
-flagged.
+flagged.  The supports and joint counts are read from the relation's
+shared co-occurrence table (:func:`repro.dataset.counts.cooccurrence`).
 
 The support requirement is what gives FBI the behaviour §6.2 reports: high
 precision when forbidden sets have significant support, inability to catch
@@ -13,10 +14,10 @@ errors whose values occur only a handful of times (typos).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 from repro.constraints.dc import DenialConstraint
+from repro.dataset.counts import cooccurrence
 from repro.dataset.table import Cell, Dataset
 from repro.dataset.training import TrainingSet
 
@@ -38,35 +39,31 @@ class ForbiddenItemsetDetector:
         constraints: Sequence[DenialConstraint] | None = None,
     ) -> "ForbiddenItemsetDetector":
         n = dataset.num_rows
-        attrs = dataset.attributes
-        columns = {a: dataset.column(a) for a in attrs}
-        value_counts = {a: dataset.value_counts(a) for a in attrs}
+        position = {a: i for i, a in enumerate(dataset.attributes)}
+        joint, counts = cooccurrence(dataset)
 
-        joint: dict[tuple[str, str], dict[tuple[str, str], int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        for row in range(n):
-            for i, a in enumerate(attrs):
-                for b in attrs[i + 1 :]:
-                    joint[(a, b)][(columns[a][row], columns[b][row])] += 1
-
-        flagged: set[Cell] = set()
-        for row in range(n):
-            for i, a in enumerate(attrs):
-                va = columns[a][row]
-                support_a = value_counts[a][va]
-                if support_a < self.min_support:
+        # Forbidden value pairs, one lift per distinct pair of the table.
+        forbidden: dict[tuple[str, str], set[tuple[str, str]]] = {}
+        for (a, va), buckets in joint.items():
+            support_a = counts[(a, va)]
+            if support_a < self.min_support:
+                continue
+            for b, by_value in buckets.items():
+                if position[b] < position[a]:
                     continue
-                for b in attrs[i + 1 :]:
-                    vb = columns[b][row]
-                    support_b = value_counts[b][vb]
+                for vb, together in by_value.items():
+                    support_b = counts[(b, vb)]
                     if support_b < self.min_support:
                         continue
-                    p_joint = joint[(a, b)][(va, vb)] / n
-                    lift = p_joint / ((support_a / n) * (support_b / n))
+                    lift = (together / n) / ((support_a / n) * (support_b / n))
                     if lift < self.max_lift:
-                        flagged.add(Cell(row, a))
-                        flagged.add(Cell(row, b))
+                        forbidden.setdefault((a, b), set()).add((va, vb))
+
+        flagged: set[Cell] = set()
+        for (a, b), pairs in forbidden.items():
+            for row, pair in enumerate(zip(dataset.column(a), dataset.column(b))):
+                if pair in pairs:
+                    flagged.update((Cell(row, a), Cell(row, b)))
         self._flagged = flagged
         return self
 

@@ -11,8 +11,12 @@ Our statistical model is a Naïve Bayes pseudo-likelihood over co-occurrence
 with the tuple's other attributes, fit on tuples untouched by violations
 (HoloClean's "learn from clean cells"), combined with a violation-reduction
 check: a repair is accepted only when it strictly reduces the tuple's
-constraint violations (evaluated through the same FD group indexes the
-feature layer uses, so the check is O(1) per candidate).
+constraint violations.  Both counts come from
+:class:`~repro.constraints.violations.ViolationEngine`: the noisy cells
+from its per-tuple counts, and the check from the constraint featurizer,
+whose fit takes the same counts and whose override transform recounts a
+tuple from each FD's group table (:func:`repro.dataset.counts.fd_groups`),
+so the check is O(1) per candidate.
 """
 
 from __future__ import annotations

@@ -4,7 +4,11 @@ For a cell of attribute A, the method looks at attributes correlated with A
 and checks the pairwise conditional distributions: if the observed value is
 improbable given *every* correlated attribute's value in the tuple, the cell
 is an outlier.  Correlation between attributes is measured with normalised
-mutual information on the noisy data itself.
+mutual information on the noisy data itself.  The conditional of ``t[A]=v``
+given a correlated attribute's value ``t[B]=w`` is
+``joint[(B, w)][A][v] / count(B=w)``, read from the relation's shared
+co-occurrence table (:func:`repro.dataset.counts.cooccurrence`): rows
+carrying both values over rows carrying ``w``.
 
 Matches the paper's observed behaviour: high precision (a value contradicted
 by all correlated evidence is almost surely wrong), recall that swings with
@@ -13,10 +17,10 @@ how strongly the dataset's errors distort co-occurrence.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 from repro.constraints.dc import DenialConstraint
+from repro.dataset.counts import cooccurrence
 from repro.dataset.table import Cell, Dataset
 from repro.dataset.training import TrainingSet
 from repro.utils.stats import normalized_mutual_information
@@ -49,21 +53,7 @@ class OutlierDetector:
                     correlated[a].append(b)
                     correlated[b].append(a)
 
-        # Conditional co-occurrence counts P(t[A]=v | t[B]=w): the
-        # denominator counts each row once, however many attributes B
-        # correlates with.
-        cond: dict[tuple[str, str, str], dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        marginals: dict[tuple[str, str], int] = defaultdict(int)
-        for row in range(dataset.num_rows):
-            for a in attrs:
-                if not correlated[a]:
-                    continue
-                v = columns[a][row]
-                marginals[(a, v)] += 1
-                for b in correlated[a]:
-                    w = columns[b][row]
-                    cond[(a, b, w)][v] += 1
-
+        joint, counts = cooccurrence(dataset)
         flagged: set[Cell] = set()
         for row in range(dataset.num_rows):
             for a in attrs:
@@ -74,10 +64,7 @@ class OutlierDetector:
                 max_conditional = 0.0
                 for b in correlated[a]:
                     w = columns[b][row]
-                    total = marginals[(b, w)]
-                    if total == 0:
-                        continue
-                    p = cond[(a, b, w)].get(v, 0) / total
+                    p = joint[(b, w)][a][v] / counts[(b, w)]
                     max_conditional = max(max_conditional, p)
                 if max_conditional < self.probability_threshold:
                     flagged.add(Cell(row, a))

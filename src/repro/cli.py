@@ -681,8 +681,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     try:
         sharded.verify()
     except ValueError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"FAILED: {exc}") from exc
     print(
         f"ok: {sharded.num_shards} shards, {sharded.num_rows} rows, "
         f"fingerprint {sharded.fingerprint()}"

@@ -111,6 +111,21 @@ class DenialConstraint:
             if not (p.is_equality_join and p.left_attr == p.right_attr and p.left_attr in keys)
         ]
 
+    def fd_shape(self) -> tuple[list[str], str] | None:
+        """``(join_attrs, residual_attr)`` when this DC is the FD
+        ``join_attrs → residual_attr`` (``t1.X == t2.X & … & t1.Y != t2.Y``);
+        ``None`` for every other shape."""
+        join_attrs = self.equality_join_attrs()
+        residual = self.residual_predicates()
+        if (
+            join_attrs
+            and len(residual) == 1
+            and residual[0].op == "!="
+            and residual[0].right_attr == residual[0].left_attr
+        ):
+            return join_attrs, residual[0].left_attr
+        return None
+
     def __str__(self) -> str:
         label = f"{self.name}: " if self.name else ""
         return label + " & ".join(str(p) for p in self.predicates)

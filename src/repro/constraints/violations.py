@@ -1,16 +1,18 @@
-"""Violation engine: count DC violations per tuple and per cell.
+"""Violation engine: count DC violations per tuple and per relation.
 
 The dataset-level representation exports, for every cell, the number of
 violations of each constraint that the cell's *tuple* participates in
 (Table 7: "#constraints" dimensions); the CV baseline flags the cells of
-violating tuples directly.
+violating tuples directly, and α-noisy discovery reads satisfaction ratios.
 
-Evaluation strategy: constraints whose predicates include same-attribute
-equality joins (the FD-shaped fragment, which is everything the benchmark
-datasets use) are evaluated with a hash join — tuples are grouped by the
-join key, and only within-group pairs are checked against the residual
-predicates.  Constraints with no usable join key fall back to a bounded
-pairwise scan so pathological inputs stay tractable.
+Evaluation strategy: an FD-shaped constraint (everything the benchmark
+datasets use, and every discovery candidate) is counted from its group
+table (:func:`repro.dataset.counts.fd_groups`), enumerating no tuple pair:
+a tuple in a join group of ``n`` holding ``m`` copies of its residual value
+violates ``n - m`` pairs, and the group ``(n² - Σ m_v²) / 2``.  Other
+equality joins are hash-joined, checking only within-group pairs against
+the residual predicates; constraints with no usable join key fall back to
+a bounded pairwise scan so pathological inputs stay tractable.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.constraints.dc import DenialConstraint
-from repro.dataset.table import Cell, Dataset
+from repro.dataset.counts import fd_groups
+from repro.dataset.relation import Cell, Relation
 
 #: Bound on the pairwise scan for join-free constraints: relations with more
 #: tuple pairs are checked on this many deterministically sampled pairs.
@@ -41,7 +44,7 @@ class ViolationEngine:
     # Core evaluation
     # ------------------------------------------------------------------ #
 
-    def tuple_violation_counts(self, dataset: Dataset) -> np.ndarray:
+    def tuple_violation_counts(self, dataset: Relation) -> np.ndarray:
         """``[num_rows, num_constraints]`` array of violation counts.
 
         Entry ``(i, k)`` is the number of tuple pairs involving row ``i``
@@ -49,12 +52,26 @@ class ViolationEngine:
         """
         counts = np.zeros((dataset.num_rows, len(self.constraints)), dtype=np.float64)
         for k, constraint in enumerate(self.constraints):
-            for row_a, row_b in self._violating_pairs(dataset, constraint):
-                counts[row_a, k] += 1
-                counts[row_b, k] += 1
+            shape = constraint.fd_shape()
+            if shape is None:
+                for row_a, row_b in self._violating_pairs(dataset, constraint):
+                    counts[row_a, k] += 1
+                    counts[row_b, k] += 1
+                continue
+            # group_total - count(own residual), one shard at a time.
+            join_attrs, residual_attr = shape
+            groups = fd_groups(dataset, join_attrs, residual_attr)
+            totals = {key: sum(group.values()) for key, group in groups.items()}
+            for span in dataset.shard_spans():
+                keys = zip(*(dataset.column_chunk(a, span.start, span.stop) for a in join_attrs))
+                residuals = dataset.column_chunk(residual_attr, span.start, span.stop)
+                counts[span.start : span.stop, k] = [
+                    totals[key] - groups[key][value] for key, value in zip(keys, residuals)
+                ]
         return counts
 
-    def _violating_pairs(self, dataset: Dataset, constraint: DenialConstraint):
+    def _violating_pairs(self, dataset: Relation, constraint: DenialConstraint):
+        """The violating tuple pairs of a constraint that is not FD-shaped."""
         join_attrs = constraint.equality_join_attrs()
         if join_attrs:
             yield from self._hash_join_pairs(dataset, constraint, join_attrs)
@@ -62,7 +79,7 @@ class ViolationEngine:
             yield from self._scan_pairs(dataset, constraint)
 
     def _hash_join_pairs(
-        self, dataset: Dataset, constraint: DenialConstraint, join_attrs: list[str]
+        self, dataset: Relation, constraint: DenialConstraint, join_attrs: list[str]
     ):
         groups: dict[tuple[str, ...], list[int]] = defaultdict(list)
         columns = [dataset.column(a) for a in join_attrs]
@@ -83,7 +100,7 @@ class ViolationEngine:
                     ):
                         yield row_a, row_b
 
-    def _scan_pairs(self, dataset: Dataset, constraint: DenialConstraint):
+    def _scan_pairs(self, dataset: Relation, constraint: DenialConstraint):
         n = dataset.num_rows
         total_pairs = n * (n - 1) // 2
         dicts = [dataset.row_dict(r) for r in range(n)]
@@ -108,26 +125,7 @@ class ViolationEngine:
     # Derived views
     # ------------------------------------------------------------------ #
 
-    def cell_violation_matrix(self, dataset: Dataset) -> dict[str, np.ndarray]:
-        """Per-attribute view of tuple violation counts.
-
-        A cell inherits its tuple's violation count for constraint ``k`` only
-        when its attribute participates in constraint ``k`` — the convention
-        the CV detector uses ("all cells in a group of cells that participate
-        in a violation", §6.2) and the feature the dataset-level context
-        exports.
-        Returns ``{attr: [num_rows, num_constraints]}``.
-        """
-        tuple_counts = self.tuple_violation_counts(dataset)
-        result: dict[str, np.ndarray] = {}
-        for attr in dataset.attributes:
-            mask = np.array(
-                [1.0 if attr in c.attributes() else 0.0 for c in self.constraints]
-            )
-            result[attr] = tuple_counts * mask
-        return result
-
-    def violating_cells(self, dataset: Dataset) -> set[Cell]:
+    def violating_cells(self, dataset: Relation) -> set[Cell]:
         """Cells flagged by the CV detector: all participating cells."""
         tuple_counts = self.tuple_violation_counts(dataset)
         flagged: set[Cell] = set()
@@ -140,7 +138,7 @@ class ViolationEngine:
                         flagged.add(Cell(int(row), attr))
         return flagged
 
-    def satisfaction_ratio(self, dataset: Dataset, constraint: DenialConstraint) -> float:
+    def satisfaction_ratio(self, dataset: Relation, constraint: DenialConstraint) -> float:
         """Fraction of tuple pairs that satisfy (do not violate) ``constraint``.
 
         This is the α of Definition A.1; used by noisy-constraint discovery.
@@ -149,5 +147,12 @@ class ViolationEngine:
         total_pairs = n * (n - 1) // 2
         if total_pairs == 0:
             return 1.0
-        violating = sum(1 for _ in self._violating_pairs(dataset, constraint))
+        shape = constraint.fd_shape()
+        if shape is None:
+            violating = sum(1 for _ in self._violating_pairs(dataset, constraint))
+        else:
+            violating = sum(
+                sum(group.values()) ** 2 - sum(m * m for m in group.values())
+                for group in fd_groups(dataset, *shape).values()
+            ) // 2
         return 1.0 - violating / total_pairs

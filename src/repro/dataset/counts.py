@@ -1,26 +1,21 @@
-"""Mergeable per-shard partials of relation-scoped featurizer fits.
+"""The two relation statistics every count-based reader shares.
 
-Out-of-core relations (:mod:`repro.dataset.sharded`) are fitted shard by
-shard: each shard yields a *partial* — a summary whose merge is associative
-and commutative-up-to-order — and merging all partials reproduces exactly
-the state a whole-relation fit would have produced.  Two families live here:
+- :func:`cooccurrence`: ``joint[(A, v)][B][w]`` and ``counts[(A, v)]``,
+  read by the co-occurrence featurizer (§4.1), the Naive Bayes weak
+  supervision (§5.4) and the OD and FBI baselines (§6.1);
+- :func:`fd_groups`: an FD's ``{join_key -> {residual_value -> count}}``
+  table, read by :class:`~repro.constraints.violations.ViolationEngine`
+  (every FD-shaped violation count: the constraint featurizer's, CV's,
+  HC's and α-noisy discovery's) and by the constraint featurizer's
+  value-override transform.
 
-- **co-occurrence partials** — the nested joint-count tables of
-  :class:`~repro.features.tuple_level.CooccurrenceFeaturizer`; merging sums
-  counts, and because each shard scans its rows in order, the merged tables
-  are equal (as mappings) to a single whole-relation scan;
-- **FD group partials** — the ``{join_key -> {residual_value -> count}}``
-  group tables of FD-shaped denial constraints
-  (:class:`~repro.features.dataset_level.ConstraintViolationFeaturizer`);
-  merging sums group counts, and each tuple's violation count follows in a
-  second streaming pass as ``group_total - count(own residual value)``,
-  which equals the pairwise hash-join count exactly.
-
-Partials live only in memory, for the length of one fit: the merges
-consume a generator over :meth:`~repro.dataset.relation.Relation.shard_spans`,
-so one shard's partial is alive beside the accumulator.  The artifact
-store holds the merged, whole-state fit under the relation fingerprint,
-which both backings share; it stores no partial.
+Both are counted one row shard at a time: each shard yields a *partial*
+whose merge is associative and, in row-shard order, equal (as a mapping)
+to a single whole-relation scan.  The merges consume a generator over
+:meth:`~repro.dataset.relation.Relation.shard_spans`, so one shard's
+partial is alive beside the accumulator.  Partials live only in memory;
+the artifact store holds a fitted reader's whole state under the relation
+fingerprint, which both backings share.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from typing import Iterable, Sequence
 
 from repro.dataset.relation import Relation, ShardSpan
 
-#: Joint-count partial runtime form (also the featurizer's fitted state):
+#: Joint-count table (also the co-occurrence featurizer's fitted state):
 #: ``joint[(attr_a, value_a)][attr_b][value_b] -> count`` plus
 #: ``counts[(attr_a, value_a)] -> count``.
 CooccurrencePartial = tuple[
@@ -37,8 +32,17 @@ CooccurrencePartial = tuple[
     dict[tuple[str, str], int],
 ]
 
-#: FD group partial runtime form: ``{join_key_tuple: {residual_value: count}}``.
+#: FD group table: ``{join_key_tuple: {residual_value: count}}``.
 FDGroups = dict[tuple[str, ...], dict[str, int]]
+
+
+def _merged(partial, merge, relation: Relation, *args):
+    """``merge`` of ``partial`` over the relation's shards; a single
+    shard's partial is the table itself."""
+    spans = relation.shard_spans()
+    if len(spans) == 1:
+        return partial(relation, spans[0], *args)
+    return merge(partial(relation, span, *args) for span in spans)
 
 
 # --------------------------------------------------------------------- #
@@ -88,6 +92,13 @@ def merge_cooccurrence_partials(
     return joint, counts
 
 
+def cooccurrence(relation: Relation) -> CooccurrencePartial:
+    """``(joint, counts)`` of the whole relation: ``joint[(A, v)][B][w]``
+    rows carry ``v`` in ``A`` and ``w`` in ``B`` (every ordered pair of
+    distinct attributes), ``counts[(A, v)]`` rows carry ``v`` in ``A``."""
+    return _merged(cooccurrence_partial, merge_cooccurrence_partials, relation)
+
+
 # --------------------------------------------------------------------- #
 # FD group tables (constraint violations)
 # --------------------------------------------------------------------- #
@@ -122,3 +133,13 @@ def merge_fd_group_partials(partials: Iterable[FDGroups]) -> FDGroups:
             for value, n in by_value.items():
                 merged[value] = merged.get(value, 0) + n
     return groups
+
+
+def fd_groups(
+    relation: Relation, join_attrs: Sequence[str], residual_attr: str
+) -> FDGroups:
+    """The group table of the FD ``join_attrs -> residual_attr``:
+    ``{join key -> {residual value -> count}}`` over the whole relation."""
+    return _merged(
+        fd_group_partial, merge_fd_group_partials, relation, join_attrs, residual_attr
+    )

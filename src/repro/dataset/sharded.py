@@ -24,9 +24,9 @@ against its sharded twin, and vice versa.
 Per-shard digests (the same recipe over each shard's rows) are recorded
 alongside, and :meth:`ShardedDataset.verify` re-checks them against the
 shard files.  A manifest that is not JSON, not an object, missing or
-mistyping an entry a reader needs, or whose column fingerprints or shard
-digests do not cover its attributes is a ``ValueError`` naming the file
-and the entry.
+mistyping an entry a reader needs, whose column fingerprints or shard
+digests do not cover its attributes, or whose shards do not tile
+``[0, num_rows)`` is a ``ValueError`` naming the file and the entry.
 
 The backing is immutable: mutators raise, ``version`` stays 0, and
 ``copy()`` returns ``self``.  Edit workflows convert to the in-memory
@@ -146,6 +146,7 @@ def _read_manifest(path: Path) -> dict:
             raise ValueError(f"{path}: manifest attribute {attr!r} is not a string")
         if attr not in manifest["column_fingerprints"]:
             raise ValueError(f"{path}: manifest has no column fingerprint for {attr!r}")
+    covered = 0
     for i, shard in enumerate(manifest["shards"]):
         _check_entries(path, f"shard {i}", shard, _SHARD_ENTRIES)
         if len(shard["digests"]) != len(attributes):
@@ -153,6 +154,17 @@ def _read_manifest(path: Path) -> dict:
                 f"{path}: shard {i} has {len(shard['digests'])} digests "
                 f"for {len(attributes)} attributes"
             )
+        # The shards must tile [0, num_rows): row lookups bisect the starts.
+        if shard["start"] != covered:
+            raise ValueError(f"{path}: shard {i} starts at row {shard['start']}, not {covered}")
+        if shard["rows"] < 1:
+            raise ValueError(f"{path}: shard {i} holds {shard['rows']} rows")
+        covered += shard["rows"]
+    if covered != manifest["num_rows"]:
+        raise ValueError(
+            f"{path}: {len(manifest['shards'])} shards hold {covered} rows, "
+            f"but num_rows is {manifest['num_rows']}"
+        )
     return manifest
 
 
@@ -470,6 +482,9 @@ class ShardedDataset(Relation):
         shard = bisect_right(self._starts, row) - 1
         return shard, row - self._starts[shard]
 
+    def _chunk_path(self, shard: int, col: int) -> Path:
+        return self.directory / "shards" / self._shards[shard]["dir"] / f"c{col}.npy"
+
     def _array(self, shard: int, col: int) -> np.ndarray:
         key = (shard, col)
         arr = self._open.get(key)
@@ -479,7 +494,7 @@ class ShardedDataset(Relation):
         sealed = self._quarantined.get(shard)
         if sealed is not None:
             raise sealed  # fail fast: no retry storm against a dead shard
-        path = self.directory / "shards" / self._shards[shard]["dir"] / f"c{col}.npy"
+        path = self._chunk_path(shard, col)
 
         def load() -> np.ndarray:
             trip("shard.read")
@@ -524,11 +539,23 @@ class ShardedDataset(Relation):
 
     def verify(self) -> None:
         """Recompute every digest from the shard files and compare with the
-        manifest; raises ``ValueError`` on the first mismatch."""
+        manifest; raises ``ValueError`` on the first mismatch, and one
+        naming the chunk file when it is missing, unreadable, or does not
+        hold its shard's rows."""
         hashers = {a: column_hasher() for a in self.schema.attributes}
         for span in self.shard_spans():
             for i, attr in enumerate(self.schema.attributes):
-                values = self._array(span.index, i).tolist()
+                path = self._chunk_path(span.index, i)
+                try:
+                    values = self._array(span.index, i).tolist()
+                except FileNotFoundError:
+                    raise ValueError(f"{path}: chunk file is missing") from None
+                except ShardQuarantinedError as exc:
+                    raise ValueError(
+                        f"{path}: unreadable, shard {exc.shard} quarantined (errno {exc.errno})"
+                    ) from exc
+                if len(values) != span.rows:
+                    raise ValueError(f"{path}: holds {len(values)} values, not {span.rows}")
                 shard_hash = column_hasher()
                 update_column_hash(shard_hash, values)
                 update_column_hash(hashers[attr], values)

@@ -13,10 +13,10 @@ import numpy as np
 
 from repro.constraints.dc import DenialConstraint, decode_constraint, encode_constraint
 from repro.constraints.violations import ViolationEngine
+from repro.dataset.counts import fd_groups
 from repro.dataset.table import Cell, Dataset
 from repro.embeddings.corpus import EMPTY_TOKEN, tuple_value_corpus
 from repro.features.base import CellBatch, FeatureContext, Featurizer
-from repro.features.partials import fd_group_partial, merge_fd_group_partials
 from repro.features.tuple_level import _RelationEmbeddingFeaturizer
 
 
@@ -66,70 +66,24 @@ class ConstraintViolationFeaturizer(Featurizer):
         self._fd_indexes: list[dict | None] = []
 
     def fit(self, dataset: Dataset) -> "ConstraintViolationFeaturizer":
-        """Count per-tuple violations: FD group tables, the engine otherwise.
-
-        An FD-shaped constraint is counted from its group table
-        ``{join_key -> {residual_value -> count}}``
-        (:mod:`repro.features.partials`): within a join group of size ``n``
-        holding ``m`` copies of the tuple's residual value, the tuple
-        participates in exactly ``n - m`` violating pairs, which is what
-        the pairwise hash join counts.  Over a multi-shard relation the
-        table is merged from one partial per shard.  Only the other
-        constraint shapes go through :class:`ViolationEngine`.
-        """
-        spans = dataset.shard_spans()
-        shapes = [self._fd_shape(c) for c in self._constraints]
-        counts = np.zeros((dataset.num_rows, len(self._constraints)), dtype=np.float64)
-        others = [k for k, shape in enumerate(shapes) if shape is None]
-        if others:
-            engine = ViolationEngine([self._constraints[k] for k in others])
-            counts[:, others] = engine.tuple_violation_counts(dataset)
-        indexes: list[dict | None] = []
-        for k, shape in enumerate(shapes):
-            if shape is None:
-                indexes.append(None)
-                continue
-            join_attrs, residual_attr = shape
-            groups = merge_fd_group_partials(
-                fd_group_partial(dataset, span, join_attrs, residual_attr)
-                for span in spans
-            )
-            indexes.append(
-                {
-                    "join_attrs": join_attrs,
-                    "residual_attr": residual_attr,
-                    "groups": groups,
-                }
-            )
-            for span in spans:
-                join_chunks = [
-                    dataset.column_chunk(a, span.start, span.stop) for a in join_attrs
-                ]
-                residual_chunk = dataset.column_chunk(
-                    residual_attr, span.start, span.stop
-                )
-                for i in range(span.rows):
-                    group = groups[tuple(chunk[i] for chunk in join_chunks)]
-                    counts[span.start + i, k] = sum(group.values()) - group[
-                        residual_chunk[i]
-                    ]
-        self._tuple_counts = counts
-        self._fd_indexes = indexes
+        """Per-tuple violation counts from :class:`ViolationEngine`, plus
+        the group table of every FD-shaped constraint
+        (:func:`~repro.dataset.counts.fd_groups`), which the transform
+        reads to recount a tuple whose cell is overridden."""
+        self._tuple_counts = ViolationEngine(self._constraints).tuple_violation_counts(
+            dataset
+        )
+        self._fd_indexes = [
+            None
+            if shape is None
+            else {
+                "join_attrs": shape[0],
+                "residual_attr": shape[1],
+                "groups": fd_groups(dataset, *shape),
+            }
+            for shape in (c.fd_shape() for c in self._constraints)
+        ]
         return self
-
-    @staticmethod
-    def _fd_shape(constraint: DenialConstraint) -> tuple[list[str], str] | None:
-        """Detect ``join_attrs == … & residual !=`` FD shape; None otherwise."""
-        join_attrs = constraint.equality_join_attrs()
-        residual = constraint.residual_predicates()
-        if (
-            join_attrs
-            and len(residual) == 1
-            and residual[0].op == "!="
-            and residual[0].right_attr == residual[0].left_attr
-        ):
-            return join_attrs, residual[0].left_attr
-        return None
 
     def _count_with_override(
         self, index: dict, cell: Cell, value: str, dataset: Dataset

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dataset.counts import cooccurrence
 from repro.dataset.table import Dataset
 from repro.embeddings.corpus import tuple_corpus
 from repro.embeddings.fasttext import FastTextEmbedding
@@ -31,7 +32,6 @@ from repro.features.base import (
     Featurizer,
 )
 from repro.features.cache import FeatureCache
-from repro.features.partials import cooccurrence_partial, merge_cooccurrence_partials
 from repro.text.tokenize import word_tokens
 
 
@@ -61,21 +61,10 @@ class CooccurrenceFeaturizer(Featurizer):
         self._attributes: tuple[str, ...] = ()
 
     def fit(self, dataset: Dataset) -> "CooccurrenceFeaturizer":
-        """Count joint occurrences, one row shard at a time.
-
-        The in-memory backing is a single shard spanning the relation, so
-        this is one scan; an out-of-core relation is summarised into one
-        mergeable partial per shard (:mod:`repro.features.partials`), and
-        the merged tables equal a whole-relation scan exactly.
-        """
+        """The relation's joint-count tables
+        (:func:`~repro.dataset.counts.cooccurrence`, one shard at a time)."""
         self._attributes = dataset.attributes
-        # Generator, not list: the merge consumes lazily, so peak memory is
-        # two partials (one shard + the accumulator), not one per shard.
-        joint, value_counts = merge_cooccurrence_partials(
-            cooccurrence_partial(dataset, span) for span in dataset.shard_spans()
-        )
-        self._joint = joint
-        self._value_counts = value_counts
+        self._joint, self._value_counts = cooccurrence(dataset)
         return self
 
     def transform_batch(self, batch: CellBatch) -> np.ndarray:

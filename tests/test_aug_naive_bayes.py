@@ -16,6 +16,7 @@ from repro.baselines import HoloCleanDetector, uniform_policy_from
 from repro.core import DetectorConfig
 from repro.data import load_dataset
 from repro.dataset import Cell, Dataset
+from repro.features.tuple_level import CooccurrenceFeaturizer
 
 
 @pytest.fixture
@@ -76,6 +77,21 @@ class TestRepairSuggestions:
         with pytest.raises(ValueError):
             NaiveBayesRepairModel(confidence_threshold=0.0)
 
+    @pytest.mark.parametrize("name", ["hospital", "soccer"])
+    def test_holds_the_cooccurrence_featurizers_table(self, name):
+        """The model reads the one co-occurrence table: fitted on a relation
+        it holds exactly the joint counts the co-occurrence featurizer
+        fits, and value counts that match the featurizer's per value."""
+        dataset = load_dataset(name, num_rows=120, seed=0).dirty
+        model = NaiveBayesRepairModel().fit(dataset)
+        featurizer = CooccurrenceFeaturizer().fit(dataset)
+        assert model._joint == featurizer._joint
+        assert {
+            (attr, value): count
+            for attr, counts in model._value_counts.items()
+            for value, count in counts.items()
+        } == featurizer._value_counts
+
 
 class TestPrecisionProperty:
     def test_precision_on_synthetic_errors(self):
@@ -133,7 +149,7 @@ def reference_posterior(model, attr, tuple_values):
         support = counts[candidate]
         log_score = np.log(model._priors[attr][candidate])
         for attr_b in partners:
-            count = model._cooc.get((attr, candidate, attr_b), {}).get(
+            count = model._joint[(attr, candidate)].get(attr_b, {}).get(
                 tuple_values[attr_b], 0
             )
             log_score += np.log(
@@ -158,7 +174,7 @@ def reference_scan(model, dataset):
 
     def support(attr, value, row_values):
         return max(
-            model._cooc.get((attr, value, b), {}).get(row_values[b], 0)
+            model._joint.get((attr, value), {}).get(b, {}).get(row_values[b], 0)
             for b in model._partners[attr]
         )
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.constraints import read_constraints
-from repro.dataset import Dataset, read_labels, write_csv
+from repro.dataset import Dataset, ShardedDataset, read_labels, write_csv
 
 
 @pytest.fixture
@@ -371,6 +371,10 @@ class TestDetectWithSpec:
          "list_manifest/manifest.json: manifest must be an object, not list"),
         (["shard", "info", "{tmp}/truncated"],
          "truncated/manifest.json: not a JSON manifest"),
+        (["shard", "verify", "{tmp}/missing_chunk"],
+         "FAILED: {tmp}/missing_chunk/shards/shard-00001/c0.npy: chunk file is missing"),
+        (["shard", "verify", "{tmp}/rows_high"],
+         "rows_high/manifest.json: 2 shards hold 3 rows, but num_rows is 4"),
     ],
     ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
@@ -378,7 +382,8 @@ class TestDetectWithSpec:
          "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
          "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only",
          "detect-holdout-empties-labels", "shard-info-no-attributes",
-         "shard-verify-list-manifest", "shard-info-truncated"],
+         "shard-verify-list-manifest", "shard-info-truncated",
+         "shard-verify-missing-chunk", "shard-verify-num-rows-high"],
 )
 def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     """Out-of-range values end in a one-line message, not a traceback."""
@@ -404,11 +409,18 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     ):
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.json").write_text(manifest)
+    three_rows = Dataset.from_rows(["a"], [["1"], ["2"], ["3"]])
+    ShardedDataset.convert(three_rows, tmp_path / "missing_chunk", shard_rows=2)
+    (tmp_path / "missing_chunk" / "shards" / "shard-00001" / "c0.npy").unlink()
+    ShardedDataset.convert(three_rows, tmp_path / "rows_high", shard_rows=2)
+    manifest = json.loads((tmp_path / "rows_high" / "manifest.json").read_text())
+    manifest["num_rows"] += 1
+    (tmp_path / "rows_high" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SystemExit) as excinfo:
         main([arg.format(tmp=tmp_path) for arg in argv])
     message = excinfo.value.code
     assert isinstance(message, str) and "\n" not in message
-    assert expected in message
+    assert expected.format(tmp=tmp_path) in message
 
 
 class TestServeConfig:

@@ -93,6 +93,30 @@ class TestParser:
             {"Zip": "1", "City": "A"}, {"Zip": "1", "City": "B"}
         )
 
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("t1.Zip == t2.Zip & t1.City != t2.City", (["Zip"], "City")),
+            ("t1.A == t2.A & t1.B == t2.B & t1.C != t2.C", (["A", "B"], "C")),
+            ("t1.C != t2.C & t1.A == t2.A", (["A"], "C")),
+            ("t1.k == t2.k & t1.v < t2.v", None),
+            ("t1.A == t2.A & t1.B != t2.C", None),
+            ("t1.A == t2.A & t1.B != t2.B & t1.C != t2.C", None),
+            ("t1.A == t2.A & t1.B != 'x'", None),
+            ("t1.A == t2.B & t1.C != t2.C", None),
+            ("t1.A != t2.A", None),
+            ("t1.State == 'XX'", None),
+        ],
+        ids=["fd", "two-attribute-key", "residual-first", "non-fd-join",
+             "cross-attribute-residual", "two-residuals", "constant-residual",
+             "cross-attribute-join", "join-free", "constant-only"],
+    )
+    def test_fd_shape(self, text, shape):
+        assert parse_denial_constraint(text).fd_shape() == shape
+
+    def test_fd_sugar_is_fd_shaped(self):
+        assert functional_dependency(["a", "b"], "c").fd_shape() == (["a", "b"], "c")
+
     def test_parse_constant(self):
         dc = parse_denial_constraint("t1.State == 'XX'")
         assert dc.violated_by({"State": "XX"}, {})

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import (
     DenialConstraint,
     Predicate,
     ViolationEngine,
     functional_dependency,
+    parse_denial_constraint,
 )
-from repro.dataset import Cell, Dataset
+from repro.dataset import Cell, Dataset, ShardedDataset
 
 
 class TestTupleViolationCounts:
@@ -63,14 +66,6 @@ class TestViolatingCells:
         assert ViolationEngine([]).violating_cells(zip_dataset) == set()
 
 
-class TestCellViolationMatrix:
-    def test_attribute_masking(self, zip_dataset, zip_fd):
-        matrix = ViolationEngine([zip_fd]).cell_violation_matrix(zip_dataset)
-        assert matrix["zip"][0, 0] == 1
-        assert matrix["city"][1, 0] == 1
-        assert matrix["state"].sum() == 0
-
-
 class TestSatisfactionRatio:
     def test_perfect_constraint(self, zip_clean, zip_fd):
         engine = ViolationEngine([])
@@ -84,3 +79,64 @@ class TestSatisfactionRatio:
     def test_single_row_dataset(self, zip_fd):
         d = Dataset.from_rows(["zip", "city", "state"], [["1", "a", "s"]])
         assert ViolationEngine([]).satisfaction_ratio(d, zip_fd) == 1.0
+
+
+# --------------------------------------------------------------------- #
+# Every count path against a brute-force count over tuple pairs
+# --------------------------------------------------------------------- #
+
+_values = st.sampled_from(["a", "b", "ab", ""])
+_tables = st.lists(
+    st.tuples(_values, _values, _values), min_size=0, max_size=14
+).map(lambda rows: Dataset.from_rows(["k", "j", "v"], [list(r) for r in rows]))
+
+#: One constraint per count path: FD group tables (one- and two-attribute
+#: keys), the hash join over a non-FD equality join, and the pairwise scan.
+_SHAPES = [
+    functional_dependency("k", "v"),
+    functional_dependency(["k", "j"], "v"),
+    parse_denial_constraint("t1.k == t2.k & t1.v < t2.v"),
+    parse_denial_constraint("t1.v < t2.v & t1.j != t2.j"),
+]
+
+
+def _brute_force(dataset, constraint):
+    """Per-tuple counts and the number of violating pairs, from every
+    unordered tuple pair checked in both orientations."""
+    rows = [dataset.row_dict(r) for r in range(dataset.num_rows)]
+    counts = np.zeros(len(rows))
+    pairs = 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if constraint.violated_by(rows[i], rows[j]) or constraint.violated_by(
+                rows[j], rows[i]
+            ):
+                counts[i] += 1
+                counts[j] += 1
+                pairs += 1
+    return counts, pairs
+
+
+class TestCountsMatchBruteForce:
+    def test_each_shape_takes_its_path(self):
+        assert [c.fd_shape() is not None for c in _SHAPES] == [True, True, False, False]
+        assert [bool(c.equality_join_attrs()) for c in _SHAPES[2:]] == [True, False]
+
+    @given(dataset=_tables, shard_rows=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_engine_counts_every_shape_on_both_backings(
+        self, dataset, shard_rows, tmp_path_factory
+    ):
+        twin = ShardedDataset.convert(
+            dataset, tmp_path_factory.mktemp("twin"), shard_rows=shard_rows
+        )
+        engine = ViolationEngine(_SHAPES)
+        expected = [_brute_force(dataset, c) for c in _SHAPES]
+        n = dataset.num_rows
+        for relation in (dataset, twin):
+            counts = engine.tuple_violation_counts(relation)
+            assert counts.shape == (n, len(_SHAPES))
+            for k, (tuple_counts, pairs) in enumerate(expected):
+                assert np.array_equal(counts[:, k], tuple_counts), _SHAPES[k]
+                alpha = 1.0 - pairs / (n * (n - 1) // 2) if n > 1 else 1.0
+                assert engine.satisfaction_ratio(relation, _SHAPES[k]) == alpha

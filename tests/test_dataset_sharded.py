@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from repro.data.registry import load_dataset
 from repro.dataset import Cell, Dataset, ShardedDataset, open_relation
 from repro.dataset.loader import read_csv, write_csv
-from repro.dataset.relation import ShardSpan, hash_column
-from repro.features.dataset_level import ConstraintViolationFeaturizer
-from repro.features.partials import (
+from repro.dataset.counts import (
     cooccurrence_partial,
     fd_group_partial,
     merge_cooccurrence_partials,
     merge_fd_group_partials,
 )
+from repro.dataset.relation import ShardSpan, hash_column
+from repro.features.dataset_level import ConstraintViolationFeaturizer
 from repro.features.tuple_level import CooccurrenceFeaturizer
 
 # Small random tables: 2-3 attributes, clumpy values so co-occurrence and
@@ -274,6 +274,33 @@ class TestIngestion:
         with pytest.raises(ValueError, match="digest"):
             ShardedDataset(tmp_path / "twin").verify()
 
+    def test_verify_names_a_missing_chunk_file(self, tmp_path):
+        _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
+        chunk = tmp_path / "twin" / "shards" / "shard-00001" / "c0.npy"
+        chunk.unlink()
+        with pytest.raises(ValueError) as excinfo:
+            ShardedDataset(tmp_path / "twin").verify()
+        assert str(excinfo.value) == f"{chunk}: chunk file is missing"
+
+    def test_verify_names_a_chunk_that_does_not_hold_its_rows(self, tmp_path):
+        _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
+        chunk = tmp_path / "twin" / "shards" / "shard-00000" / "c0.npy"
+        np.save(chunk, np.array(["1", "2", "9"]))
+        with pytest.raises(ValueError) as excinfo:
+            ShardedDataset(tmp_path / "twin").verify()
+        assert str(excinfo.value) == f"{chunk}: holds 3 values, not 2"
+
+    def test_verify_names_a_quarantined_shard(self, tmp_path):
+        from repro.faults import RetryPolicy, inject, use_policy
+
+        _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
+        chunk = tmp_path / "twin" / "shards" / "shard-00000" / "c0.npy"
+        policy = RetryPolicy(max_attempts=2, base_delay=0.01, sleep=lambda s: None)
+        with use_policy(policy), inject("shard.read=first:99:EIO"):
+            with pytest.raises(ValueError) as excinfo:
+                ShardedDataset(tmp_path / "twin").verify()
+        assert str(excinfo.value).startswith(f"{chunk}: unreadable, shard 0 quarantined")
+
     def test_open_relation_dispatches_on_path(self, tmp_path):
         dataset = Dataset.from_rows(["a"], [["1"], ["2"]])
         csv_path = tmp_path / "data.csv"
@@ -321,10 +348,16 @@ class TestManifestReader:
             (lambda m: m["column_fingerprints"].pop("a"),
              "no column fingerprint for 'a'"),
             (lambda m: m["shards"][1].update(digests=[]), "shard 1 has 0 digests for 1"),
+            (lambda m: m.update(num_rows=5), "2 shards hold 3 rows, but num_rows is 5"),
+            (lambda m: m.update(num_rows=2), "2 shards hold 3 rows, but num_rows is 2"),
+            (lambda m: m["shards"][0].update(start=1), "shard 0 starts at row 1, not 0"),
+            (lambda m: m["shards"][1].update(start=3), "shard 1 starts at row 3, not 2"),
+            (lambda m: m["shards"][0].update(rows=-1), "shard 0 holds -1 rows"),
         ],
         ids=["no-fingerprint", "num-rows-str", "shards-object", "shard-list",
              "shard-no-start", "attribute-list", "no-column-fingerprint",
-             "digests-short"],
+             "digests-short", "num-rows-high", "num-rows-low", "first-shard-offset",
+             "shard-gap", "negative-rows"],
     )
     def test_mistyped_entry_is_named(self, tmp_path, edit, expected):
         _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
