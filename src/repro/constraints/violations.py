@@ -58,7 +58,6 @@ class ViolationEngine:
                     counts[row_a, k] += 1
                     counts[row_b, k] += 1
                 continue
-            # group_total - count(own residual), one shard at a time.
             join_attrs, residual_attr = shape
             groups = fd_groups(dataset, join_attrs, residual_attr)
             totals = {key: sum(group.values()) for key, group in groups.items()}

@@ -540,8 +540,8 @@ class ShardedDataset(Relation):
     def verify(self) -> None:
         """Recompute every digest from the shard files and compare with the
         manifest; raises ``ValueError`` on the first mismatch, and one
-        naming the chunk file when it is missing, unreadable, or does not
-        hold its shard's rows."""
+        naming the chunk file when it is missing, unreadable, not an array
+        file, or does not hold its shard's rows."""
         hashers = {a: column_hasher() for a in self.schema.attributes}
         for span in self.shard_spans():
             for i, attr in enumerate(self.schema.attributes):
@@ -554,6 +554,8 @@ class ShardedDataset(Relation):
                     raise ValueError(
                         f"{path}: unreadable, shard {exc.shard} quarantined (errno {exc.errno})"
                     ) from exc
+                except ValueError as exc:  # numpy: not an .npy array file
+                    raise ValueError(f"{path}: not a chunk file ({exc})") from exc
                 if len(values) != span.rows:
                     raise ValueError(f"{path}: holds {len(values)} values, not {span.rows}")
                 shard_hash = column_hasher()

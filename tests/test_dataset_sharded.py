@@ -26,6 +26,7 @@ from repro.dataset.counts import (
 )
 from repro.dataset.relation import ShardSpan, hash_column
 from repro.features.dataset_level import ConstraintViolationFeaturizer
+from repro.faults import RetryPolicy, inject, use_policy
 from repro.features.tuple_level import CooccurrenceFeaturizer
 
 # Small random tables: 2-3 attributes, clumpy values so co-occurrence and
@@ -274,25 +275,27 @@ class TestIngestion:
         with pytest.raises(ValueError, match="digest"):
             ShardedDataset(tmp_path / "twin").verify()
 
-    def test_verify_names_a_missing_chunk_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "shard, damage, expected",
+        [
+            (1, lambda chunk: chunk.unlink(), "chunk file is missing"),
+            (0, lambda chunk: np.save(chunk, np.array(["1", "2", "9"])),
+             "holds 3 values, not 2"),
+            (1, lambda chunk: chunk.write_text("garbage"), "not a chunk file"),
+            (0, lambda chunk: chunk.write_bytes(chunk.read_bytes()[:-3]),
+             "not a chunk file"),
+        ],
+        ids=["missing", "wrong-length", "garbage", "truncated"],
+    )
+    def test_verify_names_a_broken_chunk_file(self, tmp_path, shard, damage, expected):
         _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
-        chunk = tmp_path / "twin" / "shards" / "shard-00001" / "c0.npy"
-        chunk.unlink()
+        chunk = tmp_path / "twin" / "shards" / f"shard-{shard:05d}" / "c0.npy"
+        damage(chunk)
         with pytest.raises(ValueError) as excinfo:
             ShardedDataset(tmp_path / "twin").verify()
-        assert str(excinfo.value) == f"{chunk}: chunk file is missing"
-
-    def test_verify_names_a_chunk_that_does_not_hold_its_rows(self, tmp_path):
-        _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
-        chunk = tmp_path / "twin" / "shards" / "shard-00000" / "c0.npy"
-        np.save(chunk, np.array(["1", "2", "9"]))
-        with pytest.raises(ValueError) as excinfo:
-            ShardedDataset(tmp_path / "twin").verify()
-        assert str(excinfo.value) == f"{chunk}: holds 3 values, not 2"
+        assert str(excinfo.value).startswith(f"{chunk}: {expected}")
 
     def test_verify_names_a_quarantined_shard(self, tmp_path):
-        from repro.faults import RetryPolicy, inject, use_policy
-
         _sharded_twin(Dataset.from_rows(["a"], [["1"], ["2"], ["3"]]), tmp_path, 2)
         chunk = tmp_path / "twin" / "shards" / "shard-00000" / "c0.npy"
         policy = RetryPolicy(max_attempts=2, base_delay=0.01, sleep=lambda s: None)
