@@ -340,12 +340,32 @@ class FastTextEmbedding:
 
     @classmethod
     def from_state(cls, state: dict) -> "FastTextEmbedding":
-        """Rebuild a fitted embedding from :meth:`to_state` output."""
-        model = cls(**state["config"])
+        """Rebuild a fitted embedding from :meth:`to_state` output.
+
+        A ``config`` the constructor refuses, an ``in_table`` that is not
+        ``[buckets + len(vocabulary), dim]`` and an ``out_table`` that is
+        not ``[len(vocabulary), dim]`` are each a ``ValueError``, raised
+        here rather than from the first lookup that reads past a table or
+        returns a vector of the wrong width.
+        """
+        try:
+            model = cls(**state["config"])
+        except TypeError as exc:  # an unknown knob, or one of the wrong type
+            raise ValueError(f"embedding state config: {exc}") from exc
         model._index_to_word = list(state["vocabulary"])
         model._vocab = {w: i for i, w in enumerate(model._index_to_word)}
         model._in = np.asarray(state["in_table"], dtype=np.float64)
         model._out = np.asarray(state["out_table"], dtype=np.float64)
+        vocab_size = len(model._index_to_word)
+        for name, table, rows in (
+            ("in_table", model._in, model.buckets + vocab_size),
+            ("out_table", model._out, vocab_size),
+        ):
+            if table.shape != (rows, model.dim):
+                raise ValueError(
+                    f"embedding state {name} has shape {table.shape}, "
+                    f"expected {(rows, model.dim)}"
+                )
         model._build_subword_table()
         return model
 

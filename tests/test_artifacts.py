@@ -608,6 +608,27 @@ class TestStoreOrBuild:
             assert a.branches[branch].tobytes() == b.branches[branch].tobytes()
 
 
+    def test_misshapen_embedding_payload_is_rebuilt(self, small_bundle, small_split):
+        """An embedding payload whose in_table lost rows, and one whose
+        config carries an unknown key, are misses: both are retrained and
+        overwritten, and the refit predicts exactly as a cold fit."""
+        store = RecordingStore()
+        cold, expected = fit_and_predict(small_bundle, small_split, store)
+        keys = cold.artifact_keys
+        cut = keys["char_embedding/ZipCode"]
+        unknown = keys["word_embedding/City"]
+        char, word = store.get(cut), store.get(unknown)
+        store.put(cut, {**char, "in_table": char["in_table"][:10]})
+        store.put(unknown, {**word, "config": {**word["config"], "colour": 1}})
+        store.stored.clear()
+        _, refit = fit_and_predict(small_bundle, small_split, store)
+        assert sorted(store.stored) == sorted([cut, unknown])
+        assert store.get(cut)["in_table"].tobytes() == char["in_table"].tobytes()
+        assert store.get(unknown)["config"] == word["config"]
+        assert refit.cells == expected.cells
+        assert refit.probabilities.tobytes() == expected.probabilities.tobytes()
+
+
 # --------------------------------------------------------------------- #
 # Sweep integration
 # --------------------------------------------------------------------- #

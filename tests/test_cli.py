@@ -506,6 +506,34 @@ class TestInputErrors:
         )
         assert "edits.csv:3: expected 3 fields" in message
 
+    def test_saved_model_with_a_misshapen_embedding(self, workspace):
+        """A save whose first char model lost in_table rows ends rescore in
+        one line naming the table, not an IndexError from a lookup."""
+        import numpy as np
+
+        tmp_path, data_path, labels_path, _ = workspace
+        model = tmp_path / "model"
+        main(["detect", "--input", str(data_path), "--labels", str(labels_path),
+              "--output", str(tmp_path / "o.csv"), "--epochs", "2",
+              "--embedding-dim", "4", "--save-model", str(model)])
+        state = json.loads((model / "state.json").read_text())
+        char = next(
+            f for f in state["pipeline"]["featurizers"]
+            if f["type"] == "CharEmbeddingFeaturizer"
+        )
+        ref = next(iter(char["models"].values()))["in_table"]["__array__"]
+        with np.load(model / "arrays.npz") as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays[ref] = arrays[ref][:10]
+        np.savez(model / "arrays.npz", **arrays)
+        edits = tmp_path / "edits.csv"
+        edits.write_text("row,attribute,value\n24,city,Chicago\n")
+        message = _one_line_exit(
+            ["rescore", "--input", str(data_path), "--model", str(model),
+             "--edits", str(edits), "--output", str(tmp_path / "o2.csv")]
+        )
+        assert "in_table has shape (10, 4), expected (" in message
+
     def test_missing_input_file(self, workspace):
         tmp_path, _, labels_path, _ = workspace
         message = _one_line_exit(

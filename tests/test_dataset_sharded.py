@@ -9,6 +9,8 @@ manifest reader, the immutability guard and the registry kind.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -440,6 +442,46 @@ class TestRelationSemantics:
         full = hospital.dirty.column(attr)
         assert list(sharded.column_chunk(attr, 3, 25)) == list(full[3:25])
         assert list(sharded.column_chunk(attr, 0, sharded.num_rows)) == list(full)
+
+
+class TestConcurrentReads:
+    def test_threads_share_a_small_open_array_cache(self, tmp_path):
+        """More threads than cores read random (shard, column) chunks of a
+        15-shard relation through an LRU of 3 open arrays, switching every
+        microsecond: each read returns its chunk, none loses its key to
+        another thread's eviction."""
+        dataset = load_dataset("hospital", num_rows=120, seed=0).dirty
+        ShardedDataset.convert(dataset, tmp_path / "twin", shard_rows=8)
+        sharded = ShardedDataset(tmp_path / "twin", max_open_arrays=3)
+        spans = sharded.shard_spans()
+        assert len(spans) == 15
+        attributes = dataset.attributes
+        problems: list[str] = []
+
+        def read(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(1500):
+                    span = spans[rng.integers(len(spans))]
+                    attr = attributes[rng.integers(len(attributes))]
+                    chunk = sharded.column_chunk(attr, span.start, span.stop)
+                    if list(chunk) != dataset.column(attr)[span.start : span.stop]:
+                        problems.append(f"thread {seed}: {attr} of shard {span.index}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                problems.append(f"thread {seed}: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
 
 
 class TestRegistryKind:

@@ -137,3 +137,32 @@ class TestFastTextEmbedding:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             FastTextEmbedding(dim=0)
+
+    def test_state_round_trips(self, fitted):
+        rebuilt = FastTextEmbedding.from_state(fitted.to_state())
+        assert rebuilt.vector("chicagx").tobytes() == fitted.vector("chicagx").tobytes()
+
+    @pytest.mark.parametrize(
+        "table, cut, expected",
+        [
+            ("in_table", lambda t: t[:10], "in_table has shape (10, 12), expected (4100, 12)"),
+            ("in_table", lambda t: t[:, :2], "in_table has shape (4100, 2), expected (4100, 12)"),
+            ("in_table", lambda t: t.ravel(), "in_table has shape (49200,), expected (4100, 12)"),
+            ("out_table", lambda t: t[:3], "out_table has shape (3, 12), expected (4, 12)"),
+            ("out_table", lambda t: t[:, 1:], "out_table has shape (4, 11), expected (4, 12)"),
+        ],
+        ids=["in-rows", "in-columns", "in-flat", "out-rows", "out-columns"],
+    )
+    def test_state_with_a_misshapen_table_is_refused(self, fitted, table, cut, expected):
+        """buckets (4096) + 4 vocabulary words rows in, 4 out, 12 wide."""
+        state = fitted.to_state()
+        state[table] = cut(state[table])
+        with pytest.raises(ValueError) as excinfo:
+            FastTextEmbedding.from_state(state)
+        assert expected in str(excinfo.value)
+
+    def test_state_with_an_unknown_config_key_is_refused(self, fitted):
+        state = fitted.to_state()
+        state["config"] = {**state["config"], "colour": "red"}
+        with pytest.raises(ValueError, match="embedding state config: .*'colour'"):
+            FastTextEmbedding.from_state(state)
