@@ -199,8 +199,8 @@ class Featurizer:
     def fit(self, dataset: Dataset) -> "Featurizer":
         """Learn the model's statistics from the (noisy) input dataset D.
 
-        :meth:`~repro.features.pipeline.FeaturePipeline.fit` runs this on
-        a worker thread, beside another featurizer's fit — custom
+        :meth:`~repro.features.pipeline.FeaturePipeline.fit` may run this
+        on a worker thread, beside another featurizer's fit — custom
         ``module:attr`` featurizers included.  A fit may read ``dataset``
         and the ambient artifact store, and write its own state; it must
         share no other mutable state with another featurizer's fit.

@@ -327,7 +327,7 @@ class FeaturePipeline:
         )
         # A served fit decodes a stored state: interpreter work that a
         # second thread only slows (on 2 vCPUs a warm hospital/120 pipeline
-        # fit took 53.5 ms on two threads, 50.9 ms on one).  So fit here
+        # fit took 56.2 ms on two threads, 52.1 ms on one).  So fit here
         # until a fit misses the store.
         store = get_default_store()
         served = store is not None

@@ -78,27 +78,31 @@ def outcome(detector: HoloDetect, relation) -> tuple:
     )
 
 
+@pytest.fixture(scope="module")
+def reference(bundle, split):
+    """The outcome of the one-at-a-time fit, with no store."""
+    with pytest.MonkeyPatch.context() as patch:
+        workers(patch, 1)
+        return outcome(fit_detector(bundle.dirty, bundle, split), bundle.dirty)
+
+
 def counts(store: ArtifactStore) -> tuple:
     stats = store.stats
     return stats.lookups, stats.puts, stats.hits, stats.misses
 
 
 class TestSameFitOnTwoThreads:
-    def test_in_memory(self, bundle, split, monkeypatch):
-        workers(monkeypatch, 1)
-        serial = outcome(fit_detector(bundle.dirty, bundle, split), bundle.dirty)
+    def test_in_memory(self, bundle, split, reference, monkeypatch):
         workers(monkeypatch, 2)
-        assert outcome(fit_detector(bundle.dirty, bundle, split), bundle.dirty) == serial
+        assert outcome(fit_detector(bundle.dirty, bundle, split), bundle.dirty) == reference
 
     @pytest.mark.parametrize("shard_rows", [1, 5, 12])
-    def test_sharded_twin(self, bundle, split, monkeypatch, tmp_path, shard_rows):
+    def test_sharded_twin(self, bundle, split, reference, monkeypatch, tmp_path, shard_rows):
         """Both threads read the twin through an LRU of 3 open arrays."""
         ShardedDataset.convert(bundle.dirty, tmp_path / "twin", shard_rows=shard_rows)
         twin = ShardedDataset(tmp_path / "twin", max_open_arrays=3)
-        workers(monkeypatch, 1)
-        serial = outcome(fit_detector(bundle.dirty, bundle, split), bundle.dirty)
         workers(monkeypatch, 2)
-        assert outcome(fit_detector(twin, bundle, split), twin) == serial
+        assert outcome(fit_detector(twin, bundle, split), twin) == reference
 
     def test_store_traffic(self, bundle, split, monkeypatch, tmp_path):
         """A cold directory store sees the serial fit's lookups, puts and
@@ -285,12 +289,12 @@ class TestFailure:
         assert _settled_thread_count(baseline) == baseline
 
 
-def test_three_detectors_fit_at_once_over_one_store(bundle, split, monkeypatch, tmp_path):
+def test_three_detectors_fit_at_once_over_one_store(
+    bundle, split, reference, monkeypatch, tmp_path
+):
     """Three detectors fit on three threads (six fit threads, more than
     the cores) through one directory store, switching every microsecond:
     each equals the serial reference, and every miss stored its payload."""
-    workers(monkeypatch, 1)
-    reference = outcome(fit_detector(bundle.dirty, bundle, split), bundle.dirty)
     workers(monkeypatch, 2)
     store = ArtifactStore(tmp_path / "shared")
     results: dict[int, tuple] = {}

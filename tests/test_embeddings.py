@@ -138,10 +138,6 @@ class TestFastTextEmbedding:
         with pytest.raises(ValueError):
             FastTextEmbedding(dim=0)
 
-    def test_state_round_trips(self, fitted):
-        rebuilt = FastTextEmbedding.from_state(fitted.to_state())
-        assert rebuilt.vector("chicagx").tobytes() == fitted.vector("chicagx").tobytes()
-
     @pytest.mark.parametrize(
         "table, cut, expected",
         [
