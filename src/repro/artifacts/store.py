@@ -67,6 +67,7 @@ import numpy as np
 from repro.faults.inject import append_jsonl, parse_jsonl_line, trip
 from repro.faults.retry import get_default_policy
 from repro.faults.taxonomy import is_fatal
+from repro.utils.npyio import load_npz
 
 #: JSON state entry inside each ``.npz`` object file.
 _STATE_KEY = "__state__"
@@ -301,9 +302,8 @@ class ArtifactStore:
 
         def load() -> dict:
             trip("artifacts.object_read")
-            with np.load(path, allow_pickle=False) as npz:
-                arrays = {k: npz[k] for k in npz.files if k != _STATE_KEY}
-                return restore_arrays(str(npz[_STATE_KEY]), arrays)
+            arrays = load_npz(path)
+            return restore_arrays(str(arrays.pop(_STATE_KEY)), arrays)
 
         try:
             return get_default_policy().call(

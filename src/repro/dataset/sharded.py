@@ -66,6 +66,7 @@ from repro.dataset.relation import (
 )
 from repro.faults.inject import trip
 from repro.faults.retry import get_default_policy
+from repro.utils.npyio import load_npy
 
 
 class ShardQuarantinedError(RuntimeError):
@@ -328,9 +329,9 @@ class ShardedDataset(Relation):
 
     ``max_open_arrays`` bounds how many (shard, column) arrays stay open at
     once (a small LRU) — the knob that keeps resident pages proportional to
-    the streaming window, not the relation.  The LRU and the array loads
-    are locked, so threads may read one relation at once (the featurizer
-    fits of :meth:`~repro.features.pipeline.FeaturePipeline.fit` do).
+    the streaming window, not the relation.  The LRU is locked, so threads
+    may read one relation at once (the featurizer fits of
+    :meth:`~repro.features.pipeline.FeaturePipeline.fit` do).
     """
 
     def __init__(
@@ -490,40 +491,41 @@ class ShardedDataset(Relation):
         return self.directory / "shards" / self._shards[shard]["dir"] / f"c{col}.npy"
 
     def _array(self, shard: int, col: int) -> np.ndarray:
-        # One lock over lookup, load and eviction: threads never evict each
-        # other's keys, two misses on one key load it once, and numpy's
-        # header parse never runs on two threads at once (it calls
-        # ``ast.literal_eval``, which under CPython 3.11.7 can then raise
-        # "SystemError: AST constructor recursion depth mismatch").
+        key = (shard, col)
+        # The lock covers the LRU bookkeeping only, so threads never evict
+        # each other's keys; a load and its retry backoff run outside it.
         with self._open_lock:
-            key = (shard, col)
             arr = self._open.get(key)
             if arr is not None:
                 self._open.move_to_end(key)
                 return arr
             sealed = self._quarantined.get(shard)
-            if sealed is not None:
-                raise sealed  # fail fast: no retry storm against a dead shard
-            path = self._chunk_path(shard, col)
+        if sealed is not None:
+            raise sealed  # fail fast: no retry storm against a dead shard
+        path = self._chunk_path(shard, col)
 
-            def load() -> np.ndarray:
-                trip("shard.read")
-                return np.load(path, mmap_mode="r")
+        def load() -> np.ndarray:
+            trip("shard.read")
+            return load_npy(path, mmap_mode="r")
 
-            try:
-                arr = get_default_policy().call(load, point="shard.read", op="read")
-            except FileNotFoundError:
-                raise  # a missing shard file is a broken dataset, not a fault
-            except OSError as exc:
-                error = ShardQuarantinedError(
-                    shard, path, getattr(exc, "errno", None), str(exc)
-                )
-                self._quarantined[shard] = error
-                raise error from exc
-            self._open[key] = arr
+        try:
+            arr = get_default_policy().call(load, point="shard.read", op="read")
+        except FileNotFoundError:
+            raise  # a missing shard file is a broken dataset, not a fault
+        except OSError as exc:
+            error = ShardQuarantinedError(
+                shard, path, getattr(exc, "errno", None), str(exc)
+            )
+            self._quarantined[shard] = error
+            raise error from exc
+        with self._open_lock:
+            # Another thread may have loaded the same key meanwhile: every
+            # reader gets the array the LRU holds.
+            arr = self._open.setdefault(key, arr)
+            self._open.move_to_end(key)
             while len(self._open) > self._max_open:
                 self._open.popitem(last=False)
-            return arr
+        return arr
 
     # ------------------------------------------------------------------ #
     # Streaming statistics (never materialise a whole column)

@@ -11,12 +11,12 @@ groupings are computed once per batch rather than once per model.  Reuse
 across calls lives inside the featurizers, in their per-model
 :class:`~repro.features.cache.FeatureCache` memos.
 
-:meth:`FeaturePipeline.fit` fits the models one at a time while the
-ambient artifact store serves them, then two at a time on a thread pool,
-the relation-wide ones first (see :func:`fit_workers`).  After in-place
-dataset mutations, :meth:`FeaturePipeline.refresh` refits only the models
-whose fitted state the :class:`~repro.dataset.table.DatasetDelta` dirties
-(per-column models refit just the touched columns), one at a time.
+:meth:`FeaturePipeline.fit` fits the models two at a time on a thread
+pool, the relation-wide ones first (see :func:`fit_workers`).  After
+in-place dataset mutations, :meth:`FeaturePipeline.refresh` refits only
+the models whose fitted state the
+:class:`~repro.dataset.table.DatasetDelta` dirties (per-column models
+refit just the touched columns), one at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.artifacts.runtime import get_default_store
 from repro.constraints.dc import DenialConstraint
 from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.features.attribute import (
@@ -291,9 +290,10 @@ class FeaturePipeline:
     def fit(self, dataset: Dataset) -> "FeaturePipeline":
         """Fit every representation model on the noisy input dataset D.
 
-        The models are independent, so once a fit trains, the rest run
-        :func:`fit_workers` at a time (two, where two CPUs are usable) on
-        threads started and joined inside this call.  The relation-wide
+        The models are independent, so they fit :func:`fit_workers` at a
+        time (two, where two CPUs are usable) on threads started and
+        joined inside this call, each in a copy of this thread's context
+        (so each sees the same ambient artifact store).  The relation-wide
         models (fit-time context ``TUPLE`` or ``DATASET``, which hold the
         longest trainings) fit first.  A featurizer's
         :meth:`~repro.features.base.Featurizer.fit` thus runs beside
@@ -308,12 +308,7 @@ class FeaturePipeline:
         (:func:`~repro.artifacts.use_store`), each model's fit first
         consults it: whole-state artifacts here, and — inside the
         column-scoped embedding featurizers — per-column embedding
-        artifacts.  While the store serves every lookup, the fits run one
-        at a time on this thread: decoding stored states is interpreter
-        work that a second thread only slows.  From the first fit that
-        misses (or from the start, with no store) the rest go to the
-        threads, each in a copy of this thread's context, so each sees the
-        same store.  :meth:`refresh` consults the store installed when it
+        artifacts.  :meth:`refresh` consults the store installed when it
         runs.  Served or trained, the result is identical (training seeds
         are content-derived), so a warm fit changes nothing but wall-clock
         time.
@@ -325,16 +320,6 @@ class FeaturePipeline:
             range(len(self.featurizers)),
             key=lambda i: self.featurizers[i].context is FeatureContext.ATTRIBUTE,
         )
-        # A served fit decodes a stored state: interpreter work that a
-        # second thread only slows (on 2 vCPUs a warm hospital/120 pipeline
-        # fit took 56.2 ms on two threads, 52.1 ms on one).  So fit here
-        # until a fit misses the store.
-        store = get_default_store()
-        served = store is not None
-        while order and served:
-            before = (store.stats.misses, store.stats.puts)
-            self.featurizers[order.pop(0)].fit_through_store(dataset)
-            served = (store.stats.misses, store.stats.puts) == before
         workers = min(fit_workers(), len(order))
         if workers > 1:
             self._fit_concurrently(dataset, order, workers)

@@ -78,6 +78,7 @@ from repro.core.calibration import PlattScaler
 from repro.core.detector import DetectorConfig, HoloDetect
 from repro.core.model import JointModel
 from repro.dataset.table import Cell, Dataset
+from repro.utils.npyio import load_npz
 
 FORMAT_VERSION = 1
 
@@ -326,8 +327,7 @@ def load_detector(path: str | Path, dataset: Dataset) -> HoloDetect:
     ``dataset`` (the same relation it was fitted on)."""
     path = Path(path)
     text = (path / "state.json").read_text(encoding="utf-8")
-    with np.load(path / "arrays.npz") as npz:
-        state = restore_arrays(text, {k: npz[k] for k in npz.files})
+    state = restore_arrays(text, load_npz(path / "arrays.npz"))
     if state["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {state['format_version']}")
 

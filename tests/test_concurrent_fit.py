@@ -2,11 +2,9 @@
 
 A fit on :func:`~repro.features.pipeline.fit_workers` threads must be the
 one-at-a-time fit, bit for bit: every fitted table, every artifact key in
-order, every probability, and the same store traffic.  Fits the store
-serves run on the calling thread; from the first miss (or with no store)
-the rest run on the threads.  The worker count is patched here (there is
-no setting for it), so these tests run two fit threads whatever the
-host's CPU count.
+order, every probability, and the same store traffic.  The worker count
+is patched here (there is no setting for it), so these tests run two fit
+threads whatever the host's CPU count.
 """
 
 from __future__ import annotations
@@ -170,59 +168,17 @@ class _Slow(Featurizer):
         return 0
 
 
-class _Misses(Featurizer):
-    """A relation-wide fit that looks up a key the store does not hold."""
-
-    name = "misses"
-    context = FeatureContext.DATASET
-    branch = None
-
-    def fit(self, dataset) -> "_Misses":
-        assert get_default_store().get("no such key") is None
-        return self
-
-    def transform_batch(self, batch):
-        return np.zeros((len(batch), 0))
-
-    @property
-    def dim(self) -> int:
-        return 0
-
-
 def test_the_ambient_store_reaches_both_threads(bundle, monkeypatch):
-    """After the first miss, the two fits that can only finish together
-    run on two threads, each under the store installed by the caller."""
+    """The two fits that can only finish together run on two threads
+    other than the caller's, each under the store the caller installed."""
     workers(monkeypatch, 2)
     barrier, seen = threading.Barrier(2), {}
-    pipeline = FeaturePipeline(
-        [_Rendezvous("a", barrier, seen), _Rendezvous("b", barrier, seen), _Misses()]
-    )
+    pipeline = FeaturePipeline([_Rendezvous("a", barrier, seen), _Rendezvous("b", barrier, seen)])
     store = ArtifactStore()
     with use_store(store):
         pipeline.fit(bundle.dirty)
     assert seen["a"][0] is store and seen["b"][0] is store
     assert len({seen["a"][1], seen["b"][1], threading.get_ident()}) == 3
-
-
-def test_fits_the_store_serves_run_on_the_calling_thread(bundle, split, monkeypatch, tmp_path):
-    """A cold fit runs its first fit (a miss) here and the rest on the fit
-    threads; a warm fit, served whole by the store, starts no thread."""
-    threads: list[str] = []
-    fit_through_store = Featurizer.fit_through_store
-
-    def recording(self, dataset):
-        threads.append(threading.current_thread().name)
-        fit_through_store(self, dataset)
-
-    monkeypatch.setattr(Featurizer, "fit_through_store", recording)
-    workers(monkeypatch, 2)
-    fit_detector(bundle.dirty, bundle, split, ArtifactStore(tmp_path / "store"))
-    main = threading.current_thread().name
-    assert threads[0] == main
-    assert all(name.startswith("repro-fit") for name in threads[1:])
-    threads.clear()
-    fit_detector(bundle.dirty, bundle, split, ArtifactStore(tmp_path / "store"))
-    assert threads == [main] * 10
 
 
 def _settled_thread_count(baseline: int, timeout: float = 10.0) -> int:
@@ -321,3 +277,68 @@ def test_three_detectors_fit_at_once_over_one_store(
     assert problems == []
     assert [results[k] == reference for k in range(3)] == [True, True, True]
     assert store.stats.puts == store.stats.misses > 0
+
+
+class _Finaliser:
+    """Garbage whose finaliser runs Python code: collected in the middle
+    of numpy's header parse, it lets another thread run there."""
+
+    def __del__(self):
+        sum(range(50))
+
+
+def test_store_objects_and_shard_chunks_read_on_two_threads(bundle, tmp_path):
+    """The two reads a fit thread makes from disk, artifact objects and
+    shard chunks, run on two threads that switch every microsecond while
+    finalisers run inside numpy's header parse.  Every read returns its
+    content, and the store drops no object as corrupt."""
+    ShardedDataset.convert(bundle.dirty, tmp_path / "twin", shard_rows=4)
+    twin = ShardedDataset(tmp_path / "twin", max_open_arrays=1)
+    spans = twin.shard_spans()
+    store = ArtifactStore(tmp_path / "store")
+    table = np.arange(12.0).reshape(3, 4)
+    store.put("key", {"table": table, "name": "x"})
+    problems: list[str] = []
+
+    def litter() -> None:
+        for _ in range(20):
+            garbage = _Finaliser()
+            garbage.cycle = garbage
+
+    def read_objects() -> None:
+        try:
+            for _ in range(1500):
+                store.clear_memory()  # every get reads the object file
+                payload = store.get("key")
+                if payload is None or not np.array_equal(payload["table"], table):
+                    problems.append(f"object read returned {payload!r}")
+                litter()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            problems.append(f"object reader: {exc!r}")
+
+    def read_chunks() -> None:
+        try:
+            for k in range(1500):
+                span = spans[k % len(spans)]
+                attr = bundle.dirty.attributes[k % len(bundle.dirty.attributes)]
+                chunk = twin.column_chunk(attr, span.start, span.stop)
+                if list(chunk) != bundle.dirty.column(attr)[span.start : span.stop]:
+                    problems.append(f"{attr} of shard {span.index}")
+                litter()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            problems.append(f"chunk reader: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_objects), threading.Thread(target=read_chunks)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    assert store.stats.corrupt_dropped == 0
+    assert store.stats.hits == 1500
