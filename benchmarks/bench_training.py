@@ -13,6 +13,11 @@ Gates:
 - ``test_fused_training_speedup`` — a cold ``train_model`` run on the
   fused kernels is **≥5× faster** than on the reference trainer at bench
   scale, with **bit-identical** final parameters and loss history;
+- ``test_fused_bit_identical_at_default_widths`` — at the default
+  detector model's branch widths (``char`` and ``word`` 16, ``tuple`` 32)
+  the fused trainer runs two branch stacks, one of them two branches
+  whose joint columns are not adjacent, and still trains bit-identically
+  to the graph (the timed run's three 8-wide branches form one stack);
 - ``test_fused_predict_bit_identical`` — the fused prediction path matches
   the graph forward bit-for-bit (the path the golden metrics pin).
 
@@ -56,10 +61,14 @@ _MIN_SPEEDUP = 5.0
 _N = 400
 _NUMERIC_DIM = 8
 _BRANCH_DIMS = {"char": 8, "tuple": 8, "word": 8}
+#: The default detector model's branch widths (``embedding_dim=16``).
+_DEFAULT_BRANCH_DIMS = {"char": 16, "tuple": 32, "word": 16}
 _TRAIN = dict(epochs=40, batch_size=8, min_steps=_STEPS, seed=3)
 
 
-def _build(seed: int = 1) -> tuple[JointModel, CellFeatures, np.ndarray]:
+def _build(
+    seed: int = 1, branch_dims: dict[str, int] = _BRANCH_DIMS
+) -> tuple[JointModel, CellFeatures, np.ndarray]:
     """A fresh synthetic training problem at bench scale.
 
     Synthetic features keep the measurement pure training-core: no dataset
@@ -68,12 +77,12 @@ def _build(seed: int = 1) -> tuple[JointModel, CellFeatures, np.ndarray]:
     rng = np.random.default_rng(0)
     features = CellFeatures(
         numeric=rng.normal(size=(_N, _NUMERIC_DIM)),
-        branches={k: rng.normal(size=(_N, d)) for k, d in _BRANCH_DIMS.items()},
+        branches={k: rng.normal(size=(_N, d)) for k, d in branch_dims.items()},
     )
     labels = rng.integers(0, 2, size=_N)
     model = JointModel(
         _NUMERIC_DIM,
-        _BRANCH_DIMS,
+        branch_dims,
         hidden_dim=16,
         dropout=0.2,
         rng=np.random.default_rng(seed),
@@ -158,6 +167,22 @@ def test_fused_training_speedup():
     assert cpu_speedup >= _MIN_SPEEDUP, (
         f"fused kernels only {cpu_speedup:.2f}x faster (gate: {_MIN_SPEEDUP}x)"
     )
+
+
+def test_fused_bit_identical_at_default_widths():
+    histories, models = [], []
+    for factory in _TRAINERS.values():
+        model, features, labels = _build(branch_dims=_DEFAULT_BRANCH_DIMS)
+        histories.append(train_model(
+            model, features, labels,
+            TrainerConfig(epochs=2, batch_size=8, min_steps=120, seed=3),
+            trainer_factory=factory,
+        ))
+        models.append(model)
+    graph_model, fused_model = models
+    assert histories[0] == histories[1], "loss history diverged"
+    for a, b in zip(graph_model.state_arrays(), fused_model.state_arrays()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_fused_predict_bit_identical():

@@ -31,7 +31,9 @@ content-addresses payloads by the caller-derived key
 
 A corrupt or truncated object file (a killed worker mid-write outside the
 atomic path, disk trouble) is treated as a miss: the file is dropped,
-``stats.corrupt_dropped`` is bumped, and the caller refits.
+``stats.corrupt_dropped`` is bumped, and the caller refits.  A read that
+fails for any other reason (``SystemError``, ``MemoryError``) is a miss
+counted in ``stats.read_errors`` that keeps the file.
 
 **Fault handling** (see ``docs/architecture.md`` → Fault model): disk I/O
 is classified through :mod:`repro.faults.taxonomy` and retried through a
@@ -57,6 +59,7 @@ import os
 import tempfile
 import threading
 import warnings
+import zipfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -71,6 +74,12 @@ from repro.utils.npyio import load_npz
 
 #: JSON state entry inside each ``.npz`` object file.
 _STATE_KEY = "__state__"
+
+#: What reading a damaged object raises: garbage, truncated and empty
+#: files (``BadZipFile``, ``EOFError``, ``ValueError``), bad JSON state
+#: (``JSONDecodeError``, a ``ValueError``), a pickled member
+#: (``ValueError``) and a missing state entry or array (``KeyError``).
+_CORRUPT_CONTENT = (ValueError, zipfile.BadZipFile, EOFError, KeyError)
 
 #: Memory-tier capacity of a directory-backed store (a memory-only store
 #: keeps every payload).
@@ -312,14 +321,7 @@ class ArtifactStore:
         except FileNotFoundError:
             # Raced a concurrent unlink between exists() and load: a miss.
             return None
-        except OSError:
-            # A persistent disk fault, not provably-corrupt content: report
-            # a miss but keep the file — the bytes may be intact once the
-            # fault clears.
-            with self._lock:
-                self.stats.read_errors += 1
-            return None
-        except Exception:
+        except _CORRUPT_CONTENT:
             # Truncated/corrupt object (killed writer outside the atomic
             # path): drop it and report a miss — the caller refits and
             # re-stores.
@@ -329,6 +331,14 @@ class ArtifactStore:
                 path.unlink()
             except OSError:
                 pass
+            return None
+        except Exception:
+            # A persistent disk fault or any other failure of the read
+            # itself (``SystemError``, ``MemoryError``), not provably-corrupt
+            # content: report a miss but keep the file — the bytes may be
+            # intact once the fault clears.
+            with self._lock:
+                self.stats.read_errors += 1
             return None
 
     def _write_object(self, key: str, payload: dict, kind: str,

@@ -85,6 +85,7 @@ class FastTextEmbedding:
         self._sub_ids: np.ndarray | None = None  # [vocab, max_subwords] padded
         self._sub_counts: np.ndarray | None = None  # [vocab] real ids per row
         self._word_vectors_cache: np.ndarray | None = None
+        self._word_norms_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Vocabulary and subword plumbing
@@ -146,7 +147,7 @@ class FastTextEmbedding:
 
         centers, contexts = self._collect_pairs(sentences)
         if centers.size == 0:
-            self._word_vectors_cache = None
+            self._word_vectors_cache = self._word_norms_cache = None
             return self
 
         noise = freq**0.75
@@ -158,7 +159,7 @@ class FastTextEmbedding:
                 order = order[: self.max_pairs_per_epoch]
             self._train_epoch(centers[order], contexts[order], noise)
             self._clip_norms()
-        self._word_vectors_cache = None
+        self._word_vectors_cache = self._word_norms_cache = None
         return self
 
     def _collect_pairs(
@@ -369,26 +370,33 @@ class FastTextEmbedding:
         model._build_subword_table()
         return model
 
+    def _word_norms(self) -> np.ndarray:
+        """Row norms of :meth:`_word_vectors`, computed once per matrix."""
+        if self._word_norms_cache is None:
+            self._word_norms_cache = np.linalg.norm(self._word_vectors(), axis=1)
+        return self._word_norms_cache
+
     def nearest_neighbor_distance(self, word: str) -> float:
         """Cosine distance to the closest *other* vocabulary word.
 
         This is the dataset-level neighbourhood feature (Appendix A.1): for a
         correct-but-rare value there is usually a close neighbour; a garbled
         value sits far from everything.  Returns 1.0 when the vocabulary has
-        no other word to compare against.
+        no other word to compare against.  An in-vocabulary query is its row
+        of :meth:`_word_vectors`, bit-identical to :meth:`vector`.
         """
         vectors = self._word_vectors()
-        if len(self._index_to_word) < 2 and word in self._vocab:
+        own = self._vocab.get(word)
+        if len(self._index_to_word) < 2 and own is not None:
             return 1.0
-        query = self.vector(word)
+        query = self.vector(word) if own is None else vectors[own]
         q_norm = np.linalg.norm(query)
         if q_norm == 0:
             return 1.0
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = self._word_norms()
         safe = np.where(norms == 0, 1.0, norms)
         sims = vectors @ query / (safe * q_norm)
         sims = np.where(norms == 0, -1.0, sims)
-        own = self._vocab.get(word)
         if own is not None:
             sims[own] = -np.inf
         best = float(np.max(sims))

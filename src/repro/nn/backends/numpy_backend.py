@@ -2,10 +2,11 @@
 
 Replaces the per-op autodiff graph of the training loop with straight-line
 minibatch BLAS kernels: one fused affine→nonlinearity→Highway-gate
-forward/backward per layer per batch, a flat-parameter ADAM step over one
-concatenated vector, and a per-batch-size workspace of preallocated
-activation/gradient buffers reused across steps (every ufunc and matmul
-writes through ``out=``; a steady-state step allocates nothing).
+forward/backward per layer per batch, run once for each stack of
+same-width branches, a flat-parameter ADAM step over one concatenated
+vector, and a per-batch-size workspace of preallocated activation/gradient
+buffers reused across steps (every ufunc and matmul writes through
+``out=``).
 
 Bit-identity contract: at float64 these kernels reproduce the autodiff
 stack *exactly* — same elementary operations in the same accumulation
@@ -19,7 +20,21 @@ rewrite below relies on an exact IEEE identity, not an algebraic one:
 - ``arr.sum(axis=0)`` ≡ ``np.add.reduce(arr, axis=0)``;
 - ``Generator.random(out=buf)`` consumes the stream of ``random(shape)``;
 - ``np.take(a, idx, out=buf)`` ≡ the fancy-index copy ``a[idx]``;
-- the cached forward carry ``s = 1 - t`` equals the backward recompute.
+- the cached forward carry ``s = 1 - t`` equals the backward recompute;
+- a ``[k, n, d]`` stack of ``k`` same-width branches gives each branch the
+  bits of its own ``[n, d]`` pass: a stacked ``matmul`` runs each item
+  through the BLAS routine the 2-D call uses (``swapaxes(-1, -2)`` views
+  have the per-item strides of ``.T``), and ``np.add.reduce`` over axis
+  ``-2`` sums each item's rows as the 2-D reduction over axis 0 does.
+  Every product and reduction of the step (``x@W``, ``dh@Wᵀ``, ``xᵀ@dh``,
+  ``r@lW``, ``dz3@lWᵀ``, ``rᵀ@dz3`` and the bias sums) matched per item
+  on 1,400 random shapes (``n`` up to 512, ``d`` up to 50, ``k`` 2 or 3)
+  on a 2-vCPU x86-64 host with OpenBLAS 0.3.31; ``tests/test_nn_backends.py``
+  pins the highway kernels per item and the trainer on five branch layouts.
+
+The gate and transform products of a highway layer stay two GEMMs: one
+``x @ [Wg | Wt]`` product differed from the two separate ones in 298 of
+600 random shapes on that host, so merging them would break the contract.
 
 The SGNS kernel (:meth:`NumpyBackend.sgns_step`) reproduces the padded
 kernel it replaced, which gathered and scattered every slot of the padded
@@ -75,9 +90,11 @@ _reduce_add = np.add.reduce
 def _hw_fwd(x, Wt, bt, Wg, bg, tg, z2, h, s, y, tmp):
     """Fused highway forward into preallocated buffers.
 
-    Leaves the backward cache in place: ``tg`` (gate), ``z2`` (transform
-    pre-activation), ``h`` (relu), ``s`` (= 1 - tg carry), with ``y`` the
-    output.
+    Operands are ``[n, d]`` activations with ``[d, d]``/``[1, d]``
+    parameters, or a stack of ``k`` of each (``[k, n, d]``, ``[k, d, d]``,
+    ``[k, 1, d]``).  Leaves the backward cache in place: ``tg`` (gate),
+    ``z2`` (transform pre-activation), ``h`` (relu), ``s`` (= 1 - tg
+    carry), with ``y`` the output.
     """
     _mm(x, Wg, out=tg)
     _add(tg, bg, out=tg)
@@ -100,19 +117,21 @@ def _hw_bwd(dy, x, tg, z2, h, s, Wt, Wg, gWt, gbt, gWg, gbg,
             dt, dh, ds, dz1, boolb, tmp, dx, need_dx):
     """Fused highway backward; mirrors the graph's reversed-topo op order.
 
-    Writes parameter gradients into the ``g*`` views and (when ``need_dx``)
-    the input gradient into ``dx``.  The ``dx`` accumulation order —
-    transform path, then carry path, then gate path — is the graph's
-    accumulation order and must not be reordered.
+    Takes the operands of :func:`_hw_fwd`, 2-D or stacked.  Writes
+    parameter gradients into the ``g*`` views and (when ``need_dx``) the
+    input gradient into ``dx``.  The ``dx`` accumulation order — transform
+    path, then carry path, then gate path — is the graph's accumulation
+    order and must not be reordered.
     """
+    xT = x.swapaxes(-1, -2)
     _mul(dy, h, out=dt)
     _mul(dy, tg, out=dh)
     _gt(z2, 0.0, out=boolb)
     _mul(dh, boolb, out=dh)  # dz2
-    _reduce_add(dh, axis=0, out=gbt, keepdims=True)
+    _reduce_add(dh, axis=-2, out=gbt, keepdims=True)
     if need_dx:
-        _mm(dh, Wt.T, out=dx)
-    _mm(x.T, dh, out=gWt)
+        _mm(dh, Wt.swapaxes(-1, -2), out=dx)
+    _mm(xT, dh, out=gWt)
     _mul(dy, x, out=ds)
     if need_dx:
         _mul(dy, s, out=tmp)
@@ -120,11 +139,11 @@ def _hw_bwd(dy, x, tg, z2, h, s, Wt, Wg, gWt, gbt, gWg, gbg,
     _sub(dt, ds, out=dt)
     _mul(dt, tg, out=dz1)
     _mul(dz1, s, out=dz1)
-    _reduce_add(dz1, axis=0, out=gbg, keepdims=True)
+    _reduce_add(dz1, axis=-2, out=gbg, keepdims=True)
     if need_dx:
-        _mm(dz1, Wg.T, out=tmp)
+        _mm(dz1, Wg.swapaxes(-1, -2), out=tmp)
         _add(dx, tmp, out=dx)
-    _mm(x.T, dz1, out=gWg)
+    _mm(xT, dz1, out=gWg)
 
 
 def _adam_step(P, G, M, V, T1, T2, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
@@ -158,7 +177,8 @@ def _adam_step(P, G, M, V, T1, T2, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
 
 
 class _BranchSpace:
-    """Per-branch activation/gradient buffers for one batch size."""
+    """Activation/gradient buffers of one stack of ``k`` branches of width
+    ``d`` for one batch size, each ``[k, nb, d]`` (``dz3``: ``[k, nb, 1]``)."""
 
     __slots__ = (
         "xb", "tg1", "z21", "h1", "s1", "y1", "tg2", "z22", "h2", "s2",
@@ -166,21 +186,21 @@ class _BranchSpace:
         "dz3",
     )
 
-    def __init__(self, nb: int, d: int):
+    def __init__(self, k: int, nb: int, d: int):
         for slot in self.__slots__:
             if slot == "boolb":
-                setattr(self, slot, np.empty((nb, d), dtype=bool))
+                setattr(self, slot, np.empty((k, nb, d), dtype=bool))
             elif slot == "dz3":
-                setattr(self, slot, np.empty((nb, 1)))
+                setattr(self, slot, np.empty((k, nb, 1)))
             else:
-                setattr(self, slot, np.empty((nb, d)))
+                setattr(self, slot, np.empty((k, nb, d)))
 
 
 class _Workspace:
     """All buffers of one batch size (only two sizes occur: full and tail)."""
 
-    def __init__(self, nb, dims, numeric_dim, joint_dim, hidden, classes):
-        self.branches = [_BranchSpace(nb, d) for d in dims]
+    def __init__(self, nb, stacks, numeric_dim, joint_dim, hidden, classes):
+        self.branches = [_BranchSpace(k, nb, d) for k, d in stacks]
         self.joint = np.empty((nb, joint_dim))
         self.numbuf = np.empty((nb, numeric_dim))
         self.mask64 = np.empty((nb, joint_dim))
@@ -209,59 +229,93 @@ class _FusedJointTrainer:
     epoch / permutation / minibatch schedule: :meth:`step` runs one
     optimiser step over the rows ``idx`` and returns the batch loss;
     :meth:`finalize` writes the trained parameters back into the model.
+
+    Branches of equal width train as one stack: one ``[k, n, d]`` pass
+    per width instead of one ``[n, d]`` pass per branch (the default
+    model's 16-wide ``char`` and ``word`` branches share one, writing
+    joint columns 0 and 2).  A lone branch is a stack of one.  The flat
+    parameter vector is laid out stack by stack, so each parameter of a
+    stack is one ``[k, ...]`` view of it; ADAM is elementwise, so the
+    layout leaves its bits alone.
     """
 
     def __init__(self, model, features, labels, config):
         model.check_batch(features)
         branches, drop, lin1, lin2 = model.kernel_layers()
 
-        params = []
-        for h1, h2, lin in branches:
-            params += [
+        # Joint columns (branch indices) of each width, widths in order of
+        # first appearance.
+        groups: dict[int, list[int]] = {}
+        for bi, (h1, _, _) in enumerate(branches):
+            groups.setdefault(h1.transform.weight.data.shape[0], []).append(bi)
+        per_branch = [
+            (
                 h1.transform.weight, h1.transform.bias,
                 h1.gate.weight, h1.gate.bias,
                 h2.transform.weight, h2.transform.bias,
                 h2.gate.weight, h2.gate.bias,
                 lin.weight, lin.bias,
-            ]
-        params += [lin1.weight, lin1.bias, lin2.weight, lin2.bias]
-        self._params = params
-        sizes = [p.data.size for p in params]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total = int(offsets[-1])
+            )
+            for h1, h2, lin in branches
+        ]
+        # One block per flat-vector segment: a parameter of every branch of
+        # a stack (fused-kernel order), then classifier M's, one each.
+        blocks = [
+            [per_branch[bi][slot] for bi in cols]
+            for cols in groups.values()
+            for slot in range(10)
+        ]
+        blocks += [[p] for p in (lin1.weight, lin1.bias, lin2.weight, lin2.bias)]
+        total = sum(len(block) * block[0].data.size for block in blocks)
         self._P = np.empty(total)
         self._G = np.empty(total)
         self._M = np.zeros(total)
         self._V = np.zeros(total)
         self._T1 = np.empty(total)
         self._T2 = np.empty(total)
-        views_p, views_g = [], []
-        for p, lo, hi in zip(params, offsets[:-1], offsets[1:]):
-            self._P[lo:hi] = p.data.ravel()
-            views_p.append(self._P[lo:hi].reshape(p.data.shape))
-            views_g.append(self._G[lo:hi].reshape(p.data.shape))
-        self._views_p = views_p
-        # Per-branch (param-view, grad-view) bundles in fused-kernel order.
-        self._bviews = []
-        for bi in range(len(branches)):
-            o = bi * 10
-            self._bviews.append(
-                (tuple(views_p[o:o + 10]), tuple(views_g[o:o + 10]))
-            )
-        o = len(branches) * 10
-        self._cW1, self._cb1, self._cW2, self._cb2 = views_p[o:o + 4]
-        self._gcW1, self._gcb1, self._gcW2, self._gcb2 = views_g[o:o + 4]
+        self._params, self._views_p = [], []
+        stacks_p, stacks_g = [], []
+        lo = 0
+        for block in blocks:
+            hi = lo + len(block) * block[0].data.size
+            shape = (len(block), *block[0].data.shape)
+            stack = self._P[lo:hi].reshape(shape)
+            stacks_p.append(stack)
+            stacks_g.append(self._G[lo:hi].reshape(shape))
+            for j, p in enumerate(block):
+                stack[j] = p.data
+                self._params.append(p)
+                self._views_p.append(stack[j])
+            lo = hi
+        # Per-stack (param-stack, grad-stack) bundles in fused-kernel order.
+        o = 10 * len(groups)
+        self._sviews = [
+            (tuple(stacks_p[i:i + 10]), tuple(stacks_g[i:i + 10]))
+            for i in range(0, o, 10)
+        ]
+        self._cW1, self._cb1, self._cW2, self._cb2 = (s[0] for s in stacks_p[o:])
+        self._gcW1, self._gcb1, self._gcW2, self._gcb2 = (
+            s[0] for s in stacks_g[o:]
+        )
 
         names = model.branch_names
+        self._cols = [np.array(cols) for cols in groups.values()]
+        self._stacks = [(len(cols), d) for d, cols in groups.items()]
+        # Each stack's features, branch by branch: a step gathers the batch
+        # rows into the stack's buffer, so the training set is not copied.
         self._xs = [
-            np.ascontiguousarray(np.asarray(features.branches[n], dtype=np.float64))
-            for n in names
+            [
+                np.ascontiguousarray(
+                    np.asarray(features.branches[names[bi]], dtype=np.float64)
+                )
+                for bi in cols
+            ]
+            for cols in groups.values()
         ]
         self._numeric = np.ascontiguousarray(
             np.asarray(features.numeric, dtype=np.float64)
         )
         self._labels = np.ascontiguousarray(np.asarray(labels, dtype=np.int64))
-        self._dims = [x.shape[1] for x in self._xs]
         self._nbranch = len(names)
         self._joint_dim = self._nbranch + self._numeric.shape[1]
         self._hidden = lin1.weight.data.shape[1]
@@ -279,7 +333,7 @@ class _FusedJointTrainer:
         ws = self._spaces.get(nb)
         if ws is None:
             ws = _Workspace(
-                nb, self._dims, self._numeric.shape[1], self._joint_dim,
+                nb, self._stacks, self._numeric.shape[1], self._joint_dim,
                 self._hidden, self._classes,
             )
             self._spaces[nb] = ws
@@ -294,11 +348,11 @@ class _FusedJointTrainer:
         joint = ws.joint
         nbranch = self._nbranch
 
-        for bi in range(nbranch):
-            b = ws.branches[bi]
-            pv, _ = self._bviews[bi]
+        for b, xs, cols, (pv, _) in zip(ws.branches, self._xs, self._cols,
+                                        self._sviews):
             Wt1, bt1, Wg1, bg1, Wt2, bt2, Wg2, bg2, lW, lb = pv
-            self._xs[bi].take(idx, axis=0, out=b.xb)
+            for j, x in enumerate(xs):
+                x.take(idx, axis=0, out=b.xb[j])
             _hw_fwd(b.xb, Wt1, bt1, Wg1, bg1,
                     b.tg1, b.z21, b.h1, b.s1, b.y1, b.tmp)
             _hw_fwd(b.y1, Wt2, bt2, Wg2, bg2,
@@ -306,7 +360,7 @@ class _FusedJointTrainer:
             _max(b.y2, 0.0, out=b.r)
             _mm(b.r, lW, out=b.dz3)
             _add(b.dz3, lb, out=b.dz3)
-            joint[:, bi] = b.dz3[:, 0]
+            joint[:, cols] = b.dz3[:, :, 0].T
         if self._numeric.shape[1]:
             self._numeric.take(idx, axis=0, out=ws.numbuf)
             joint[:, nbranch:] = ws.numbuf
@@ -352,15 +406,13 @@ class _FusedJointTrainer:
             _mul(ws.dxd, ws.maskc, out=ws.dxd)
         djoint = ws.dxd
 
-        for bi in range(nbranch):
-            b = ws.branches[bi]
-            pv, gv = self._bviews[bi]
+        for b, cols, (pv, gv) in zip(ws.branches, self._cols, self._sviews):
             Wt1, bt1, Wg1, bg1, Wt2, bt2, Wg2, bg2, lW, lb = pv
             gWt1, gbt1, gWg1, gbg1, gWt2, gbt2, gWg2, gbg2, glW, glb = gv
-            np.copyto(b.dz3, djoint[:, bi:bi + 1])
-            _reduce_add(b.dz3, axis=0, out=glb, keepdims=True)
-            _mm(b.dz3, lW.T, out=b.dr)
-            _mm(b.r.T, b.dz3, out=glW)
+            djoint.T.take(cols, axis=0, out=b.dz3[:, :, 0])
+            _reduce_add(b.dz3, axis=-2, out=glb, keepdims=True)
+            _mm(b.dz3, lW.swapaxes(-1, -2), out=b.dr)
+            _mm(b.r.swapaxes(-1, -2), b.dz3, out=glW)
             _gt(b.y2, 0.0, out=b.boolb)
             _mul(b.dr, b.boolb, out=b.dr)  # dy2
             _hw_bwd(b.dr, b.y1, b.tg2, b.z22, b.h2, b.s2, Wt2, Wg2,

@@ -32,6 +32,7 @@ from repro.data import load_dataset
 from repro.evaluation.matrix import CoordinateOptions, ScenarioMatrix, run_matrix
 from repro.evaluation.splits import make_split
 from repro.evaluation.store import ResultStore
+from repro.utils.npyio import load_npz
 
 #: Tiny but complete detector settings shared by the fit-path tests.
 TINY = dict(epochs=2, embedding_dim=4, min_training_steps=20, seed=3)
@@ -195,6 +196,29 @@ class TestArtifactStore:
         store.clear_memory()
         assert store.get("0b57") is None
         assert store.stats.corrupt_dropped == 1
+
+    def test_read_failure_keeps_the_object(self, tmp_path, monkeypatch):
+        """Only damaged content is dropped: a read that fails for another
+        reason (here the ``SystemError`` two threads in numpy's header
+        parse can raise) is a miss that leaves the object on disk."""
+        store = ArtifactStore(directory=tmp_path)
+        store.put("5e11", {"arr": np.arange(10.0)})
+        store.clear_memory()
+        calls = []
+
+        def fail_once(path):
+            calls.append(path)
+            if len(calls) == 1:
+                raise SystemError("AST constructor recursion depth mismatch")
+            return load_npz(path)
+
+        monkeypatch.setattr(store_module, "load_npz", fail_once)
+        assert store.get("5e11") is None
+        assert store.stats.read_errors == 1
+        assert store.stats.corrupt_dropped == 0
+        assert store.object_path("5e11").exists()
+        assert store.get("5e11")["arr"].tobytes() == np.arange(10.0).tobytes()
+        assert store.stats.disk_hits == 1 and len(calls) == 2
 
     def test_index_manifest(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)

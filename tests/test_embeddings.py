@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import load_dataset
 from repro.dataset import Dataset
 from repro.embeddings import (
     FastTextEmbedding,
@@ -13,6 +14,30 @@ from repro.embeddings import (
 )
 from repro.embeddings.corpus import EMPTY_TOKEN
 from repro.embeddings.fasttext import subword_ngrams
+
+
+def reference_nearest_neighbor_distance(model: FastTextEmbedding, word: str) -> float:
+    """``FastTextEmbedding.nearest_neighbor_distance`` as it was: every
+    query through :meth:`~FastTextEmbedding.vector`, the vocabulary's norms
+    recomputed per call.  Kept as the reference of the cached version."""
+    vectors = model._word_vectors()
+    if len(model._index_to_word) < 2 and word in model._vocab:
+        return 1.0
+    query = model.vector(word)
+    q_norm = np.linalg.norm(query)
+    if q_norm == 0:
+        return 1.0
+    norms = np.linalg.norm(vectors, axis=1)
+    safe = np.where(norms == 0, 1.0, norms)
+    sims = vectors @ query / (safe * q_norm)
+    sims = np.where(norms == 0, -1.0, sims)
+    own = model._vocab.get(word)
+    if own is not None:
+        sims[own] = -np.inf
+    best = float(np.max(sims))
+    if best == -np.inf:
+        return 1.0
+    return float(np.clip(1.0 - best, 0.0, 2.0))
 
 
 class TestSubwordNgrams:
@@ -110,6 +135,25 @@ class TestFastTextEmbedding:
     def test_nearest_neighbor_excludes_self(self, fitted):
         # Distance to nearest *other* word must be > 0 for a trained model.
         assert fitted.nearest_neighbor_distance("chicago") > 0.0
+
+    def test_nearest_neighbor_distance_matches_reference(self):
+        """Bit for bit the formula that re-hashed every query through
+        :meth:`vector` and recomputed the vocabulary norms per call, on
+        every vocabulary word and on out-of-vocabulary queries; the cached
+        norms follow a refit."""
+        corpus = tuple_value_corpus(load_dataset("hospital", num_rows=60, seed=1).dirty)
+        model = FastTextEmbedding(dim=16, epochs=1, rng=3).fit(corpus)
+        queries = model.vocabulary + ["neverseen", "", EMPTY_TOKEN, "60612x"]
+        assert len(model.vocabulary) > 200
+        for word in queries:
+            assert model.nearest_neighbor_distance(word) == (
+                reference_nearest_neighbor_distance(model, word)
+            ), word
+        model.fit(corpus[:20])
+        for word in model.vocabulary[:20] + ["neverseen"]:
+            assert model.nearest_neighbor_distance(word) == (
+                reference_nearest_neighbor_distance(model, word)
+            ), word
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):

@@ -6,10 +6,12 @@ training core; the autodiff graph (:class:`repro.core.training.GraphTrainer`,
 
 - the fused trainer trains **bit-identically** to the graph trainer at
   float64 — parameters and loss history — and the fused prediction path
-  matches the graph forward bit for bit;
+  matches the graph forward bit for bit, on every branch layout of
+  :data:`LAYOUTS` (equal, mixed and three equal widths, one branch, none);
 - the fused highway kernels are gradient-checked against central finite
-  differences, next to the graph's ``Highway`` layer, and the fused flat
-  ADAM step is held to the textbook update, next to
+  differences, next to the graph's ``Highway`` layer; on a ``[k, n, d]``
+  stack they give each item the bits of its own 2-D call; and the fused
+  flat ADAM step is held to the textbook update, next to
   :class:`repro.nn.optim.Adam`;
 - the padding-free SGNS kernel updates the embedding tables
   **bit-identically** to the padded kernel it replaced (kept below as
@@ -62,9 +64,9 @@ def finite_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def _fused_highway(x, Wt, bt, Wg, bg, dy, need_dx=True):
-    """``(y, grads)`` of the fused highway forward/backward kernels."""
-    n, d = x.shape
-    tg, z2, h, s, y, tmp, dt, dh, ds, dz1, dx = (np.empty((n, d)) for _ in range(11))
+    """``(y, grads)`` of the fused highway forward/backward kernels, on
+    ``[n, d]`` operands or on a ``[k, n, d]`` stack of them."""
+    tg, z2, h, s, y, tmp, dt, dh, ds, dz1, dx = (np.empty(x.shape) for _ in range(11))
     _hw_fwd(x, Wt, bt, Wg, bg, tg, z2, h, s, y, tmp)
     grads = {
         "dWt": np.empty_like(Wt), "dbt": np.empty_like(bt),
@@ -72,7 +74,7 @@ def _fused_highway(x, Wt, bt, Wg, bg, dy, need_dx=True):
     }
     _hw_bwd(dy, x, tg, z2, h, s, Wt, Wg,
             grads["dWt"], grads["dbt"], grads["dWg"], grads["dbg"],
-            dt, dh, ds, dz1, np.empty((n, d), dtype=bool), tmp,
+            dt, dh, ds, dz1, np.empty(x.shape, dtype=bool), tmp,
             dx if need_dx else None, need_dx)
     if need_dx:
         grads["dx"] = dx
@@ -141,6 +143,23 @@ class TestKernelGradients:
             for name in ("dWt", "dbt", "dWg", "dbg"):
                 assert np.array_equal(slim[name], grads[name])
 
+    @pytest.mark.parametrize("k, n, d", [(2, 32, 16), (3, 5, 1), (2, 1, 7), (3, 33, 12)])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_stacked_highway_equals_per_item_calls(self, k, n, d, need_dx):
+        """One pass over a ``[k, n, d]`` stack gives each item the bits of
+        its own 2-D pass: output, input and parameter gradients."""
+        rng = np.random.default_rng(100 * k + 10 * n + d)
+        x, dy = rng.normal(size=(k, n, d)), rng.normal(size=(k, n, d))
+        Wt, Wg = rng.normal(size=(k, d, d)), rng.normal(size=(k, d, d))
+        bt, bg = rng.normal(size=(k, 1, d)), rng.normal(size=(k, 1, d))
+        y, grads = _fused_highway(x, Wt, bt, Wg, bg, dy, need_dx)
+        for j in range(k):
+            y_j, grads_j = _fused_highway(x[j], Wt[j], bt[j], Wg[j], bg[j], dy[j], need_dx)
+            assert y[j].tobytes() == y_j.tobytes()
+            assert grads.keys() == grads_j.keys()
+            for name, grad in grads_j.items():
+                assert grads[name][j].tobytes() == grad.tobytes(), name
+
     @pytest.mark.parametrize("t", [1, 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_adam_step_matches_reference(self, implementation, t, weight_decay):
@@ -172,9 +191,20 @@ class TestKernelGradients:
 # --------------------------------------------------------------------- #
 
 
-def _problem(n=60, numeric=5, branch=6, seed=1):
+#: Branch layouts of the equivalence tests.  The fused trainer runs each
+#: width as one stack: ``mixed`` has a stack whose joint columns (0 and 2)
+#: are not adjacent.
+LAYOUTS = {
+    "equal": {"char": 6, "word": 6},
+    "mixed": {"char": 6, "tuple": 12, "word": 6},
+    "three_equal": {"char": 6, "tuple": 6, "word": 6},
+    "one_branch": {"char": 6},
+    "numeric_only": {},
+}
+
+
+def _problem(branches, n=60, numeric=5, seed=1):
     rng = np.random.default_rng(0)
-    branches = {"char": branch, "word": branch}
     features = CellFeatures(
         numeric=rng.normal(size=(n, numeric)),
         branches={k: rng.normal(size=(n, d)) for k, d in branches.items()},
@@ -187,26 +217,29 @@ def _problem(n=60, numeric=5, branch=6, seed=1):
     return model, features, labels
 
 
+#: 60 rows in batches of 8: every epoch ends with a tail batch of 4.
 _SMALL = dict(epochs=4, batch_size=8, min_steps=20, seed=9)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestTrainingEquivalence:
-    def test_numpy_bit_identical_to_reference(self):
-        graph_model, features, labels = _problem()
+    def test_numpy_bit_identical_to_reference(self, layout):
+        graph_model, features, labels = _problem(LAYOUTS[layout])
         graph_history = train_model(
             graph_model, features, labels, TrainerConfig(**_SMALL),
             trainer_factory=GraphTrainer,
         )
-        fused_model, _, _ = _problem()
+        fused_model, _, _ = _problem(LAYOUTS[layout])
         fused_history = train_model(
             fused_model, features, labels, TrainerConfig(**_SMALL)
         )
         assert graph_history == fused_history
+        assert len(graph_model.state_arrays()) == len(fused_model.state_arrays())
         for a, b in zip(graph_model.state_arrays(), fused_model.state_arrays()):
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_predict_logits_bit_identical(self):
-        model, features, labels = _problem()
+    def test_predict_logits_bit_identical(self, layout):
+        model, features, labels = _problem(LAYOUTS[layout])
         train_model(model, features, labels, TrainerConfig(**_SMALL))
         graph = model.forward(features).numpy()
         fused = KERNELS.predict_logits(model, features)
