@@ -55,7 +55,13 @@ class Policy:
         return {t: p / mass for t, p in applicable.items()}
 
     def top_k(self, value: str, k: int) -> list[tuple[Transformation, float]]:
-        """The ``k`` most probable entries of Π̂(v), for inspection (Fig. 8)."""
+        """The ``k`` most probable entries of Π̂(v), for inspection (Fig. 8).
+
+        ``k`` must be at least 1: a slice bound of 0 or below would return
+        no entry or drop entries from the end.
+        """
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         conditional = self.conditional(value)
         ranked = sorted(conditional.items(), key=lambda item: (-item[1], str(item[0])))
         return ranked[:k]

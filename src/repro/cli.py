@@ -106,15 +106,19 @@ def _fit(
     training: TrainingSet, constraints: list,
 ) -> None:
     """Fit ``detector`` on ``training``; when its holdout split would hold
-    out every label, end the command in one line naming the labels file
-    instead of letting the fit raise a traceback."""
+    out every label, or its configuration leaves no representation model
+    for these inputs, end the command in one line instead of letting the
+    fit raise a traceback."""
     fraction = detector.config.holdout_fraction
     if training.holdout_size(fraction) == len(training):
         raise SystemExit(
             f"{labels_path}: holdout_fraction {fraction} holds out all "
             f"{len(training)} labels, leaving none to train on"
         )
-    detector.fit(dataset, training, constraints)
+    try:
+        detector.fit(dataset, training, constraints)
+    except SpecError as exc:
+        raise SystemExit(f"invalid detector configuration: {exc}") from exc
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -642,8 +646,12 @@ def cmd_policy(args: argparse.Namespace) -> int:
         print("no labelled errors: learning from weak supervision", file=sys.stderr)
     pairs = channel_examples(dataset, training, min_error_pairs=1, max_cells=None)
     policy = Policy.learn(pairs)
+    try:
+        entries = policy.top_k(args.value, args.top)
+    except ValueError as exc:
+        raise SystemExit(f"--top: {exc}") from exc
     print(f"{len(policy)} transformations learned from {len(pairs)} example pairs")
-    for transformation, probability in policy.top_k(args.value, args.top):
+    for transformation, probability in entries:
         print(f"  {probability:6.4f}  {transformation}")
     return 0
 

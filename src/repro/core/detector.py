@@ -117,6 +117,11 @@ class DetectorConfig:
                 f"exclude_models has unknown model names {unknown}; "
                 f"valid names: {list(ALL_MODEL_NAMES)}"
             )
+        if set(ALL_MODEL_NAMES) <= set(self.exclude_models):
+            raise ValueError(
+                "exclude_models excludes every representation model; "
+                "the detector needs at least one"
+            )
 
         def fraction(name: str, *, closed_top: bool = False) -> None:
             value = getattr(self, name)
@@ -163,11 +168,14 @@ class ErrorPredictions:
     cells: list[Cell]
     probabilities: np.ndarray
     threshold: float = 0.5
-    #: Lazily built ``Cell -> position`` map backing O(1) lookups; rebuilt
-    #: automatically when the cell list grows (appended rows).
+    #: Lazily built ``Cell -> position`` map backing O(1) lookups, and the
+    #: length of :attr:`cells` it was built for: the map is rebuilt when the
+    #: cell list grows (appended rows).  Its own size is no such count, as a
+    #: cell listed twice has one key.
     _index: dict[Cell, int] | None = field(
         default=None, repr=False, compare=False
     )
+    _indexed: int = field(default=0, repr=False, compare=False)
 
     @property
     def error_cells(self) -> set[Cell]:
@@ -177,8 +185,9 @@ class ErrorPredictions:
 
     def index_of(self, cell: Cell) -> int:
         """Position of ``cell`` in :attr:`cells` (O(1) after the first call)."""
-        if self._index is None or len(self._index) != len(self.cells):
+        if self._index is None or self._indexed != len(self.cells):
             self._index = {c: i for i, c in enumerate(self.cells)}
+            self._indexed = len(self.cells)
         try:
             return self._index[cell]
         except KeyError:
@@ -331,6 +340,15 @@ class HoloDetect:
         # training seeds derive from content, not from the shared stream.
         t0 = perf_counter()
         self.pipeline = self._build_pipeline(constraints)
+        if not self.pipeline.featurizers:
+            from repro.spec import SpecError
+
+            # Only the input shows this: constraint_violations, the one
+            # model the exclusion may leave, exists only with constraints.
+            raise SpecError(
+                f"[detector]: exclude_models {list(cfg.exclude_models)} leaves "
+                "no representation model without denial constraints"
+            )
         with use_store(self.artifacts):
             self.pipeline.fit(dataset)
         self.timings["featurize"] = perf_counter() - t0

@@ -104,7 +104,7 @@ class JointModel(Module):
         pass runs on the fused numpy kernels, which are bit-identical to
         the autodiff graph (:meth:`forward`) in eval mode at float64.  They
         apply no dropout and build no graph, so scoring leaves the model's
-        training mode alone and needs no ``no_grad``.
+        training mode alone.
         """
         logits = KERNELS.predict_logits(self, features)
         return logits[:, ERROR_CLASS] - logits[:, CORRECT_CLASS]

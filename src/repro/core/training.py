@@ -8,7 +8,7 @@ The loop is split in two: this module owns everything that defines a run —
 label validation, the epoch/permutation/minibatch schedule, the step-count
 floor, loss history — while the per-step math (forward, backward, optimiser
 update) comes from a *trainer*.  By default that is the fused numpy trainer
-(:class:`repro.nn.backends.NumpyBackend`), which trains a
+(:class:`repro.nn.backends.numpy_backend.NumpyBackend`), which trains a
 :class:`~repro.core.model.JointModel` and nothing else; :class:`GraphTrainer`
 is the autodiff-graph reference it is bit-identical to at float64, and the
 only trainer for any other module (``trainer_factory=GraphTrainer``).

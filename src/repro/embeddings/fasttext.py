@@ -206,8 +206,8 @@ class FastTextEmbedding:
 
         Positive and negative targets share the same update form (grad on
         score = sigmoid(score) - label); the per-batch math lives in
-        :meth:`repro.nn.backends.NumpyBackend.sgns_step`.  Negative
-        sampling stays here, on the embedding's own RNG stream.
+        :meth:`repro.nn.backends.numpy_backend.NumpyBackend.sgns_step`.
+        Negative sampling stays here, on the embedding's own RNG stream.
         """
         batch = 512
         vocab_size = noise.size

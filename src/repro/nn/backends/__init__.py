@@ -8,11 +8,7 @@ through the layers it hands them.  The autodiff graph
 (:class:`repro.core.training.GraphTrainer`,
 :meth:`repro.core.model.JointModel.forward`) is their reference semantics,
 and the only trainer for any other module
-(``train_model(..., trainer_factory=GraphTrainer)``).
+(``train_model(..., trainer_factory=GraphTrainer)``).  Import the kernels
+from :mod:`repro.nn.backends.numpy_backend` (its one process-wide
+instance is ``KERNELS``).
 """
-
-from __future__ import annotations
-
-from repro.nn.backends.numpy_backend import KERNELS, NumpyBackend
-
-__all__ = ["KERNELS", "NumpyBackend"]

@@ -1,10 +1,12 @@
 """Layers and module containers.
 
-Implements the building blocks of Fig. 2: ``Linear`` (affine transform),
-``Highway`` [58] gates for the learnable representation layers (Fig. 2B),
-``Dropout`` for the classifier (Fig. 2C), the pointwise nonlinearities, and
-``Sequential`` composition.  ``Module`` provides recursive parameter
-collection and train/eval mode switching, mirroring the familiar framework
+Implements the building blocks of Fig. 2 that
+:class:`~repro.core.model.JointModel` and the LR baseline are made of:
+``Linear`` (affine transform), ``Highway`` [58] gates for the learnable
+representation layers (Fig. 2B), ``ReLU`` and ``Dropout`` for the
+classifier (Fig. 2C), and ``Sequential`` composition.  ``Module`` provides
+recursive parameter collection, train/eval mode switching and the
+parameter arrays a saved detector holds, mirroring the familiar framework
 API so the model code above reads naturally.
 """
 
@@ -64,13 +66,6 @@ class Module:
             child.eval()
         return self
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def state_arrays(self) -> list[np.ndarray]:
         """Parameter arrays in deterministic traversal order (for saving)."""
         return [p.data.copy() for p in self.parameters()]
@@ -111,11 +106,9 @@ class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng=None, bias_init: float = 0.0):
         super().__init__()
         gen = as_generator(rng)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Tensor(_glorot(gen, in_features, out_features), requires_grad=True, name="W")
+        self.weight = Tensor(_glorot(gen, in_features, out_features), requires_grad=True)
         self.bias = Tensor(
-            np.full((1, out_features), bias_init, dtype=np.float64), requires_grad=True, name="b"
+            np.full((1, out_features), bias_init, dtype=np.float64), requires_grad=True
         )
 
     def forward(self, x: Tensor) -> Tensor:
@@ -125,16 +118,6 @@ class Linear(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class Dropout(Module):
@@ -194,6 +177,3 @@ class Sequential(Module):
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self.modules)
-
-    def __len__(self) -> int:
-        return len(self.modules)

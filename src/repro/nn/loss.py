@@ -1,9 +1,11 @@
 """Loss functions.
 
 HoloDetect trains classifier M with a logistic loss over two classes
-(Fig. 2C shows a softmax output with logistic loss); Platt scaling minimises
-a negative log-likelihood over the holdout.  Both reduce to the numerically
-stable fused ops below.
+(Fig. 2C shows a softmax output with logistic loss):
+:func:`softmax_cross_entropy`, in :class:`~repro.core.training.GraphTrainer`.
+The LR baseline (§6.1) minimises the binary logistic loss,
+:func:`binary_cross_entropy_with_logits`.  Both are numerically stable
+fused ops.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     n = data.shape[0]
-    loss_value = -log_probs[np.arange(n), targets].mean()
-    out = Tensor(
-        loss_value,
-        requires_grad=logits.requires_grad,
-        _parents=(logits,) if logits.requires_grad else (),
-    )
+    out = Tensor._make(-log_probs[np.arange(n), targets].mean(), (logits,))
     if out.requires_grad:
         probs = np.exp(log_probs)
 
@@ -51,17 +48,12 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of sigmoid(``logits``) vs ``targets ∈ [0,1]``.
 
-    Accepts soft targets, which Platt scaling's NLL objective requires.
     Stable formulation ``max(z,0) - z*y + log(1 + exp(-|z|))``.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(logits.shape)
     z = logits.data
     loss_value = (np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))).mean()
-    out = Tensor(
-        loss_value,
-        requires_grad=logits.requires_grad,
-        _parents=(logits,) if logits.requires_grad else (),
-    )
+    out = Tensor._make(loss_value, (logits,))
     if out.requires_grad:
         sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
         n = z.size
@@ -71,10 +63,3 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
         out._backward = backward
     return out
-
-
-def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
-    """Plain-numpy softmax used at prediction time (no graph)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)

@@ -1,4 +1,4 @@
-"""Optimisers: ADAM [36] (used throughout the paper, §4.2/§6.1) and SGD."""
+"""ADAM [36], the optimiser used throughout the paper (§4.2/§6.1)."""
 
 from __future__ import annotations
 
@@ -9,44 +9,9 @@ import numpy as np
 from repro.nn.tensor import Tensor
 
 
-class Optimizer:
-    """Base optimiser over a fixed parameter list."""
-
-    def __init__(self, parameters: Iterable[Tensor]):
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
-
-
-class Adam(Optimizer):
-    """ADAM with bias correction, following Kingma & Ba [36]."""
+class Adam:
+    """ADAM with bias correction, following Kingma & Ba [36], over a fixed
+    parameter list."""
 
     def __init__(
         self,
@@ -56,7 +21,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError("lr must be positive")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
@@ -68,6 +35,10 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1

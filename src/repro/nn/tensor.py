@@ -6,41 +6,19 @@ accumulating gradients.  Broadcasting in forward ops is undone in the
 backward pass by summing gradients over broadcast axes, matching the
 semantics of mainstream frameworks.
 
-The op set is intentionally the minimum needed by HoloDetect's models
-(affine layers, gates, concatenation of feature branches, reductions and the
-pointwise nonlinearities) — but each op is fully general over shapes.
+The op set is exactly what its three callers reach: ``+``, ``-``, ``*``,
+``@``, ``relu``, ``sigmoid`` and :func:`concat`.  Those callers are
+:meth:`repro.core.model.JointModel.forward` and
+:class:`repro.core.training.GraphTrainer`, the reference the fused kernels
+(:mod:`repro.nn.backends.numpy_backend`) are bit-identical to, and the LR
+baseline's trainer (:class:`repro.baselines.LogisticRegressionDetector`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-
-class _GradMode(threading.local):
-    """Per-thread autodiff switch: a prediction under :func:`no_grad` on
-    one thread (a server's scoring loop, say) must not strip the
-    parameters of a model another thread is building."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling graph construction on the calling thread
-    (used at prediction time)."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -58,21 +36,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus gradient and backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
         data,
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
-        name: str | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
+        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable[[], None] | None = None
         self._parents = _parents if self.requires_grad else ()
-        self.name = name
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -85,13 +61,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
     def item(self) -> float:
         return float(self.data)
@@ -108,9 +77,11 @@ class Tensor:
     def _lift(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
-        requires = _grad_mode.enabled and any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=requires, _parents=tuple(parents) if requires else ())
+    @staticmethod
+    def _make(data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
+        """A graph node over ``parents``; it requires grad when any does."""
+        requires = any(p.requires_grad for p in parents)
+        return Tensor(data, requires_grad=requires, _parents=tuple(parents))
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
@@ -137,8 +108,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         out = self._make(-self.data, (self,))
         if out.requires_grad:
@@ -151,9 +120,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._lift(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = self._lift(other)
@@ -169,35 +135,7 @@ class Tensor:
             out._backward = backward
         return out
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._lift(other)
-        out = self._make(self.data / other.data, (self, other))
-        if out.requires_grad:
-
-            def backward():
-                if self.requires_grad:
-                    self._accumulate(out.grad / other.data)
-                if other.requires_grad:
-                    other._accumulate(-out.grad * self.data / (other.data**2))
-
-            out._backward = backward
-        return out
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = self._make(self.data**exponent, (self,))
-        if out.requires_grad:
-
-            def backward():
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-            out._backward = backward
-        return out
-
-    def matmul(self, other: "Tensor") -> "Tensor":
+    def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
         out = self._make(self.data @ other.data, (self, other))
         if out.requires_grad:
@@ -210,8 +148,6 @@ class Tensor:
 
             out._backward = backward
         return out
-
-    __matmul__ = matmul
 
     # ------------------------------------------------------------------ #
     # Nonlinearities
@@ -235,100 +171,6 @@ class Tensor:
 
             def backward():
                 self._accumulate(out.grad * sig * (1.0 - sig))
-
-            out._backward = backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-        out = self._make(value, (self,))
-        if out.requires_grad:
-
-            def backward():
-                self._accumulate(out.grad * (1.0 - value**2))
-
-            out._backward = backward
-        return out
-
-    def exp(self) -> "Tensor":
-        value = np.exp(np.clip(self.data, -700.0, 700.0))
-        out = self._make(value, (self,))
-        if out.requires_grad:
-
-            def backward():
-                self._accumulate(out.grad * value)
-
-            out._backward = backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make(np.log(self.data), (self,))
-        if out.requires_grad:
-
-            def backward():
-                self._accumulate(out.grad / self.data)
-
-            out._backward = backward
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Shape ops and reductions
-    # ------------------------------------------------------------------ #
-
-    def reshape(self, *shape: int) -> "Tensor":
-        out = self._make(self.data.reshape(*shape), (self,))
-        if out.requires_grad:
-            original = self.data.shape
-
-            def backward():
-                self._accumulate(out.grad.reshape(original))
-
-            out._backward = backward
-        return out
-
-    def transpose(self) -> "Tensor":
-        out = self._make(self.data.T, (self,))
-        if out.requires_grad:
-
-            def backward():
-                self._accumulate(out.grad.T)
-
-            out._backward = backward
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            shape = self.data.shape
-
-            def backward():
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis)
-                self._accumulate(np.broadcast_to(grad, shape))
-
-            out._backward = backward
-        return out
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row gather (``out[i] = self[indices[i]]``) with scatter-add backward."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = self._make(self.data[indices], (self,))
-        if out.requires_grad:
-            shape = self.data.shape
-
-            def backward():
-                grad = np.zeros(shape, dtype=np.float64)
-                np.add.at(grad, indices, out.grad)
-                self._accumulate(grad)
 
             out._backward = backward
         return out
@@ -376,9 +218,8 @@ def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
     if not tensors:
         raise ValueError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = _grad_mode.enabled and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
-    if requires:
+    out = Tensor._make(data, tensors)
+    if out.requires_grad:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -97,8 +98,8 @@ class ScoreBatcher:
     """
 
     def __init__(self, *, window: float = 0.002, max_cells: int = 4096):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
+        if not (math.isfinite(window) and window >= 0):
+            raise ValueError(f"window must be finite and >= 0, got {window}")
         if max_cells < 1:
             raise ValueError(f"max_cells must be >= 1, got {max_cells}")
         self.window = window

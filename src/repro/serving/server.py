@@ -152,21 +152,23 @@ class ServeConfig:
             raise ValueError(f"port must be in 0-65535, got {self.port}")
         if self.max_body < 1:
             raise ValueError(f"max_body must be positive, got {self.max_body}")
-        if self.read_timeout <= 0:
-            raise ValueError(f"read_timeout must be positive, got {self.read_timeout}")
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be positive, got {self.max_inflight}"
             )
-        if self.retry_after <= 0:
-            raise ValueError(f"retry_after must be positive, got {self.retry_after}")
         if self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be positive, got {self.breaker_threshold}"
             )
-        if self.breaker_cooldown <= 0:
+        # NaN and infinity pass a bare comparison; a NaN read timeout fails
+        # every request the server reads.
+        for name in ("read_timeout", "retry_after", "breaker_cooldown"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.batch_window) and self.batch_window >= 0):
             raise ValueError(
-                f"breaker_cooldown must be positive, got {self.breaker_cooldown}"
+                f"batch_window must be finite and >= 0, got {self.batch_window}"
             )
 
 

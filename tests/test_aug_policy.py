@@ -42,6 +42,11 @@ class TestConditional:
         assert probs == sorted(probs, reverse=True)
         assert len(top) <= 3
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_top_k_rejects_k_below_one(self, learned_policy, k):
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            learned_policy.top_k("60612", k)
+
 
 class TestSampling:
     def test_sample_respects_applicability(self, learned_policy):

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.constraints import read_constraints
 from repro.dataset import Dataset, ShardedDataset, read_labels, write_csv
+from repro.features.pipeline import ALL_MODEL_NAMES, DEFAULT_MODEL_ORDER
 
 
 @pytest.fixture
@@ -331,6 +332,9 @@ class TestDetectWithSpec:
         (["serve", "--models", "{tmp}", "--capacity", "0"], "capacity"),
         (["serve", "--models", "{tmp}", "--max-batch-cells", "0"], "max_cells"),
         (["serve", "--models", "{tmp}", "--batch-window", "-1"], "window"),
+        (["serve", "--models", "{tmp}", "--read-timeout", "nan"], "read_timeout"),
+        (["serve", "--models", "{tmp}", "--batch-window", "nan"], "batch_window"),
+        (["serve", "--models", "{tmp}", "--breaker-cooldown", "inf"], "breaker_cooldown"),
         (["shard", "convert", "--input", "{tmp}/data.csv", "--out", "{tmp}/shards",
           "--rows-per-shard", "0"], "shard_rows"),
         (["sweep", "--spec", "{tmp}/sweep.toml", "--coordinate",
@@ -365,6 +369,14 @@ class TestDetectWithSpec:
         (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/two_clean.csv",
           "--spec", "{tmp}/holdout.toml", "--output", "{tmp}/o.csv"],
          "two_clean.csv: holdout_fraction 0.9 holds out all 2 labels"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--spec", "{tmp}/exclude_all.toml", "--output", "{tmp}/o.csv"],
+         "exclude_models excludes every representation model"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--spec", "{tmp}/exclude_default.toml", "--output", "{tmp}/o.csv"],
+         "leaves no representation model without denial constraints"),
+        (["policy", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--value", "60612", "--top", "0"], "--top: k must be at least 1, got 0"),
         (["shard", "info", "{tmp}/no_attributes"],
          "no_attributes/manifest.json: manifest has no 'attributes' entry"),
         (["shard", "verify", "{tmp}/list_manifest"],
@@ -376,12 +388,15 @@ class TestDetectWithSpec:
         (["shard", "verify", "{tmp}/rows_high"],
          "rows_high/manifest.json: 2 shards hold 3 rows, but num_rows is 4"),
     ],
-    ids=["capacity", "max-batch-cells", "batch-window", "rows-per-shard", "lease-ttl",
+    ids=["capacity", "max-batch-cells", "batch-window", "read-timeout-nan",
+         "batch-window-nan", "breaker-cooldown-inf", "rows-per-shard", "lease-ttl",
          "benchmark-rows", "benchmark-dataset", "training-fraction", "rescore-model",
          "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir",
          "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
          "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only",
-         "detect-holdout-empties-labels", "shard-info-no-attributes",
+         "detect-holdout-empties-labels", "detect-spec-excludes-every-model",
+         "detect-excludes-all-but-constraint-model", "policy-top-zero",
+         "shard-info-no-attributes",
          "shard-verify-list-manifest", "shard-info-truncated",
          "shard-verify-missing-chunk", "shard-verify-num-rows-high"],
 )
@@ -397,6 +412,12 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     (tmp_path / "holdout.toml").write_text(
         'schema = "repro.spec/v1"\n[detector]\nholdout_fraction = 0.9\n'
     )
+    for name, models in (("exclude_all", ALL_MODEL_NAMES),
+                         ("exclude_default", DEFAULT_MODEL_ORDER)):
+        (tmp_path / f"{name}.toml").write_text(
+            'schema = "repro.spec/v1"\n[detector]\n'
+            f"exclude_models = {json.dumps(list(models))}\n"
+        )
     (tmp_path / "sweep.toml").write_text(
         'datasets = [{ name = "hospital", rows = 60 }]\n'
         "label_budgets = [0.2]\n"

@@ -12,7 +12,7 @@ edited dataset.
 import numpy as np
 import pytest
 
-from repro.core import DetectionSession, DetectorConfig, HoloDetect
+from repro.core import DetectionSession, DetectorConfig, ErrorPredictions, HoloDetect
 from repro.dataset import Cell, Dataset, DatasetDelta
 from repro.features import (
     CacheStats,
@@ -328,10 +328,14 @@ class TestDetectionSession:
         dataset = bundle.dirty
         cells = [c for c in dataset.cells() if c not in detector._train_cells]
         session = DetectionSession(detector, cells)
+        assert session.predictions.index_of(cells[-1]) == len(cells) - 1
         patched = session.append([dataset.row_values(0), dataset.row_values(1)])
         assert len(patched.cells) == len(cells) + 2 * len(dataset.attributes)
         baseline = detector.predict(list(patched.cells))
         assert patched.probabilities.tobytes() == baseline.probabilities.tobytes()
+        # The lookup map built before the append covers the new cells too.
+        for position in (0, len(cells), len(patched.cells) - 1):
+            assert patched.index_of(patched.cells[position]) == position
 
     def test_noop_edit_rescores_nothing(self, fitted_detector):
         bundle, detector = fitted_detector
@@ -414,6 +418,16 @@ class TestDetectionSession:
         )
         with pytest.raises(KeyError):
             predictions.index_of(Cell(10**6, "nope"))
+
+    def test_predictions_index_with_a_repeated_cell_is_built_once(self):
+        """A cell listed twice gives the map fewer keys than the list has
+        cells; lookups must still reuse the map, not rebuild it each time."""
+        twice, once = Cell(0, "a"), Cell(1, "a")
+        predictions = ErrorPredictions([twice, once, twice], np.array([0.1, 0.2, 0.3]))
+        assert predictions.index_of(once) == 1
+        index = predictions._index
+        assert predictions.probability(twice) == 0.3
+        assert predictions._index is index
 
 
 class TestSessionPersistenceRoundTrip:

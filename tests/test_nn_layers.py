@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Dropout,
-    Highway,
-    Linear,
-    Module,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-    Tensor,
-)
+from repro.nn import Dropout, Highway, Linear, Module, ReLU, Sequential, Tensor
 
 
 class TestLinear:
@@ -39,16 +29,6 @@ class TestActivations:
     def test_relu(self):
         out = ReLU()(Tensor(np.array([[-1.0, 2.0]])))
         np.testing.assert_allclose(out.numpy(), [[0.0, 2.0]])
-
-    def test_sigmoid_range(self):
-        out = Sigmoid()(Tensor(np.array([[-100.0, 0.0, 100.0]])))
-        assert out.numpy()[0, 0] == pytest.approx(0.0, abs=1e-9)
-        assert out.numpy()[0, 1] == pytest.approx(0.5)
-        assert out.numpy()[0, 2] == pytest.approx(1.0, abs=1e-9)
-
-    def test_tanh(self):
-        out = Tanh()(Tensor(np.array([[0.0]])))
-        assert out.numpy()[0, 0] == 0.0
 
 
 class TestDropout:
@@ -92,8 +72,7 @@ class TestHighway:
     def test_trainable(self):
         layer = Highway(4, rng=0)
         out = layer(Tensor(np.ones((2, 4)), requires_grad=False))
-        loss = (out * out).sum()
-        loss.backward()
+        (out * out).backward()
         grads = [p.grad for p in layer.parameters()]
         assert all(g is not None for g in grads)
 
@@ -103,7 +82,6 @@ class TestSequentialAndModule:
         model = Sequential(Linear(4, 8, rng=0), ReLU(), Linear(8, 2, rng=1))
         out = model(Tensor(np.ones((3, 4))))
         assert out.shape == (3, 2)
-        assert len(model) == 3
 
     def test_parameter_recursion(self):
         model = Sequential(Linear(2, 2, rng=0), Sequential(Linear(2, 2, rng=1)))
@@ -115,16 +93,6 @@ class TestSequentialAndModule:
         assert all(not m.training for m in model.children())
         model.train()
         assert all(m.training for m in model.children())
-
-    def test_num_parameters(self):
-        model = Linear(3, 2, rng=0)
-        assert model.num_parameters() == 3 * 2 + 2
-
-    def test_zero_grad(self):
-        model = Linear(2, 1, rng=0)
-        model(Tensor(np.ones((1, 2)))).sum().backward()
-        model.zero_grad()
-        assert all(p.grad is None for p in model.parameters())
 
     def test_forward_abstract(self):
         with pytest.raises(NotImplementedError):

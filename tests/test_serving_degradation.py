@@ -205,6 +205,12 @@ class TestAdmissionControl:
             dict(retry_after=0),
             dict(breaker_threshold=0),
             dict(breaker_cooldown=0),
+            dict(read_timeout=float("nan")),
+            dict(read_timeout=float("inf")),
+            dict(batch_window=float("nan")),
+            dict(batch_window=float("inf")),
+            dict(retry_after=float("inf")),
+            dict(breaker_cooldown=float("nan")),
         ):
             with pytest.raises(ValueError):
                 ServeConfig(model_root=served_world.model_root, **bad)
