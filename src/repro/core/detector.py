@@ -41,6 +41,7 @@ from repro.features.pipeline import (
     FeaturePipeline,
     default_pipeline,
 )
+from repro.spec import SpecError
 from repro.utils.rng import as_generator
 from repro.utils.specfile import require_int
 
@@ -341,8 +342,6 @@ class HoloDetect:
         t0 = perf_counter()
         self.pipeline = self._build_pipeline(constraints)
         if not self.pipeline.featurizers:
-            from repro.spec import SpecError
-
             # Only the input shows this: constraint_violations, the one
             # model the exclusion may leave, exists only with constraints.
             raise SpecError(
