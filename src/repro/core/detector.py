@@ -325,6 +325,16 @@ class HoloDetect:
         from time import perf_counter
 
         cfg = self.config
+        pipeline = self._build_pipeline(constraints)
+        if not pipeline.featurizers:
+            # Only the input shows this: constraint_violations, the one
+            # model the exclusion may leave, exists only with constraints.
+            # Refused before any state changes, so a fitted detector stays
+            # usable.
+            raise SpecError(
+                f"[detector]: exclude_models {list(cfg.exclude_models)} leaves "
+                "no representation model without denial constraints"
+            )
         rng = as_generator(cfg.seed)
         self._dataset = dataset
         self._train_cells = set(training.cells)
@@ -340,14 +350,7 @@ class HoloDetect:
         # it; a warm fit is bit-identical to a cold one because embedding
         # training seeds derive from content, not from the shared stream.
         t0 = perf_counter()
-        self.pipeline = self._build_pipeline(constraints)
-        if not self.pipeline.featurizers:
-            # Only the input shows this: constraint_violations, the one
-            # model the exclusion may leave, exists only with constraints.
-            raise SpecError(
-                f"[detector]: exclude_models {list(cfg.exclude_models)} leaves "
-                "no representation model without denial constraints"
-            )
+        self.pipeline = pipeline
         with use_store(self.artifacts):
             self.pipeline.fit(dataset)
         self.timings["featurize"] = perf_counter() - t0

@@ -181,3 +181,23 @@ class TestConfigVariants:
         excluded = HoloDetect(replace(FAST, exclude_models=("constraint_violations",)))
         excluded.fit(bundle.dirty, split.training, constraints=None)
         assert excluded.pipeline.model_names == plain.pipeline.model_names
+
+    def test_refit_left_without_a_model_is_refused_before_any_change(
+        self, tiny_bundle_module
+    ):
+        """Excluding every model but the constraint one fits with Σ; a refit
+        without Σ is refused and leaves the fitted detector as it was."""
+        from dataclasses import replace
+
+        from repro.features.pipeline import DEFAULT_MODEL_ORDER
+        from repro.spec import SpecError
+
+        bundle, split = tiny_bundle_module
+        detector = HoloDetect(replace(FAST, exclude_models=DEFAULT_MODEL_ORDER))
+        detector.fit(bundle.dirty, split.training, bundle.constraints)
+        before = detector.predict()
+        with pytest.raises(SpecError, match="leaves no representation model"):
+            detector.fit(bundle.dirty, split.training, constraints=None)
+        assert detector.pipeline.model_names == ["constraint_violations"]
+        after = detector.predict()
+        assert after.probabilities.tobytes() == before.probabilities.tobytes()
