@@ -24,6 +24,18 @@ class TestLinear:
         params = list(layer.parameters())
         assert len(params) == 2
 
+    def test_bias_init(self):
+        layer = Linear(3, 2, rng=0, bias_init=-1.0)
+        np.testing.assert_array_equal(layer.bias.numpy(), [[-1.0, -1.0]])
+
+    def test_weight_and_bias_gradients(self):
+        layer = Linear(3, 2, rng=0)
+        x = np.random.default_rng(1).normal(size=(4, 3))
+        seed = np.random.default_rng(2).normal(size=(4, 2))
+        layer(Tensor(x)).backward(seed)
+        np.testing.assert_allclose(layer.weight.grad, x.T @ seed)
+        np.testing.assert_allclose(layer.bias.grad, seed.sum(axis=0, keepdims=True))
+
 
 class TestActivations:
     def test_relu(self):
@@ -53,6 +65,20 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(1.0)
 
+    def test_gradient_flows_through_survivors_only(self):
+        layer = Dropout(0.5, rng=0)
+        x = Tensor(np.ones((20, 20)), requires_grad=True)
+        out = layer(x)
+        out.backward()
+        # x is all ones, so the output is the scaled mask and so is the gradient.
+        np.testing.assert_array_equal(x.grad, out.numpy())
+
+    def test_same_seed_same_mask(self):
+        x = Tensor(np.ones((8, 8)))
+        first = Dropout(0.3, rng=7)(x).numpy()
+        second = Dropout(0.3, rng=7)(x).numpy()
+        np.testing.assert_array_equal(first, second)
+
 
 class TestHighway:
     def test_preserves_width(self):
@@ -68,6 +94,19 @@ class TestHighway:
         # Output correlates strongly with input at init.
         corr = np.corrcoef(out.ravel(), x.ravel())[0, 1]
         assert corr > 0.7
+
+    def test_gate_bias_starts_negative(self):
+        layer = Highway(5, rng=0)
+        np.testing.assert_array_equal(layer.gate.bias.numpy(), np.full((1, 5), -1.0))
+        np.testing.assert_array_equal(layer.transform.bias.numpy(), np.zeros((1, 5)))
+
+    def test_output_formula(self):
+        """``y = t * relu(x W_h + b_h) + (1 - t) * x`` with ``t`` the gate."""
+        layer = Highway(4, rng=0)
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        gate = 1.0 / (1.0 + np.exp(-(x @ layer.gate.weight.data + layer.gate.bias.data)))
+        h = np.maximum(x @ layer.transform.weight.data + layer.transform.bias.data, 0.0)
+        np.testing.assert_allclose(layer(Tensor(x)).numpy(), gate * h + (1.0 - gate) * x)
 
     def test_trainable(self):
         layer = Highway(4, rng=0)
@@ -93,6 +132,20 @@ class TestSequentialAndModule:
         assert all(not m.training for m in model.children())
         model.train()
         assert all(m.training for m in model.children())
+
+    def test_state_arrays_round_trip(self):
+        source = Sequential(Linear(3, 4, rng=0), ReLU(), Linear(4, 2, rng=1))
+        target = Sequential(Linear(3, 4, rng=2), ReLU(), Linear(4, 2, rng=3))
+        target.load_state_arrays(source.state_arrays())
+        x = Tensor(np.random.default_rng(4).normal(size=(5, 3)))
+        np.testing.assert_array_equal(target(x).numpy(), source(x).numpy())
+
+    def test_load_state_arrays_checks_count_and_shapes(self):
+        model = Linear(3, 2, rng=0)
+        with pytest.raises(ValueError, match="expected 2"):
+            model.load_state_arrays([np.zeros((3, 2))])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            model.load_state_arrays([np.zeros((2, 3)), np.zeros((1, 2))])
 
     def test_forward_abstract(self):
         with pytest.raises(NotImplementedError):

@@ -33,6 +33,11 @@ class TestSoftmaxCrossEntropy:
         loss = softmax_cross_entropy(logits, np.array([0]))
         assert np.isfinite(loss.item())
 
+    def test_gradient_finite_for_large_logits(self):
+        logits = Tensor(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]), requires_grad=True)
+        softmax_cross_entropy(logits, np.array([1, 1])).backward()
+        np.testing.assert_allclose(logits.grad, [[0.5, -0.5], [0.0, 0.0]])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(Tensor(np.zeros(3)), np.array([0]))
@@ -52,6 +57,11 @@ class TestBinaryCrossEntropy:
         loss.backward()
         # gradient = (sigmoid(0) - target) / n = (0.5 - t) / 2
         np.testing.assert_allclose(logits.grad, [[-0.1], [0.1]], atol=1e-10)
+
+    def test_flat_targets_take_the_logits_shape(self):
+        logits = Tensor(np.zeros((3, 1)), requires_grad=True)
+        binary_cross_entropy_with_logits(logits, [1.0, 0.0, 1.0]).backward()
+        np.testing.assert_allclose(logits.grad, [[-0.5 / 3], [0.5 / 3], [-0.5 / 3]])
 
     def test_numerical_stability(self):
         logits = Tensor(np.array([[800.0], [-800.0]]))

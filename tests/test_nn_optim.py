@@ -23,6 +23,14 @@ class TestAdam:
             opt.step()
         np.testing.assert_allclose(p.data, np.full(3, 3.0), atol=1e-2)
 
+    def test_first_step_moves_each_weight_by_lr(self):
+        """Bias correction makes ADAM's first step ``lr * sign(grad)``, up to eps."""
+        p = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        opt = Adam([p], lr=0.01)
+        (p * Tensor([3.0, -0.2, 40.0])).backward()
+        opt.step()
+        np.testing.assert_allclose(p.data, [0.99, -1.99, 0.49], atol=1e-8)
+
     def test_skips_parameters_without_grad(self):
         p1 = Tensor([1.0], requires_grad=True)
         p2 = Tensor([1.0], requires_grad=True)
@@ -41,6 +49,18 @@ class TestAdam:
             (p * 0.0).backward()
             opt.step()
         assert np.all(np.abs(p.data) < 5.0)
+
+    def test_zero_grad_clears_every_parameter(self):
+        model = Linear(2, 1, rng=0)
+        opt = Adam(model.parameters())
+        model(Tensor(np.ones((1, 2)))).backward()
+        assert all(p.grad is not None for p in model.parameters())
+        opt.zero_grad()
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_rejects_non_positive_lr(self):
+        with pytest.raises(ValueError):
+            Adam([Tensor([1.0], requires_grad=True)], lr=0.0)
 
     def test_rejects_bad_betas(self):
         with pytest.raises(ValueError):

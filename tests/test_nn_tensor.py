@@ -66,6 +66,18 @@ class TestElementwiseGradients:
     def test_sigmoid(self):
         check_gradient(lambda t: t.sigmoid(), np.random.default_rng(5).normal(size=(3, 3)))
 
+    def test_sigmoid_saturates_without_overflow(self):
+        with np.errstate(over="raise"):
+            out = Tensor(np.array([[-1000.0, 0.0, 1000.0]])).sigmoid().numpy()
+        assert out[0, 0] == pytest.approx(0.0, abs=1e-20)
+        assert out[0, 1] == 0.5
+        assert out[0, 2] == 1.0
+
+    def test_relu_blocks_gradient_below_zero(self):
+        x = Tensor(np.array([[-2.0, -0.5, 0.5, 2.0]]), requires_grad=True)
+        x.relu().backward(np.full((1, 4), 3.0))
+        np.testing.assert_allclose(x.grad, [[0.0, 0.0, 3.0, 3.0]])
+
     def test_neg_and_sub(self):
         check_gradient(lambda t: (-t) - t, np.random.default_rng(9).normal(size=(2, 2)))
 
@@ -81,6 +93,14 @@ class TestMatmulAndShapes:
         np.testing.assert_allclose(ta.grad, np.ones((3, 2)) @ b.T)
         np.testing.assert_allclose(tb.grad, a.T @ np.ones((3, 2)))
 
+    def test_matmul_left_operand_gradient(self):
+        w = Tensor(np.random.default_rng(11).normal(size=(4, 2)))
+        check_gradient(lambda t: t @ w, np.random.default_rng(12).normal(size=(3, 4)))
+
+    def test_matmul_right_operand_gradient(self):
+        a = Tensor(np.random.default_rng(13).normal(size=(3, 4)))
+        check_gradient(lambda t: a @ t, np.random.default_rng(14).normal(size=(4, 2)))
+
     def test_concat_grad(self):
         rng = np.random.default_rng(17)
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
@@ -88,6 +108,16 @@ class TestMatmulAndShapes:
         (concat([a, b], axis=1) * 2.0).backward()
         np.testing.assert_allclose(a.grad, np.full((2, 3), 2.0))
         np.testing.assert_allclose(b.grad, np.full((2, 2), 2.0))
+
+    def test_concat_rows_grad(self):
+        check_gradient(
+            lambda t: concat([t, t * 2.0], axis=0),
+            np.random.default_rng(15).normal(size=(2, 3)),
+        )
+
+    def test_concat_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one tensor"):
+            concat([])
 
 
 class TestBroadcasting:
@@ -102,6 +132,13 @@ class TestBroadcasting:
         s = Tensor(2.0, requires_grad=True)
         (x * s).backward()
         assert s.grad == pytest.approx(4.0)
+
+    def test_leading_axis_broadcast_backward(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        (x * b).backward()
+        np.testing.assert_allclose(b.grad, np.full(3, 4.0))
+        np.testing.assert_allclose(x.grad, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
 class TestGraphMechanics:
@@ -121,6 +158,30 @@ class TestGraphMechanics:
     def test_backward_without_requires_grad_raises(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
+
+    def test_requires_grad_follows_parents(self):
+        """A node requires grad when any parent does; a node built from
+        constants alone keeps no parents."""
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        c = Tensor(np.ones((2, 2)))
+        assert (x * c).requires_grad
+        assert (c + x).requires_grad
+        assert concat([c, x]).requires_grad
+        constant = c * 2.0 + c
+        assert not constant.requires_grad
+        assert constant._parents == ()
+
+    def test_backward_seed_scales_gradients(self):
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        (x * 3.0).backward(np.array([[2.0, 0.5]]))
+        np.testing.assert_allclose(x.grad, [[6.0, 1.5]])
+
+    def test_constant_operands_accumulate_nothing(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        c = Tensor(np.full((2, 2), 5.0))
+        (x * c + c).backward()
+        np.testing.assert_allclose(x.grad, np.full((2, 2), 5.0))
+        assert c.grad is None
 
     def test_zero_grad(self):
         x = Tensor(np.ones((2,)), requires_grad=True)
