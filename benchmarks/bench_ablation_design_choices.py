@@ -9,7 +9,8 @@ own measurements here:
 - **active-learning selection strategy** (§6.1 uses uncertainty sampling) —
   uncertainty vs error-seeking vs random;
 - **multi-edit channel** (extension; §7 leaves it as future work) —
-  single-edit policy vs the composed CompositePolicy.
+  single-edit policy vs the composed CompositePolicy, which wraps the
+  channel the single-edit arm learns.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ import pytest
 
 from conftest import bench_config, print_table
 
-from repro.augmentation.policy import CompositePolicy, Policy
 from repro.baselines import ActiveLearningDetector, GroundTruthOracle
 from repro.core import HoloDetect
 from repro.evaluation import evaluate_predictions, make_split
 
 
-def _f1(bundle, split, config) -> float:
-    detector = HoloDetect(config)
+def _f1(bundle, split, config, **components) -> float:
+    """F1 of ``config``'s detector with spec ``components`` (``policy``,
+    ``calibrator``) replaced."""
+    detector = HoloDetect.from_spec(replace(HoloDetect(config).spec, **components))
     detector.fit(bundle.dirty, split.training, bundle.constraints)
     return evaluate_predictions(
         detector.predict_error_cells(split.test_cells), bundle.error_cells, split.test_cells
@@ -39,8 +41,8 @@ def test_ablation_calibration(benchmark, core_bundles):
     split = make_split(bundle, 0.10, rng=13)
 
     def run():
-        with_platt = _f1(bundle, split, replace(bench_config(), calibrate=True))
-        without = _f1(bundle, split, replace(bench_config(), calibrate=False))
+        with_platt = _f1(bundle, split, bench_config())
+        without = _f1(bundle, split, bench_config(), calibrator=("none", {}))
         return [["Platt scaling", f"{with_platt:.3f}"], ["raw scores", f"{without:.3f}"]]
 
     rows = benchmark.pedantic(run, iterations=1, rounds=1)
@@ -104,9 +106,7 @@ def test_ablation_multi_edit_channel(benchmark, core_bundles):
 
     def run():
         single = _f1(bundle, split, bench_config())
-        base = Policy.learn(split.training.error_pairs())
-        composite = CompositePolicy(base, max_edits=3, continue_probability=0.3)
-        multi = _f1(bundle, split, replace(bench_config(), policy_override=composite))
+        multi = _f1(bundle, split, bench_config(), policy=("methods:multi_edit", {}))
         return [["single edit (paper)", f"{single:.3f}"], ["multi edit (extension)", f"{multi:.3f}"]]
 
     rows = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -2,9 +2,12 @@
 
 Three strategies are compared at two training sizes:
 
-- **AUG** — transformations and policy both learned (Algorithms 1–3);
-- **Rand. Trans.** — completely random transformations, not data-derived;
-- **AUG w/o Policy** — learned Φ, but applied uniformly at random.
+- **AUG** — transformations and policy both learned (Algorithms 1–3):
+  the spec's ``learned`` policy;
+- **Rand. Trans.** — completely random transformations, not data-derived:
+  ``random-channel``;
+- **AUG w/o Policy** — Φ learned as AUG learns it, but applied uniformly
+  at random: ``uniform``.
 
 Expected shape (§6.6): AUG on top; random transformations fail to match the
 dataset's error distribution; the learned distribution matters beyond the
@@ -19,16 +22,15 @@ import pytest
 
 from conftest import bench_config, print_table
 
-from repro.baselines import RandomChannelPolicy, uniform_policy_from
 from repro.core import HoloDetect
 from repro.evaluation import evaluate_predictions, make_split
 
 SIZES = [0.05, 0.10]
 
 
-def _run_variant(bundle, split, policy_override) -> float:
-    config = replace(bench_config(), policy_override=policy_override)
-    detector = HoloDetect(config)
+def _run_variant(bundle, split, policy: str, **params) -> float:
+    spec = replace(HoloDetect(bench_config()).spec, policy=(policy, params))
+    detector = HoloDetect.from_spec(spec)
     detector.fit(bundle.dirty, split.training, bundle.constraints)
     return evaluate_predictions(
         detector.predict_error_cells(split.test_cells), bundle.error_cells, split.test_cells
@@ -43,11 +45,9 @@ def test_table4_policy_ablation(benchmark, core_bundles, dataset_name):
         rows = []
         for size in SIZES:
             split = make_split(bundle, size, rng=6)
-            aug = _run_variant(bundle, split, None)
-            rand = _run_variant(bundle, split, RandomChannelPolicy(seed=0))
-            nopol = _run_variant(
-                bundle, split, uniform_policy_from(bundle.dirty, split.training)
-            )
+            aug = _run_variant(bundle, split, "learned")
+            rand = _run_variant(bundle, split, "random-channel", seed=0)
+            nopol = _run_variant(bundle, split, "uniform")
             rows.append([f"{size:.0%}", f"{aug:.3f}", f"{rand:.3f}", f"{nopol:.3f}"])
         return rows
 

@@ -11,6 +11,8 @@ augmentation closes the supervised model's recall gap.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import DetectorConfig, HoloDetect, evaluate_predictions, load_dataset, make_split
 from repro.baselines import (
     ConstraintViolationDetector,
@@ -18,7 +20,6 @@ from repro.baselines import (
     HoloCleanDetector,
     LogisticRegressionDetector,
     OutlierDetector,
-    SupervisedDetector,
 )
 
 
@@ -33,7 +34,7 @@ def main() -> None:
         ("OD (outliers)", OutlierDetector()),
         ("FBI (itemsets)", ForbiddenItemsetDetector()),
         ("LR (features)", LogisticRegressionDetector(seed=0)),
-        ("SuperL (no aug)", SupervisedDetector(config)),
+        ("SuperL (no aug)", HoloDetect(replace(config, augment=False))),
         ("AUG (HoloDetect)", HoloDetect(config)),
     ]
 

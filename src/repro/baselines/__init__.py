@@ -11,11 +11,13 @@ Unsupervised methods ignore ``training``.
 - **FBI** — forbidden itemsets via the lift measure [50];
 - **LR** — supervised logistic regression over co-occurrence + violation
   features;
-- **SuperL** — the HoloDetect model trained on T only (no augmentation);
+- **SuperL** — the HoloDetect model trained on T only: ``HoloDetect`` with
+  ``augment=False``, the ``superl`` method;
 - **SemiL** — self-training semi-supervised variant;
 - **ActiveL** — uncertainty-sampling active learning variant;
 - **resampling** — minority-class oversampling instead of augmentation;
-- augmentation-strategy ablations (random channel / uniform policy).
+- the random-channel augmentation ablation (Table 4; the uniform-policy
+  one is the ``uniform`` policy component).
 """
 
 from repro.baselines.constraint_violations import ConstraintViolationDetector
@@ -23,14 +25,10 @@ from repro.baselines.holoclean import HoloCleanDetector
 from repro.baselines.outlier import OutlierDetector
 from repro.baselines.forbidden_itemsets import ForbiddenItemsetDetector
 from repro.baselines.logistic_regression import LogisticRegressionDetector
-from repro.baselines.supervised import SupervisedDetector
 from repro.baselines.semi_supervised import SemiSupervisedDetector
 from repro.baselines.active_learning import ActiveLearningDetector, GroundTruthOracle
 from repro.baselines.resampling import ResamplingDetector
-from repro.baselines.augmentation_variants import (
-    RandomChannelPolicy,
-    uniform_policy_from,
-)
+from repro.baselines.augmentation_variants import RandomChannelPolicy
 from repro.baselines.adapters import build_method, method_names
 
 __all__ = [
@@ -41,11 +39,9 @@ __all__ = [
     "OutlierDetector",
     "ForbiddenItemsetDetector",
     "LogisticRegressionDetector",
-    "SupervisedDetector",
     "SemiSupervisedDetector",
     "ActiveLearningDetector",
     "GroundTruthOracle",
     "ResamplingDetector",
     "RandomChannelPolicy",
-    "uniform_policy_from",
 ]

@@ -33,7 +33,6 @@ from repro.baselines.logistic_regression import LogisticRegressionDetector
 from repro.baselines.outlier import OutlierDetector
 from repro.baselines.resampling import ResamplingDetector
 from repro.baselines.semi_supervised import SemiSupervisedDetector
-from repro.baselines.supervised import SupervisedDetector
 from repro.core.detector import DetectorConfig, HoloDetect
 from repro.registry import REGISTRY, ComponentError
 
@@ -53,7 +52,7 @@ def detector_config(params: Mapping[str, object]) -> DetectorConfig:
 
     Unknown keys raise so typos in spec files fail loudly instead of being
     silently ignored.  (Ablation overrides like SuperL's ``augment=False``
-    live in the detector wrappers themselves, not here.)
+    live in the method registrations and detector wrappers, not here.)
     """
     unknown = set(params) - _CONFIG_FIELDS
     if unknown:
@@ -114,15 +113,16 @@ def _lr(params: Mapping[str, object]) -> MethodFn:
     return run
 
 
-def _configured(detector_cls):
+def _configured(detector_cls, **fixed: object):
     """A method whose params are ``DetectorConfig`` fields and whose
-    detector takes just that config, seeded per trial."""
+    detector takes just that config, seeded per trial; ``fixed`` fields
+    override the params (SuperL's ``augment=False``)."""
 
     def build(params: Mapping[str, object]) -> MethodFn:
         config = detector_config(params)
 
         def run(bundle, split, rng):
-            det = detector_cls(replace(config, seed=_trial_seed(rng)))
+            det = detector_cls(replace(config, seed=_trial_seed(rng), **fixed))
             det.fit(bundle.dirty, split.training, bundle.constraints)
             return det.predict_error_cells(split.test_cells)
 
@@ -155,7 +155,7 @@ _METHOD_REGISTRATIONS: tuple[tuple[str, Callable[[Mapping[str, object]], MethodF
     ("holodetect", _configured(HoloDetect),
      "the full AUG model: learned channel + augmentation"),
     ("aug", _configured(HoloDetect), "alias of 'holodetect' (the paper's Table 2 name)"),
-    ("superl", _configured(SupervisedDetector),
+    ("superl", _configured(HoloDetect, augment=False),
      "HoloDetect trained on T only (no augmentation)"),
     ("semil", _semil, "self-training semi-supervised variant"),
     ("activel", _activel, "uncertainty-sampling active learning variant"),

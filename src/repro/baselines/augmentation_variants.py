@@ -1,24 +1,19 @@
-"""Augmentation-strategy ablations (Table 4).
+"""The random-channel augmentation ablation (Table 4's "Rand. Trans.").
 
-- ``RandomChannelPolicy`` — "Rand. Trans.": augmentation with completely
-  random transformations (generic typo channels and random value garbling)
-  *not* learned from the data;
-- ``uniform_policy_from`` — "AUG w/o Policy": the transformation set Φ is
-  learned from the data with Algorithm 1, but transformations are applied
-  uniformly at random instead of via the learned distribution Π̂.
+``RandomChannelPolicy`` augments with completely random transformations
+(generic typo channels and random value garbling) *not* learned from the
+data; a spec selects it as ``policy = { name = "random-channel", seed = 7 }``.
+Table 4's other ablation, "AUG w/o Policy" (Φ learned as AUG learns it,
+applied uniformly instead of via Π̂), is the ``uniform`` policy component of
+:mod:`repro.augmentation.policy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.augmentation.naive_bayes import channel_examples
-from repro.augmentation.policy import Policy, UniformPolicy
+from repro.augmentation.policy import Policy
 from repro.augmentation.transformations import Transformation
-from repro.dataset.table import Dataset
-from repro.dataset.training import TrainingSet
 from repro.errors.typos import random_typo
 from repro.registry import register
 from repro.utils.rng import as_generator
@@ -55,28 +50,6 @@ class RandomChannelPolicy(Policy):
             cut = int(gen.integers(1, len(value)))
             return value[:cut]
         return random_typo(value, gen)
-
-
-def uniform_policy_from(
-    dataset: Dataset,
-    training: TrainingSet,
-    min_error_pairs: int = 10,
-    weak_supervision_max_cells: int = 20_000,
-) -> UniformPolicy:
-    """Learn Φ exactly as AUG does, but discard the distribution Π̂.
-
-    Learns from the detector's example pairs
-    (:func:`~repro.augmentation.naive_bayes.channel_examples`: labelled
-    errors topped up by Naïve Bayes weak supervision) so that Table 4
-    isolates the *policy*, not the transformation set.
-    """
-    pairs = channel_examples(
-        dataset,
-        training,
-        min_error_pairs=min_error_pairs,
-        max_cells=weak_supervision_max_cells,
-    )
-    return UniformPolicy(Policy.learn(pairs).transformations)
 
 
 # --------------------------------------------------------------------- #

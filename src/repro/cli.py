@@ -102,17 +102,18 @@ def _read_training(path: str, dataset: Dataset) -> TrainingSet:
 
 
 def _fit(
-    detector: HoloDetect, labels_path: str, dataset: Dataset,
+    detector: HoloDetect, source: str, dataset: Dataset,
     training: TrainingSet, constraints: list,
 ) -> None:
-    """Fit ``detector`` on ``training``; when its holdout split would hold
-    out every label, or its configuration leaves no representation model
-    for these inputs, end the command in one line instead of letting the
-    fit raise a traceback."""
+    """Fit ``detector`` on ``training`` (read from ``source``, a labels file
+    or a named split); when its holdout split would hold out every label,
+    or its configuration leaves no representation model for these inputs,
+    end the command in one line instead of letting the fit raise a
+    traceback."""
     fraction = detector.config.holdout_fraction
     if training.holdout_size(fraction) == len(training):
         raise SystemExit(
-            f"{labels_path}: holdout_fraction {fraction} holds out all "
+            f"{source}: holdout_fraction {fraction} holds out all "
             f"{len(training)} labels, leaving none to train on"
         )
     try:
@@ -295,7 +296,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    detector.fit(bundle.dirty, split.training, bundle.constraints)
+    source = f"{args.dataset} split (--training-fraction {args.training_fraction})"
+    _fit(detector, source, bundle.dirty, split.training, bundle.constraints)
     flagged = detector.predict_error_cells(split.test_cells)
     if profiler is not None:
         profiler.disable()

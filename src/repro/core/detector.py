@@ -17,7 +17,8 @@ re-running a full ``predict()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import PurePath
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,7 +42,8 @@ from repro.features.pipeline import (
     FeaturePipeline,
     default_pipeline,
 )
-from repro.spec import SpecError
+from repro.registry import REGISTRY
+from repro.spec import DetectorSpec, SpecError
 from repro.utils.rng import as_generator
 from repro.utils.specfile import require_int
 
@@ -60,8 +62,12 @@ class DetectorConfig:
     """All knobs of the detector, defaulted for laptop-scale runs.
 
     The paper's configuration (500 epochs, batch 5, 50-dim embeddings) is a
-    valid setting of the same fields.  A fitted-artifact store enters only
-    by its directory (``artifact_dir``); a live
+    valid setting of the same fields.  These are the ``[detector]`` table of
+    a :class:`~repro.spec.DetectorSpec`; the components — featurizers,
+    augmentation policy, calibrator — are the spec's other entries, so
+    ``HoloDetect(config)`` builds the spec's defaults for them.  A
+    fitted-artifact store enters only by its directory (``artifact_dir``,
+    the one field no spec records); a live
     :class:`~repro.artifacts.ArtifactStore` is attached to the detector with
     :meth:`HoloDetect.use_artifacts`, or installed around its fit with
     :func:`repro.artifacts.use_store`.
@@ -83,7 +89,6 @@ class DetectorConfig:
     alpha: float = 1.0
     target_ratio: float | None = None
     augment: bool = True
-    calibrate: bool = True
     #: Learn the channel from weak supervision when T has fewer error pairs.
     min_error_pairs: int = 10
     #: Cap on cells scanned by the Naive Bayes weak-supervision model.
@@ -100,8 +105,6 @@ class DetectorConfig:
     #: store of its own and uses the ambient one, if any.
     artifact_dir: str | None = None
     seed: int = 0
-    #: Override the learned policy (augmentation-strategy ablations, Table 4).
-    policy_override: Policy | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         """Reject out-of-range values at construction time.
@@ -124,12 +127,16 @@ class DetectorConfig:
                 "the detector needs at least one"
             )
 
-        def fraction(name: str, *, closed_top: bool = False) -> None:
+        def number(name: str, ok, bound: str) -> None:
+            # A TOML/JSON ``true`` is no number, as require_int holds for counts.
             value = getattr(self, name)
-            top_ok = value <= 1.0 if closed_top else value < 1.0
-            if not isinstance(value, (int, float)) or not (0.0 <= value and top_ok):
-                bound = "[0, 1]" if closed_top else "[0, 1)"
-                raise ValueError(f"{name} must be in {bound}, got {value!r}")
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or not ok(value)
+            ):
+                raise ValueError(f"{name} must be {bound}, got {value!r}")
 
         for name, minimum in (
             ("embedding_dim", 1), ("embedding_epochs", 1), ("hidden_dim", 1),
@@ -138,22 +145,15 @@ class DetectorConfig:
             ("weak_supervision_max_cells", 1), ("seed", 0),
         ):
             require_int(name, getattr(self, name), minimum)
-        fraction("dropout")
-        fraction("holdout_fraction")
-        if not isinstance(self.lr, (int, float)) or not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr!r}")
-        if not isinstance(self.weight_decay, (int, float)) or self.weight_decay < 0:
-            raise ValueError(
-                f"weight_decay must be non-negative, got {self.weight_decay!r}"
-            )
-        if not isinstance(self.alpha, (int, float)) or not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if self.target_ratio is not None and (
-            not isinstance(self.target_ratio, (int, float)) or not self.target_ratio > 0
-        ):
-            raise ValueError(
-                f"target_ratio must be positive or None, got {self.target_ratio!r}"
-            )
+        number("dropout", lambda v: 0 <= v < 1, "in [0, 1)")
+        number("holdout_fraction", lambda v: 0 <= v < 1, "in [0, 1)")
+        number("lr", lambda v: v > 0, "positive and finite")
+        number("weight_decay", lambda v: v >= 0, "non-negative and finite")
+        number("alpha", lambda v: 0 < v <= 1, "in (0, 1]")
+        if self.target_ratio is not None:
+            number("target_ratio", lambda v: v > 0, "positive and finite, or None")
+        if not isinstance(self.augment, bool):
+            raise ValueError(f"augment must be true or false, got {self.augment!r}")
         if self.artifact_dir is not None and not isinstance(
             self.artifact_dir, (str, PurePath)
         ):
@@ -208,24 +208,30 @@ class ErrorPredictions:
 class HoloDetect:
     """Few-shot error detector with learned data augmentation (AUG).
 
-    Two construction paths build the *same* detector:
-
-    - imperative — ``HoloDetect(DetectorConfig(...))``;
-    - declarative — ``HoloDetect.from_spec(spec)`` (or ``repro.build``),
-      where every component of the composition is a
-      :mod:`repro.registry` reference carried by a
-      :class:`~repro.spec.DetectorSpec`.
-
-    A spec-built detector with the default component set is bit-identical
-    in predictions to the imperative equivalent.
+    Every detector is its :class:`~repro.spec.DetectorSpec`: featurizers,
+    augmentation policy and calibrator are :mod:`repro.registry` components
+    the spec names, and the spec's ``[detector]`` table is the config.
+    ``HoloDetect.from_spec(spec)`` (or ``repro.build``) keeps the spec it is
+    given; ``HoloDetect(DetectorConfig(...))`` derives
+    ``DetectorSpec.default(**fields that differ from their defaults)``,
+    leaving ``artifact_dir`` out, so it is the default component set and
+    fingerprints as that spec does.
     """
 
-    def __init__(self, config: DetectorConfig | None = None, *, spec=None):
+    def __init__(
+        self, config: DetectorConfig | None = None, *, spec: DetectorSpec | None = None
+    ):
         self.config = config or DetectorConfig()
-        #: The :class:`~repro.spec.DetectorSpec` this detector was built
-        #: from, or ``None`` for imperative construction.  Persisted by
-        #: :mod:`repro.persistence` alongside the weights.
-        self.spec = spec
+        #: The :class:`~repro.spec.DetectorSpec` this detector is built
+        #: from.  Persisted by :mod:`repro.persistence` alongside the
+        #: weights; its fingerprint routes served requests.
+        self.spec = spec or DetectorSpec.default(
+            **{
+                f.name: getattr(self.config, f.name)
+                for f in fields(DetectorConfig)
+                if f.name != "artifact_dir" and getattr(self.config, f.name) != f.default
+            }
+        )
         self.pipeline: FeaturePipeline | None = None
         self.model: JointModel | None = None
         self.scaler: PlattScaler | None = None
@@ -326,24 +332,23 @@ class HoloDetect:
 
         cfg = self.config
         pipeline = self._build_pipeline(constraints)
+        # Both refusals come before any state changes, so a fitted detector
+        # stays usable.
         if not pipeline.featurizers:
             # Only the input shows this: constraint_violations, the one
             # model the exclusion may leave, exists only with constraints.
-            # Refused before any state changes, so a fitted detector stays
-            # usable.
             raise SpecError(
                 f"[detector]: exclude_models {list(cfg.exclude_models)} leaves "
                 "no representation model without denial constraints"
             )
         rng = as_generator(cfg.seed)
-        self._dataset = dataset
-        self._train_cells = set(training.cells)
         t_fit = perf_counter()
-        self.timings = {}
-
         train_main, holdout = training.split_holdout(cfg.holdout_fraction, rng=rng)
         if len(train_main) == 0:
             raise ValueError("training set is empty after holdout split")
+        self._dataset = dataset
+        self._train_cells = set(training.cells)
+        self.timings = {}
 
         # Module 2: representation model Q.  With an artifact store in
         # effect, fitted embeddings and featurizer states are served from
@@ -398,8 +403,8 @@ class HoloDetect:
         )
         self.timings["train"] = perf_counter() - t0
 
-        self.scaler = self._build_calibrator()
-        if cfg.calibrate and len(holdout) > 0:
+        self.scaler = REGISTRY.create("calibrator", *self.spec.calibrator)
+        if len(holdout) > 0:
             hold_features = self.pipeline.transform(
                 [e.cell for e in holdout], dataset, values=[e.observed for e in holdout]
             )
@@ -423,7 +428,7 @@ class HoloDetect:
         artifacts" in ``docs/architecture.md``.)
         """
         cfg = self.config
-        if self.spec is not None and self.spec.featurizers is not None:
+        if self.spec.featurizers is not None:
             from repro.features.pipeline import FeaturizerContext, build_pipeline
 
             ctx = FeaturizerContext(
@@ -440,21 +445,13 @@ class HoloDetect:
         )
 
     def _resolve_policy(self, dataset: Dataset, training: TrainingSet) -> Policy:
-        """The augmentation policy: override, spec component, or learned.
+        """The augmentation policy the spec's policy component builds.
 
-        ``config.policy_override`` (the imperative path) wins; otherwise the
-        spec's policy component builds to ``None`` (learn from data), a
-        ready :class:`Policy` (use verbatim), or a callable wrapper applied
-        to the learned policy (e.g. the Table 4 uniform ablation).
+        The component builds to ``None`` (learn from data), a ready
+        :class:`Policy` (use verbatim), or a callable wrapper applied to the
+        learned policy (e.g. the Table 4 uniform ablation).
         """
-        if self.config.policy_override is not None:
-            return self.config.policy_override
-        component = None
-        if self.spec is not None:
-            from repro.registry import REGISTRY
-
-            name, params = self.spec.policy
-            component = REGISTRY.create("policy", name, params)
+        component = REGISTRY.create("policy", *self.spec.policy)
         if component is None:
             return self._learn_policy(dataset, training)
         if isinstance(component, Policy):
@@ -465,15 +462,6 @@ class HoloDetect:
             f"policy component built {type(component).__name__}; expected "
             "None, a Policy, or a callable Policy wrapper"
         )
-
-    def _build_calibrator(self) -> PlattScaler:
-        """The calibrator: spec component or the default Platt scaler."""
-        if self.spec is not None:
-            from repro.registry import REGISTRY
-
-            name, params = self.spec.calibrator
-            return REGISTRY.create("calibrator", name, params)
-        return PlattScaler()
 
     def _learn_policy(self, dataset: Dataset, training: TrainingSet) -> Policy:
         """Learn (Φ, Π̂) from T's errors, topped up by weak supervision (§5.4)."""

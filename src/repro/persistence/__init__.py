@@ -6,8 +6,11 @@ weights, the noisy-channel policy, and calibration parameters.  This package
 serialises all of it to an explicit, inspectable on-disk format:
 
 - ``state.json`` — every structured component (configs, counts, vocab,
-  policies) with numpy arrays replaced by references;
-- ``arrays.npz`` — the referenced arrays.
+  policies, the detector's spec) with numpy arrays replaced by references;
+- ``arrays.npz`` — the referenced arrays;
+- ``spec.json`` — the spec and its fingerprint, by which ``repro serve``
+  finds the save.  Every detector has a spec (a config-built one derives
+  it), so every save is servable.
 
 Each featurizer owns its saved state (``to_state``/``from_state``); this
 package records one ``{"type": <class name>, **to_state()}`` entry per

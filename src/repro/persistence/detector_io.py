@@ -28,7 +28,7 @@ On-disk layout
 
     <path>/state.json   # structured state; arrays appear as {"__array__": key}
     <path>/arrays.npz   # the referenced arrays, compressed
-    <path>/spec.json    # the DetectorSpec (only for spec-built detectors)
+    <path>/spec.json    # the DetectorSpec and its fingerprint
 
 Arrays are split out by :func:`~repro.artifacts.store.flatten_arrays`, the
 same array layer artifact objects use.  Each pipeline entry is
@@ -44,16 +44,19 @@ for config-only additions, and featurizer states gain keys the same way
 (older n-gram entries lack ``n``, which their per-column models record).
 Config keys of retired options (``backend``, ``compute_dtype``,
 ``prediction_workers``, ``feature_cache``, ``cache_max_entries``,
-``cache_max_bytes``) are dropped on load, from the config and from an
-embedded spec's ``detector`` table, as is a spec's retired ``compute``
-table.
+``cache_max_bytes``, ``calibrate``) are dropped on load, from the config and
+from an embedded spec's ``detector`` table, as is a spec's retired
+``compute`` table.  A dropped ``calibrate`` changes no prediction: the
+fitted scaler is saved as it was fitted.
 
-A detector built from a :class:`~repro.spec.DetectorSpec` saves the spec's
-canonical form both inside ``state.json`` and as a human-readable
-``spec.json`` sidecar (with its fingerprint), and :func:`load_detector`
-restores ``detector.spec`` — so a reloaded detector knows the declarative
-composition it was built from.  Saves from before the spec era load with
-``spec = None``.
+Every detector carries a :class:`~repro.spec.DetectorSpec` (a config-built
+one derives it), and a save records the spec's canonical form both inside
+``state.json`` and as a human-readable ``spec.json`` sidecar (with its
+fingerprint), so every save is servable by fingerprint.
+:func:`load_detector` restores ``detector.spec``.  A save from before every
+detector carried a spec loads with the spec its config derives, but has no
+fingerprint on disk, so :func:`detector_index` skips it until it is saved
+again.
 
 Custom ``module:attr`` featurizers have no saved state; saving a pipeline
 containing one raises ``TypeError`` naming the offending type.  The
@@ -149,22 +152,15 @@ def _decode_featurizer(state: dict) -> features.Featurizer:
 # --------------------------------------------------------------------- #
 
 
-#: Config fields that are live objects, not serialisable settings.
-_UNSAVED_CONFIG_FIELDS = ("policy_override",)
-
 #: Config fields of retired options that older saves still carry.
 _RETIRED_CONFIG_FIELDS = (
     "backend", "compute_dtype", "prediction_workers",
-    "feature_cache", "cache_max_entries", "cache_max_bytes",
+    "feature_cache", "cache_max_entries", "cache_max_bytes", "calibrate",
 )
 
 
 def _encode_config(config: DetectorConfig) -> dict:
-    state = {
-        field: getattr(config, field)
-        for field in config.__dataclass_fields__
-        if field not in _UNSAVED_CONFIG_FIELDS
-    }
+    state = {field: getattr(config, field) for field in config.__dataclass_fields__}
     if state.get("artifact_dir") is not None:
         # Path objects are valid config values but not JSON.
         state["artifact_dir"] = str(state["artifact_dir"])
@@ -225,25 +221,21 @@ def save_detector(detector: HoloDetect, path: str | Path) -> None:
         "train_cells": [[c.row, c.attr] for c in sorted(
             detector._train_cells, key=lambda c: (c.row, c.attr)
         )],
-        "spec": detector.spec.to_dict() if detector.spec is not None else None,
+        "spec": detector.spec.to_dict(),
     }
     arrays: dict[str, np.ndarray] = {}
     (path / "state.json").write_text(flatten_arrays(state, arrays), encoding="utf-8")
     np.savez_compressed(path / "arrays.npz", **arrays)
-    if detector.spec is not None:
-        # Human-readable sidecar: the declarative composition + fingerprint.
-        (path / "spec.json").write_text(
-            json.dumps(
-                {
-                    "fingerprint": detector.spec.fingerprint(),
-                    "spec": detector.spec.to_dict(),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+    # Human-readable sidecar: the declarative composition + fingerprint.
+    (path / "spec.json").write_text(
+        json.dumps(
+            {"fingerprint": detector.spec.fingerprint(), "spec": state["spec"]},
+            indent=2,
+            sort_keys=True,
         )
+        + "\n",
+        encoding="utf-8",
+    )
 
 
 def detector_fingerprint(path: str | Path) -> str | None:
@@ -251,7 +243,7 @@ def detector_fingerprint(path: str | Path) -> str | None:
 
     Reads the ``spec.json`` sidecar when present (cheap — no arrays touched);
     falls back to recomputing from the spec embedded in ``state.json``.
-    Spec-less saves (imperative construction) have no fingerprint.
+    Saves from before every detector carried a spec have no fingerprint.
     """
     path = Path(path)
     sidecar = path / "spec.json"

@@ -54,9 +54,9 @@ def build_detect_report(
 ) -> dict:
     """The ``repro.detect/v1`` payload for one scored relation.
 
-    ``detector`` contributes the spec fingerprint and the artifact-store
-    counter block when available (both are ``None`` otherwise — the
-    additive-fields contract of the schema).  ``feature_cache`` is always
+    ``detector`` contributes its spec fingerprint, and the artifact-store
+    counter block when a store is in effect (each is ``None`` without —
+    the additive-fields contract of the schema).  ``feature_cache`` is always
     ``None``: the field stays for readers of the schema, though no block
     cache exists to report on.
     ``include_cells=False`` leaves out the ranked ``cells`` list (the
@@ -69,8 +69,7 @@ def build_detect_report(
     artifact_store = None
     timings = None
     if detector is not None:
-        if detector.spec is not None:
-            spec_fingerprint = detector.spec.fingerprint()
+        spec_fingerprint = detector.spec.fingerprint()
         if detector.artifact_stats is not None:
             artifact_store = detector.artifact_stats.as_dict()
         if getattr(detector, "timings", None):

@@ -30,9 +30,10 @@ Spec layout (TOML; JSON mirrors it)::
     [artifacts]                 # optional fitted-artifact store (repro.artifacts)
     dir = "artifacts/"          # excluded from the fingerprint (execution detail)
 
-Omitting ``featurizers`` selects the exact default pipeline the imperative
-constructor builds, so ``HoloDetect.from_spec(DetectorSpec.default())`` is
-bit-identical to ``HoloDetect(DetectorConfig())``.
+Omitting ``featurizers`` selects the Table 7 default pipeline.  Every
+detector carries a spec: ``HoloDetect(DetectorConfig(...))`` derives
+``DetectorSpec.default(**fields that differ from their defaults)``, so
+``HoloDetect(DetectorConfig()).spec == DetectorSpec.default()``.
 
 Like :class:`~repro.evaluation.matrix.ScenarioSpec`, a spec carries a
 SHA-256 content fingerprint over its canonical JSON form — stable under key
@@ -141,7 +142,14 @@ class DetectorSpec:
 
     @classmethod
     def default(cls, **detector_overrides: object) -> "DetectorSpec":
-        """The spec equivalent of ``HoloDetect(DetectorConfig(**overrides))``."""
+        """The default components with ``detector_overrides`` as the
+        ``[detector]`` table.
+
+        With overrides that differ from their field defaults, this is the
+        spec ``HoloDetect(DetectorConfig(**overrides))`` derives.  An
+        override that spells out a default builds the same detector under
+        another fingerprint: the fingerprint hashes the table as written.
+        """
         return cls(detector=dict(detector_overrides))
 
     @classmethod
@@ -168,12 +176,6 @@ class DetectorSpec:
         detector = payload.get("detector", {})
         if not isinstance(detector, Mapping):
             raise SpecError("[detector] must be a table of DetectorConfig fields")
-        detector = dict(detector)
-        if "policy_override" in detector:
-            raise SpecError(
-                "policy_override is not spec-able; use the top-level "
-                "'policy' key instead"
-            )
 
         raw_featurizers = payload.get("featurizers")
         featurizers: tuple[tuple[str, Mapping[str, object]], ...] | None = None
@@ -237,7 +239,7 @@ class DetectorSpec:
         except TypeError as exc:
             valid = sorted(
                 f.name for f in dataclasses.fields(DetectorConfig)
-                if f.name not in ("policy_override", "artifact_dir")
+                if f.name != "artifact_dir"
             )
             raise SpecError(f"[detector]: {exc}; valid keys: {valid}") from exc
         except ValueError as exc:
@@ -340,7 +342,7 @@ class DetectorSpec:
         ]
         defaults = DetectorConfig()
         for f in dataclasses.fields(DetectorConfig):
-            if f.name in ("policy_override", "artifact_dir"):
+            if f.name == "artifact_dir":
                 continue
             value = getattr(config, f.name)
             marker = "" if value == getattr(defaults, f.name) else "   (override)"

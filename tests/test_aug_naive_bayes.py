@@ -12,7 +12,7 @@ import pytest
 
 from repro.augmentation import NaiveBayesRepairModel, channel_examples, naive_bayes
 from repro.augmentation.naive_bayes import SuggestedRepair
-from repro.baselines import HoloCleanDetector, uniform_policy_from
+from repro.baselines import HoloCleanDetector
 from repro.core import DetectorConfig
 from repro.data import load_dataset
 from repro.dataset import Cell, Dataset
@@ -298,7 +298,13 @@ class TestChannelExamples:
         assert _sha256(pairs) == digest
 
     def test_uniform_policy_transformations_pinned(self, labelled):
-        policy = uniform_policy_from(*labelled)
+        """The ``uniform`` policy component over the channel AUG learns from
+        the same pairs."""
+        from repro.augmentation.policy import Policy
+        from repro.registry import create
+
+        learned = Policy.learn(channel_examples(*labelled, min_error_pairs=10, max_cells=20_000))
+        policy = create("policy", "uniform")(learned)
         transformations = [[t.src, t.dst] for t in policy.transformations]
         assert len(transformations) == 57
         assert _sha256(transformations) == (

@@ -12,12 +12,11 @@ from repro.baselines import (
     OutlierDetector,
     ResamplingDetector,
     SemiSupervisedDetector,
-    SupervisedDetector,
-    uniform_policy_from,
+    build_method,
 )
 from repro.baselines.outlier import normalized_mutual_information
 from repro.baselines.resampling import oversample_errors
-from repro.core import DetectorConfig
+from repro.core import DetectorConfig, HoloDetect
 from repro.dataset import Cell
 from repro.evaluation import evaluate_predictions, make_split
 
@@ -151,22 +150,31 @@ class TestLR:
 
 
 class TestSuperL:
+    """SuperL is HoloDetect with ``augment=False`` (the ``superl`` method)."""
+
     def test_high_precision_low_recall_profile(self, hospital):
+        from dataclasses import replace
+
         bundle, split = hospital
-        det = SupervisedDetector(FAST).fit(bundle.dirty, split.training, bundle.constraints)
+        det = HoloDetect(replace(FAST, augment=False))
+        det.fit(bundle.dirty, split.training, bundle.constraints)
         m = evaluate_predictions(
             det.predict_error_cells(split.test_cells), bundle.error_cells, split.test_cells
         )
         # SuperL precision should be decent even when recall is limited.
         assert m.precision >= m.recall or m.precision > 0.6
 
-    def test_requires_training(self, zip_dataset):
-        with pytest.raises(ValueError):
-            SupervisedDetector(FAST).fit(zip_dataset)
+    def test_augment_forced_off(self, hospital, monkeypatch):
+        import numpy as np
 
-    def test_augment_forced_off(self):
-        det = SupervisedDetector(DetectorConfig(augment=True))
-        assert det.config.augment is False
+        bundle, split = hospital
+        configs = []
+        monkeypatch.setattr(
+            HoloDetect, "fit", lambda self, *args: configs.append(self.config) or self
+        )
+        monkeypatch.setattr(HoloDetect, "predict_error_cells", lambda self, cells: set())
+        build_method("superl", {"augment": True})(bundle, split, np.random.default_rng(0))
+        assert [c.augment for c in configs] == [False]
 
 
 class TestResampling:
@@ -229,8 +237,15 @@ class TestActiveL:
 
 class TestUniformPolicyVariant:
     def test_uniform_policy_learned_transformations(self, hospital):
+        from repro.augmentation.naive_bayes import channel_examples
+        from repro.augmentation.policy import Policy
+        from repro.registry import create
+
         bundle, split = hospital
-        policy = uniform_policy_from(bundle.dirty, split.training)
+        learned = Policy.learn(
+            channel_examples(bundle.dirty, split.training, min_error_pairs=10, max_cells=20_000)
+        )
+        policy = create("policy", "uniform")(learned)
         assert len(policy) > 0
         conditional = policy.conditional("60612" if True else "")
         probs = set(round(p, 9) for p in conditional.values())

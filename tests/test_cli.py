@@ -369,6 +369,15 @@ class TestDetectWithSpec:
         (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/two_clean.csv",
           "--spec", "{tmp}/holdout.toml", "--output", "{tmp}/o.csv"],
          "two_clean.csv: holdout_fraction 0.9 holds out all 2 labels"),
+        (["benchmark", "--dataset", "hospital", "--rows", "20", "--training-fraction",
+          "0.05", "--spec", "{tmp}/holdout99.toml"],
+         "hospital split (--training-fraction 0.05): holdout_fraction 0.99 holds out all"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--spec", "{tmp}/alpha2.toml", "--output", "{tmp}/o.csv"],
+         "alpha must be in (0, 1], got 2.0"),
+        (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
+          "--spec", "{tmp}/lr_inf.toml", "--output", "{tmp}/o.csv"],
+         "lr must be positive and finite, got inf"),
         (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
           "--spec", "{tmp}/exclude_all.toml", "--output", "{tmp}/o.csv"],
          "exclude_models excludes every representation model"),
@@ -394,7 +403,9 @@ class TestDetectWithSpec:
          "serve-port", "detect-output-dir", "detect-json-dir", "rescore-output-dir",
          "detect-threshold-nan", "detect-threshold-inf", "rescore-threshold-overflow",
          "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only",
-         "detect-holdout-empties-labels", "detect-spec-excludes-every-model",
+         "detect-holdout-empties-labels", "benchmark-holdout-empties-split",
+         "detect-spec-alpha-above-one", "detect-spec-lr-inf",
+         "detect-spec-excludes-every-model",
          "detect-excludes-all-but-constraint-model", "policy-top-zero",
          "shard-info-no-attributes",
          "shard-verify-list-manifest", "shard-info-truncated",
@@ -409,9 +420,12 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     (tmp_path / "two_clean.csv").write_text(
         "row,attribute,true_value\n0,zip,60612\n0,city,Chicago\n"
     )
-    (tmp_path / "holdout.toml").write_text(
-        'schema = "repro.spec/v1"\n[detector]\nholdout_fraction = 0.9\n'
-    )
+    for name, setting in (("holdout", "holdout_fraction = 0.9"),
+                          ("holdout99", "holdout_fraction = 0.99"),
+                          ("alpha2", "alpha = 2.0"), ("lr_inf", "lr = inf")):
+        (tmp_path / f"{name}.toml").write_text(
+            f'schema = "repro.spec/v1"\n[detector]\n{setting}\n'
+        )
     for name, models in (("exclude_all", ALL_MODEL_NAMES),
                          ("exclude_default", DEFAULT_MODEL_ORDER)):
         (tmp_path / f"{name}.toml").write_text(

@@ -201,3 +201,31 @@ class TestConfigVariants:
         assert detector.pipeline.model_names == ["constraint_violations"]
         after = detector.predict()
         assert after.probabilities.tobytes() == before.probabilities.tobytes()
+
+    def test_refit_emptied_by_the_holdout_is_refused_before_any_change(self):
+        """A refit whose holdout split takes every label is refused, and the
+        detector keeps predicting its last fit's relation."""
+        from repro.data import load_dataset
+        from repro.dataset import LabeledCell, TrainingSet
+
+        small = load_dataset("hospital", num_rows=60, seed=5)
+        config = DetectorConfig(
+            epochs=2, embedding_dim=4, embedding_epochs=1, min_training_steps=20,
+            holdout_fraction=0.9, seed=0,
+        )
+        detector = HoloDetect(config)
+        detector.fit(small.dirty, make_split(small, 0.5, rng=0).training)
+        before = detector.predict()
+
+        grown = load_dataset("hospital", num_rows=80, seed=5)
+        error = min(grown.error_cells, key=lambda c: (c.row, c.attr))
+        clean = next(c for c in grown.dirty.cells() if c not in grown.error_cells)
+        two_labels = TrainingSet([
+            LabeledCell(cell, grown.dirty.value(cell), grown.clean.value(cell))
+            for cell in (error, clean)
+        ])
+        with pytest.raises(ValueError, match="training set is empty after holdout split"):
+            detector.fit(grown.dirty, two_labels)
+        after = detector.predict()
+        assert after.cells == before.cells
+        assert after.probabilities.tobytes() == before.probabilities.tobytes()

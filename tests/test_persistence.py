@@ -183,6 +183,38 @@ class TestDetectorRoundtrip:
         assert (tmp_path / "model" / "state.json").exists()
         assert (tmp_path / "model" / "arrays.npz").exists()
 
+    def test_config_built_save_is_servable(self, fitted, tmp_path):
+        """A config-built detector saves the spec it derives, so the
+        serving index finds it under that spec's fingerprint."""
+        from repro.persistence import detector_index
+        from repro.spec import DetectorSpec
+
+        _, _, detector = fitted
+        save_detector(detector, tmp_path / "root" / "model")
+        fingerprint = DetectorSpec.default(epochs=8, embedding_dim=6).fingerprint()
+        sidecar = json.loads((tmp_path / "root" / "model" / "spec.json").read_text())
+        assert sidecar["fingerprint"] == fingerprint
+        assert detector_index(tmp_path / "root") == {fingerprint: tmp_path / "root" / "model"}
+
+    def test_save_without_a_spec_loads_with_the_derived_one(self, fitted, tmp_path):
+        """Saves from before every detector carried a spec hold none and no
+        ``spec.json``; they load with the spec their config derives and
+        predict bit-identically."""
+        bundle, split, detector = fitted
+        path = tmp_path / "legacy"
+        save_detector(detector, path)
+        (path / "spec.json").unlink()
+        state = json.loads((path / "state.json").read_text())
+        state["spec"] = None
+        (path / "state.json").write_text(json.dumps(state))
+
+        legacy = load_detector(path, bundle.dirty)
+        assert legacy.spec == detector.spec
+        cells = split.test_cells[:200]
+        assert legacy.predict(cells).probabilities.tobytes() == (
+            detector.predict(cells).probabilities.tobytes()
+        )
+
     def test_unfitted_save_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_detector(HoloDetect(), tmp_path / "nope")
@@ -204,8 +236,9 @@ class TestDetectorRoundtrip:
         ``backend``/``compute_dtype`` config keys and may embed a spec with
         a ``[compute]`` table; saves made while every detector built a
         feature cache carry ``feature_cache``/``cache_max_entries``/
-        ``cache_max_bytes``, in the config and in a spec that set them.
-        They load and predict bit-identically."""
+        ``cache_max_bytes``, and saves made while the config chose the
+        calibration carry ``calibrate``, in the config and in a spec that
+        set them.  They load and predict bit-identically."""
         import json
 
         from repro.persistence import detector_fingerprint
@@ -214,10 +247,13 @@ class TestDetectorRoundtrip:
         bundle, split, detector = fitted
         save_detector(detector, tmp_path / "fresh")
         save_detector(detector, tmp_path / "legacy")
+        # Saves of that era had no sidecar unless the detector was spec-built.
+        (tmp_path / "legacy" / "spec.json").unlink()
         state_path = tmp_path / "legacy" / "state.json"
         state = json.loads(state_path.read_text())
         cache_keys = dict(
-            feature_cache=False, cache_max_entries=64, cache_max_bytes=1_000_000
+            feature_cache=False, cache_max_entries=64, cache_max_bytes=1_000_000,
+            calibrate=False,
         )
         state["config"].update(backend=None, compute_dtype="float64", **cache_keys)
         spec = DetectorSpec.default(epochs=8, embedding_dim=6, seed=0)

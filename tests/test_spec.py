@@ -59,11 +59,17 @@ class TestSpecParsing:
                 {"schema": SPEC_SCHEMA, "detector": {"epochs": -3}}
             )
 
-    def test_policy_override_is_not_specable(self):
-        with pytest.raises(SpecError, match="policy_override is not spec-able"):
-            DetectorSpec.from_dict(
-                {"schema": SPEC_SCHEMA, "detector": {"policy_override": "x"}}
-            )
+    @pytest.mark.parametrize("key", ["calibrate", "policy_override"])
+    def test_retired_component_twin_is_refused_in_one_line(self, tmp_path, key):
+        """The config's retired twins of the ``calibrator`` and ``policy``
+        components are unknown ``[detector]`` keys in a spec file."""
+        path = tmp_path / "spec.toml"
+        path.write_text(f'schema = "{SPEC_SCHEMA}"\n[detector]\n{key} = false\n')
+        with pytest.raises(SpecError) as excinfo:
+            DetectorSpec.from_file(path)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert key in message and "valid keys: ['alpha', 'augment'" in message
 
     def test_unknown_featurizer_rejected_eagerly(self):
         with pytest.raises(SpecError, match="unknown featurizer 'nope'"):
@@ -385,16 +391,83 @@ class TestSpecRoundTrip:
         # The "none" calibrator is the identity sigmoid.
         assert detector.scaler.a == 1.0 and detector.scaler.b == 0.0
 
-    def test_imperative_policy_override_beats_spec(self, small_bundle):
-        from repro.augmentation.policy import Policy
+
+# --------------------------------------------------------------------- #
+# Every detector is its spec
+# --------------------------------------------------------------------- #
+
+
+#: A non-default value of every DetectorConfig field a spec records.
+NON_DEFAULT = {
+    "embedding_dim": 8, "embedding_epochs": 1, "hidden_dim": 16, "dropout": 0.0,
+    "epochs": 7, "batch_size": 16, "lr": 3e-3, "weight_decay": 0.0,
+    "min_training_steps": 50, "holdout_fraction": 0.2, "alpha": 0.5,
+    "target_ratio": 1.5, "augment": False, "min_error_pairs": 3,
+    "weak_supervision_max_cells": 500, "exclude_models": ("neighborhood",),
+    "prediction_batch": 64, "seed": 4,
+}
+
+
+class TestDerivedSpec:
+    def test_every_recorded_field_is_covered(self):
+        import dataclasses
+
+        fields = {f.name for f in dataclasses.fields(DetectorConfig)}
+        assert set(NON_DEFAULT) == fields - {"artifact_dir"}
+        assert len(fields) == 19
+
+    @pytest.mark.parametrize("field", sorted(NON_DEFAULT))
+    def test_config_round_trips_through_its_spec(self, field):
+        config = DetectorConfig(**{field: NON_DEFAULT[field]})
+        spec = HoloDetect(config).spec
+        assert HoloDetect.from_spec(spec).config == config
+        assert spec.fingerprint() == (
+            DetectorSpec.default(**{field: NON_DEFAULT[field]}).fingerprint()
+        )
+
+    def test_all_fields_at_once_and_defaults_left_out(self, tmp_path):
+        config = DetectorConfig(**NON_DEFAULT, artifact_dir=str(tmp_path))
+        spec = HoloDetect(config).spec
+        assert spec == DetectorSpec.default(**NON_DEFAULT)
+        assert HoloDetect(DetectorConfig()).spec == DetectorSpec.default()
+        # A spelled-out default is kept, so it fingerprints differently.
+        assert DetectorSpec.default(seed=0).fingerprint() != (
+            HoloDetect(DetectorConfig(seed=0)).spec.fingerprint()
+        )
+
+    def test_uniform_policy_keeps_the_learned_transformations(self, small_bundle):
+        """``policy = "uniform"`` learns Φ as a plain AUG fit does, from T
+        minus the holdout, and drops only Π̂."""
+        from dataclasses import replace
+
+        from repro.augmentation.policy import UniformPolicy
 
         bundle, split = small_bundle
-        override = Policy.learn([("Chicago", "Cxcago")])
-        spec = DetectorSpec.default(**FAST)
-        detector = HoloDetect.from_spec(spec)
-        detector.config.policy_override = override
-        _fit_and_predict(detector, bundle, split)
-        assert detector.policy is override
+        aug = HoloDetect(DetectorConfig(**FAST))
+        aug.fit(bundle.dirty, split.training, bundle.constraints)
+        uniform = HoloDetect.from_spec(replace(aug.spec, policy=("uniform", {})))
+        uniform.fit(bundle.dirty, split.training, bundle.constraints)
+        assert isinstance(uniform.policy, UniformPolicy)
+        assert uniform.policy.transformations == aug.policy.transformations
+
+    def test_none_calibrator_is_the_identity_on_the_same_model(self, small_bundle):
+        """``calibrator = "none"`` fits the model a Platt-calibrated fit
+        does and scores it through the identity ``a = 1, b = 0`` (what the
+        retired ``calibrate=False`` left)."""
+        from dataclasses import replace
+
+        bundle, split = small_bundle
+        platt = HoloDetect(DetectorConfig(**FAST))
+        platt.fit(bundle.dirty, split.training, bundle.constraints)
+        none = HoloDetect.from_spec(replace(platt.spec, calibrator=("none", {})))
+        none.fit(bundle.dirty, split.training, bundle.constraints)
+        assert (none.scaler.a, none.scaler.b) == (1.0, 0.0)
+        assert (platt.scaler.a, platt.scaler.b) != (1.0, 0.0)
+        platt.scaler.a, platt.scaler.b = 1.0, 0.0
+        cells = split.test_cells
+        assert none.predict(cells).probabilities.tobytes() == (
+            platt.predict(cells).probabilities.tobytes()
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -419,8 +492,18 @@ class TestDetectorConfigValidation:
             ("lr", -1e-3, "lr must be positive"),
             ("weight_decay", -1e-5, "weight_decay must be non-negative"),
             ("min_training_steps", -1, "min_training_steps must be a non-negative"),
-            ("alpha", 0.0, "alpha must be positive"),
-            ("target_ratio", -2.0, "target_ratio must be positive or None"),
+            ("alpha", 0.0, r"alpha must be in \(0, 1\]"),
+            ("alpha", 2.0, r"alpha must be in \(0, 1\], got 2.0"),
+            ("target_ratio", -2.0, "target_ratio must be positive and finite, or None"),
+            ("target_ratio", float("inf"), "target_ratio must be positive and finite"),
+            ("lr", float("inf"), "lr must be positive and finite, got inf"),
+            ("lr", float("nan"), "lr must be positive and finite, got nan"),
+            ("weight_decay", float("inf"), "weight_decay must be non-negative and finite"),
+            ("lr", True, "lr must be positive and finite, got True"),
+            ("holdout_fraction", False, r"holdout_fraction must be in \[0, 1\), got False"),
+            ("alpha", True, r"alpha must be in \(0, 1\], got True"),
+            ("augment", "false", "augment must be true or false, got 'false'"),
+            ("augment", 0, "augment must be true or false, got 0"),
             ("min_error_pairs", -1, "min_error_pairs must be a non-negative"),
             ("weak_supervision_max_cells", 0, "weak_supervision_max_cells"),
             ("seed", -1, "seed must be a non-negative integer"),
