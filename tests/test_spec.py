@@ -414,7 +414,6 @@ class TestDerivedSpec:
 
         fields = {f.name for f in dataclasses.fields(DetectorConfig)}
         assert set(NON_DEFAULT) == fields - {"artifact_dir"}
-        assert len(fields) == 19
 
     @pytest.mark.parametrize("field", sorted(NON_DEFAULT))
     def test_config_round_trips_through_its_spec(self, field):
