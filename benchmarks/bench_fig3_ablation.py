@@ -2,6 +2,8 @@
 
 For Hospital, Soccer, and Adult, AUG runs with the full representation Q and
 with each representation model removed in turn; F1 per variant is reported.
+Each variant is a spec whose ``featurizers`` list is Table 7's models less
+the removed one.
 
 Expected shape (§6.3): the full model is at or near the top; removing any
 single model costs F1, with the costliest model differing per dataset.
@@ -17,16 +19,20 @@ from conftest import bench_config, print_table
 
 from repro.core import HoloDetect
 from repro.evaluation import evaluate_predictions, make_split
-from repro.features.pipeline import ALL_MODEL_NAMES
+from repro.features.pipeline import DEFAULT_MODEL_ORDER, default_model_names
 
 #: Models exercised by the ablation (constraint violations is exercised by
 #: the Table 8 bench, which sweeps the constraint set itself).
-ABLATED = [name for name in ALL_MODEL_NAMES if name != "constraint_violations"]
+ABLATED = DEFAULT_MODEL_ORDER
 
 
 def _f1(bundle, split, exclude: tuple[str, ...]) -> float:
-    config = replace(bench_config(), exclude_models=exclude)
-    detector = HoloDetect(config)
+    featurizers = [
+        (name, {}) for name in default_model_names(bundle.constraints)
+        if name not in exclude
+    ]
+    spec = replace(HoloDetect(bench_config()).spec, featurizers=featurizers)
+    detector = HoloDetect.from_spec(spec)
     detector.fit(bundle.dirty, split.training, bundle.constraints)
     predictions = detector.predict_error_cells(split.test_cells)
     return evaluate_predictions(predictions, bundle.error_cells, split.test_cells).f1

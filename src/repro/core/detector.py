@@ -37,10 +37,11 @@ from repro.dataset.table import Cell, Dataset, DatasetDelta
 from repro.dataset.training import LabeledCell, TrainingSet
 from repro.features.base import CellBatch, FeatureContext
 from repro.features.pipeline import (
-    ALL_MODEL_NAMES,
     CellFeatures,
     FeaturePipeline,
-    default_pipeline,
+    FeaturizerContext,
+    build_pipeline,
+    default_model_names,
 )
 from repro.registry import REGISTRY
 from repro.spec import DetectorSpec, SpecError
@@ -93,9 +94,6 @@ class DetectorConfig:
     min_error_pairs: int = 10
     #: Cap on cells scanned by the Naive Bayes weak-supervision model.
     weak_supervision_max_cells: int = 20_000
-    #: Representation models to drop from the default pipeline (ablation
-    #: studies); names from :data:`~repro.features.pipeline.ALL_MODEL_NAMES`.
-    exclude_models: tuple[str, ...] = ()
     #: Cells featurised per prediction chunk.  Each chunk is scored padded
     #: to a multiple of :data:`SCORE_QUANTUM` rows, so a cell's probability
     #: depends neither on this setting nor on its chunk-mates.
@@ -114,19 +112,6 @@ class DetectorConfig:
         the training set); every check here names the field, the offending
         value, and the valid range.
         """
-        self.exclude_models = tuple(self.exclude_models)
-        unknown = [n for n in self.exclude_models if n not in ALL_MODEL_NAMES]
-        if unknown:
-            raise ValueError(
-                f"exclude_models has unknown model names {unknown}; "
-                f"valid names: {list(ALL_MODEL_NAMES)}"
-            )
-        if set(ALL_MODEL_NAMES) <= set(self.exclude_models):
-            raise ValueError(
-                "exclude_models excludes every representation model; "
-                "the detector needs at least one"
-            )
-
         def number(name: str, ok, bound: str) -> None:
             # A TOML/JSON ``true`` is no number, as require_int holds for counts.
             value = getattr(self, name)
@@ -332,33 +317,32 @@ class HoloDetect:
 
         cfg = self.config
         pipeline = self._build_pipeline(constraints)
-        # Both refusals come before any state changes, so a fitted detector
-        # stays usable.
-        if not pipeline.featurizers:
-            # Only the input shows this: constraint_violations, the one
-            # model the exclusion may leave, exists only with constraints.
-            raise SpecError(
-                f"[detector]: exclude_models {list(cfg.exclude_models)} leaves "
-                "no representation model without denial constraints"
-            )
         rng = as_generator(cfg.seed)
         t_fit = perf_counter()
         train_main, holdout = training.split_holdout(cfg.holdout_fraction, rng=rng)
         if len(train_main) == 0:
             raise ValueError("training set is empty after holdout split")
-        self._dataset = dataset
-        self._train_cells = set(training.cells)
-        self.timings = {}
 
         # Module 2: representation model Q.  With an artifact store in
         # effect, fitted embeddings and featurizer states are served from
         # it; a warm fit is bit-identical to a cold one because embedding
         # training seeds derive from content, not from the shared stream.
         t0 = perf_counter()
-        self.pipeline = pipeline
         with use_store(self.artifacts):
-            self.pipeline.fit(dataset)
-        self.timings["featurize"] = perf_counter() - t0
+            pipeline.fit(dataset)
+        if pipeline.numeric_dim == 0 and not pipeline.branch_dims:
+            # Only the fitted pipeline shows this: widths depend on the
+            # input (constraint_violations has none without Σ).
+            raise SpecError(
+                f"featurizers {pipeline.model_names} yield no features"
+                + ("" if constraints else " without denial constraints")
+            )
+        # Both refusals come before any state changes, so a fitted detector
+        # stays usable.
+        self.timings = {"featurize": perf_counter() - t0}
+        self._dataset = dataset
+        self._train_cells = set(training.cells)
+        self.pipeline = pipeline
         self.artifact_keys = self.pipeline.artifact_keys
 
         # Module 1: noisy channel learning + augmentation.
@@ -417,7 +401,9 @@ class HoloDetect:
         return self
 
     def _build_pipeline(self, constraints) -> FeaturePipeline:
-        """The representation model Q: spec-declared or the Table 7 default.
+        """The representation model Q: the spec's ``featurizers``, or
+        :func:`~repro.features.pipeline.default_model_names` (Table 7) when
+        the spec leaves them out.
 
         The detector deliberately does *not* thread its RNG stream into the
         featurizers: embedding training seeds derive from corpus content
@@ -427,22 +413,15 @@ class HoloDetect:
         to a cold one.  (Versioned behaviour change — see "Fit-path
         artifacts" in ``docs/architecture.md``.)
         """
-        cfg = self.config
-        if self.spec.featurizers is not None:
-            from repro.features.pipeline import FeaturizerContext, build_pipeline
-
-            ctx = FeaturizerContext(
-                constraints=list(constraints) if constraints else (),
-                embedding_dim=cfg.embedding_dim,
-                embedding_epochs=cfg.embedding_epochs,
-            )
-            return build_pipeline(list(self.spec.featurizers), ctx)
-        return default_pipeline(
-            constraints=constraints,
-            embedding_dim=cfg.embedding_dim,
-            embedding_epochs=cfg.embedding_epochs,
-            exclude=cfg.exclude_models,
+        entries = self.spec.featurizers
+        if entries is None:
+            entries = default_model_names(constraints)
+        ctx = FeaturizerContext(
+            constraints=list(constraints) if constraints else (),
+            embedding_dim=self.config.embedding_dim,
+            embedding_epochs=self.config.embedding_epochs,
         )
+        return build_pipeline(list(entries), ctx)
 
     def _resolve_policy(self, dataset: Dataset, training: TrainingSet) -> Policy:
         """The augmentation policy the spec's policy component builds.

@@ -13,8 +13,8 @@ Q concatenates representation models from three contexts:
 Each model is a :class:`~repro.features.base.Featurizer`.  The
 :class:`~repro.features.pipeline.FeaturePipeline` fits them on the noisy
 dataset D, transforms cells into a fixed ``numeric`` block plus named
-embedding branches, and supports dropping any single model for the Fig. 3
-ablation study.
+embedding branches.  The Fig. 3 ablation drops a model by leaving it out
+of a detector spec's ``featurizers`` list.
 
 Transforms are batched through :class:`~repro.features.base.CellBatch`, and
 each model memoises what it computes across calls in per-model

@@ -3,7 +3,8 @@
 The pipeline concatenates fixed numeric features into one standardised block
 (the "wide" part of the wide-and-deep architecture, Appendix A.1) and keeps
 each learnable-branch output separate (the "deep" part feeding highway
-layers).  Dropping a model by name reproduces the Fig. 3 ablation.
+layers).  A spec whose ``featurizers`` list leaves one model out of
+:func:`default_model_names` reproduces the Fig. 3 ablation.
 
 Transforms are batched: one :class:`~repro.features.base.CellBatch` is built
 per call and shared by every featurizer, so resolved values and per-column
@@ -69,22 +70,6 @@ def fit_workers() -> int:
     except AttributeError:  # no affinity call on this platform
         usable = os.cpu_count() or 1
     return min(MAX_FIT_WORKERS, usable)
-
-
-#: Names of all representation models in the default pipeline, usable with
-#: :func:`default_pipeline`'s ``exclude`` for ablation studies.
-ALL_MODEL_NAMES = (
-    "char_embedding",
-    "word_embedding",
-    "format_3gram",
-    "symbolic_3gram",
-    "empirical_dist",
-    "column_id",
-    "cooccurrence",
-    "tuple_embedding",
-    "constraint_violations",
-    "neighborhood",
-)
 
 
 # --------------------------------------------------------------------- #
@@ -529,32 +514,35 @@ def build_pipeline(
     return FeaturePipeline(featurizers)
 
 
+def default_model_names(
+    constraints: Sequence[DenialConstraint] | None = None,
+) -> list[str]:
+    """The models of Table 7's Q: :data:`DEFAULT_MODEL_ORDER`, plus
+    ``constraint_violations`` when Σ is non-empty.  A detector whose spec
+    leaves ``featurizers`` out builds this list."""
+    names = list(DEFAULT_MODEL_ORDER)
+    if constraints:
+        names.append("constraint_violations")
+    return names
+
+
 def default_pipeline(
     constraints: Sequence[DenialConstraint] | None = None,
     embedding_dim: int = 16,
     embedding_epochs: int = 2,
-    exclude: Sequence[str] = (),
 ) -> FeaturePipeline:
     """The full representation model Q of Table 7.
 
-    ``constraints`` may be ``None``/empty (Σ is optional input); ``exclude``
-    removes named models for ablation studies (see :data:`ALL_MODEL_NAMES`),
-    skipping any the pipeline lacks (``constraint_violations`` without Σ).
-    Every model is resolved through the component registry, so the default
-    composition and a spec-declared one share a single construction path.
-    There is no RNG to pass: each embedding trains from a seed derived from
-    its artifact key (:mod:`repro.artifacts.keys`), and its fit consults
-    the ambient artifact store, if one is installed.
+    ``constraints`` may be ``None``/empty (Σ is optional input).  The
+    models are :func:`default_model_names`, built through the component
+    registry as a spec-declared pipeline is.  There is no RNG to pass:
+    each embedding trains from a seed derived from its artifact key
+    (:mod:`repro.artifacts.keys`), and its fit consults the ambient
+    artifact store, if one is installed.
     """
     ctx = FeaturizerContext(
         constraints=list(constraints) if constraints else (),
         embedding_dim=embedding_dim,
         embedding_epochs=embedding_epochs,
     )
-    unknown = set(exclude) - set(ALL_MODEL_NAMES)
-    if unknown:
-        raise ValueError(f"unknown model names in exclude: {sorted(unknown)}")
-    names = list(DEFAULT_MODEL_ORDER)
-    if constraints:
-        names.append("constraint_violations")
-    return build_pipeline([n for n in names if n not in set(exclude)], ctx)
+    return build_pipeline(default_model_names(constraints), ctx)

@@ -44,10 +44,14 @@ for config-only additions, and featurizer states gain keys the same way
 (older n-gram entries lack ``n``, which their per-column models record).
 Config keys of retired options (``backend``, ``compute_dtype``,
 ``prediction_workers``, ``feature_cache``, ``cache_max_entries``,
-``cache_max_bytes``, ``calibrate``) are dropped on load, from the config and
-from an embedded spec's ``detector`` table, as is a spec's retired
-``compute`` table.  A dropped ``calibrate`` changes no prediction: the
-fitted scaler is saved as it was fitted.
+``cache_max_bytes``, ``calibrate``, ``exclude_models``) are dropped on load,
+from the config and from an embedded spec's ``detector`` table, as is a
+spec's retired ``compute`` table.  The two that chose a component enter the
+loaded spec as that component: ``calibrate = false`` as ``calibrator =
+"none"``, a non-empty ``exclude_models`` as ``featurizers`` naming the saved
+pipeline's models.  So such a save fingerprints apart from its default twin,
+and a refit builds the components it was fitted with.  No prediction
+changes: the fitted scaler and featurizers are saved as they were fitted.
 
 Every detector carries a :class:`~repro.spec.DetectorSpec` (a config-built
 one derives it), and a save records the spec's canonical form both inside
@@ -156,7 +160,32 @@ def _decode_featurizer(state: dict) -> features.Featurizer:
 _RETIRED_CONFIG_FIELDS = (
     "backend", "compute_dtype", "prediction_workers",
     "feature_cache", "cache_max_entries", "cache_max_bytes", "calibrate",
+    "exclude_models",
 )
+
+
+def _retire(fields: dict, model_names: list[str]) -> tuple[dict, dict]:
+    """Split saved config fields (a config, or a spec's ``[detector]``
+    table) into those :class:`DetectorConfig` still has and the spec
+    entries that retired ones chose.
+
+    ``calibrate = false`` chose ``calibrator = "none"``, and a non-empty
+    ``exclude_models`` chose the saved pipeline's ``model_names`` as
+    ``featurizers``; every other retired field, and those two at their
+    defaults, chose nothing and is dropped.
+    """
+    chosen: dict[str, object] = {}
+    if fields.get("calibrate") is False:
+        chosen["calibrator"] = "none"
+    if fields.get("exclude_models"):
+        chosen["featurizers"] = list(model_names)
+    kept = {k: v for k, v in fields.items() if k not in _RETIRED_CONFIG_FIELDS}
+    return kept, chosen
+
+
+def _model_names(state: dict) -> list[str]:
+    """The saved pipeline's model names, in save order."""
+    return [_FEATURIZER_TYPES[f["type"]].name for f in state["pipeline"]["featurizers"]]
 
 
 def _encode_config(config: DetectorConfig) -> dict:
@@ -167,24 +196,20 @@ def _encode_config(config: DetectorConfig) -> dict:
     return state
 
 
-def _decode_config(state: dict) -> DetectorConfig:
-    state = {k: v for k, v in state.items() if k not in _RETIRED_CONFIG_FIELDS}
-    state["exclude_models"] = tuple(state["exclude_models"])
-    return DetectorConfig(**state)
-
-
-def _decode_spec(state: dict):
+def _decode_spec(state: dict, model_names: list[str]):
     """The saved :class:`~repro.spec.DetectorSpec`, minus the retired
-    ``compute`` table and any retired ``detector`` keys."""
+    ``compute`` table, with its ``detector`` table's retired keys mapped by
+    :func:`_retire`."""
     from repro.spec import DetectorSpec
 
     state = {k: v for k, v in state.items() if k != "compute"}
     if isinstance(state.get("detector"), dict):
-        state["detector"] = {
-            k: v
-            for k, v in state["detector"].items()
-            if k not in _RETIRED_CONFIG_FIELDS
-        }
+        state["detector"], chosen = _retire(state["detector"], model_names)
+        if state.get("featurizers") is not None:
+            # Specs that listed featurizers ignored the exclusion before
+            # they refused it; the list is what was fitted.
+            chosen.pop("featurizers", None)
+        state.update(chosen)
     return DetectorSpec.from_dict(state)
 
 
@@ -272,8 +297,8 @@ def detector_fingerprint(path: str | Path) -> str | None:
     from repro.spec import SpecError
 
     try:
-        return _decode_spec(spec_state).fingerprint()
-    except SpecError:
+        return _decode_spec(spec_state, _model_names(state)).fingerprint()
+    except (SpecError, KeyError):
         return None
 
 
@@ -323,9 +348,13 @@ def load_detector(path: str | Path, dataset: Dataset) -> HoloDetect:
     if state["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {state['format_version']}")
 
-    detector = HoloDetect(_decode_config(state["config"]))
-    if state.get("spec") is not None:
-        detector.spec = _decode_spec(state["spec"])
+    model_names = _model_names(state)
+    fields, chosen = _retire(state["config"], model_names)
+    detector = HoloDetect(DetectorConfig(**fields))
+    # A save from before every detector carried a spec gets the one its
+    # config derives, with the components its retired fields chose.
+    spec_state = state.get("spec") or {**detector.spec.to_dict(), **chosen}
+    detector.spec = _decode_spec(spec_state, model_names)
     pipeline_state = state["pipeline"]
     detector.pipeline = features.FeaturePipeline(
         [_decode_featurizer(f) for f in pipeline_state["featurizers"]]

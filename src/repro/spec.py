@@ -246,11 +246,6 @@ class DetectorSpec:
             raise SpecError(f"[detector]: {exc}") from exc
 
         if self.featurizers is not None:
-            if config.exclude_models:
-                raise SpecError(
-                    "[detector]: exclude_models applies only to the default "
-                    "pipeline; leave those models out of the featurizers list"
-                )
             ctx = FeaturizerContext(
                 embedding_dim=config.embedding_dim,
                 embedding_epochs=config.embedding_epochs,

@@ -8,7 +8,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.constraints import read_constraints
 from repro.dataset import Dataset, ShardedDataset, read_labels, write_csv
-from repro.features.pipeline import ALL_MODEL_NAMES, DEFAULT_MODEL_ORDER
 
 
 @pytest.fixture
@@ -379,11 +378,12 @@ class TestDetectWithSpec:
           "--spec", "{tmp}/lr_inf.toml", "--output", "{tmp}/o.csv"],
          "lr must be positive and finite, got inf"),
         (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
-          "--spec", "{tmp}/exclude_all.toml", "--output", "{tmp}/o.csv"],
-         "exclude_models excludes every representation model"),
+          "--spec", "{tmp}/exclude.toml", "--output", "{tmp}/o.csv"],
+         "'exclude_models'; valid keys: ['alpha', 'augment'"),
         (["detect", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
-          "--spec", "{tmp}/exclude_default.toml", "--output", "{tmp}/o.csv"],
-         "leaves no representation model without denial constraints"),
+          "--spec", "{tmp}/constraint_only.toml", "--output", "{tmp}/o.csv"],
+         "invalid detector configuration: featurizers ['constraint_violations'] "
+         "yield no features without denial constraints"),
         (["policy", "--input", "{tmp}/data.csv", "--labels", "{tmp}/labels.csv",
           "--value", "60612", "--top", "0"], "--top: k must be at least 1, got 0"),
         (["shard", "info", "{tmp}/no_attributes"],
@@ -405,7 +405,7 @@ class TestDetectWithSpec:
          "client-threshold-inf", "detect-labels-header-only", "rescore-labels-header-only",
          "detect-holdout-empties-labels", "benchmark-holdout-empties-split",
          "detect-spec-alpha-above-one", "detect-spec-lr-inf",
-         "detect-spec-excludes-every-model",
+         "detect-spec-sets-exclude-models",
          "detect-excludes-all-but-constraint-model", "policy-top-zero",
          "shard-info-no-attributes",
          "shard-verify-list-manifest", "shard-info-truncated",
@@ -422,16 +422,14 @@ def test_out_of_range_flag_exits_with_one_line(tmp_path, argv, expected):
     )
     for name, setting in (("holdout", "holdout_fraction = 0.9"),
                           ("holdout99", "holdout_fraction = 0.99"),
-                          ("alpha2", "alpha = 2.0"), ("lr_inf", "lr = inf")):
+                          ("alpha2", "alpha = 2.0"), ("lr_inf", "lr = inf"),
+                          ("exclude", 'exclude_models = ["neighborhood"]')):
         (tmp_path / f"{name}.toml").write_text(
             f'schema = "repro.spec/v1"\n[detector]\n{setting}\n'
         )
-    for name, models in (("exclude_all", ALL_MODEL_NAMES),
-                         ("exclude_default", DEFAULT_MODEL_ORDER)):
-        (tmp_path / f"{name}.toml").write_text(
-            'schema = "repro.spec/v1"\n[detector]\n'
-            f"exclude_models = {json.dumps(list(models))}\n"
-        )
+    (tmp_path / "constraint_only.toml").write_text(
+        'schema = "repro.spec/v1"\nfeaturizers = ["constraint_violations"]\n'
+    )
     (tmp_path / "sweep.toml").write_text(
         'datasets = [{ name = "hospital", rows = 60 }]\n'
         "label_budgets = [0.2]\n"

@@ -157,13 +157,18 @@ class TestConfigVariants:
         detector.fit(bundle.dirty, split.training, bundle.constraints)
         assert detector.augmented_count > 0
 
-    def test_exclude_models_ablation(self, tiny_bundle_module):
+    def test_spec_featurizers_ablation(self, tiny_bundle_module):
+        """Fig. 3's variants are specs listing Table 7's models less one."""
         from dataclasses import replace
 
+        from repro.features.pipeline import default_model_names
+
         bundle, split = tiny_bundle_module
-        detector = HoloDetect(replace(FAST, exclude_models=("neighborhood",)))
+        models = [m for m in default_model_names(bundle.constraints) if m != "neighborhood"]
+        spec = replace(HoloDetect(FAST).spec, featurizers=[(m, {}) for m in models])
+        detector = HoloDetect.from_spec(spec)
         detector.fit(bundle.dirty, split.training, bundle.constraints)
-        assert "neighborhood" not in detector.pipeline.model_names
+        assert detector.pipeline.model_names == models
 
     def test_without_constraints(self, tiny_bundle_module):
         bundle, split = tiny_bundle_module
@@ -171,35 +176,33 @@ class TestConfigVariants:
         detector.fit(bundle.dirty, split.training, constraints=None)
         assert "constraint_violations" not in detector.pipeline.model_names
 
-    def test_excluding_a_model_the_pipeline_lacks(self, tiny_bundle_module):
-        """Without Σ there is no constraint model to drop: excluding it is a
-        no-op, not an error inside ``fit()``."""
-        from dataclasses import replace
+    def test_refit_left_without_a_model_is_refused_before_any_change(self):
+        """A spec whose one model is the constraint model fits with Σ; a
+        refit of another relation without Σ yields no feature, is refused,
+        and leaves the detector predicting its last fit's relation."""
+        from repro.data import load_dataset
+        from repro.spec import SPEC_SCHEMA, SpecError
 
-        bundle, split = tiny_bundle_module
-        plain = HoloDetect(FAST).fit(bundle.dirty, split.training, constraints=None)
-        excluded = HoloDetect(replace(FAST, exclude_models=("constraint_violations",)))
-        excluded.fit(bundle.dirty, split.training, constraints=None)
-        assert excluded.pipeline.model_names == plain.pipeline.model_names
-
-    def test_refit_left_without_a_model_is_refused_before_any_change(
-        self, tiny_bundle_module
-    ):
-        """Excluding every model but the constraint one fits with Σ; a refit
-        without Σ is refused and leaves the fitted detector as it was."""
-        from dataclasses import replace
-
-        from repro.features.pipeline import DEFAULT_MODEL_ORDER
-        from repro.spec import SpecError
-
-        bundle, split = tiny_bundle_module
-        detector = HoloDetect(replace(FAST, exclude_models=DEFAULT_MODEL_ORDER))
-        detector.fit(bundle.dirty, split.training, bundle.constraints)
+        detector = HoloDetect.from_spec({
+            "schema": SPEC_SCHEMA,
+            "detector": {"epochs": 2, "min_training_steps": 20, "seed": 0},
+            "featurizers": ["constraint_violations"],
+        })
+        small = load_dataset("hospital", num_rows=40, seed=5)
+        detector.fit(small.dirty, make_split(small, 0.5, rng=0).training, small.constraints)
         before = detector.predict()
-        with pytest.raises(SpecError, match="leaves no representation model"):
-            detector.fit(bundle.dirty, split.training, constraints=None)
+
+        grown = load_dataset("hospital", num_rows=60, seed=5)
+        with pytest.raises(
+            SpecError,
+            match=r"featurizers \['constraint_violations'\] yield no features "
+            "without denial constraints",
+        ):
+            detector.fit(grown.dirty, make_split(grown, 0.5, rng=0).training)
+        assert detector._dataset is small.dirty
         assert detector.pipeline.model_names == ["constraint_violations"]
         after = detector.predict()
+        assert after.cells == before.cells
         assert after.probabilities.tobytes() == before.probabilities.tobytes()
 
     def test_refit_emptied_by_the_holdout_is_refused_before_any_change(self):

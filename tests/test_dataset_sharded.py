@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 from repro.data.registry import load_dataset
 from repro.dataset import Cell, Dataset, ShardedDataset, open_relation
 from repro.dataset.loader import read_csv, write_csv
-from repro.dataset.counts import (
-    cooccurrence_partial,
-    fd_group_partial,
-    merge_cooccurrence_partials,
-    merge_fd_group_partials,
-)
+from repro.dataset.counts import cooccurrence, fd_groups
 from repro.dataset.relation import ShardSpan, hash_column
 from repro.features.dataset_level import ConstraintViolationFeaturizer
 from repro.faults import RetryPolicy, inject, use_policy
@@ -86,51 +81,30 @@ class TestFingerprintInvariance:
         assert dataset.shard_spans() == (ShardSpan(0, 0, 2),)
 
 
-class TestPartialComposition:
+def _ordered(table):
+    """A nested count table as nested item lists, so ``==`` compares
+    iteration order too."""
+    if isinstance(table, dict):
+        return [(key, _ordered(value)) for key, value in table.items()]
+    if isinstance(table, tuple):
+        return tuple(_ordered(part) for part in table)
+    return table
+
+
+class TestCountsAcrossSpans:
     @given(dataset=_tables, shard_rows=_shard_rows)
     @settings(max_examples=25, deadline=None)
-    def test_cooccurrence_partials_merge_to_whole(self, dataset, shard_rows):
-        whole = cooccurrence_partial(dataset, ShardSpan(0, 0, dataset.num_rows))
-        spans = [
-            ShardSpan(i, start, min(start + shard_rows, dataset.num_rows))
-            for i, start in enumerate(range(0, dataset.num_rows, shard_rows))
-        ]
-        merged = merge_cooccurrence_partials(
-            [cooccurrence_partial(dataset, s) for s in spans]
-        )
-        assert merged == whole
-
-    @given(dataset=_tables, shard_rows=_shard_rows, split=st.integers(1, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_cooccurrence_merge_associative(self, dataset, shard_rows, split):
-        spans = [
-            ShardSpan(i, start, min(start + shard_rows, dataset.num_rows))
-            for i, start in enumerate(range(0, dataset.num_rows, shard_rows))
-        ]
-        partials = [cooccurrence_partial(dataset, s) for s in spans]
-        flat = merge_cooccurrence_partials(partials)
-        grouped = merge_cooccurrence_partials(
-            [
-                merge_cooccurrence_partials(partials[:split]),
-                merge_cooccurrence_partials(partials[split:]),
-            ]
-        )
-        assert flat == grouped
-
-    @given(dataset=_tables, shard_rows=_shard_rows)
-    @settings(max_examples=25, deadline=None)
-    def test_fd_partials_merge_to_whole(self, dataset, shard_rows):
-        whole = fd_group_partial(
-            dataset, ShardSpan(0, 0, dataset.num_rows), ["p"], "q"
-        )
-        spans = [
-            ShardSpan(i, start, min(start + shard_rows, dataset.num_rows))
-            for i, start in enumerate(range(0, dataset.num_rows, shard_rows))
-        ]
-        merged = merge_fd_group_partials(
-            [fd_group_partial(dataset, s, ["p"], "q") for s in spans]
-        )
-        assert merged == whole
+    def test_spans_count_the_one_span_tables(
+        self, dataset, shard_rows, tmp_path_factory
+    ):
+        """``cooccurrence`` and ``fd_groups`` of a relation read in several
+        spans equal those of its one-span twin, iteration order included."""
+        sharded = _sharded_twin(dataset, tmp_path_factory.mktemp("shards"), shard_rows)
+        assert _ordered(cooccurrence(sharded)) == _ordered(cooccurrence(dataset))
+        for join_attrs in (["p"], ["p", "r"]):
+            assert _ordered(fd_groups(sharded, join_attrs, "q")) == (
+                _ordered(fd_groups(dataset, join_attrs, "q"))
+            )
 
 
 @pytest.fixture(scope="module")

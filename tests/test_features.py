@@ -18,7 +18,7 @@ from repro.features import (
     WordEmbeddingFeaturizer,
     default_pipeline,
 )
-from repro.features.pipeline import ALL_MODEL_NAMES
+from repro.features.pipeline import DEFAULT_MODEL_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class TestDatasetFeaturizers:
 class TestPipeline:
     def test_default_pipeline_names(self, dataset, zip_fd):
         pipe = default_pipeline([zip_fd], embedding_dim=4)
-        assert set(pipe.model_names) == set(ALL_MODEL_NAMES)
+        assert pipe.model_names == [*DEFAULT_MODEL_ORDER, "constraint_violations"]
 
     def test_without_constraints_drops_violation_model(self, dataset):
         pipe = default_pipeline(None, embedding_dim=4)
@@ -156,14 +156,6 @@ class TestPipeline:
         pipe.fit(dataset)
         feats = pipe.transform(list(dataset.cells()), dataset)
         assert np.abs(feats.numeric).max() <= 10.0
-
-    def test_exclusion_for_ablation(self, dataset):
-        pipe = default_pipeline(None, embedding_dim=4, exclude=("char_embedding",))
-        assert "char_embedding" not in pipe.model_names
-
-    def test_unknown_exclusion_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            default_pipeline(None, exclude=("no_such_model",))
 
     def test_duplicate_names_rejected(self):
         f1, f2 = EmpiricalDistributionFeaturizer(), EmpiricalDistributionFeaturizer()

@@ -366,22 +366,21 @@ class TestDetectionSession:
         it does not re-score."""
         from repro.data import load_dataset
         from repro.evaluation import make_split
+        from repro.spec import SPEC_SCHEMA, DetectorSpec
 
         bundle = load_dataset("hospital", num_rows=60, seed=2)
         split = make_split(bundle, 0.10, rng=0)
-        config = DetectorConfig(
-            epochs=3,
-            embedding_dim=4,
-            min_training_steps=50,
-            seed=0,
-            exclude_models=(
-                "cooccurrence",
-                "tuple_embedding",
-                "neighborhood",
-                "constraint_violations",
-            ),
-        )
-        detector = HoloDetect(config).fit(
+        spec = DetectorSpec.from_dict({
+            "schema": SPEC_SCHEMA,
+            "detector": {
+                "epochs": 3, "embedding_dim": 4, "min_training_steps": 50, "seed": 0,
+            },
+            "featurizers": [
+                "char_embedding", "word_embedding", "format_3gram",
+                "symbolic_3gram", "empirical_dist", "column_id",
+            ],
+        })
+        detector = HoloDetect.from_spec(spec).fit(
             bundle.dirty, split.training, bundle.constraints
         )
         dataset = bundle.dirty

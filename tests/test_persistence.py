@@ -238,8 +238,10 @@ class TestDetectorRoundtrip:
         feature cache carry ``feature_cache``/``cache_max_entries``/
         ``cache_max_bytes``, and saves made while the config chose the
         calibration carry ``calibrate``, in the config and in a spec that
-        set them.  They load and predict bit-identically."""
+        set them.  They load and predict bit-identically; ``calibrate =
+        false`` loads as the ``none`` calibrator it chose."""
         import json
+        from dataclasses import replace
 
         from repro.persistence import detector_fingerprint
         from repro.spec import DetectorSpec
@@ -271,13 +273,86 @@ class TestDetectorRoundtrip:
         assert np.array_equal(
             legacy.predict(cells).probabilities, fresh.predict(cells).probabilities
         )
-        assert legacy.spec.fingerprint() == spec.fingerprint()
+        uncalibrated = replace(spec, calibrator=("none", {}))
+        assert legacy.spec == uncalibrated
         # Without a spec.json sidecar the serving index recomputes it...
-        assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()
+        assert detector_fingerprint(tmp_path / "legacy") == uncalibrated.fingerprint()
         # ...and a sidecar recorded with the retired keys is stale.
         sidecar = {"fingerprint": "0" * 64, "spec": state["spec"]}
         (tmp_path / "legacy" / "spec.json").write_text(json.dumps(sidecar))
-        assert detector_fingerprint(tmp_path / "legacy") == spec.fingerprint()
+        assert detector_fingerprint(tmp_path / "legacy") == uncalibrated.fingerprint()
+
+    def test_uncalibrated_save_is_indexed_apart_from_its_calibrated_twin(
+        self, fitted, tmp_path
+    ):
+        """A save whose spec set the retired ``calibrate = false`` and its
+        calibrated twin get one ``detector_index`` entry each; a spec-less
+        save that recorded it loads with the ``none`` calibrator too."""
+        from dataclasses import replace
+
+        from repro.persistence import detector_index
+
+        bundle, _, detector = fitted
+        root = tmp_path / "root"
+        save_detector(detector, root / "calibrated")
+        save_detector(detector, root / "uncalibrated")
+        path = root / "uncalibrated"
+        state = json.loads((path / "state.json").read_text())
+        state["config"]["calibrate"] = False
+        state["spec"]["detector"]["calibrate"] = False
+        (path / "state.json").write_text(json.dumps(state))
+        sidecar = {"fingerprint": "0" * 64, "spec": state["spec"]}
+        (path / "spec.json").write_text(json.dumps(sidecar))
+
+        none = replace(detector.spec, calibrator=("none", {}))
+        assert detector_index(root) == {
+            detector.spec.fingerprint(): root / "calibrated",
+            none.fingerprint(): path,
+        }
+        state["spec"] = None
+        (path / "state.json").write_text(json.dumps(state))
+        (path / "spec.json").unlink()
+        assert load_detector(path, bundle.dirty).spec == none
+
+
+class TestRetiredExclusionSave:
+    """Saves made while ``DetectorConfig.exclude_models`` chose the models
+    record it in the config and in the spec the config derived, whose
+    ``featurizers`` were left out.  They load with the saved pipeline's
+    models as ``featurizers``."""
+
+    def test_loads_with_its_featurizers_and_refits_them(self, tmp_path):
+        from repro.data import load_dataset
+        from repro.features.pipeline import default_model_names
+        from repro.spec import SPEC_SCHEMA, DetectorSpec
+
+        bundle = load_dataset("hospital", num_rows=60, seed=3)
+        split = make_split(bundle, 0.2, rng=0)
+        fields = {"epochs": 3, "embedding_dim": 4, "min_training_steps": 50, "seed": 0}
+        models = [m for m in default_model_names(bundle.constraints) if m != "neighborhood"]
+        detector = DetectorSpec.from_dict(
+            {"schema": SPEC_SCHEMA, "detector": fields, "featurizers": models}
+        ).build()
+        detector.fit(bundle.dirty, split.training, bundle.constraints)
+        path = tmp_path / "legacy"
+        save_detector(detector, path)
+        state = json.loads((path / "state.json").read_text())
+        state["config"]["exclude_models"] = ["neighborhood"]
+        excluded = {**fields, "exclude_models": ["neighborhood"]}
+        state["spec"] = {**state["spec"], "detector": excluded, "featurizers": None}
+        (path / "state.json").write_text(json.dumps(state))
+        sidecar = {"fingerprint": "0" * 64, "spec": state["spec"]}
+        (path / "spec.json").write_text(json.dumps(sidecar))
+
+        legacy = load_detector(path, bundle.dirty)
+        assert legacy.spec == detector.spec
+        cells = split.test_cells
+        assert legacy.predict(cells).probabilities.tobytes() == (
+            detector.predict(cells).probabilities.tobytes()
+        )
+        assert detector_fingerprint(path) == legacy.spec.fingerprint()
+        legacy.fit(bundle.dirty, split.training, bundle.constraints)
+        assert legacy.pipeline.model_names == models
 
 
 class TestNonDefaultNGramRoundtrip:

@@ -13,7 +13,7 @@ from repro.data.registry import DATASET_NAMES, load_dataset
 from repro.errors.bart import ErrorProfile
 from repro.errors.profiles import profile_names, resolve_profile
 from repro.features.pipeline import (
-    ALL_MODEL_NAMES,
+    DEFAULT_MODEL_ORDER,
     FeaturizerContext,
     build_featurizer,
     build_pipeline,
@@ -102,6 +102,16 @@ class TestMethodResolution:
         with pytest.raises(ValueError, match="method 'lr'"):
             build_method("lr", {"epochs": 3})
 
+    @pytest.mark.parametrize("key", ["calibrate", "exclude_models"])
+    def test_retired_component_twin_is_an_unknown_param(self, key):
+        """The calibrator and featurizers are spec components; a sweep
+        method setting the config's retired twin is refused in one line."""
+        with pytest.raises(ValueError) as excinfo:
+            build_method("holodetect", {key: ["neighborhood"]})
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert f"unknown detector parameters ['{key}']; valid keys: ['alpha'" in message
+
     def test_module_attr_method_reference(self):
         method = build_method("custom_components:flag_nothing_method")
         assert method(None, None, None) == set()
@@ -110,7 +120,9 @@ class TestMethodResolution:
 class TestFeaturizerResolution:
     def test_every_builtin_featurizer_resolves(self):
         ctx = FeaturizerContext(embedding_dim=4, embedding_epochs=1)
-        for name in ALL_MODEL_NAMES + ("value_length", "token_frequency"):
+        for name in DEFAULT_MODEL_ORDER + (
+            "constraint_violations", "value_length", "token_frequency",
+        ):
             featurizer = build_featurizer(name, {}, ctx)
             assert featurizer.name == name
 
@@ -171,9 +183,7 @@ class TestFeaturizerResolution:
 
     def test_default_pipeline_unchanged_by_registry_refactor(self, zip_fd):
         pipe = default_pipeline([zip_fd], embedding_dim=4)
-        assert set(pipe.model_names) == set(ALL_MODEL_NAMES)
-        with pytest.raises(ValueError, match="unknown model names"):
-            default_pipeline(None, exclude=("no_such_model",))
+        assert pipe.model_names == [*DEFAULT_MODEL_ORDER, "constraint_violations"]
 
 
 class TestProfileResolution:

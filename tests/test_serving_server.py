@@ -836,6 +836,17 @@ class TestFaultInjection:
 LONG_WINDOW = 5.0
 
 
+def await_mid_read(harness, count: int) -> None:
+    """Wait (up to 10 s) until the batcher counts ``count`` reads."""
+
+    async def mid_read():
+        return harness.server.batcher.mid_read
+
+    deadline = time.monotonic() + 10
+    while harness.submit(mid_read()) != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def settled_mid_read(harness) -> int | None:
     """The batcher's mid-read count once no connection is in flight."""
 
@@ -901,6 +912,9 @@ def end_disconnect_mid_body(harness, served_world):
     connection = RawConnection(harness.host, harness.port)
     connection.send_request_head(content_length=4096)
     connection.send(b"partial")
+    # Abort once the server is reading the body: the abort lands mid-body,
+    # and the connection is in flight before the settle wait begins.
+    await_mid_read(harness, 1)
     connection.abort()
 
 
@@ -1032,17 +1046,12 @@ class TestMidReadCount:
             read_timeout=30.0,
         )
 
-        async def mid_read():
-            return harness.server.batcher.mid_read
-
         with InProcessServer(config) as harness:
             register(ServeClient(harness.host, harness.port), served_world)
             stalled = RawConnection(harness.host, harness.port)
             try:
                 stalled.send(b"POST /v1/detect HTTP/1.1\r\n")  # the head never ends
-                deadline = time.monotonic() + 10
-                while harness.submit(mid_read()) != 1 and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                await_mid_read(harness, 1)
                 elapsed = tenant_detect_pair(harness, served_world)
             finally:
                 stalled.close()

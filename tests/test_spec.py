@@ -59,10 +59,11 @@ class TestSpecParsing:
                 {"schema": SPEC_SCHEMA, "detector": {"epochs": -3}}
             )
 
-    @pytest.mark.parametrize("key", ["calibrate", "policy_override"])
+    @pytest.mark.parametrize("key", ["calibrate", "policy_override", "exclude_models"])
     def test_retired_component_twin_is_refused_in_one_line(self, tmp_path, key):
-        """The config's retired twins of the ``calibrator`` and ``policy``
-        components are unknown ``[detector]`` keys in a spec file."""
+        """The config's retired twins of the ``calibrator``, ``policy`` and
+        ``featurizers`` components are unknown ``[detector]`` keys in a spec
+        file."""
         path = tmp_path / "spec.toml"
         path.write_text(f'schema = "{SPEC_SCHEMA}"\n[detector]\n{key} = false\n')
         with pytest.raises(SpecError) as excinfo:
@@ -95,32 +96,6 @@ class TestSpecParsing:
     def test_empty_featurizer_list_rejected(self):
         with pytest.raises(SpecError, match="non-empty"):
             DetectorSpec.from_dict({"schema": SPEC_SCHEMA, "featurizers": []})
-
-    @pytest.mark.parametrize(
-        "detector, featurizers, error",
-        [
-            ({"exclude_models": ["nonexistent_model"]}, None,
-             r"exclude_models has unknown model names \['nonexistent_model'\]; "
-             r"valid names: \['char_embedding'"),
-            ({"exclude_models": ["char_embedding"]}, ["char_embedding", "format_3gram"],
-             "exclude_models applies only to the default pipeline"),
-            ({"exclude_models": ["constraint_violations"]}, None, None),
-        ],
-        ids=["unknown-name", "next-to-featurizers", "absent-from-pipeline"],
-    )
-    def test_exclude_models_checked_at_validation(self, detector, featurizers, error):
-        """``exclude_models`` fails where the spec is validated or not at all:
-        never silently ignored, never first inside ``fit()``."""
-        payload = {"schema": SPEC_SCHEMA, "detector": detector}
-        if featurizers is not None:
-            payload["featurizers"] = featurizers
-        if error is not None:
-            with pytest.raises(SpecError, match=error):
-                DetectorSpec.from_dict(payload)
-            return
-        # Σ-free fits have no constraint model, so excluding it is a no-op.
-        pipeline = HoloDetect.from_spec(DetectorSpec.from_dict(payload))._build_pipeline(None)
-        assert pipeline.model_names == list(DEFAULT_MODEL_ORDER)
 
     def test_unknown_policy_and_calibrator_rejected(self):
         with pytest.raises(SpecError, match="unknown policy"):
@@ -403,8 +378,7 @@ NON_DEFAULT = {
     "epochs": 7, "batch_size": 16, "lr": 3e-3, "weight_decay": 0.0,
     "min_training_steps": 50, "holdout_fraction": 0.2, "alpha": 0.5,
     "target_ratio": 1.5, "augment": False, "min_error_pairs": 3,
-    "weak_supervision_max_cells": 500, "exclude_models": ("neighborhood",),
-    "prediction_batch": 64, "seed": 4,
+    "weak_supervision_max_cells": 500, "prediction_batch": 64, "seed": 4,
 }
 
 
@@ -506,7 +480,6 @@ class TestDetectorConfigValidation:
             ("min_error_pairs", -1, "min_error_pairs must be a non-negative"),
             ("weak_supervision_max_cells", 0, "weak_supervision_max_cells"),
             ("seed", -1, "seed must be a non-negative integer"),
-            ("exclude_models", ("nonexistent_model",), "exclude_models.*valid names"),
         ],
     )
     def test_bad_values_fail_fast_with_field_name(self, field, value, match):
@@ -514,12 +487,7 @@ class TestDetectorConfigValidation:
             DetectorConfig(**{field: value})
 
     def test_good_config_passes(self):
-        config = DetectorConfig(
-            epochs=1, dropout=0.0, holdout_fraction=0.0, target_ratio=1.0,
-            exclude_models=["neighborhood"],
-        )
-        # Convenience coercion: spec files hand lists, configs store tuples.
-        assert config.exclude_models == ("neighborhood",)
+        DetectorConfig(epochs=1, dropout=0.0, holdout_fraction=0.0, target_ratio=1.0)
 
     def test_replace_revalidates(self):
         from dataclasses import replace
