@@ -424,3 +424,20 @@ class TestNonDefaultNGramRoundtrip:
         assert np.array_equal(self.rescored(legacy), self.rescored(detector))
         assert legacy.spec.fingerprint() == detector.spec.fingerprint()
         assert detector_fingerprint(path) == detector.spec.fingerprint()
+
+    def test_exclusion_beside_listed_featurizers_keeps_the_list(self, fitted, tmp_path):
+        """Specs that listed featurizers once ignored an ``exclude_models``
+        beside them; such a save loads with the list it was fitted with,
+        parameters included."""
+        bundle, detector = fitted
+        path = tmp_path / "legacy"
+        save_detector(detector, path)
+        state = json.loads((path / "state.json").read_text())
+        state["config"]["exclude_models"] = ["neighborhood"]
+        state["spec"]["detector"]["exclude_models"] = ["neighborhood"]
+        (path / "state.json").write_text(json.dumps(state))
+        sidecar = {"fingerprint": "0" * 64, "spec": state["spec"]}
+        (path / "spec.json").write_text(json.dumps(sidecar))
+
+        assert load_detector(path, bundle.dirty.copy()).spec == detector.spec
+        assert detector_fingerprint(path) == detector.spec.fingerprint()
