@@ -176,6 +176,26 @@ class TestConfigVariants:
         detector.fit(bundle.dirty, split.training, constraints=None)
         assert "constraint_violations" not in detector.pipeline.model_names
 
+    def test_constraint_model_listed_without_constraints(self, tiny_bundle_module):
+        """Without Σ the constraint model yields no feature: a spec that
+        lists it beside Table 7's models fits, not an error inside
+        ``fit()``, and predicts as the default spec does."""
+        from dataclasses import replace
+
+        from repro.features.pipeline import DEFAULT_MODEL_ORDER
+
+        bundle, split = tiny_bundle_module
+        plain = HoloDetect(FAST).fit(bundle.dirty, split.training, constraints=None)
+        models = [*DEFAULT_MODEL_ORDER, "constraint_violations"]
+        spec = replace(HoloDetect(FAST).spec, featurizers=[(m, {}) for m in models])
+        listed = HoloDetect.from_spec(spec)
+        listed.fit(bundle.dirty, split.training, constraints=None)
+        assert listed.pipeline.model_names == models
+        assert listed.pipeline.numeric_dim == plain.pipeline.numeric_dim
+        assert listed.predict().probabilities.tobytes() == (
+            plain.predict().probabilities.tobytes()
+        )
+
     def test_refit_left_without_a_model_is_refused_before_any_change(self):
         """A spec whose one model is the constraint model fits with Σ; a
         refit of another relation without Σ yields no feature, is refused,

@@ -18,7 +18,12 @@ from repro.features import (
     WordEmbeddingFeaturizer,
     default_pipeline,
 )
-from repro.features.pipeline import DEFAULT_MODEL_ORDER
+from repro.features.pipeline import (
+    DEFAULT_MODEL_ORDER,
+    FeaturizerContext,
+    build_pipeline,
+    default_model_names,
+)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +161,26 @@ class TestPipeline:
         pipe.fit(dataset)
         feats = pipe.transform(list(dataset.cells()), dataset)
         assert np.abs(feats.numeric).max() <= 10.0
+
+    def test_default_model_names_add_the_constraint_model_only_with_constraints(
+        self, zip_fd
+    ):
+        assert default_model_names(None) == list(DEFAULT_MODEL_ORDER)
+        assert default_model_names([]) == list(DEFAULT_MODEL_ORDER)
+        assert default_model_names([zip_fd]) == [
+            *DEFAULT_MODEL_ORDER, "constraint_violations",
+        ]
+
+    def test_exclusion_for_ablation(self):
+        """Fig. 3's variants: Table 7's list less one model builds a
+        pipeline of the others, in order."""
+        names = [m for m in default_model_names(None) if m != "char_embedding"]
+        pipe = build_pipeline(names, FeaturizerContext(embedding_dim=4))
+        assert pipe.model_names == names
+
+    def test_unknown_model_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown featurizer 'no_such_model'"):
+            build_pipeline([*DEFAULT_MODEL_ORDER, "no_such_model"])
 
     def test_duplicate_names_rejected(self):
         f1, f2 = EmpiricalDistributionFeaturizer(), EmpiricalDistributionFeaturizer()

@@ -455,6 +455,7 @@ class TestDetectorConfigValidation:
             ("epochs", 0, "epochs must be a positive integer"),
             ("epochs", -5, "epochs must be a positive integer"),
             ("embedding_dim", 0, "embedding_dim must be a positive integer"),
+            ("embedding_epochs", 0, "embedding_epochs must be a positive integer"),
             ("hidden_dim", -1, "hidden_dim must be a positive integer"),
             ("batch_size", 0, "batch_size must be a positive integer"),
             ("prediction_batch", 0, "prediction_batch must be a positive integer"),
@@ -480,6 +481,7 @@ class TestDetectorConfigValidation:
             ("min_error_pairs", -1, "min_error_pairs must be a non-negative"),
             ("weak_supervision_max_cells", 0, "weak_supervision_max_cells"),
             ("seed", -1, "seed must be a non-negative integer"),
+            ("artifact_dir", 3, "artifact_dir must be a path string or None, got 3"),
         ],
     )
     def test_bad_values_fail_fast_with_field_name(self, field, value, match):
